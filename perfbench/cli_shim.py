@@ -1,10 +1,10 @@
 """Run one ellfib command line with the span recorder installed.
 
-Usage: python cli_shim.py SPANS_BASE VERB [ARGS...]
+Usage: python cli_shim.py SPANS_JSON VERB [ARGS...]
 
 Behaves like the `ellfib` console script (same stdout, stderr and exit
-code) and writes the process's spans to SPANS_BASE.json/.bin
-when the verb returns.  The traced round of the cli workload uses it.
+code) and writes the process's spans to SPANS_JSON when the verb
+returns.  The traced round of the cli workload uses it.
 """
 
 import sys

@@ -28,7 +28,7 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-from worker import child_env
+from worker import COLD_REFERENCE_S, child_env, cold_start_probe
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -52,19 +52,28 @@ def checkout_problem() -> str | None:
     return f"not an ellfib checkout, missing {', '.join(missing)}" if missing else None
 
 
-def setup_seconds(env: dict) -> list[float]:
+def setup_seconds(env: dict) -> tuple[list[float], list[float]]:
     """Fresh interpreter to ellfib.cli imported and the presets loaded.
 
-    One untimed start first writes the bytecode caches an installed
-    package would already have.
+    Returns each start's time scaled to the reference host speed, and
+    as measured.  One untimed start first writes the bytecode caches an
+    installed package would already have.  The timed starts alternate
+    with reference starts (worker.cold_start_probe), and each is scaled
+    by COLD_REFERENCE_S over the mean of the two around it.
     """
-    times = []
-    for n in range(SETUP_REPEATS + 1):
+    cmd = [sys.executable, "-c", SETUP_CODE]
+    subprocess.run(cmd, cwd=ROOT, env=env, check=True)
+    before = cold_start_probe()
+    scaled, measured = [], []
+    for _ in range(SETUP_REPEATS):
         t0 = perf_counter()
-        subprocess.run([sys.executable, "-c", SETUP_CODE], cwd=ROOT, env=env, check=True)
-        if n:
-            times.append(perf_counter() - t0)
-    return times
+        subprocess.run(cmd, cwd=ROOT, env=env, check=True)
+        elapsed = perf_counter() - t0
+        after = cold_start_probe()
+        measured.append(elapsed)
+        scaled.append(elapsed * 2 * COLD_REFERENCE_S / (before + after))
+        before = after
+    return scaled, measured
 
 
 def run_worker(workload: str, seed: int, seconds: float, trace: int, env: dict) -> dict:
@@ -100,9 +109,10 @@ def main(argv=None) -> int:
     prefix = args.workload == "all"
     metrics, attempted, failed = {}, 0, 0
     if not args.trace:
-        setup = setup_seconds(env)
+        setup, measured = setup_seconds(env)
         metrics["setup_s"] = {"value": statistics.median(setup), "unit": "s"}
-        print(f"setup_s = {metrics['setup_s']['value']:.4f} s (median of {len(setup)} starts)")
+        print(f"setup_s = {metrics['setup_s']['value']:.4f} s (median of {len(setup)} starts; "
+              f"as measured, before scaling to the reference speed: {statistics.median(measured):.4f} s)")
     for workload in workloads:
         try:
             result = run_worker(workload, args.seed, args.seconds, args.trace, env)

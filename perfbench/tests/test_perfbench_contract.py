@@ -4,7 +4,10 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 HERE = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(HERE))
@@ -50,3 +53,44 @@ def test_refuses_to_run_without_an_ellfib_checkout(tmp_path):
     )
     assert proc.returncode != 0
     assert "correct" not in proc.stdout
+
+
+class FailingRunner(worker.Runner):
+    """The fixed case fails its oracle; `fail_all` makes every operation raise."""
+
+    fail_all = False
+
+    def make_inputs(self):
+        return [[{"kind": "fixed", "fixed": True}], [{"kind": "plain"}], [{"kind": "plain"}]]
+
+    def run(self, op):
+        if self.fail_all:
+            raise ValueError("broken")
+        return 0.001, ["fixed case is wrong"] if op.get("fixed") else [], 1
+
+
+def test_a_failing_fixed_case_is_counted_not_crashed():
+    runner = FailingRunner(HERE.parent, 0, HERE)
+    m = worker.measure(runner, passes=2)
+    assert (m.attempted, m.failed) == (6, 2)
+    printed = worker.end_to_end(runner, m)
+    assert "fixed_case_ms" not in printed and "p50_ms" in printed
+
+
+def test_every_operation_failing_leaves_only_peak_rss():
+    runner = FailingRunner(HERE.parent, 0, HERE)
+    runner.fail_all = True
+    m = worker.measure(runner, passes=1)
+    assert (m.attempted, m.failed) == (3, 3)
+    assert set(worker.end_to_end(runner, m)) == {"peak_rss_mb"}
+
+
+def test_gauge_samples_inside_a_long_unit_and_scales_by_the_mean():
+    times = iter([0.002, 0.004, 0.004, 0.004, 0.004, 0.004, 0.004, 0.004])
+    gauge = worker.SpeedGauge(lambda: next(times), 0.001, every_s=0.0, sample_every_s=0.05)
+    before = gauge.read()
+    with gauge.sampling():
+        time.sleep(0.13)
+    gauge.read()
+    assert len(gauge.readings) >= 4  # the timer probed during the unit
+    assert gauge.scale(before) == pytest.approx(0.25)  # readings before `before` do not count

@@ -103,7 +103,7 @@ def test_invariants_oracle():
 
 
 @pytest.mark.xfail(
-    strict=True,
+    strict=False,
     reason="finding of the invariants oracle: gaussian mode loses ranks at tau = i on this "
     "torus4 class and neither mode raises a specialization flag",
 )
@@ -163,9 +163,11 @@ def test_recorder_dump_round_trips(tmp_path):
         run(worker.ModuliRunner, gen.moduli_op(1, 2, 1))
     finally:
         recorder.uninstall()
-    recorder.dump(tmp_path / "spans")
-    loaded = Recorder.load(tmp_path / "spans")
+    recorder.dump(tmp_path / "spans.json")
+    loaded = Recorder.load(tmp_path / "spans.json")
     first, second = Summary(), Summary()
     first.add(recorder)
     second.add(loaded)
     assert first.calls == second.calls and first.total_ns == second.total_ns
+    assert first.self_ns == second.self_ns and first.counters == second.counters
+    assert first.keys == second.keys

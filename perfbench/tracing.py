@@ -84,6 +84,8 @@ def _int_key(args, kwargs):
     return int(args[0] if args else kwargs["n"])
 
 
+SPAN_COLUMNS = ("name", "parent", "start", "end")
+
 # Calls are told apart by these keys for the distinct_share ratios.
 KEYED = {"linalg.integer_diagonalize": _matrix_key, "fibration.factorint": _int_key}
 
@@ -208,32 +210,26 @@ class Recorder:
 
     # -- output ------------------------------------------------------------
 
-    def dump(self, base: Path) -> None:
-        """Write spans to base.bin and names, counters and keys to base.json."""
-        base.parent.mkdir(parents=True, exist_ok=True)
-        header = {
-            "spans": len(self.name),
+    def dump(self, path: Path) -> None:
+        """Write the spans, names, counters and keys to one JSON file."""
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps({
             "names": self.names,
+            "columns": {col: getattr(self, col).tolist() for col in SPAN_COLUMNS},
             "counters": self.counters,
             "keys": {name: sorted(keys) for name, keys in self.keys.items()},
-        }
-        base.with_suffix(".json").write_text(json.dumps(header))
-        with open(base.with_suffix(".bin"), "wb") as fh:
-            for column in (self.name, self.parent, self.start, self.end):
-                column.tofile(fh)
+        }))
 
     @classmethod
-    def load(cls, base: Path) -> "Recorder":
+    def load(cls, path: Path) -> "Recorder":
         rec = cls()
-        header = json.loads(base.with_suffix(".json").read_text())
-        for name in header["names"]:
+        data = json.loads(path.read_text())
+        for name in data["names"]:
             rec._id(name)
-        rec.counters = header["counters"]
-        rec.keys = {name: set(keys) for name, keys in header["keys"].items()}
-        n = header["spans"]
-        with open(base.with_suffix(".bin"), "rb") as fh:
-            for column in (rec.name, rec.parent, rec.start, rec.end):
-                column.fromfile(fh, n)
+        for col in SPAN_COLUMNS:
+            getattr(rec, col).extend(data["columns"][col])
+        rec.counters = data["counters"]
+        rec.keys = {name: set(keys) for name, keys in data["keys"].items()}
         return rec
 
 

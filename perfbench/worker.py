@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
 import resource
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -39,42 +41,106 @@ HERE = Path(__file__).resolve().parent
 # The machines this runs on execute the same code up to 2x slower for
 # seconds to minutes at a time (other tenants), which no run of a few
 # tens of seconds can average out.  So every latency is also scaled to a
-# reference host speed: measured seconds times PROBE_REFERENCE_S over the
-# time of speed_probe(), a fixed piece of standard-library work (Fraction
-# sums, a dict, a sort) timed right before and after the operation.
-# PROBE_REFERENCE_S is the probe's time on the 2-core machine the
+# reference host speed: measured seconds times a reference time over the
+# time of a probe, a fixed piece of work that runs no ellfib code, timed
+# right before and after the operation.  In-process operations use
+# speed_probe() (Fraction sums, a dict, a sort); cold processes use
+# cold_start_probe() (a fresh interpreter importing standard-library
+# modules), because the time of a cold start follows the host's speed
+# for starting processes, which a compute loop tracks poorly.  The
+# reference times are the probes' times on the 2-core machine the
 # benchmark was built on when that machine ran at full speed, so scaled
-# values read as milliseconds there.  Program changes move the scaled
-# values as they move the measured ones; the probe runs no ellfib code.
+# values read as seconds there.  Program changes move the scaled values
+# as they move the measured ones.
 PROBE_REFERENCE_S = 0.0013
 PROBE_EVERY_S = 0.05
+PROBE_SAMPLE_EVERY_S = 0.2
+COLD_REFERENCE_S = 0.22
+COLD_PROBE_EVERY_S = 0.1  # below any cold process: each gets a reference start right after it
+COLD_REFERENCE_CODE = (
+    "import argparse, ast, asyncio, concurrent.futures, csv, dataclasses, decimal, difflib, "
+    "email.mime.multipart, fractions, http.server, inspect, json, logging.handlers, "
+    "multiprocessing.pool, pydoc, statistics, tarfile, typing, unittest, urllib.request, "
+    "xml.dom.minidom, zipfile"
+)
 
 
 def speed_probe() -> float:
-    """Seconds for a fixed piece of standard-library work."""
+    """Seconds for a fixed piece of standard-library work.
+
+    The collector is off while it runs, so the objects ellfib leaves on
+    the heap do not bill their collections to the probe.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        t0 = perf_counter()
+        total = Fraction(0)
+        for i in range(1, 300):
+            total += Fraction(i, 7 + i % 5)
+        table = {(i, i % 7): i * i for i in range(1500)}
+        sorted(table.items(), reverse=True)
+        return perf_counter() - t0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def cold_start_probe() -> float:
+    """Seconds for an isolated interpreter to start and import COLD_REFERENCE_CODE."""
     t0 = perf_counter()
-    total = Fraction(0)
-    for i in range(1, 300):
-        total += Fraction(i, 7 + i % 5)
-    table = {(i, i % 7): i * i for i in range(1500)}
-    sorted(table.items(), reverse=True)
+    subprocess.run([sys.executable, "-I", "-c", COLD_REFERENCE_CODE], check=True)
     return perf_counter() - t0
 
 
 class SpeedGauge:
-    """The latest speed_probe() time, refreshed at most every PROBE_EVERY_S."""
+    """Probe times: read() between units, and samples taken during them.
 
-    def __init__(self):
-        self.probe_s = speed_probe()
+    read() probes when every_s has passed since the last probe.  While
+    sampling() is active (around one unit), a SIGALRM timer also probes
+    every sample_every_s seconds in the middle of whatever runs, so an
+    operation that takes seconds is scaled by the host's speed over its
+    whole length, not at its two ends only.  A unit shorter than
+    sample_every_s is never interrupted.
+    """
+
+    def __init__(self, probe=speed_probe, reference_s=PROBE_REFERENCE_S,
+                 every_s=PROBE_EVERY_S, sample_every_s: float | None = PROBE_SAMPLE_EVERY_S):
+        self.probe, self.reference_s = probe, reference_s
+        self.every_s, self.sample_every_s = every_s, sample_every_s
+        self.readings: list[float] = []
+        self._take()
+
+    def _take(self, *_signal) -> None:
+        self.readings.append(self.probe())
         self.at = perf_counter()
-        self.readings = [self.probe_s]
 
-    def read(self) -> float:
-        if perf_counter() - self.at >= PROBE_EVERY_S:
-            self.probe_s = speed_probe()
-            self.at = perf_counter()
-            self.readings.append(self.probe_s)
-        return self.probe_s
+    def read(self) -> int:
+        """Probe if one is due; the index of the latest reading."""
+        if perf_counter() - self.at >= self.every_s:
+            self._take()
+        return len(self.readings) - 1
+
+    def scale(self, since: int) -> float:
+        """Factor from measured to reference seconds for work since reading `since`.
+
+        The mean of the readings from `since` on: a run's time is the
+        sum of its moments, so the mean probe time follows its speed.
+        """
+        return self.reference_s / statistics.fmean(self.readings[since:])
+
+    @contextlib.contextmanager
+    def sampling(self):
+        if self.sample_every_s is None:
+            yield
+            return
+        previous = signal.signal(signal.SIGALRM, self._take)
+        signal.setitimer(signal.ITIMER_REAL, self.sample_every_s, self.sample_every_s)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 def child_env(root: Path) -> dict:
@@ -127,6 +193,9 @@ class Runner:
 
     def peak_rss_kb(self) -> int:
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+    def gauge(self) -> SpeedGauge:
+        return SpeedGauge()
 
 
 class ModuliRunner(Runner):
@@ -244,6 +313,7 @@ class CliRunner(Runner):
         self.trace_dir = None  # set for the traced round: spans per process
         self.traced_processes = 0
         self.bytes_in = self.bytes_out = 0
+        self.peak_kb = 0  # largest ru_maxrss of an untraced cold process
         self.ops = list({id(op): op for (op,) in self.units}.values())
         for n, op in enumerate(self.ops):
             path = self.scratch / f"doc{n}.json"
@@ -268,32 +338,48 @@ class CliRunner(Runner):
         self._cold(self.ops[-1])
 
     def _cold(self, op):
+        """One cold process: (seconds, exit code, stdout, stderr).
+
+        The process is reaped with wait4 so that its own peak RSS is
+        read; the reference starts of the gauge are not counted.
+        """
         argv = self.argv[id(op)]
         if self.trace_dir is None:
             cmd = [sys.executable, "-c", CONSOLE_SCRIPT, *argv]
         else:
-            spans = self.trace_dir / f"p{self.traced_processes}"
+            spans = self.trace_dir / f"p{self.traced_processes}.json"
             self.traced_processes += 1
             cmd = [sys.executable, str(HERE / "cli_shim.py"), str(spans), *argv]
-        t0 = perf_counter()
-        proc = subprocess.run(cmd, cwd=self.root, env=self.env, capture_output=True)
-        return perf_counter() - t0, proc
+        with open(self.scratch / "stdout", "w+b") as out, open(self.scratch / "stderr", "w+b") as err:
+            t0 = perf_counter()
+            proc = subprocess.Popen(cmd, cwd=self.root, env=self.env, stdout=out, stderr=err)
+            _, status, usage = os.wait4(proc.pid, 0)
+            elapsed = perf_counter() - t0
+            proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
+            out.seek(0)
+            err.seek(0)
+            stdout, stderr = out.read(), err.read()
+        if self.trace_dir is None:
+            self.peak_kb = max(self.peak_kb, usage.ru_maxrss)
+        return elapsed, proc.returncode, stdout, stderr
 
     def run(self, op):
-        elapsed, proc = self._cold(op)
+        elapsed, code, stdout, stderr = self._cold(op)
         if self.trace_dir is not None:
             path = next((a for a in self.argv[id(op)] if a.endswith(".json")), None)
             self.bytes_in += os.path.getsize(path.removeprefix("file:")) if path else 0
-            self.bytes_out += len(proc.stdout)
+            self.bytes_out += len(stdout)
         problems = oracles.check_cli(
-            op, proc.returncode, proc.stdout, proc.stderr,
-            self.reference[id(op)], self.earlier.get(id(op)),
+            op, code, stdout, stderr, self.reference[id(op)], self.earlier.get(id(op)),
         )
-        self.earlier.setdefault(id(op), proc.stdout)
+        self.earlier.setdefault(id(op), stdout)
         return elapsed, problems, 1
 
     def peak_rss_kb(self):
-        return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+        return self.peak_kb
+
+    def gauge(self) -> SpeedGauge:
+        return SpeedGauge(cold_start_probe, COLD_REFERENCE_S, COLD_PROBE_EVERY_S, None)
 
 
 RUNNERS = {
@@ -333,15 +419,15 @@ def measure(runner: Runner, budget_s: float | None = None, passes: int | None = 
 
     The first pass always completes, so every input is measured; then
     passes go on until budget_s is spent (stopping mid-pass), or until
-    `passes` passes have run.  Each run is scaled by the probes read
-    before its unit and, for a unit that took longer than the probe
-    interval, after it.  The median, not the fastest run: the fastest
-    of several scaled runs would favour runs whose probe happened to be
+    `passes` passes have run.  Each run is scaled by the gauge's
+    readings from the one before its unit to the one after it (see
+    SpeedGauge).  The median, not the fastest run: the fastest of
+    several scaled runs would favour runs whose probes happened to be
     slow, more so the more runs an operation gets.
     """
     m = Measurement()
     runs: dict[int, tuple] = {}  # id(op) -> (scaled runs, measured runs, weight, fixed)
-    gauge = SpeedGauge()
+    gauge = runner.gauge()
     start = perf_counter()
     while passes is None or m.passes < passes:
         for unit in gen.pass_order(runner.seed, m.passes, runner.units):
@@ -349,19 +435,21 @@ def measure(runner: Runner, budget_s: float | None = None, passes: int | None = 
                 break
             before = gauge.read()
             done = []
-            for op in unit:
-                m.attempted += 1
-                try:
-                    elapsed, problems, weight = runner.run(op)
-                except Exception as exc:  # an unexpected raise counts as a failed operation
-                    problems = [f"{op['kind']} raised {exc!r}"]
-                if problems:
-                    m.failed += 1
-                    m.problems.extend(problems)
-                    continue
-                m.work_done += weight
-                done.append((op, elapsed, weight))
-            scale = 2 * PROBE_REFERENCE_S / (before + gauge.read())
+            with gauge.sampling():
+                for op in unit:
+                    m.attempted += 1
+                    try:
+                        elapsed, problems, weight = runner.run(op)
+                    except Exception as exc:  # an unexpected raise counts as a failed operation
+                        problems = [f"{op['kind']} raised {exc!r}"]
+                    if problems:
+                        m.failed += 1
+                        m.problems.extend(problems)
+                        continue
+                    m.work_done += weight
+                    done.append((op, elapsed, weight))
+            gauge.read()
+            scale = gauge.scale(before)
             for op, elapsed, weight in done:
                 entry = runs.setdefault(id(op), ([], [], weight, op.get("fixed", False)))
                 entry[0].append(elapsed * scale)
@@ -380,15 +468,18 @@ def measure(runner: Runner, budget_s: float | None = None, passes: int | None = 
 
 
 def end_to_end(runner: Runner, m: Measurement) -> dict:
-    ms = [x * 1000 for x in m.latencies]
-    return {
-        "p50_ms": (statistics.median(ms), "ms"),
-        "p75_ms": (quantile(ms, 0.75), "ms"),
-        "p90_ms": (quantile(ms, 0.90), "ms"),
-        "throughput_per_s": (m.weight / m.busy_s, "1/s"),
-        "fixed_case_ms": (min(m.fixed) * 1000, "ms"),
-        "peak_rss_mb": (runner.peak_rss_kb() / 1024, "MB"),
-    }
+    """The metrics as (value, unit); a latency metric with no passing run is left out."""
+    out = {}
+    if m.latencies:
+        ms = [x * 1000 for x in m.latencies]
+        out["p50_ms"] = (statistics.median(ms), "ms")
+        out["p75_ms"] = (quantile(ms, 0.75), "ms")
+        out["p90_ms"] = (quantile(ms, 0.90), "ms")
+        out["throughput_per_s"] = (m.weight / m.busy_s, "1/s")
+    if m.fixed:
+        out["fixed_case_ms"] = (min(m.fixed) * 1000, "ms")
+    out["peak_rss_mb"] = (runner.peak_rss_kb() / 1024, "MB")
+    return out
 
 
 # -- traced run ------------------------------------------------------------------
@@ -491,11 +582,11 @@ def traced_run(runner: Runner, seconds: float, workload: str, trace_dir: Path):
     if isinstance(runner, CliRunner):
         runner.trace_dir = None
     plain = measure(runner, passes=1)
-    recorder.dump(trace_dir / f"spans-{workload}")
+    recorder.dump(trace_dir / f"spans-{workload}.json")
     summary.add(recorder)
     if isinstance(runner, CliRunner):
-        for header in sorted((trace_dir / "cli").glob("*.json")):
-            summary.add(Recorder.load(header.with_suffix("")))
+        for path in sorted((trace_dir / "cli").glob("*.json")):
+            summary.add(Recorder.load(path))
     import_s, sympy_s = import_times(runner.root)
     cli = {}
     if isinstance(runner, CliRunner):
@@ -509,7 +600,7 @@ def traced_run(runner: Runner, seconds: float, workload: str, trace_dir: Path):
         traced.work_done if isinstance(runner, ModuliRunner) else 0,
         import_s=import_s,
         sympy_s=sympy_s,
-        overhead=traced.busy_s / plain.busy_s - 1,
+        overhead=traced.busy_s / plain.busy_s - 1 if plain.busy_s else 0.0,
         **cli,
     )
     return [first, traced, plain], metrics
@@ -533,17 +624,24 @@ def main(argv=None) -> int:
     scratch = root / ".bench_build" / "perfbench" / f"{args.workload}-{args.seed}"
     scratch.mkdir(parents=True, exist_ok=True)
     runner = RUNNERS[args.workload](root, args.seed, scratch)
-    runner.warm_up()
+    warm_problems = []
+    try:
+        runner.warm_up()
+    except Exception as exc:  # the measured passes count the operations that fail
+        warm_problems.append(f"warm-up raised {exc!r}")
     if args.trace:
         runs, metrics = traced_run(runner, args.seconds, args.workload, scratch.parent / "trace")
     else:
         runs = [measure(runner, budget_s=args.seconds)]
         metrics = end_to_end(runner, runs[0])
     raw_ms = [x * 1000 for x in runs[0].raw_latencies]
+    measured = {"probe_ms": statistics.median(runs[0].probes) * 1000}
+    if raw_ms:
+        measured.update(p50_ms=statistics.median(raw_ms), p90_ms=quantile(raw_ms, 0.90))
     result = {
         "attempted": sum(m.attempted for m in runs),
         "failed": sum(m.failed for m in runs),
-        "problems": [p for m in runs for p in m.problems][:20],
+        "problems": (warm_problems + [p for m in runs for p in m.problems])[:20],
         "metrics": {name: {"value": v, "unit": u} for name, (v, u) in metrics.items()},
         "samples": {
             "operations": len(runs[0].latencies),
@@ -552,11 +650,7 @@ def main(argv=None) -> int:
             runner.weight_name: runs[0].weight,
         },
         "inputs_sha256": gen.inputs_digest(runner.units),
-        "measured": {
-            "p50_ms": statistics.median(raw_ms),
-            "p90_ms": quantile(raw_ms, 0.90),
-            "probe_ms": statistics.median(runs[0].probes) * 1000,
-        },
+        "measured": measured,
     }
     shutil.rmtree(scratch, ignore_errors=True)
     print(json.dumps(result))
