@@ -331,7 +331,15 @@ class RankProfile:
 def structure_maps(
     ring: BigradedRing, eta: EtaClass, diamond: HodgeDiamond | None = None
 ) -> tuple[RankProfile, dict]:
-    """Ranks of the connecting maps plus their explicit matrices."""
+    """Ranks of the connecting maps plus their explicit matrices.
+
+    The reported rank h is selected, not computed from one map: with
+    target = 6 - g - h(1,1) read from the finished table, h is the first
+    per-bidegree combined-map rank equal to the target (bidegrees in
+    (p, q) order), else the aggregate degree-1 rank if that equals it.
+    When neither matches, h is the aggregate rank and the profile is
+    flagged h-selection-unrealized.
+    """
     mode = eta.mode
     flags: list[str] = []
     e = 0 if all(mode.dom.is_zero(x) for x in eta.etabar02) else 1

@@ -388,28 +388,52 @@ def ring_from_dict(payload: Mapping) -> BigradedRing:
         except ValueError as exc:
             raise SchemaError(f"bad bidegree key {key!r}") from exc
 
-    basis = {parse_pq(k): list(v) for k, v in basis_raw.items()}
-    products = {
-        (x, y): {z: Fraction(c) for z, c in vec.items()}
-        for x, per in products_raw.items()
-        for y, vec in per.items()
+    def section(raw, where: str) -> Mapping:
+        if not isinstance(raw, Mapping):
+            raise SchemaError(f"ring {where} must be an object, got {type(raw).__name__}")
+        return raw
+
+    def labels(raw, where: str) -> list:
+        if not isinstance(raw, (list, tuple)):
+            raise SchemaError(f"ring {where} must be a list, got {type(raw).__name__}")
+        return list(raw)
+
+    def vector(raw, where: str) -> dict[str, Fraction]:
+        out = {}
+        for z, c in section(raw, where).items():
+            try:
+                out[z] = Fraction(c)
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise SchemaError(f"ring {where}: bad coefficient {c!r} at {z!r}") from exc
+        return out
+
+    def vectors(raw, where: str) -> dict[str, dict[str, Fraction]]:
+        return {x: vector(vec, f"{where}.{x}") for x, vec in section(raw, where).items()}
+
+    def table(raw, where: str) -> dict[tuple[str, str], dict[str, Fraction]]:
+        return {
+            (x, y): vec
+            for x, per in section(raw, where).items()
+            for y, vec in vectors(per, f"{where}.{x}").items()
+        }
+
+    basis = {
+        parse_pq(k): labels(v, f"bigraded.{k}")
+        for k, v in section(basis_raw, "bigraded").items()
     }
-    conj = {
-        x: {z: Fraction(c) for z, c in vec.items()} for x, vec in conj_raw.items()
-    }
+    products = table(products_raw, "products")
+    conj = vectors(conj_raw, "conjugation")
+    dr = section(dr, "derham")
     try:
-        dr_basis = {int(k): list(v) for k, v in dr["basis"].items()}
+        dr_basis = {
+            int(k): labels(v, f"derham.basis.{k}")
+            for k, v in section(dr["basis"], "derham.basis").items()
+        }
         dr_products_raw = dr["products"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         raise SchemaError(f"bad de Rham section: {exc}") from exc
-    dr_products = {
-        (x, y): {z: Fraction(c) for z, c in vec.items()}
-        for x, per in dr_products_raw.items()
-        for y, vec in per.items()
-    }
-    ident = {
-        x: {z: Fraction(c) for z, c in vec.items()} for x, vec in ident_raw.items()
-    }
+    dr_products = table(dr_products_raw, "derham.products")
+    ident = vectors(ident_raw, "ident")
     return BigradedRing(name, basis, products, conj, dr_basis, dr_products, ident)
 
 

@@ -15,6 +15,10 @@ class SchemaError(Exception):
     """Malformed serialized input (missing keys, bad types, bad labels)."""
 
 
+class BudgetExceeded(SchemaError):
+    """A request whose closed-form size exceeds an explicit work budget."""
+
+
 class NonZeroDegree(DomainError):
     """Operation requires a degree-zero bundle summand."""
 
@@ -61,3 +65,7 @@ class InvalidClass(DomainError):
 
 class DifferentialNotSquareZero(DomainError):
     """Spectral-sequence differential fails d.d = 0 on the given ring."""
+
+
+class WitnessMismatch(DomainError):
+    """A computed certificate fails the identity it is meant to satisfy."""

@@ -12,13 +12,20 @@ lives here too, with scalars modeled as nonzero rationals.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import sympy
 
-from .errors import IncompatibleFamily, InvalidGerbe, MissingSample, SchemaError
+from .errors import (
+    IncompatibleFamily,
+    InvalidGerbe,
+    MissingSample,
+    SchemaError,
+    WitnessMismatch,
+)
 from .linalg import solve_gf2, solve_integer
 from .torus import TorusPoint
 
@@ -281,9 +288,9 @@ def coboundary_solve(
         if root in mu:
             continue
         mu[root] = TorusPoint(Fraction(0), Fraction(0))
-        queue = [root]
+        queue = deque([root])
         while queue:
-            node = queue.pop(0)
+            node = queue.popleft()
             for neighbor, lam in edges[node]:
                 expected = mu[node] + lam
                 if neighbor in mu:
@@ -547,7 +554,11 @@ def gerbe_alpha(nerve: Nerve, g: GerbeData) -> GerbeReport:
             left = witness[overlap_key(i, j)]
             mid = witness[overlap_key(j, k)]
             right = witness[overlap_key(i, k)]
-            assert left * mid / right == alpha[(i, j, k)]
+            if left * mid / right != alpha[(i, j, k)]:
+                raise WitnessMismatch(
+                    f"gluability witness fails on triple {(i, j, k)!r}: "
+                    f"{left} * {mid} / {right} != {alpha[(i, j, k)]}"
+                )
     return GerbeReport(
         alpha=tuple(sorted(alpha.items())),
         cocycle_checks=tuple(checks),

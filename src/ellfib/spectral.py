@@ -10,12 +10,13 @@ exhaustively over torsion points by the round-trip verifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement, product
+from math import comb
 from typing import Iterable, Mapping
 
 from .bundles import AtiyahBundle, GradedClass, graded, make_bundle, split_bundle
 from .errors import (
+    BudgetExceeded,
     EmptyBundle,
     MissingSample,
     NonConstantLength,
@@ -172,7 +173,7 @@ def torsion_points(torsion: int) -> list[TorusPoint]:
     if torsion < 1:
         raise SchemaError("torsion bound must be at least 1")
     return [
-        TorusPoint(Fraction(p, torsion), Fraction(q, torsion))
+        TorusPoint.from_triple(p, q, torsion)
         for p in range(torsion)
         for q in range(torsion)
     ]
@@ -207,19 +208,46 @@ def enumerate_bundles(n: int, torsion: int) -> list[AtiyahBundle]:
         groups: dict[int, int] = {}
         for part in shape:
             groups[part] = groups.get(part, 0) + 1
-        choices = [[()]]
-        for part, count in sorted(groups.items()):
-            per_part = [
+        choices = [
+            [
                 tuple((part, point) for point in combo)
                 for combo in combinations_with_replacement(points, count)
             ]
-            choices.append(per_part)
-        stack = [()]
-        for per_part in choices:
-            stack = [acc + blocks for acc in stack for blocks in per_part]
-        for blocks in stack:
-            bundles.append(make_bundle(blocks))
+            for part, count in sorted(groups.items())
+        ]
+        for blocks in product(*choices):
+            bundles.append(make_bundle(chain.from_iterable(blocks)))
     return bundles
+
+
+# Largest round trip, in enumerated objects times samples, that
+# round_trip_verify accepts: over 100x the (3, 6, 1) case of 18 204
+# objects.  Counts grow like torsion**(2n), so far past this a request
+# exhausts memory long before it finishes.
+ROUND_TRIP_BUDGET = 2_000_000
+
+
+def round_trip_count(n: int, torsion: int, cap: int | None = None) -> tuple[int, int]:
+    """(sections, bundles) that enumerate_cycles and enumerate_bundles return.
+
+    With P = torsion**2 points, sections number C(P + n - 1, n).  Bundles
+    number the sum over partitions of n of prod_i C(P + m_i - 1, m_i),
+    m_i the multiplicity of each part: the x^n coefficient of
+    prod_k (1 - x^k)^-P, found by the recurrence m c_m = sum_j P s(j)
+    c_(m-j), s(j) the divisor sum of j, in O(n^2) steps however many
+    partitions n has.  Both counts grow with n, so given a cap the count
+    stops at the first rank whose total exceeds it and returns that pair.
+    """
+    points = torsion * torsion
+    sections, bundles = 1, [1]
+    weights = [0]
+    for m in range(1, n + 1):
+        sections = sections * (points + m - 1) // m
+        weights.append(points * sum(j for j in range(1, m + 1) if m % j == 0))
+        bundles.append(sum(weights[j] * bundles[m - j] for j in range(1, m + 1)) // m)
+        if cap is not None and sections + bundles[m] > cap:
+            break
+    return sections, bundles[-1]
 
 
 @dataclass(frozen=True)
@@ -232,9 +260,19 @@ class RoundTripReport:
 
 
 def round_trip_verify(base: Nerve, n: int, torsion: int) -> RoundTripReport:
-    """Exhaustive two-way check over torsion data on a single chart."""
+    """Exhaustive two-way check over torsion data on a single chart.
+
+    Requests whose object count times sample count exceeds
+    ROUND_TRIP_BUDGET are refused before anything is enumerated.
+    """
     chart = _require_single_chart(base)
     samples = base.chart_samples(chart)
+    work = sum(round_trip_count(n, torsion, ROUND_TRIP_BUDGET)) * len(samples)
+    if work > ROUND_TRIP_BUDGET:
+        raise BudgetExceeded(
+            f"round trip over n={n}, torsion={torsion} and {len(samples)} samples "
+            f"would check over {ROUND_TRIP_BUDGET} objects"
+        )
     failures: list[str] = []
 
     cycles = enumerate_cycles(n, torsion)

@@ -1,7 +1,8 @@
 """Exact arithmetic on an elliptic curve presented as R^2 / Z^2.
 
-Points carry two Fraction coordinates reduced mod 1, so the group law is
-coordinatewise addition.  Divisors are finite formal sums of points with
+Points carry two rational coordinates reduced mod 1, so the group law is
+coordinatewise addition; each point is stored as integers over one
+common denominator.  Divisors are finite formal sums of points with
 integer multiplicities.  A degree-zero divisor determines a line-bundle
 class by the group sum of its points; that sum is a complete isomorphism
 invariant, with the origin fixed as the base point of the normalization
@@ -11,11 +12,13 @@ x |-> class of [x] - [origin].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .errors import NonZeroDegree
+
+_setattr = object.__setattr__
 
 
 def _frac(x) -> Fraction:
@@ -24,35 +27,138 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True, order=True)
 class TorusPoint:
-    """A point of the curve, coordinates in [0, 1)."""
+    """A point of the curve, coordinates in [0, 1).
 
-    u: Fraction
-    v: Fraction
+    The point is stored as three integers (a, b, d) with u = a/d and
+    v = b/d, in lowest terms: 0 <= a, b < d and gcd(a, b, d) = 1.  So d is
+    the order of the point, equality and hashing are integer work, and
+    the group law needs no Fraction arithmetic.  Points order
+    lexicographically by (u, v).
+    """
+
+    __slots__ = ("_a", "_b", "_d", "_hash")
+
+    def __init__(self, u, v):
+        u, v = _frac(u), _frac(v)
+        du, dv = u.denominator, v.denominator
+        d = du * dv // math.gcd(du, dv)
+        # u and v are in lowest terms, so gcd(a, b, d) = 1 already
+        _setattr(self, "_a", u.numerator * (d // du) % d)
+        _setattr(self, "_b", v.numerator * (d // dv) % d)
+        _setattr(self, "_d", d)
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "u", _frac(self.u) % 1)
-        object.__setattr__(self, "v", _frac(self.v) % 1)
+        # every construction, from __init__ or from a triple, ends here,
+        # so wrapping this one method sees every point built
+        _setattr(self, "_hash", hash((self._a, self._b, self._d)))
+
+    @classmethod
+    def from_triple(cls, a: int, b: int, d: int) -> "TorusPoint":
+        """The point (a/d, b/d) for any integers a, b and d >= 1."""
+        if d < 1:
+            raise ValueError(f"denominator must be positive, got {d}")
+        return _lowest(a % d, b % d, d)
+
+    @property
+    def u(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def v(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (self.from_triple, (self._a, self._b, self._d))
+
+    def __repr__(self) -> str:
+        return f"TorusPoint(u={self.u!r}, v={self.v!r})"
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not TorusPoint:
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __lt__(self, other) -> bool:
+        if other.__class__ is not TorusPoint:
+            return NotImplemented
+        d, e = self._d, other._d
+        if d == e:
+            return (self._a, self._b) < (other._a, other._b)
+        # compare (u, v) lexicographically over the common denominator d * e
+        return (self._a * e, self._b * e) < (other._a * d, other._b * d)
+
+    def __gt__(self, other) -> bool:
+        if other.__class__ is not TorusPoint:
+            return NotImplemented
+        return other < self
+
+    def __le__(self, other) -> bool:
+        if other.__class__ is not TorusPoint:
+            return NotImplemented
+        return not other < self
+
+    def __ge__(self, other) -> bool:
+        if other.__class__ is not TorusPoint:
+            return NotImplemented
+        return not self < other
 
     def __add__(self, other: "TorusPoint") -> "TorusPoint":
-        return TorusPoint(self.u + other.u, self.v + other.v)
+        d, e = self._d, other._d
+        if d == e:
+            return _lowest((self._a + other._a) % d, (self._b + other._b) % d, d)
+        f = d * e // math.gcd(d, e)
+        x, y = f // d, f // e
+        return _lowest(
+            (self._a * x + other._a * y) % f, (self._b * x + other._b * y) % f, f
+        )
 
     def __neg__(self) -> "TorusPoint":
-        return TorusPoint(-self.u, -self.v)
+        # gcd(d - a, d - b, d) = gcd(a, b, d) = 1: still in lowest terms
+        d = self._d
+        return _build(-self._a % d, -self._b % d, d)
 
     def __sub__(self, other: "TorusPoint") -> "TorusPoint":
         return self + (-other)
 
     def scale(self, n: int) -> "TorusPoint":
-        return TorusPoint(n * self.u, n * self.v)
+        d = self._d
+        return _lowest(n * self._a % d, n * self._b % d, d)
 
     def order(self) -> int:
-        """Least n >= 1 with n * self == 0 (finite: coordinates are rational)."""
-        return math.lcm(self.u.denominator, self.v.denominator)
+        """Least n >= 1 with n * self == 0: the denominator d."""
+        return self._d
 
     def is_zero(self) -> bool:
-        return self.u == 0 and self.v == 0
+        return self._d == 1
+
+
+def _build(a: int, b: int, d: int) -> TorusPoint:
+    """The point of a triple already in lowest terms."""
+    point = object.__new__(TorusPoint)
+    _setattr(point, "_a", a)
+    _setattr(point, "_b", b)
+    _setattr(point, "_d", d)
+    point.__post_init__()
+    return point
+
+
+def _lowest(a: int, b: int, d: int) -> TorusPoint:
+    """The point (a/d, b/d) for 0 <= a, b < d, brought to lowest terms."""
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _build(a, b, d)
 
 
 ORIGIN = TorusPoint(Fraction(0), Fraction(0))

@@ -1,6 +1,7 @@
 """Command line verbs: exit codes, canonical output, file plumbing."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -207,6 +208,15 @@ def test_roundtrip_rejects_nonpositive_bounds(capsys):
     code, _, err = run(capsys, "roundtrip", "--n", "0", "--torsion", "3")
     assert code == 2
     assert "positive" in err
+
+
+def test_roundtrip_refuses_over_budget(capsys):
+    start = time.monotonic()
+    code, out, err = run(capsys, "roundtrip", "--n", "50", "--torsion", "100")
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # -- cocycle verbs ---------------------------------------------------------
@@ -465,6 +475,16 @@ def test_validate_ring_reports_broken_file(tmp_path, capsys):
     report = json.loads(out)
     assert report["valid"] is False
     assert any("commutativity" in line for line in report["violations"])
+
+
+def test_validate_ring_rejects_malformed_sections(tmp_path, capsys):
+    payload = ring_to_dict(load_preset("kodaira"))
+    payload["products"] = [1, 2]
+    path = write(tmp_path, "malformed.json", payload)
+    code, out, err = run(capsys, "validate-ring", "--preset", f"file:{path}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # -- plumbing --------------------------------------------------------------

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from ellfib import fibration
 from ellfib.errors import (
     IncompatibleFamily,
     InvalidGerbe,
     MissingSample,
     SchemaError,
+    WitnessMismatch,
 )
 from ellfib.fibration import (
     GerbeData,
@@ -503,3 +505,13 @@ def test_gerbe_alpha_rejects_foreign_nerve():
     g = GerbeData(cycle_nerve())
     with pytest.raises(SchemaError):
         gerbe_alpha(tetra_nerve(), g)
+
+
+def test_gerbe_alpha_raises_on_a_wrong_witness(monkeypatch):
+    # the witness check is a real error, so it also runs under python -O
+    nerve = cycle_nerve()
+    g = GerbeData(nerve, c={("c1", "c2", "c3"): 2})
+    wrong = {key: Fraction(1) for key in nerve.overlaps}
+    monkeypatch.setattr(fibration, "_coboundary_witness", lambda *_: wrong)
+    with pytest.raises(WitnessMismatch):
+        gerbe_alpha(nerve, g)

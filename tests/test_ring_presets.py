@@ -300,6 +300,30 @@ def test_ring_from_dict_rejects_missing_sections():
         ring_from_dict({"name": "x"})
 
 
+@pytest.mark.parametrize(
+    "section, value",
+    [
+        ("bigraded", [1, 2]),
+        ("bigraded", {"0,0": "one"}),
+        ("products", [1, 2]),
+        ("products", {"f1": [1]}),
+        ("products", {"f1": {"F1": 3}}),
+        ("products", {"f1": {"F1": {"A": "x"}}}),
+        ("conjugation", [1]),
+        ("conjugation", {"f1": "F1"}),
+        ("derham", [1]),
+        ("derham", {"basis": [1], "products": {}}),
+        ("derham", {"basis": {"0": ["one"]}, "products": 3}),
+        ("ident", {"one": 5}),
+    ],
+)
+def test_ring_from_dict_rejects_malformed_shapes(section, value):
+    payload = ring_to_dict(load_preset("kodaira"))
+    payload[section] = value
+    with pytest.raises(SchemaError):
+        ring_from_dict(payload)
+
+
 def test_validate_flags_broken_commutativity():
     ring = BigradedRing(
         "broken",

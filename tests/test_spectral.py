@@ -1,11 +1,14 @@
 """Spectral cycles, bundle families, and the two-way correspondence."""
 
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from ellfib.bundles import graded, make_bundle, make_graded, split_bundle, tensor_line
 from ellfib.errors import (
+    BudgetExceeded,
     EmptyBundle,
     MissingSample,
     NonConstantLength,
@@ -16,6 +19,7 @@ from ellfib.errors import (
 )
 from ellfib.fibration import Nerve, TranslationCocycle
 from ellfib.spectral import (
+    ROUND_TRIP_BUDGET,
     BundleFamily,
     beta_map,
     constant_family,
@@ -24,6 +28,7 @@ from ellfib.spectral import (
     enumerate_cycles,
     gamma_map,
     make_cycle,
+    round_trip_count,
     round_trip_verify,
     spectral_cover,
     torsion_points,
@@ -222,3 +227,61 @@ def test_round_trip_multi_sample():
 def test_round_trip_requires_single_chart():
     with pytest.raises(SchemaError):
         round_trip_verify(two_chart_nerve(), 1, 1)
+
+
+def test_round_trip_count_matches_enumeration_on_the_criterion_5_grid():
+    for n in (1, 2, 3):
+        for torsion in (1, 2, 3, 4, 5, 6):
+            expected = (len(enumerate_cycles(n, torsion)), len(enumerate_bundles(n, torsion)))
+            assert round_trip_count(n, torsion) == expected, (n, torsion)
+
+
+def partition_sum(n, torsion):
+    """Bundles as the sum over partitions of n of prod_i C(T^2 + m_i - 1, m_i)."""
+
+    def partitions(total, cap):
+        if total == 0:
+            yield ()
+            return
+        for first in range(min(total, cap), 0, -1):
+            for rest in partitions(total - first, first):
+                yield (first,) + rest
+
+    points = torsion * torsion
+    total = 0
+    for shape in partitions(n, n):
+        term = 1
+        for part in set(shape):
+            mult = shape.count(part)
+            term *= comb(points + mult - 1, mult)
+        total += term
+    return total
+
+
+def test_round_trip_count_is_the_partition_sum():
+    for n in range(1, 13):
+        for torsion in range(1, 5):
+            sections = comb(torsion * torsion + n - 1, n)
+            assert round_trip_count(n, torsion) == (sections, partition_sum(n, torsion))
+
+
+def test_round_trip_count_with_a_cap_stops_only_above_it():
+    for n in range(1, 13):
+        for torsion in range(1, 5):
+            full = sum(round_trip_count(n, torsion))
+            for cap in (10, 1000, 10**6):
+                capped = sum(round_trip_count(n, torsion, cap))
+                assert capped == full if full <= cap else cap < capped <= full
+
+
+def test_round_trip_refuses_over_budget_before_enumerating():
+    start = time.monotonic()
+    with pytest.raises(BudgetExceeded):
+        round_trip_verify(Nerve.single_chart(), 50, 100)
+    with pytest.raises(BudgetExceeded):
+        round_trip_verify(Nerve.single_chart(), 10**9, 1)
+    assert time.monotonic() - start < 1.0
+    # samples multiply the work: (3, 6) checks 18204 objects per sample
+    samples = [f"s{i}" for i in range(ROUND_TRIP_BUDGET // 18204 + 1)]
+    with pytest.raises(BudgetExceeded):
+        round_trip_verify(Nerve.single_chart("c", samples), 3, 6)

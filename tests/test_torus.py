@@ -1,5 +1,8 @@
 """Torus points, divisors, and degree-zero line bundle classes."""
 
+import copy
+import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -69,6 +72,79 @@ def test_points_are_ordered_and_hashable():
     b = TorusPoint(Fraction(1, 2), Fraction(0))
     assert a < b
     assert len({a, b, TorusPoint(Fraction(1, 3), Fraction(0))}) == 2
+
+
+def reference(x, y):
+    """The point as a pair of Fractions reduced mod 1."""
+    return (Fraction(x) % 1, Fraction(y) % 1)
+
+
+def coords(p):
+    return (p.u, p.v)
+
+
+mixed = st.fractions(min_value=-3, max_value=3, max_denominator=60)
+pairs = st.tuples(mixed, mixed)
+
+
+@given(st.lists(pairs, min_size=2, max_size=8), st.integers(min_value=-20, max_value=20))
+def test_points_agree_with_fraction_pairs_mod_one(raw, n):
+    points = [TorusPoint(x, y) for x, y in raw]
+    refs = [reference(x, y) for x, y in raw]
+    for p, r in zip(points, refs):
+        assert coords(p) == r
+        assert isinstance(p.u, Fraction) and isinstance(p.v, Fraction)
+        assert coords(-p) == reference(-r[0], -r[1])
+        assert coords(p.scale(n)) == reference(n * r[0], n * r[1])
+        assert p.order() == math.lcm(r[0].denominator, r[1].denominator)
+        assert p.is_zero() == (r == (0, 0))
+        for q, s in zip(points, refs):
+            assert (p == q) == (r == s)
+            assert (p != q) == (r != s)
+            if p == q:
+                assert hash(p) == hash(q)
+            assert (p < q) == (r < s)
+            assert (p <= q) == (r <= s)
+            assert (p > q) == (r > s)
+            assert (p >= q) == (r >= s)
+            assert coords(p + q) == reference(r[0] + s[0], r[1] + s[1])
+            assert coords(p - q) == reference(r[0] - s[0], r[1] - s[1])
+    assert [coords(p) for p in sorted(points)] == sorted(refs)
+    assert len(set(points)) == len(set(refs))
+
+
+@given(mixed, mixed)
+def test_points_copy_pickle_and_repr_round_trip(x, y):
+    p = TorusPoint(x, y)
+    for clone in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert clone == p and hash(clone) == hash(p)
+        assert coords(clone) == coords(p)
+    assert eval(repr(p), {"TorusPoint": TorusPoint, "Fraction": Fraction}) == p
+    assert repr(p) == f"TorusPoint(u={p.u!r}, v={p.v!r})"
+
+
+def test_points_are_immutable():
+    p = TorusPoint(Fraction(1, 3), Fraction(1, 2))
+    with pytest.raises(AttributeError):
+        p.u = Fraction(0)
+    with pytest.raises(AttributeError):
+        del p.v
+    assert p == TorusPoint(Fraction(1, 3), Fraction(1, 2))
+
+
+def test_points_compare_only_with_points():
+    assert TorusPoint(0, 0) != (0, 0)
+    with pytest.raises(TypeError):
+        TorusPoint(0, 0) < (0, 0)
+
+
+def test_from_triple_reduces_to_lowest_terms():
+    assert TorusPoint.from_triple(2, 4, 6) == TorusPoint(Fraction(1, 3), Fraction(2, 3))
+    assert TorusPoint.from_triple(-1, 7, 3) == TorusPoint(Fraction(2, 3), Fraction(1, 3))
+    assert TorusPoint.from_triple(5, 10, 5) == ORIGIN
+    assert TorusPoint.from_triple(3, 0, 6).order() == 2
+    with pytest.raises(ValueError):
+        TorusPoint.from_triple(1, 1, 0)
 
 
 def test_make_divisor_merges_and_drops_zeros():
