@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import EmptyBundle, NonPositiveRank
-from .torus import LineBundleClass, TorusPoint
+from .torus import LineBundleClass, PointMultiset, TorusPoint, merge_points
 
 
 def _block_key(block: tuple[int, TorusPoint]):
@@ -36,13 +36,11 @@ class AtiyahBundle:
 
 
 @dataclass(frozen=True)
-class GradedClass:
+class GradedClass(PointMultiset):
     """Associated graded of a bundle: twist points with multiplicities."""
 
-    parts: tuple[tuple[TorusPoint, int], ...]
-
     def rank(self) -> int:
-        return sum(m for _, m in self.parts)
+        return self.total()
 
 
 def make_bundle(blocks: Iterable[tuple[int, TorusPoint]]) -> AtiyahBundle:
@@ -50,20 +48,13 @@ def make_bundle(blocks: Iterable[tuple[int, TorusPoint]]) -> AtiyahBundle:
     if not blocks:
         raise EmptyBundle("a bundle needs at least one block")
     for n, _ in blocks:
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise NonPositiveRank(f"block rank must be a positive int, got {n!r}")
     return AtiyahBundle(blocks)
 
 
 def make_graded(parts: Iterable[tuple[TorusPoint, int]]) -> GradedClass:
-    acc: dict[TorusPoint, int] = {}
-    for p, m in parts:
-        if not isinstance(m, int) or m < 1:
-            raise NonPositiveRank(f"multiplicity must be a positive int, got {m!r}")
-        acc[p] = acc.get(p, 0) + m
-    if not acc:
-        raise EmptyBundle("a graded class needs at least one part")
-    return GradedClass(tuple(sorted(acc.items())))
+    return GradedClass(merge_points(parts))
 
 
 def graded(bundle: AtiyahBundle) -> GradedClass:
@@ -107,7 +98,8 @@ def direct_sum(a: AtiyahBundle, b: AtiyahBundle) -> AtiyahBundle:
 
 def split_bundle(g: GradedClass) -> AtiyahBundle:
     """Polystable representative: every part becomes rank-one blocks."""
-    return make_bundle((1, p) for p, m in g.parts for _ in range(m))
+    # parts are sorted by point, so these blocks are already in bundle order
+    return AtiyahBundle(tuple((1, p) for p, m in g.parts for _ in range(m)))
 
 
 def determinant(bundle: AtiyahBundle) -> LineBundleClass:

@@ -15,7 +15,7 @@ the indeterminates and discrepancies are flagged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -330,8 +330,8 @@ class RankProfile:
 
 def structure_maps(
     ring: BigradedRing, eta: EtaClass, diamond: HodgeDiamond | None = None
-) -> tuple[RankProfile, dict]:
-    """Ranks of the connecting maps plus their explicit matrices.
+) -> RankProfile:
+    """Ranks of the connecting maps.
 
     The reported rank h is selected, not computed from one map: with
     target = 6 - g - h(1,1) read from the finished table, h is the first
@@ -421,7 +421,7 @@ def structure_maps(
         h_rank = h_aggregate
         flags.append("h-selection-unrealized")
 
-    profile = RankProfile(
+    return RankProfile(
         e=e,
         g=g,
         d=d,
@@ -433,18 +433,6 @@ def structure_maps(
         h_aggregate=h_aggregate,
         flags=tuple(flags),
     )
-    maps = {
-        "delta": {
-            "basis": ring.degree_labels(2),
-            "columns": [
-                list(eta.eta20) + list(eta.eta11) + list(eta.eta02),
-                list(eta.etabar20) + list(eta.etabar11) + list(eta.etabar02),
-            ],
-        },
-        "epsilon": {"basis": list(ring.labels(0, 2)), "column": list(eta.etabar02)},
-        "gamma": {"basis": list(ring.labels(1, 1)), "column": list(eta.eta11)},
-    }
-    return profile, maps
 
 
 # -- total-degree tower ----------------------------------------------------
@@ -538,19 +526,8 @@ def full_invariants(
     eta = build(ring, a, b, mode)
     flags: list[str] = []
     diamond = borel_hodge(ring, eta, flags)
-    profile, _ = structure_maps(ring, eta, diamond)
-    profile = RankProfile(
-        e=profile.e,
-        g=profile.g,
-        d=profile.d,
-        dprime=profile.dprime,
-        h_rank=profile.h_rank,
-        f=profile.f,
-        h_bidegree=profile.h_bidegree,
-        h_by_bidegree=profile.h_by_bidegree,
-        h_aggregate=profile.h_aggregate,
-        flags=tuple(dict.fromkeys(list(flags) + list(profile.flags))),
-    )
+    profile = structure_maps(ring, eta, diamond)
+    profile = replace(profile, flags=tuple(dict.fromkeys(flags + list(profile.flags))))
     betti = leray_betti(ring, a, b)
     return InvariantsResult(
         ring_name=ring.name,

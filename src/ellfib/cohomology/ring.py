@@ -175,9 +175,6 @@ class BigradedRing:
             out.extend(self.basis[pq])
         return out
 
-    def h2_blocks(self) -> list[tuple[int, int]]:
-        return degree_blocks(2)
-
     # -- products ----------------------------------------------------------
 
     def cup(self, x: str, y: str) -> dict[str, Fraction]:
@@ -401,6 +398,9 @@ def ring_from_dict(payload: Mapping) -> BigradedRing:
     def vector(raw, where: str) -> dict[str, Fraction]:
         out = {}
         for z, c in section(raw, where).items():
+            # a JSON float or bool would load as a rational it does not state
+            if isinstance(c, (bool, float)):
+                raise SchemaError(f"ring {where}: bad coefficient {c!r} at {z!r}")
             try:
                 out[z] = Fraction(c)
             except (TypeError, ValueError, ZeroDivisionError) as exc:

@@ -566,17 +566,3 @@ def gerbe_alpha(nerve: Nerve, g: GerbeData) -> GerbeReport:
         gluable=witness is not None,
         witness=None if witness is None else tuple(sorted(witness.items())),
     )
-
-
-@dataclass(frozen=True)
-class CharClass:
-    """Rational characteristic data: two vectors in one H^2 basis."""
-
-    a: tuple[Fraction, ...]
-    b: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
-        object.__setattr__(self, "b", tuple(Fraction(x) for x in self.b))
-        if len(self.a) != len(self.b):
-            raise SchemaError("characteristic vectors must share one basis")

@@ -103,22 +103,6 @@ def solve_fractions(matrix, rhs) -> list[Fraction] | None:
     return x
 
 
-def nullspace(matrix) -> list[list[Fraction]]:
-    """Basis of the rational kernel of A (columns are the variables)."""
-    rows = _as_fractions(matrix)
-    n = len(rows[0]) if rows else 0
-    red, pivots = rref(rows)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for r, col in enumerate(pivots):
-            v[col] = -red[r][fc]
-        basis.append(v)
-    return basis
-
-
 def integer_diagonalize(matrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Diagonalize an integer matrix: returns (D, U, V) with U A V = D.
 

@@ -17,40 +17,24 @@ from typing import Iterable, Mapping
 from .bundles import AtiyahBundle, GradedClass, graded, make_bundle, split_bundle
 from .errors import (
     BudgetExceeded,
-    EmptyBundle,
     MissingSample,
     NonConstantLength,
-    NonPositiveRank,
     OverlapMismatch,
     SchemaError,
     WrongTotal,
 )
 from .fibration import Nerve, TranslationCocycle
-from .torus import TorusPoint
-from .transform import fm_transform, make_skyscraper, psi_transform
+from .torus import PointMultiset, TorusPoint, merge_points
+from .transform import SkyscraperClass, fm_transform, psi_transform
 
 
 @dataclass(frozen=True)
-class SpectralCycle:
+class SpectralCycle(PointMultiset):
     """Multiset of torus points with positive multiplicities, sorted."""
-
-    parts: tuple[tuple[TorusPoint, int], ...]
-
-    def total(self) -> int:
-        return sum(m for _, m in self.parts)
 
 
 def make_cycle(pairs: Iterable[tuple[TorusPoint, int]]) -> SpectralCycle:
-    merged: dict[TorusPoint, int] = {}
-    for point, m in pairs:
-        if not isinstance(m, int) or isinstance(m, bool):
-            raise TypeError(f"multiplicity must be an integer, got {m!r}")
-        if m <= 0:
-            raise NonPositiveRank(f"multiplicity must be positive, got {m}")
-        merged[point] = merged.get(point, 0) + m
-    if not merged:
-        raise EmptyBundle("a spectral cycle needs at least one point")
-    return SpectralCycle(tuple(sorted(merged.items())))
+    return SpectralCycle(merge_points(pairs))
 
 
 def translate_cycle(cycle: SpectralCycle, z: TorusPoint) -> SpectralCycle:
@@ -59,7 +43,7 @@ def translate_cycle(cycle: SpectralCycle, z: TorusPoint) -> SpectralCycle:
 
 def spectral_cover(bundle: AtiyahBundle) -> SpectralCycle:
     """Support cycle of the transform; total equals the rank."""
-    return make_cycle(fm_transform(bundle).parts)
+    return SpectralCycle(fm_transform(bundle).parts)
 
 
 def cycle_of_graded(g: GradedClass) -> SpectralCycle:
@@ -164,8 +148,7 @@ def beta_map(base: Nerve, section: Mapping[str, SpectralCycle], n: int) -> Bundl
             raise WrongTotal(
                 f"sample {s!r}: cycle total {cycle.total()} differs from rank {n}"
             )
-        sky = make_skyscraper(cycle.parts, 0)
-        data[(chart, s)] = psi_transform(sky)
+        data[(chart, s)] = psi_transform(SkyscraperClass(cycle.parts, 0))
     return BundleFamily(base, TranslationCocycle({}), data, n)
 
 
@@ -181,13 +164,10 @@ def torsion_points(torsion: int) -> list[TorusPoint]:
 
 def enumerate_cycles(n: int, torsion: int) -> list[SpectralCycle]:
     points = sorted(torsion_points(torsion))
-    out = []
-    for combo in combinations_with_replacement(points, n):
-        merged: dict[TorusPoint, int] = {}
-        for point in combo:
-            merged[point] = merged.get(point, 0) + 1
-        out.append(SpectralCycle(tuple(sorted(merged.items()))))
-    return out
+    return [
+        make_cycle((point, 1) for point in combo)
+        for combo in combinations_with_replacement(points, n)
+    ]
 
 
 def enumerate_bundles(n: int, torsion: int) -> list[AtiyahBundle]:

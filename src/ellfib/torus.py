@@ -7,6 +7,9 @@ integer multiplicities.  A degree-zero divisor determines a line-bundle
 class by the group sum of its points; that sum is a complete isomorphism
 invariant, with the origin fixed as the base point of the normalization
 x |-> class of [x] - [origin].
+
+Divisors, graded classes, skyscrapers and spectral cycles all store points
+with int multiplicities in one canonical form, built by merge_points.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable
 
-from .errors import NonZeroDegree
+from .errors import EmptyBundle, NonPositiveRank, NonZeroDegree
 
 _setattr = object.__setattr__
 
@@ -164,11 +168,53 @@ def _lowest(a: int, b: int, d: int) -> TorusPoint:
 ORIGIN = TorusPoint(Fraction(0), Fraction(0))
 
 
+Parts = tuple[tuple[TorusPoint, int], ...]
+
+_point = itemgetter(0)
+
+
+def merge_points(pairs: Iterable[tuple[TorusPoint, int]], signed: bool = False) -> Parts:
+    """The canonical parts of (point, multiplicity) pairs.
+
+    Equal points are merged and the result is sorted by point.
+    Multiplicities must be exactly int (bool is refused).  Signed parts,
+    for divisors, may be negative; zero sums are dropped and the result
+    may be empty.  Otherwise every multiplicity must be positive and at
+    least one pair given.
+    """
+    acc: dict[TorusPoint, int] = {}
+    for p, m in pairs:
+        if type(m) is not int:
+            raise TypeError(f"multiplicity must be an int, got {m!r}")
+        if m < 1 and not signed:
+            raise NonPositiveRank(f"multiplicity must be a positive int, got {m!r}")
+        acc[p] = acc.get(p, 0) + m
+    if signed:
+        return tuple(sorted(((p, m) for p, m in acc.items() if m), key=_point))
+    if not acc:
+        raise EmptyBundle("a point multiset needs at least one point")
+    return tuple(sorted(acc.items(), key=_point))
+
+
+@dataclass(frozen=True)
+class PointMultiset:
+    """Points with positive multiplicities, in merge_points order.
+
+    Subclasses are distinct types: equal parts under two subclasses
+    compare unequal.
+    """
+
+    parts: Parts
+
+    def total(self) -> int:
+        return sum(m for _, m in self.parts)
+
+
 @dataclass(frozen=True)
 class Divisor:
     """Formal Z-combination of points, stored sorted with zero terms dropped."""
 
-    terms: tuple[tuple[TorusPoint, int], ...]
+    terms: Parts
 
     def degree(self) -> int:
         return sum(m for _, m in self.terms)
@@ -180,7 +226,7 @@ class Divisor:
         return total
 
     def __add__(self, other: "Divisor") -> "Divisor":
-        return make_divisor(list(self.terms) + list(other.terms))
+        return make_divisor(self.terms + other.terms)
 
     def __neg__(self) -> "Divisor":
         return Divisor(tuple((p, -m) for p, m in self.terms))
@@ -191,13 +237,7 @@ class Divisor:
 
 def make_divisor(pairs: Iterable[tuple[TorusPoint, int]]) -> Divisor:
     """Merge duplicate points, drop zero multiplicities, sort canonically."""
-    acc: dict[TorusPoint, int] = {}
-    for p, m in pairs:
-        if not isinstance(m, int):
-            raise TypeError("multiplicities must be int")
-        acc[p] = acc.get(p, 0) + m
-    terms = tuple(sorted((p, m) for p, m in acc.items() if m != 0))
-    return Divisor(terms)
+    return Divisor(merge_points(pairs, signed=True))
 
 
 def point_divisor(p: TorusPoint, m: int = 1) -> Divisor:

@@ -11,63 +11,51 @@ round trip recovers the associated graded, never the original towers.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .bundles import AtiyahBundle, graded, make_bundle
-from .errors import EmptyBundle, NonPositiveRank, WrongDegree
-from .torus import TorusPoint
+from .bundles import AtiyahBundle, make_bundle
+from .errors import WrongDegree
+from .torus import PointMultiset, TorusPoint, merge_points
 
 
-class WitIndex(enum.Enum):
-    WIT0 = 0
-    WIT1 = 1
-    NOT_WIT = "not-wit"
+def _cohomological(degree: int) -> int:
+    if type(degree) is not int or degree not in (0, 1):
+        raise WrongDegree(f"cohomological degree must be 0 or 1, got {degree!r}")
+    return degree
 
 
 @dataclass(frozen=True)
-class SkyscraperClass:
+class SkyscraperClass(PointMultiset):
     """Support points with lengths, tagged with a cohomological degree."""
 
-    parts: tuple[tuple[TorusPoint, int], ...]
     degree: int
 
     def total_length(self) -> int:
-        return sum(m for _, m in self.parts)
+        return self.total()
 
     def with_degree(self, degree: int) -> "SkyscraperClass":
-        return make_skyscraper(self.parts, degree)
+        return SkyscraperClass(self.parts, _cohomological(degree))
 
 
 def make_skyscraper(
     parts: Iterable[tuple[TorusPoint, int]], degree: int
 ) -> SkyscraperClass:
-    if degree not in (0, 1):
-        raise WrongDegree(f"cohomological degree must be 0 or 1, got {degree!r}")
-    acc: dict[TorusPoint, int] = {}
-    for p, m in parts:
-        if not isinstance(m, int) or m < 1:
-            raise NonPositiveRank(f"length must be a positive int, got {m!r}")
-        acc[p] = acc.get(p, 0) + m
-    if not acc:
-        raise EmptyBundle("a skyscraper needs at least one support point")
-    return SkyscraperClass(tuple(sorted(acc.items())), degree)
+    degree = _cohomological(degree)
+    return SkyscraperClass(merge_points(parts), degree)
 
 
 def translate_skyscraper(s: SkyscraperClass, z: TorusPoint) -> SkyscraperClass:
     return make_skyscraper(((p + z, m) for p, m in s.parts), s.degree)
 
 
-def wit_index(bundle: AtiyahBundle) -> WitIndex:
-    """Every representable bundle is semistable of degree zero, hence index 1."""
-    del bundle
-    return WitIndex.WIT1
-
-
 def fm_transform(bundle: AtiyahBundle) -> SkyscraperClass:
-    """Forward transform: graded part (y, m) becomes length m at -y, degree 1."""
-    return make_skyscraper(((-y, m) for y, m in graded(bundle).parts), 1)
+    """Forward transform: graded part (y, m) becomes length m at -y, degree 1.
+
+    The graded part at y sums the ranks of the blocks at y, so merging the
+    negated blocks directly gives the same parts.
+    """
+    return SkyscraperClass(merge_points((-y, n) for n, y in bundle.blocks), 1)
 
 
 def psi_transform(s: SkyscraperClass) -> AtiyahBundle:
@@ -80,43 +68,3 @@ def psi_transform(s: SkyscraperClass) -> AtiyahBundle:
             f"inverse transform needs cohomological degree 0, got {s.degree}"
         )
     return make_bundle((1, -p) for p, m in s.parts for _ in range(m))
-
-
-def fm_family_batch(
-    family: Iterable[tuple[str, AtiyahBundle]]
-) -> dict[str, SkyscraperClass]:
-    """Transform a labeled family in one batched pass over all blocks.
-
-    Deliberately routed differently from per-fiber calls: all blocks are
-    merged into a single multiset keyed by (label, point) before negation,
-    then split back per label.
-    """
-    merged: dict[tuple[str, TorusPoint], int] = {}
-    order: list[str] = []
-    for label, bundle in family:
-        if label not in order:
-            order.append(label)
-        for n, x in bundle.blocks:
-            key = (label, -x)
-            merged[key] = merged.get(key, 0) + n
-    out: dict[str, SkyscraperClass] = {}
-    for label in order:
-        parts = [(p, m) for (lab, p), m in merged.items() if lab == label]
-        out[label] = make_skyscraper(parts, 1)
-    return out
-
-
-def fm_family_restrict_check(
-    family: Iterable[tuple[str, AtiyahBundle]],
-    batch: Mapping[str, SkyscraperClass] | None = None,
-) -> bool:
-    """True iff the batched family transform agrees with per-fiber transforms.
-
-    A precomputed batch may be injected to exercise the negative case.
-    """
-    family = list(family)
-    if batch is None:
-        batch = fm_family_batch(family)
-    if set(batch) != {label for label, _ in family}:
-        return False
-    return all(batch[label] == fm_transform(b) for label, b in family)

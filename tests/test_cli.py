@@ -487,6 +487,23 @@ def test_validate_ring_rejects_malformed_sections(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("coeff", [0.1, True], ids=["float", "bool"])
+def test_invariants_rejects_inexact_ring_coefficient(tmp_path, capsys, coeff):
+    payload = ring_to_dict(load_preset("kodaira"))
+    x = min(payload["products"])
+    y = min(payload["products"][x])
+    z = min(payload["products"][x][y])
+    payload["products"][x][y][z] = coeff
+    path = write(tmp_path, "inexact.json", payload)
+    code, out, err = run(
+        capsys, "invariants", "--preset", f"file:{path}", "--a", "0", "--b", "0"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # -- plumbing --------------------------------------------------------------
 
 

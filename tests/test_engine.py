@@ -151,7 +151,7 @@ def test_kodaira_diamond_closed_forms(label, a, b, e, g, beta, mode):
 def test_kodaira_connecting_map_ranks(label, a, b, e, g, beta):
     ring = load_preset("kodaira")
     eta = synthetic_eta(ring, a, b)
-    profile, maps = structure_maps(ring, eta)
+    profile = structure_maps(ring, eta)
     eg = 1 if (e or g) else 0
     by_cell = dict(profile.h_by_bidegree)
     expected = {
@@ -171,8 +171,6 @@ def test_kodaira_connecting_map_ranks(label, a, b, e, g, beta):
     # selected rank always hits the page-side target on this preset
     assert profile.h_rank == 6 - g - borel_hodge(ring, eta).value(1, 1)
     assert "h-selection-unrealized" not in profile.flags
-    assert set(maps) == {"delta", "epsilon", "gamma"}
-    assert maps["gamma"]["basis"] == ["A", "B"]
 
 
 def test_kodaira_betti_for_synthetic_classes():

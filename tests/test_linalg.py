@@ -9,7 +9,6 @@ from ellfib.cohomology.fields import GAUSS_DOMAIN, GaussQ, POLY2_DOMAIN, Poly2
 from ellfib.linalg import (
     exact_rank,
     integer_diagonalize,
-    nullspace,
     rref,
     solve_fractions,
     solve_gf2,
@@ -113,18 +112,6 @@ def test_solve_fractions_residual_and_inconsistency():
             for row, b in zip(mat, rhs):
                 assert sum(c * v for c, v in zip(row, x)) == b
     assert solve_fractions([[1, 1], [1, 1]], [0, 1]) is None
-
-
-def test_nullspace_dimension_and_membership():
-    rng = random.Random(31)
-    for _ in range(100):
-        m, n = rng.randint(1, 5), rng.randint(1, 5)
-        mat = random_matrix(rng, m, n, span=4)
-        basis = nullspace(mat)
-        assert len(basis) == n - exact_rank(mat)
-        for vec in basis:
-            for row in mat:
-                assert sum(c * v for c, v in zip(row, vec)) == 0
 
 
 def test_integer_diagonalize_transforms_are_unimodular():

@@ -1,6 +1,9 @@
 """Preset cohomology rings against independently frozen structure tables."""
 
+import importlib.util
 from fractions import Fraction
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,7 @@ from ellfib.cohomology.ring import (
 )
 from ellfib.errors import SchemaError
 from ellfib.linalg import exact_rank
+from ellfib.serialize import canonical_json
 
 KODAIRA_BASIS = {
     (0, 0): ("one",),
@@ -144,7 +148,6 @@ def test_kodaira_basis_and_dims():
     for pq, labels in KODAIRA_BASIS.items():
         assert ring.labels(*pq) == labels
     assert ring.degree_labels(2) == ["n1", "A", "B", "FF"]
-    assert ring.h2_blocks() == [(2, 0), (1, 1), (0, 2)]
     assert [ring.dr_dim(k) for k in range(5)] == [1, 3, 4, 3, 1]
     for k, labels in KODAIRA_DR_BASIS.items():
         assert tuple(ring.dr_basis[k]) == labels
@@ -295,6 +298,23 @@ def test_ring_dict_round_trip():
         assert clone.ident == ring.ident
 
 
+def test_preset_generator_reproduces_committed_presets():
+    path = Path(__file__).resolve().parents[1] / "tools" / "make_presets.py"
+    spec = importlib.util.spec_from_file_location("make_presets", path)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    builders = {
+        "kodaira": generator.kodaira_payload,
+        "torus4": generator.torus4_payload,
+        "k3": generator.k3_payload,
+    }
+    assert sorted(builders) == sorted(PRESET_NAMES)
+    presets = resources.files("ellfib.cohomology").joinpath("presets")
+    for name, build in builders.items():
+        emitted = canonical_json(ring_to_dict(ring_from_dict(build())))
+        assert emitted == presets.joinpath(f"{name}.json").read_text(), name
+
+
 def test_ring_from_dict_rejects_missing_sections():
     with pytest.raises(SchemaError):
         ring_from_dict({"name": "x"})
@@ -315,6 +335,10 @@ def test_ring_from_dict_rejects_missing_sections():
         ("derham", {"basis": [1], "products": {}}),
         ("derham", {"basis": {"0": ["one"]}, "products": 3}),
         ("ident", {"one": 5}),
+        ("products", {"f1": {"F1": {"A": 0.1}}}),
+        ("products", {"f1": {"F1": {"A": True}}}),
+        ("conjugation", {"f1": {"F1": 1.0}}),
+        ("ident", {"one": {"one": False}}),
     ],
 )
 def test_ring_from_dict_rejects_malformed_shapes(section, value):

@@ -1,23 +1,29 @@
-"""Torus points, divisors, and degree-zero line bundle classes."""
+"""Torus points, point multisets, divisors, and degree-zero line bundle classes."""
 
 import copy
+import itertools
 import math
 import pickle
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ellfib.errors import NonZeroDegree
+from ellfib.bundles import GradedClass, make_bundle, make_graded
+from ellfib.errors import EmptyBundle, NonPositiveRank, NonZeroDegree
+from ellfib.spectral import SpectralCycle, make_cycle
 from ellfib.torus import (
     ORIGIN,
+    PointMultiset,
     TorusPoint,
     divisor_class,
     make_divisor,
     point_class,
     point_divisor,
 )
+from ellfib.transform import SkyscraperClass, make_skyscraper
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 points = st.builds(TorusPoint, rationals, rationals)
@@ -165,6 +171,84 @@ def test_divisor_terms_sorted_canonically():
     q = TorusPoint(Fraction(1, 3), Fraction(0))
     d = make_divisor([(p, 1), (q, 1)])
     assert d.terms == ((q, 1), (p, 1))
+
+
+# name -> (constructor, attribute holding its parts, signed multiplicities)
+MULTISETS = {
+    "graded": (make_graded, "parts", False),
+    "skyscraper": (lambda pairs: make_skyscraper(pairs, 1), "parts", False),
+    "cycle": (make_cycle, "parts", False),
+    "divisor": (make_divisor, "terms", True),
+}
+
+
+def counter_reference(pairs, signed):
+    """Expected parts, or the error class, computed without the package's merge."""
+    for _, m in pairs:
+        if isinstance(m, bool) or not isinstance(m, int):
+            return TypeError
+        if m < 1 and not signed:
+            return NonPositiveRank
+    if not pairs and not signed:
+        return EmptyBundle
+    counts = Counter()
+    for p, m in pairs:
+        counts[p] += m
+    merged = [(p, m) for p, m in counts.items() if m != 0]
+    return tuple(sorted(merged, key=lambda pm: (pm[0].u, pm[0].v)))
+
+
+# few distinct points, so merging happens often
+few_points = st.builds(
+    TorusPoint.from_triple, st.integers(0, 2), st.integers(0, 2), st.integers(1, 3)
+)
+multiplicities = st.one_of(
+    st.integers(-2, 4), st.sampled_from([True, False, 1.0, Fraction(1, 2), "1"])
+)
+
+
+@given(
+    st.sampled_from(sorted(MULTISETS)),
+    st.lists(st.tuples(few_points, multiplicities), max_size=6),
+)
+def test_multiset_constructors_match_a_counter(name, pairs):
+    build, attr, signed = MULTISETS[name]
+    expected = counter_reference(pairs, signed)
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            build(pairs)
+    else:
+        assert getattr(build(pairs), attr) == expected
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda pairs: make_bundle([(m, p) for p, m in pairs]), NonPositiveRank),
+        (make_graded, TypeError),
+        (lambda pairs: make_skyscraper(pairs, 0), TypeError),
+        (make_cycle, TypeError),
+        (make_divisor, TypeError),
+    ],
+    ids=["bundle", "graded", "skyscraper", "cycle", "divisor"],
+)
+def test_constructors_reject_bool_multiplicities(build, error):
+    with pytest.raises(error):
+        build([(ORIGIN, True)])
+
+
+def test_multiset_types_stay_distinct_on_equal_parts():
+    parts = ((ORIGIN, 2),)
+    values = [
+        PointMultiset(parts),
+        GradedClass(parts),
+        SkyscraperClass(parts, 0),
+        SpectralCycle(parts),
+    ]
+    for a, b in itertools.combinations(values, 2):
+        assert a != b
+    assert GradedClass(parts) == make_graded([(ORIGIN, 1), (ORIGIN, 1)])
+    assert len(set(values)) == len(values)
 
 
 @given(st.lists(st.tuples(points, st.integers(-3, 3)), max_size=6))

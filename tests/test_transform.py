@@ -1,4 +1,4 @@
-"""Forward and inverse fiberwise transforms and the family batch route."""
+"""Forward and inverse fiberwise transforms."""
 
 from fractions import Fraction
 
@@ -15,16 +15,12 @@ from ellfib.bundles import (
     tensor_line,
 )
 from ellfib.errors import EmptyBundle, NonPositiveRank, WrongDegree
-from ellfib.torus import ORIGIN, TorusPoint
+from ellfib.torus import TorusPoint
 from ellfib.transform import (
-    WitIndex,
-    fm_family_batch,
-    fm_family_restrict_check,
     fm_transform,
     make_skyscraper,
     psi_transform,
     translate_skyscraper,
-    wit_index,
 )
 
 rationals = st.fractions(min_value=0, max_value=1, max_denominator=8)
@@ -41,6 +37,8 @@ def test_make_skyscraper_validates_degree_and_lengths():
     assert s.total_length() == 3
     with pytest.raises(WrongDegree):
         make_skyscraper([(p, 1)], 2)
+    with pytest.raises(WrongDegree):
+        make_skyscraper([(p, 1)], True)
     with pytest.raises(NonPositiveRank):
         make_skyscraper([(p, 0)], 0)
     with pytest.raises(EmptyBundle):
@@ -60,11 +58,6 @@ def test_translate_skyscraper_is_a_group_action(p, z, m):
     s = make_skyscraper([(p, m)], 0)
     moved = translate_skyscraper(translate_skyscraper(s, z), -z)
     assert moved == s
-
-
-@given(blocks)
-def test_wit_index_is_always_one(raw):
-    assert wit_index(make_bundle(raw)) is WitIndex.WIT1
 
 
 def test_fm_transform_negates_support_and_lands_in_degree_one():
@@ -131,22 +124,3 @@ def test_round_trip_recovers_the_polystable_representative(raw):
 def test_psi_then_fm_recovers_the_skyscraper(parts):
     s = make_skyscraper(parts, 0)
     assert fm_transform(psi_transform(s)) == s.with_degree(1)
-
-
-@given(st.dictionaries(st.sampled_from(["p", "q", "r"]), blocks, min_size=1))
-def test_family_batch_agrees_with_per_fiber_transforms(table):
-    family = [(label, make_bundle(raw)) for label, raw in sorted(table.items())]
-    batch = fm_family_batch(family)
-    assert set(batch) == {label for label, _ in family}
-    for label, bundle in family:
-        assert batch[label] == fm_transform(bundle)
-    assert fm_family_restrict_check(family)
-
-
-def test_restrict_check_flags_a_tampered_batch():
-    b = make_bundle([(1, ORIGIN)])
-    family = [("p", b)]
-    bad_point = TorusPoint(Fraction(1, 2), Fraction(0))
-    bad = {"p": make_skyscraper([(bad_point, 1)], 1)}
-    assert not fm_family_restrict_check(family, batch=bad)
-    assert not fm_family_restrict_check(family, batch={})
