@@ -6,23 +6,35 @@ eta = a + tau*b; only its (1,1) part and the (0,2) part of the conjugate
 partner drive the bigraded differential, while the total-degree page
 uses the rational span of {a, b} directly and never sees tau.
 
-Both pages are assembled cell by cell; third-page dimensions come from
-exact ranks (dimension minus outgoing rank minus incoming rank, valid
-because the square of the differential is checked to vanish first).
+Each class has one page, built on first use and kept on the class.  It
+holds the blocks x*eta11, x*etabar02 and -x*etabar02 from every
+bidegree of the square, the 32 cell maps stacked from them with their
+ranks, and the total-degree page (a and b in de Rham coordinates and the
+ranks of the maps they induce).  borel_hodge, structure_maps and
+full_invariants read that page, so no map is built or ranked twice.
+
+Third-page dimensions come from exact ranks: dimension minus outgoing
+rank minus incoming rank.  This needs d*d = 0, which holds with nothing
+to check: two differentials in a row shift the base bidegree by (1, 3),
+and a ring has no basis outside 0 <= p, q <= 2 (BigradedRing refuses
+one), so every composite has an empty source or an empty target.
 In generic mode every rank is recomputed at fixed rational values of
 the indeterminates and discrepancies are flagged.
 """
 
 from __future__ import annotations
 
+import functools
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
-from ..errors import DifferentialNotSquareZero, InvalidClass, SchemaError
+from ..errors import InvalidClass, SchemaError
 from ..linalg import exact_rank
 from .fields import GENERIC_MODE, CoefficientMode
-from .ring import BigradedRing
+from .ring import BIDEGREES, BigradedRing
 
 FIBER_HODGE = {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
 FIBER_BETTI = (1, 2, 1)
@@ -30,7 +42,7 @@ FIBER_BETTI = (1, 2, 1)
 
 @dataclass(frozen=True)
 class EtaClass:
-    """Twisting class split into bidegree parts over the mode's field."""
+    """Twisting class split into bidegree parts; _page keeps its page on it."""
 
     ring: BigradedRing
     mode: CoefficientMode
@@ -53,37 +65,40 @@ def _split_h2(ring: BigradedRing, vec) -> tuple[list, list, list]:
             f"H^2 vector needs {sum(sizes)} coordinates "
             f"({sizes[0]}+{sizes[1]}+{sizes[2]} by descending p), got {len(values)}"
         )
-    first = values[: sizes[0]]
-    second = values[sizes[0] : sizes[0] + sizes[1]]
-    third = values[sizes[0] + sizes[1] :]
-    return first, second, third
+    i, j = sizes[0], sizes[0] + sizes[1]
+    return values[:i], values[i:j], values[j:]
+
+
+def _eta_class(
+    ring: BigradedRing, a, b, mode: CoefficientMode, synthetic: bool
+) -> EtaClass:
+    """Split a and b by bidegree and embed eta = a + tau*b and its conjugate."""
+    blocks = [list(zip(x, y)) for x, y in zip(_split_h2(ring, a), _split_h2(ring, b))]
+    embed = mode.embed
+
+    def twist(unit) -> list[tuple]:
+        return [tuple(embed(x) + unit * embed(y) for x, y in block) for block in blocks]
+
+    eta, etabar = twist(mode.tau), twist(mode.taubar)
+    if synthetic:
+        if any(x for x, _ in blocks[2]):
+            raise InvalidClass("synthetic classes require a zero (0,2) block in a")
+        eta[2] = tuple(embed(Fraction(0)) for _ in blocks[2])
+        etabar[2] = tuple((mode.taubar - mode.tau) * embed(y) for _, y in blocks[2])
+    elif any(not mode.dom.is_zero(x) for x in eta[2]):
+        raise InvalidClass(
+            "the (0,2) part of a + tau*b must vanish; with rational inputs "
+            "that means both (0,2) blocks are zero"
+        )
+    a_vec, b_vec = tuple(Fraction(x) for x in a), tuple(Fraction(x) for x in b)
+    return EtaClass(ring, mode, a_vec, b_vec, *eta, *etabar, synthetic)
 
 
 def char_to_eta(
     ring: BigradedRing, a, b, mode: CoefficientMode = GENERIC_MODE
 ) -> EtaClass:
     """Split eta = a + tau*b by bidegree; the (0,2) part must vanish."""
-    a20, a11, a02 = _split_h2(ring, a)
-    b20, b11, b02 = _split_h2(ring, b)
-    embed, tau, taubar = mode.embed, mode.tau, mode.taubar
-    eta02 = tuple(embed(x) + tau * embed(y) for x, y in zip(a02, b02))
-    if any(not mode.dom.is_zero(x) for x in eta02):
-        raise InvalidClass(
-            "the (0,2) part of a + tau*b must vanish; with rational inputs "
-            "that means both (0,2) blocks are zero"
-        )
-    return EtaClass(
-        ring=ring,
-        mode=mode,
-        a_vec=tuple(Fraction(x) for x in a),
-        b_vec=tuple(Fraction(x) for x in b),
-        eta20=tuple(embed(x) + tau * embed(y) for x, y in zip(a20, b20)),
-        eta11=tuple(embed(x) + tau * embed(y) for x, y in zip(a11, b11)),
-        eta02=eta02,
-        etabar20=tuple(embed(x) + taubar * embed(y) for x, y in zip(a20, b20)),
-        etabar11=tuple(embed(x) + taubar * embed(y) for x, y in zip(a11, b11)),
-        etabar02=tuple(embed(x) + taubar * embed(y) for x, y in zip(a02, b02)),
-    )
+    return _eta_class(ring, a, b, mode, synthetic=False)
 
 
 def synthetic_eta(
@@ -96,92 +111,36 @@ def synthetic_eta(
     (taubar - tau) times that block.  The rational seeds are kept for
     the total-degree computation.
     """
-    a20, a11, a02 = _split_h2(ring, a)
-    b20, b11, b02 = _split_h2(ring, b)
-    if any(a02):
-        raise InvalidClass("synthetic classes require a zero (0,2) block in a")
-    embed, tau, taubar = mode.embed, mode.tau, mode.taubar
-    shift = taubar - tau
-    return EtaClass(
-        ring=ring,
-        mode=mode,
-        a_vec=tuple(Fraction(x) for x in a),
-        b_vec=tuple(Fraction(x) for x in b),
-        eta20=tuple(embed(x) + tau * embed(y) for x, y in zip(a20, b20)),
-        eta11=tuple(embed(x) + tau * embed(y) for x, y in zip(a11, b11)),
-        eta02=tuple(embed(Fraction(0)) for _ in a02),
-        etabar20=tuple(embed(x) + taubar * embed(y) for x, y in zip(a20, b20)),
-        etabar11=tuple(embed(x) + taubar * embed(y) for x, y in zip(a11, b11)),
-        etabar02=tuple(shift * embed(y) for y in b02),
-        synthetic=True,
+    return _eta_class(ring, a, b, mode, synthetic=True)
+
+
+# -- the pages -------------------------------------------------------------
+
+
+def _checked_rank(mat: list, mode: CoefficientMode) -> tuple[int, tuple]:
+    """Rank over the mode's field, and the sample points that change it."""
+    if not mat or not mat[0]:
+        return 0, ()
+    rank = exact_rank(mat, mode.dom)
+    if mode.specialize is None:
+        return rank, ()
+    bad = tuple(
+        pair
+        for pair in mode.sample_points
+        if exact_rank([[mode.specialize(e, pair) for e in row] for row in mat]) != rank
     )
+    return rank, bad
 
 
-# -- small field-matrix helpers -------------------------------------------
+def _flags(tag: str, rank: int, bad: tuple) -> list[str]:
+    return [f"{tag}: generic rank {rank} not reproduced at t,s = {pair}" for pair in bad]
 
 
-@dataclass
-class _Mat:
-    r: int
-    c: int
-    m: list
-
-
-def _mult(ring: BigradedRing, source, w_block, w_coeffs, mode, sign=1) -> _Mat:
-    p, q = source
-    if not (0 <= p <= 2 and 0 <= q <= 2):
-        return _Mat(0, 0, [])
-    data, cols = ring.mult_matrix(source, w_block, w_coeffs, mode.embed, sign)
-    return _Mat(len(data), len(cols), data)
-
-
-def _hstack(a: _Mat, b: _Mat) -> _Mat:
-    # callers pad both blocks to a common explicit row count first
-    if a.r != b.r:
-        raise AssertionError("row mismatch in hstack")
-    if a.r == 0:
-        return _Mat(0, a.c + b.c, [])
-    return _Mat(a.r, a.c + b.c, [lr + rr for lr, rr in zip(a.m, b.m)])
-
-
-def _vstack(a: _Mat, b: _Mat) -> _Mat:
-    cols = max(a.c, b.c)
-    if a.c not in (0, cols) or b.c not in (0, cols):
-        raise AssertionError("column mismatch in vstack")
-    data = [row for row in a.m] + [row for row in b.m]
-    return _Mat(a.r + b.r, cols, data)
-
-
-def _matmul(a: _Mat, b: _Mat, zero) -> _Mat:
-    if a.c != b.r:
-        raise AssertionError("shape mismatch in matmul")
-    data = []
-    for i in range(a.r):
-        row = []
-        for j in range(b.c):
-            total = zero
-            for k in range(a.c):
-                total = total + a.m[i][k] * b.m[k][j]
-            row.append(total)
-        data.append(row)
-    return _Mat(a.r, b.c, data)
-
-
-def _checked_rank(mat: _Mat, mode: CoefficientMode, flags: list, tag: str) -> int:
-    if mat.r == 0 or mat.c == 0:
-        return 0
-    rank = exact_rank(mat.m, mode.dom)
-    if mode.specialize is not None:
-        for pair in mode.sample_points:
-            special = [[mode.specialize(e, pair) for e in row] for row in mat.m]
-            if exact_rank(special) != rank:
-                flags.append(
-                    f"{tag}: generic rank {rank} not reproduced at t,s = {pair}"
-                )
-    return rank
-
-
-# -- bigraded tower --------------------------------------------------------
+def _beside(left: list, right: list) -> list:
+    """Two blocks with one target side by side; an empty block adds nothing."""
+    if not left or not right:
+        return left or right
+    return [lrow + rrow for lrow, rrow in zip(left, right)]
 
 
 @dataclass(frozen=True)
@@ -211,104 +170,102 @@ class HodgeDiamond:
         return out
 
 
-def _cell_components(P: int, Q: int, t: int) -> list[tuple[int, int]]:
-    if t == 0:
-        return [(P, Q)]
-    if t == 1:
-        return [(P, Q - 1), (P - 1, Q)]
-    return [(P - 1, Q - 1)]
-
-
-def _block_dim(ring: BigradedRing, pq) -> int:
-    p, q = pq
-    if 0 <= p <= 2 and 0 <= q <= 2:
-        return ring.dim(p, q)
-    return 0
-
-
 def _cell_dim(ring: BigradedRing, P: int, Q: int, t: int) -> int:
-    return sum(_block_dim(ring, pq) for pq in _cell_components(P, Q, t))
-
-
-def _outgoing_map(ring: BigradedRing, eta: EtaClass, P: int, Q: int, t: int) -> _Mat:
-    """Matrix of the differential leaving cell (P, Q, t)."""
-    mode = eta.mode
+    """Cell (P, Q, t) is H^{P,Q}, H^{P,Q-1} + H^{P-1,Q} or H^{P-1,Q-1} for t = 0, 1, 2."""
+    if t == 0:
+        return ring.dim(P, Q)
     if t == 1:
-        bar = _mult(ring, (P, Q - 1), (0, 2), eta.etabar02, mode)
-        via = _mult(ring, (P - 1, Q), (1, 1), eta.eta11, mode)
-        target_rows = _block_dim(ring, (P, Q + 1))
-        bar = _pad(bar, target_rows, _block_dim(ring, (P, Q - 1)), mode)
-        via = _pad(via, target_rows, _block_dim(ring, (P - 1, Q)), mode)
-        return _hstack(bar, via)
-    if t == 2:
-        top = _mult(ring, (P - 1, Q - 1), (1, 1), eta.eta11, mode)
-        bottom = _mult(ring, (P - 1, Q - 1), (0, 2), eta.etabar02, mode, sign=-1)
-        cols = _block_dim(ring, (P - 1, Q - 1))
-        top = _pad(top, _block_dim(ring, (P, Q)), cols, mode)
-        bottom = _pad(bottom, _block_dim(ring, (P - 1, Q + 1)), cols, mode)
-        return _vstack(top, bottom)
-    return _Mat(0, _cell_dim(ring, P, Q, t), [])
+        return ring.dim(P, Q - 1) + ring.dim(P - 1, Q)
+    return ring.dim(P - 1, Q - 1)
 
 
-def _pad(mat: _Mat, rows: int, cols: int, mode: CoefficientMode) -> _Mat:
-    """Normalize a block to an explicit rows x cols zero-filled matrix."""
-    zero = mode.embed(Fraction(0))
-    if mat.r == rows and mat.c == cols:
-        return mat
-    data = [[zero] * cols for _ in range(rows)]
-    for i in range(mat.r):
-        for j in range(mat.c):
-            data[i][j] = mat.m[i][j]
-    return _Mat(rows, cols, data)
+class _TotalPage:
+    """a and b in de Rham coordinates, and the ranks of the total-degree page."""
+
+    def __init__(self, ring: BigradedRing, a, b):
+        self.ring = ring
+        self.a_dr = ring.to_derham(2, [Fraction(x) for x in a])
+        self.b_dr = ring.to_derham(2, [Fraction(x) for x in b])
+        # (s, t) -> rank of the map leaving H^s(base) x H^t(fiber)
+        self.rank: dict[tuple[int, int], int] = {}
+        for s in range(5):
+            ma = ring.dr_mult_matrix(s, self.a_dr, 2)
+            mb = ring.dr_mult_matrix(s, self.b_dr, 2)
+            joined = [ra + rb for ra, rb in zip(ma, mb)]
+            stacked = [[-x for x in row] for row in mb] + ma
+            self.rank[s, 1] = exact_rank(joined) if joined else 0
+            self.rank[s, 2] = exact_rank(stacked) if stacked else 0
+
+    def betti(self) -> tuple[int, ...]:
+        betti = [0] * 7
+        for s, t in product(range(5), range(3)):
+            leaving, entering = self.rank.get((s, t), 0), self.rank.get((s - 2, t + 1), 0)
+            betti[s + t] += self.ring.dr_dim(s) * FIBER_BETTI[t] - leaving - entering
+        return tuple(betti)
+
+
+class _Page:
+    """The second page of one class over one ring."""
+
+    def __init__(self, ring: BigradedRing, eta: EtaClass):
+        self.ring, self.eta = ring, eta
+        mode = eta.mode
+        # (source, kind) -> x -> x*w from H^source, dim(target) x dim(source);
+        # a source off the square reads as an empty block
+        self.blocks: dict[tuple[tuple[int, int], str], list] = defaultdict(list)
+        for source in BIDEGREES:
+            for kind, w_block, w_coeffs, sign in (
+                ("11", (1, 1), eta.eta11, 1),
+                ("02", (0, 2), eta.etabar02, 1),
+                ("-02", (0, 2), eta.etabar02, -1),
+            ):
+                data, _ = ring.mult_matrix(source, w_block, w_coeffs, mode.embed, sign)
+                self.blocks[source, kind] = data
+        # (P, Q, t) -> checked rank of the differential leaving the cell:
+        # t = 1 maps onto H^{P,Q+1}, t = 2 from H^{P-1,Q-1} onto H^{P,Q} + H^{P-1,Q+1}
+        self.cells: dict[tuple[int, int, int], tuple[int, tuple]] = {}
+        blocks = self.blocks
+        for P, Q in product(range(4), repeat=2):
+            corner = (P - 1, Q - 1)
+            first = _beside(blocks[(P, Q - 1), "02"], blocks[(P - 1, Q), "11"])
+            second = blocks[corner, "11"] + blocks[corner, "-02"]
+            self.cells[P, Q, 1] = _checked_rank(first, mode)
+            self.cells[P, Q, 2] = _checked_rank(second, mode)
+
+    def diamond(self) -> HodgeDiamond:
+        rank = {cell: checked[0] for cell, checked in self.cells.items()}
+        h = [[0] * 4 for _ in range(4)]
+        for p, q, t in product(range(4), range(4), range(3)):
+            leaving, entering = rank.get((p, q, t), 0), rank.get((p, q - 1, t + 1), 0)
+            h[p][q] += _cell_dim(self.ring, p, q, t) - leaving - entering
+        return HodgeDiamond(h)
+
+    @functools.cached_property
+    def total(self) -> _TotalPage:
+        return _TotalPage(self.ring, self.eta.a_vec, self.eta.b_vec)
+
+
+def _page(ring: BigradedRing, eta: EtaClass) -> _Page:
+    """The class's page over ring, built on first use and kept on eta."""
+    page = eta.__dict__.get("_page")
+    if page is None or page.ring is not ring:
+        page = _Page(ring, eta)
+        object.__setattr__(eta, "_page", page)
+    return page
+
+
+# -- bigraded tower --------------------------------------------------------
 
 
 def borel_hodge(
     ring: BigradedRing, eta: EtaClass, flags: list | None = None
 ) -> HodgeDiamond:
     """Third-page Hodge numbers h(p,q) for 0 <= p,q <= 3."""
-    mode = eta.mode
-    zero = mode.embed(Fraction(0))
-    sink = [] if flags is None else flags
-
-    out_maps: dict[tuple[int, int, int], _Mat] = {}
-    for P in range(4):
-        for Q in range(4):
-            for t in (1, 2):
-                out_maps[(P, Q, t)] = _outgoing_map(ring, eta, P, Q, t)
-
-    for P in range(4):
-        for Q in range(4):
-            second = out_maps[(P, Q, 2)]
-            first = out_maps[(P, Q + 1, 1)] if Q + 1 <= 3 else None
-            if first is None or second.r == 0 or first.r == 0:
-                continue
-            composite = _matmul(first, second, zero)
-            for row in composite.m:
-                for entry in row:
-                    if not mode.dom.is_zero(entry):
-                        raise DifferentialNotSquareZero(
-                            f"composite through cell ({P},{Q + 1}) is nonzero"
-                        )
-
-    out_rank: dict[tuple[int, int, int], int] = {}
-    for (P, Q, t), mat in out_maps.items():
-        out_rank[(P, Q, t)] = _checked_rank(mat, mode, sink, f"page cell ({P},{Q},{t})")
-
-    table = []
-    for p in range(4):
-        row = []
-        for q in range(4):
-            total = 0
-            for t in range(3):
-                dim = _cell_dim(ring, p, q, t)
-                if dim == 0:
-                    continue
-                leaving = out_rank.get((p, q, t), 0)
-                entering = out_rank.get((p, q - 1, t + 1), 0) if t < 2 else 0
-                total += dim - leaving - entering
-            row.append(total)
-        table.append(tuple(row))
-    return HodgeDiamond(tuple(table))
+    page = _page(ring, eta)
+    if flags is not None:
+        for (P, Q, t), checked in page.cells.items():
+            flags.extend(_flags(f"page cell ({P},{Q},{t})", *checked))
+    return page.diamond()
 
 
 # -- rank profile ----------------------------------------------------------
@@ -331,7 +288,10 @@ class RankProfile:
 def structure_maps(
     ring: BigradedRing, eta: EtaClass, diamond: HodgeDiamond | None = None
 ) -> RankProfile:
-    """Ranks of the connecting maps.
+    """Ranks of the connecting maps, read from the class's page.
+
+    The combined map at (p, q) is page cell (p+1, q+1, 2); f and the
+    degree-1 aggregate are built from the page's blocks.
 
     The reported rank h is selected, not computed from one map: with
     target = 6 - g - h(1,1) read from the finished table, h is the first
@@ -341,91 +301,42 @@ def structure_maps(
     flagged h-selection-unrealized.
     """
     mode = eta.mode
+    page = _page(ring, eta)
     flags: list[str] = []
     e = 0 if all(mode.dom.is_zero(x) for x in eta.etabar02) else 1
     g = 0 if all(mode.dom.is_zero(x) for x in eta.eta11) else 1
+    d = exact_rank([page.total.a_dr, page.total.b_dr]) if page.total.a_dr else 0
 
-    a_dr = ring.to_derham(2, eta.a_vec)
-    b_dr = ring.to_derham(2, eta.b_vec)
-    d = exact_rank([a_dr, b_dr]) if a_dr else 0
-
-    ma = ring.dr_mult_matrix(1, a_dr, 2)
-    mb = ring.dr_mult_matrix(1, b_dr, 2)
-    joined = [ra + rb for ra, rb in zip(ma, mb)]
-    dprime = exact_rank(joined) if joined else 0
-
-    f_mat = _mult(ring, (1, 0), (0, 2), eta.etabar02, mode)
-    f_rank = _checked_rank(f_mat, mode, flags, "f map")
+    f_rank, bad = _checked_rank(page.blocks[(1, 0), "02"], mode)
+    flags += _flags("f map", f_rank, bad)
 
     per_bidegree = []
-    for p in range(3):
-        for q in range(3):
-            if ring.dim(p, q) == 0:
-                continue
-            cols = ring.dim(p, q)
-            up = _pad(
-                _mult(ring, (p, q), (1, 1), eta.eta11, mode),
-                _block_dim(ring, (p + 1, q + 1)),
-                cols,
-                mode,
-            )
-            flat = _pad(
-                _mult(ring, (p, q), (0, 2), eta.etabar02, mode, sign=-1),
-                _block_dim(ring, (p, q + 2)),
-                cols,
-                mode,
-            )
-            rank = _checked_rank(
-                _vstack(up, flat), mode, flags, f"combined map at ({p},{q})"
-            )
-            per_bidegree.append(((p, q), rank))
+    for p, q in BIDEGREES:
+        if ring.dim(p, q):
+            checked = page.cells[p + 1, q + 1, 2]
+            flags += _flags(f"combined map at ({p},{q})", *checked)
+            per_bidegree.append(((p, q), checked[0]))
 
-    top_left = _pad(
-        _mult(ring, (1, 0), (1, 1), eta.eta11, mode),
-        _block_dim(ring, (2, 1)),
-        ring.dim(1, 0),
-        mode,
-    )
-    top_right = _Mat(0, ring.dim(0, 1), [])
-    top_right = _pad(top_right, _block_dim(ring, (2, 1)), ring.dim(0, 1), mode)
-    bottom_left = _pad(
-        _mult(ring, (1, 0), (0, 2), eta.etabar02, mode, sign=-1),
-        _block_dim(ring, (1, 2)),
-        ring.dim(1, 0),
-        mode,
-    )
-    bottom_right = _pad(
-        _mult(ring, (0, 1), (1, 1), eta.eta11, mode),
-        _block_dim(ring, (1, 2)),
-        ring.dim(0, 1),
-        mode,
-    )
-    aggregate_mat = _vstack(
-        _hstack(top_left, top_right), _hstack(bottom_left, bottom_right)
-    )
-    h_aggregate = _checked_rank(aggregate_mat, mode, flags, "degree-1 combined map")
+    # [x*eta11 from (1,0), 0; -x*etabar02 from (1,0), x*eta11 from (0,1)]
+    zeros = [mode.embed(Fraction(0))] * ring.dim(0, 1)
+    top = [row + zeros for row in page.blocks[(1, 0), "11"]]
+    bottom = _beside(page.blocks[(1, 0), "-02"], page.blocks[(0, 1), "11"])
+    h_aggregate, bad = _checked_rank(top + bottom, mode)
+    flags += _flags("degree-1 combined map", h_aggregate, bad)
 
     if diamond is None:
         diamond = borel_hodge(ring, eta, flags)
     target = 6 - g - diamond.value(1, 1)
-    h_rank = None
-    h_bidegree = None
-    if target >= 0:
-        for (p, q), rank in per_bidegree:
-            if rank == target:
-                h_rank, h_bidegree = rank, (p, q)
-                break
-        if h_rank is None and h_aggregate == target:
-            h_rank = h_aggregate
-    if h_rank is None:
-        h_rank = h_aggregate
+    h_bidegree = next((pq for pq, rank in per_bidegree if rank == target), None)
+    h_rank = h_aggregate if h_bidegree is None else target
+    if h_rank != target:
         flags.append("h-selection-unrealized")
 
     return RankProfile(
         e=e,
         g=g,
         d=d,
-        dprime=dprime,
+        dprime=page.total.rank[1, 1],
         h_rank=h_rank,
         f=f_rank,
         h_bidegree=h_bidegree,
@@ -440,31 +351,7 @@ def structure_maps(
 
 def leray_betti(ring: BigradedRing, a, b) -> tuple[int, ...]:
     """Seven Betti numbers from the total-degree page; tau never enters."""
-    a_dr = ring.to_derham(2, [Fraction(x) for x in a])
-    b_dr = ring.to_derham(2, [Fraction(x) for x in b])
-
-    dims = {(s, t): ring.dr_dim(s) * FIBER_BETTI[t] for s in range(5) for t in range(3)}
-    out_rank: dict[tuple[int, int], int] = {}
-    for s in range(5):
-        ma = ring.dr_mult_matrix(s, a_dr, 2)
-        mb = ring.dr_mult_matrix(s, b_dr, 2)
-        joined = [ra + rb for ra, rb in zip(ma, mb)]
-        out_rank[(s, 1)] = exact_rank(joined) if joined else 0
-        stacked = [[-x for x in row] for row in mb] + ma
-        out_rank[(s, 2)] = exact_rank(stacked) if stacked else 0
-        out_rank[(s, 0)] = 0
-
-    betti = []
-    for k in range(7):
-        total = 0
-        for s in range(5):
-            t = k - s
-            if not 0 <= t <= 2:
-                continue
-            entering = out_rank.get((s - 2, t + 1), 0)
-            total += dims[(s, t)] - out_rank[(s, t)] - entering
-        betti.append(total)
-    return tuple(betti)
+    return _TotalPage(ring, a, b).betti()
 
 
 # -- cross-checks ----------------------------------------------------------
@@ -528,7 +415,8 @@ def full_invariants(
     diamond = borel_hodge(ring, eta, flags)
     profile = structure_maps(ring, eta, diamond)
     profile = replace(profile, flags=tuple(dict.fromkeys(flags + list(profile.flags))))
-    betti = leray_betti(ring, a, b)
+    # the class's own total-degree page, already built by structure_maps
+    betti = _page(ring, eta).total.betti()
     return InvariantsResult(
         ring_name=ring.name,
         mode_name=mode.name,
@@ -542,15 +430,7 @@ def full_invariants(
 
 def kunneth_diamond(ring: BigradedRing) -> HodgeDiamond:
     """Product-case diamond: base numbers spread by the fiber square."""
-    table = []
-    for p in range(4):
-        row = []
-        for q in range(4):
-            total = 0
-            for (i, j), mult in FIBER_HODGE.items():
-                bp, bq = p - i, q - j
-                if 0 <= bp <= 2 and 0 <= bq <= 2:
-                    total += mult * ring.dim(bp, bq)
-            row.append(total)
-        table.append(tuple(row))
-    return HodgeDiamond(tuple(table))
+    h = [[0] * 4 for _ in range(4)]
+    for p, q in product(range(4), repeat=2):
+        h[p][q] = sum(mult * ring.dim(p - i, q - j) for (i, j), mult in FIBER_HODGE.items())
+    return HodgeDiamond(h)

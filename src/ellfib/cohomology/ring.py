@@ -377,6 +377,8 @@ def ring_from_dict(payload: Mapping) -> BigradedRing:
         ident_raw = payload.get("ident", {})
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"ring payload missing section: {exc}") from exc
+    if not isinstance(name, str):
+        raise SchemaError(f"ring name must be a string, got {type(name).__name__}")
 
     def parse_pq(key: str) -> tuple[int, int]:
         try:

@@ -63,9 +63,5 @@ class InvalidClass(DomainError):
     """Cohomology class input lies outside the admissible subspace."""
 
 
-class DifferentialNotSquareZero(DomainError):
-    """Spectral-sequence differential fails d.d = 0 on the given ring."""
-
-
 class WitnessMismatch(DomainError):
     """A computed certificate fails the identity it is meant to satisfy."""

@@ -1,10 +1,15 @@
 """Command line verbs: exit codes, canonical output, file plumbing."""
 
+import contextlib
+import copy
+import io
 import json
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ellfib.bundles import make_bundle, tensor_line
 from ellfib.cli import main
@@ -502,6 +507,105 @@ def test_invariants_rejects_inexact_ring_coefficient(tmp_path, capsys, coeff):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# -- mutated ring documents ------------------------------------------------
+
+
+KODAIRA_DOC = ring_to_dict(load_preset("kodaira"))
+JUNK = [None, True, 0, 1.5, "x", "", [], [1, 2], {}, {"x": 1}]
+BAD_LABELS = [1, None, "", [], {}, 2.5, True, "F1"]
+BAD_COEFFS = [
+    0.1, 1.0, True, False, None, [], {}, "abc", "1/0", "",
+    10**40, -(10**40), "123456789012345678901234567890/7",
+]
+BAD_KEYS = ["0,3", "3,0", "-1,0", "2,-1", "a,b", "1", "1,1,1", " 1,1", ""]
+BAD_DEGREES = ["5", "-1", "x", "", "1.5"]
+# coefficient tables: path, and how many label keys lead to a vector
+TABLES = [
+    (("products",), 2), (("conjugation",), 1), (("ident",), 1), (("derham", "products"), 2),
+]
+
+
+def _walk(node, keys):
+    """The node at keys below node, or None where the path is broken."""
+    for key in keys:
+        if not isinstance(node, dict) or key not in node:
+            return None
+        node = node[key]
+    return node
+
+
+def _pick(data, node):
+    if not isinstance(node, dict) or not node:
+        return None
+    return data.draw(st.sampled_from(sorted(node)))
+
+
+def _mutate(data, doc):
+    kind = data.draw(
+        st.sampled_from(["delete", "retype", "label", "coefficient", "key"])
+    )
+    if kind in ("delete", "retype"):
+        path = data.draw(st.sampled_from(
+            [(k,) for k in KODAIRA_DOC] + [("derham", "basis"), ("derham", "products")]
+        ))
+        parent = _walk(doc, path[:-1])
+        if isinstance(parent, dict) and path[-1] in parent:
+            if kind == "delete":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(st.sampled_from(JUNK))
+    elif kind == "label":
+        bases = _walk(doc, data.draw(st.sampled_from([("bigraded",), ("derham", "basis")])))
+        labels = _walk(bases, [_pick(data, bases)])
+        if isinstance(labels, list) and labels:
+            index = data.draw(st.integers(0, len(labels) - 1))
+            labels[index] = data.draw(st.sampled_from(BAD_LABELS))
+    elif kind == "coefficient":
+        path, depth = data.draw(st.sampled_from(TABLES))
+        vec = _walk(doc, path)
+        for _ in range(depth):
+            vec = _walk(vec, [_pick(data, vec)])
+        if isinstance(vec, dict) and vec:
+            vec[_pick(data, vec)] = data.draw(st.sampled_from(BAD_COEFFS))
+    else:
+        where, keys = data.draw(st.sampled_from(
+            [(("bigraded",), BAD_KEYS), (("derham", "basis"), BAD_DEGREES)]
+        ))
+        bases = _walk(doc, where)
+        if isinstance(bases, dict):
+            bases[data.draw(st.sampled_from(keys))] = data.draw(
+                st.sampled_from([["extra"], ["F1"], []])
+            )
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(data=st.data())
+def test_mutated_ring_files_exit_cleanly(tmp_path_factory, data):
+    doc = copy.deepcopy(KODAIRA_DOC)
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, doc)
+    path = tmp_path_factory.mktemp("ring") / "ring.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (
+        ["validate-ring", "--preset", f"file:{path}"],
+        ["invariants", "--preset", f"file:{path}", "--a", "0", "--b", "0"],
+    ):
+        code, out, err = _run_quietly(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == "" and err.startswith("error: ")
 
 
 # -- plumbing --------------------------------------------------------------

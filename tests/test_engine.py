@@ -5,10 +5,13 @@ preset structure tables: block-by-block differentials for the bigraded
 tower and explicit multiplication matrices for the total-degree tower.
 """
 
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from ellfib.cohomology import engine
 from ellfib.cohomology.engine import (
     FIBER_BETTI,
     FIBER_HODGE,
@@ -22,7 +25,7 @@ from ellfib.cohomology.engine import (
     synthetic_eta,
 )
 from ellfib.cohomology.fields import GAUSSIAN_MODE, GENERIC_MODE
-from ellfib.cohomology.ring import load_preset
+from ellfib.cohomology.ring import BigradedRing, load_preset
 from ellfib.errors import InvalidClass, SchemaError
 from ellfib.linalg import exact_rank
 
@@ -345,6 +348,15 @@ def test_mode_independence(name, a, b, synthetic):
     assert (left.profile.e, left.profile.g) == (right.profile.e, right.profile.g)
 
 
+def test_degree_one_aggregate_without_a_11_part_is_the_f_block():
+    # with eta11 = 0 the aggregate keeps only -x*etabar02 from (1,0), the
+    # negated f map; on torus4 that block is injective on the two (1,0) classes
+    ring = load_preset("torus4")
+    profile = full_invariants(ring, torus4_vec(), torus4_vec(e34=1), synthetic=True).profile
+    assert (profile.e, profile.g) == (1, 0)
+    assert profile.h_aggregate == profile.f == ring.dim(1, 0) == 2
+
+
 def test_twist_side_does_not_matter():
     # realizing the same (1,1) part through a or through b only rescales
     # the class by the modulus unit, so every rank agrees
@@ -391,3 +403,59 @@ def test_exact_rank_backs_the_pairing_claim():
     result = full_invariants(ring, a, b)
     rows = [ring.to_derham(2, a), ring.to_derham(2, b)]
     assert result.profile.d == exact_rank(rows) == 2
+
+
+# -- specialization flags and page reuse -----------------------------------
+
+
+# one sample point at t = s = 0, where eta11 = A + t*B loses its B part
+DEGENERATE_MODE = replace(GENERIC_MODE, sample_points=((Fraction(0), Fraction(0)),))
+PAIR = (Fraction(0), Fraction(0))
+
+
+def specialization_flag(tag, rank):
+    return f"{tag}: generic rank {rank} not reproduced at t,s = {PAIR}"
+
+
+PAGE_FLAGS = tuple(
+    specialization_flag(f"page cell {cell}", 1)
+    for cell in ("(1,1,1)", "(1,2,2)", "(2,0,1)", "(2,1,2)")
+)
+PROFILE_FLAGS = (
+    specialization_flag("combined map at (0,1)", 1),
+    specialization_flag("combined map at (1,0)", 1),
+    specialization_flag("degree-1 combined map", 2),
+)
+
+
+def test_specialization_flags_are_pinned():
+    ring = load_preset("kodaira")
+    a, b = kodaira_vec(A=1), kodaira_vec(B=1)
+    result = full_invariants(ring, a, b, DEGENERATE_MODE)
+    assert result.profile.flags == PAGE_FLAGS + PROFILE_FLAGS
+    # on its own, structure_maps reports its maps before the page it builds
+    profile = structure_maps(ring, char_to_eta(ring, a, b, DEGENERATE_MODE))
+    assert profile.flags == PROFILE_FLAGS + PAGE_FLAGS
+    # the mode's own sample points reproduce every rank
+    assert full_invariants(ring, a, b).profile.flags == ()
+
+
+def test_each_block_is_built_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("mult_matrix", "dr_mult_matrix", "to_derham"):
+        monkeypatch.setattr(BigradedRing, name, counted(name, getattr(BigradedRing, name)))
+    monkeypatch.setattr(engine, "exact_rank", counted("exact_rank", engine.exact_rank))
+    full_invariants(load_preset("kodaira"), kodaira_vec(A=1), kodaira_vec(B=1))
+    # one push of a and of b, one block per in-square source and kind
+    assert calls["to_derham"] == 2
+    assert calls["dr_mult_matrix"] == 10
+    assert calls["mult_matrix"] <= 27
+    assert calls["exact_rank"] <= 43

@@ -339,12 +339,22 @@ def test_ring_from_dict_rejects_missing_sections():
         ("products", {"f1": {"F1": {"A": True}}}),
         ("conjugation", {"f1": {"F1": 1.0}}),
         ("ident", {"one": {"one": False}}),
+        ("name", [1, 2]),
+        ("bigraded", {"0,0": ["one"], "0,3": ["extra"]}),
     ],
 )
 def test_ring_from_dict_rejects_malformed_shapes(section, value):
     payload = ring_to_dict(load_preset("kodaira"))
     payload[section] = value
     with pytest.raises(SchemaError):
+        ring_from_dict(payload)
+
+
+def test_ring_from_dict_rejects_out_of_range_bidegrees():
+    # no basis beyond 0 <= p, q <= 2 is what makes the engine's d*d vanish
+    payload = ring_to_dict(load_preset("kodaira"))
+    payload["bigraded"]["0,3"] = ["extra"]
+    with pytest.raises(SchemaError, match="out-of-range bidegrees"):
         ring_from_dict(payload)
 
 

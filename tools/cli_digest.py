@@ -1,0 +1,92 @@
+"""One sha256 per CLI verb over the benchmark's seeded inputs.
+
+Runs ellfib.cli.main in-process over perfbench.gen.cli_inputs (all
+twelve verbs) and over the invariants classes of
+perfbench.gen.invariants_inputs, each with --out json and --out table,
+for seeds 0-39.  Every run's argument list, exit code, stdout and
+stderr go into the digest of its verb.  Input documents are written to
+one fixed relative path inside a temporary working directory, so no
+temporary path reaches the output.
+
+Two checkouts that print the same digests gave the same bytes on every
+one of these runs.  Run it from any directory, on each checkout:
+
+    python3 tools/cli_digest.py
+
+Standard library only; perfbench/ is read, never written.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import gen  # noqa: E402  (perfbench/gen.py)
+from ellfib.cli import main  # noqa: E402
+
+SEEDS = range(40)
+DOC = "doc.json"
+
+
+def cli_runs(seed: int, kodaira_text: str):
+    """(argv, document) for every cli operation of the seed."""
+    for unit in gen.cli_inputs(seed, kodaira_text):
+        for op in unit:
+            yield [arg.replace("{doc}", DOC) for arg in op["args"]], op["doc"]
+
+
+def invariants_runs(seed: int):
+    """(argv, None) for every invariants class of the seed, in both outputs."""
+    for unit in gen.invariants_inputs(seed):
+        for op in unit:
+            if op["kind"] != "invariants":
+                continue
+            argv = ["invariants", "--preset", op["preset"], "--a=" + ",".join(op["a"]),
+                    "--b=" + ",".join(op["b"]), "--mode", op["mode"]]
+            if op["synthetic"]:
+                argv.append("--synthetic")
+            for out in ("json", "table"):
+                yield argv + ["--out", out], None
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def main_digest() -> None:
+    kodaira_text = (ROOT / "src/ellfib/cohomology/presets/kodaira.json").read_text()
+    digests = {}
+    counts: dict[str, int] = {}
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            for seed in SEEDS:
+                runs = list(cli_runs(seed, kodaira_text)) + list(invariants_runs(seed))
+                for argv, doc in runs:
+                    if doc is not None:
+                        Path(DOC).write_text(json.dumps(doc, indent=1))
+                    code, out, err = run(argv)
+                    record = json.dumps([argv, code, out, err]) + "\n"
+                    digests.setdefault(argv[0], hashlib.sha256()).update(record.encode())
+                    counts[argv[0]] = counts.get(argv[0], 0) + 1
+        finally:
+            os.chdir(home)
+    for verb in sorted(digests):
+        print(f"{verb:16} {counts[verb]:6} {digests[verb].hexdigest()}")
+
+
+if __name__ == "__main__":
+    main_digest()
