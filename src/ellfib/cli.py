@@ -34,6 +34,7 @@ from .serialize import (
     parse_chart_sample_map,
     parse_cocycle,
     parse_family,
+    parse_fraction,
     parse_gerbe,
     parse_nerve,
     parse_point,
@@ -158,10 +159,7 @@ def _resolve_ring(selector: str):
 def _parse_vector(text: str, length: int, what: str) -> list[Fraction]:
     if text.strip() == "0":
         return [Fraction(0)] * length
-    try:
-        vec = [Fraction(part.strip()) for part in text.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"{what}: bad rational in {text!r}") from exc
+    vec = [parse_fraction(part.strip(), what) for part in text.split(",")]
     if len(vec) != length:
         raise SchemaError(f"{what} must have {length} entries, got {len(vec)}")
     return vec

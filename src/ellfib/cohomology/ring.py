@@ -23,6 +23,7 @@ from typing import Mapping
 
 from ..errors import SchemaError
 from ..linalg import exact_rank
+from ..serialize import parse_fraction
 
 BIDEGREES = [(p, q) for p in range(3) for q in range(3)]
 
@@ -398,16 +399,10 @@ def ring_from_dict(payload: Mapping) -> BigradedRing:
         return list(raw)
 
     def vector(raw, where: str) -> dict[str, Fraction]:
-        out = {}
-        for z, c in section(raw, where).items():
-            # a JSON float or bool would load as a rational it does not state
-            if isinstance(c, (bool, float)):
-                raise SchemaError(f"ring {where}: bad coefficient {c!r} at {z!r}")
-            try:
-                out[z] = Fraction(c)
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
-                raise SchemaError(f"ring {where}: bad coefficient {c!r} at {z!r}") from exc
-        return out
+        return {
+            z: parse_fraction(c, f"ring {where} coefficient at {z!r}")
+            for z, c in section(raw, where).items()
+        }
 
     def vectors(raw, where: str) -> dict[str, dict[str, Fraction]]:
         return {x: vector(vec, f"{where}.{x}") for x, vec in section(raw, where).items()}

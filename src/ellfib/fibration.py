@@ -26,7 +26,7 @@ from .errors import (
     SchemaError,
     WitnessMismatch,
 )
-from .linalg import solve_gf2, solve_integer
+from .linalg import integer_diagonalize, solve_diagonalized, solve_gf2
 from .torus import TorusPoint
 
 _BAD_LABEL_CHARS = set(",/")
@@ -160,26 +160,18 @@ class Nerve:
         return self._triple_s[key]
 
     def tetrahedra(self) -> tuple[tuple[str, str, str, str], ...]:
-        """Chart quadruples all four of whose triples are present."""
-        present = set(self.triples)
-        out = []
-        n = len(self.charts)
-        for a in range(n):
-            for b in range(a + 1, n):
-                for c in range(b + 1, n):
-                    if (self.charts[a], self.charts[b], self.charts[c]) not in present:
-                        continue
-                    for d in range(c + 1, n):
-                        quad = (self.charts[a], self.charts[b], self.charts[c], self.charts[d])
-                        faces = [
-                            (quad[0], quad[1], quad[2]),
-                            (quad[0], quad[1], quad[3]),
-                            (quad[0], quad[2], quad[3]),
-                            (quad[1], quad[2], quad[3]),
-                        ]
-                        if all(f in present for f in faces):
-                            out.append(quad)
-        return tuple(out)
+        """Chart quadruples all four of whose triples are present, sorted."""
+        thirds: dict[tuple[str, str], set[str]] = {}
+        for i, j, k in self.triples:
+            thirds.setdefault((i, j), set()).add(k)
+            thirds.setdefault((i, k), set()).add(j)
+            thirds.setdefault((j, k), set()).add(i)
+        return tuple(
+            (i, j, k, l)
+            for i, j, k in self.triples
+            for l in sorted(thirds[(i, j)] & thirds[(i, k)] & thirds[(j, k)])
+            if l > k
+        )
 
     def _key(self):
         return (
@@ -340,6 +332,9 @@ def classify_line_family(
 
 
 def _nonzero_rational(value, where: str) -> Fraction:
+    # a float or bool would load as a rational it does not state
+    if isinstance(value, (bool, float)):
+        raise SchemaError(f"gerbe scalar {where} must be exact, got {value!r}")
     q = Fraction(value)
     if q == 0:
         raise InvalidGerbe(f"zero scalar at {where}")
@@ -385,8 +380,7 @@ class GerbeData:
             self.c[key] = _nonzero_rational(value, f"c[{','.join(tri)}]")
 
         self.descriptors: dict[tuple[str, str], dict[tuple[str, str], int]] = {}
-        given = dict(descriptors or {})
-        for (i, j), exps in given.items():
+        for (i, j), exps in (descriptors or {}).items():
             key = overlap_key(i, j)
             if key not in nerve.overlaps:
                 raise SchemaError(f"descriptor on unknown overlap {key!r}")
@@ -395,7 +389,8 @@ class GerbeData:
                 gen = overlap_key(u, v)
                 if gen not in nerve.overlaps:
                     raise SchemaError(f"descriptor references unknown overlap {(u, v)!r}")
-                e = int(e)
+                if isinstance(e, bool) or not isinstance(e, int):
+                    raise SchemaError(f"descriptor exponent must be an integer, got {e!r}")
                 if gen != (u, v):
                     e = -e
                 vec[gen] = vec.get(gen, 0) + e
@@ -427,60 +422,50 @@ class GerbeData:
         return {g: -e for g, e in vec.items()} if key != (i, j) else dict(vec)
 
 
-def _descriptor_sum(*vecs) -> dict[tuple[str, str], int]:
-    out: dict[tuple[str, str], int] = {}
-    for vec in vecs:
-        for g, e in vec.items():
-            out[g] = out.get(g, 0) + e
-    return {g: e for g, e in out.items() if e}
+def _relator_rows(nerve: Nerve) -> list[list[int]]:
+    """Relator matrix R: row g_ij + g_jk - g_ik per sorted triple, columns overlaps."""
+    gen_index = {key: pos for pos, key in enumerate(nerve.overlaps)}
+    rows = []
+    for i, j, k in nerve.triples:
+        row = [0] * len(gen_index)
+        row[gen_index[(i, j)]] += 1
+        row[gen_index[(j, k)]] += 1
+        row[gen_index[(i, k)]] -= 1
+        rows.append(row)
+    return rows
 
 
 def validate_gerbe(g: GerbeData) -> None:
-    """Check descriptor conditions 3 and 4; 1 and 2 hold by encoding.
+    """Check descriptor condition 3; 1, 2 and 4 hold by encoding.
 
     Condition 3 (triviality of F_ij + F_jk + F_ki) means membership in
-    the lattice spanned by the triple relators g_ij + g_jk - g_ik, since
-    those relators are exactly the identifications the conditions impose
-    on the free group of overlap generators.
+    the row lattice of the relator matrix R, whose rows are exactly the
+    identifications the conditions impose on the free group of overlap
+    generators.  With U R V = D, t is in it exactly when t V is in the
+    row lattice of D: divisible by the diagonal, zero off it.
+
+    Condition 4 (F_ijk - F_jkl + F_kli - F_lij trivial, with F_xyz =
+    F_xy + F_yz + F_zx) telescopes to (F_ki + F_ik) - (F_lj + F_jl),
+    which is zero because F_yx is stored as -F_xy.
     """
     nerve = g.nerve
-    gens = list(nerve.overlaps)
-    gen_index = {key: pos for pos, key in enumerate(gens)}
-    relators = []
+    d, _, v = integer_diagonalize(_relator_rows(nerve))
+    gen_index = {key: pos for pos, key in enumerate(nerve.overlaps)}
+    diagonal = [d[c][c] if c < len(d) else 0 for c in range(len(v))]
     for i, j, k in nerve.triples:
-        row = [0] * len(gens)
-        row[gen_index[overlap_key(i, j)]] += 1
-        row[gen_index[overlap_key(j, k)]] += 1
-        row[gen_index[overlap_key(i, k)]] -= 1
-        relators.append(row)
-    for i, j, k in nerve.triples:
-        vec = _descriptor_sum(g.descriptor(i, j), g.descriptor(j, k), g.descriptor(k, i))
-        target = [0] * len(gens)
-        for gen, e in vec.items():
-            target[gen_index[gen]] = e
-        if not relators:
-            solvable = not any(target)
-        else:
-            # membership of target in the row span: solve relators^T x = target
-            matrix = [[relators[r][col] for r in range(len(relators))] for col in range(len(gens))]
-            solvable = solve_integer(matrix, target) is not None
-        if not solvable:
-            raise InvalidGerbe(
-                f"condition 3 violated on triple {(i, j, k)!r}: descriptor product "
-                "is not canonically trivial"
-            )
-    for i, j, k, l in nerve.tetrahedra():
-        face = lambda x, y, z: _descriptor_sum(
-            g.descriptor(x, y), g.descriptor(y, z), g.descriptor(z, x)
-        )
-        total = _descriptor_sum(
-            face(i, j, k),
-            {gen: -e for gen, e in face(j, k, l).items()},
-            face(k, l, i),
-            {gen: -e for gen, e in face(l, i, j).items()},
-        )
-        if total:
-            raise InvalidGerbe(f"condition 4 violated on tetrahedron {(i, j, k, l)!r}")
+        # t V, summed over the few nonzero entries of t = F_ij + F_jk + F_ki
+        terms = [
+            (v[gen_index[gen]], e)
+            for vec in (g.descriptor(i, j), g.descriptor(j, k), g.descriptor(k, i))
+            for gen, e in vec.items()
+        ]
+        for col, dc in enumerate(diagonal):
+            x = sum(e * row[col] for row, e in terms)
+            if x % dc if dc else x:
+                raise InvalidGerbe(
+                    f"condition 3 violated on triple {(i, j, k)!r}: descriptor "
+                    "product is not canonically trivial"
+                )
 
 
 @dataclass(frozen=True)
@@ -493,38 +478,32 @@ class GerbeReport:
 
 
 def _prime_valuations(q: Fraction) -> dict[int, int]:
-    vals: dict[int, int] = {}
-    for p, e in sympy.factorint(q.numerator if q > 0 else -q.numerator).items():
-        vals[int(p)] = int(e)
-    for p, e in sympy.factorint(q.denominator).items():
-        vals[int(p)] = vals.get(int(p), 0) - int(e)
-    return {p: e for p, e in vals.items() if e}
+    # numerator and denominator are coprime, so no prime appears in both
+    vals = {int(p): int(e) for p, e in sympy.factorint(abs(q.numerator)).items()}
+    vals.update((int(p), -int(e)) for p, e in sympy.factorint(q.denominator).items())
+    return vals
 
 
 def _coboundary_witness(
     nerve: Nerve, alpha: dict[tuple[str, str, str], Fraction]
 ) -> dict[tuple[str, str], Fraction] | None:
-    """Solve alpha = (delta beta) in nonzero rationals, prime by prime."""
-    gens = list(nerve.overlaps)
-    gen_index = {key: pos for pos, key in enumerate(gens)}
-    rows = []
-    for i, j, k in nerve.triples:
-        row = [0] * len(gens)
-        row[gen_index[overlap_key(i, j)]] += 1
-        row[gen_index[overlap_key(j, k)]] += 1
-        row[gen_index[overlap_key(i, k)]] -= 1
-        rows.append(row)
-    order = list(nerve.triples)
-    primes = sorted({p for q in alpha.values() for p in _prime_valuations(q)})
+    """Solve alpha = (delta beta) in nonzero rationals, prime by prime.
+
+    Each alpha is factored once; one diagonal form of R serves every prime.
+    """
+    gens = nerve.overlaps
+    rows = _relator_rows(nerve)
+    valuations = [_prime_valuations(alpha[tri]) for tri in nerve.triples]
+    primes = sorted({p for vals in valuations for p in vals})
+    form = integer_diagonalize(rows)
     exponents: dict[tuple[str, str], Fraction] = {key: Fraction(1) for key in gens}
     for p in primes:
-        rhs = [_prime_valuations(alpha[tri]).get(p, 0) for tri in order]
-        sol = solve_integer(rows, rhs)
+        sol = solve_diagonalized(form, [vals.get(p, 0) for vals in valuations])
         if sol is None:
             return None
         for key, e in zip(gens, sol):
             exponents[key] *= Fraction(p) ** e
-    sign_rhs = [0 if alpha[tri] > 0 else 1 for tri in order]
+    sign_rhs = [0 if alpha[tri] > 0 else 1 for tri in nerve.triples]
     sign_sol = solve_gf2(rows, sign_rhs)
     if sign_sol is None:
         return None

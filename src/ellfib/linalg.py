@@ -140,10 +140,13 @@ def integer_diagonalize(matrix) -> tuple[list[list[int]], list[list[int]], list[
     while t < m and t < n:
         mi, mj, best = -1, -1, 0
         for i in range(t, m):
+            row = a[i]
             for j in range(t, n):
-                x = abs(a[i][j])
+                x = abs(row[j])
                 if x and (best == 0 or x < best):
                     mi, mj, best = i, j, x
+            if best == 1:
+                break  # a later entry cannot be smaller, so the pivot is final
         if best == 0:
             break
         swap_rows(t, mi)
@@ -167,22 +170,31 @@ def integer_diagonalize(matrix) -> tuple[list[list[int]], list[list[int]], list[
     return a, u, v
 
 
-def solve_integer(matrix, rhs) -> list[int] | None:
-    """One integer solution of A x = b, or None if no integral solution."""
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    d, u, v = integer_diagonalize(matrix)
-    c = [sum(u[i][k] * int(rhs[k]) for k in range(m)) for i in range(m)]
+def solve_diagonalized(form, rhs) -> list[int] | None:
+    """Solve A x = b over the integers from (D, U, V) with U A V = D.
+
+    x = V y where D y = U b, free coordinates 0; one form serves any b.
+    """
+    d, u, v = form
+    n = len(v)
+    b = [(k, int(x)) for k, x in enumerate(rhs) if x]
+    c = [sum(row[k] * x for k, x in b) for row in u]
     y = [0] * n
-    for i in range(m):
+    for i, ci in enumerate(c):
         dii = d[i][i] if i < n else 0
         if dii:
-            if c[i] % dii:
+            if ci % dii:
                 return None
-            y[i] = c[i] // dii
-        elif c[i]:
+            y[i] = ci // dii
+        elif ci:
             return None
-    return [sum(v[i][k] * y[k] for k in range(n)) for i in range(n)]
+    ys = [(k, yk) for k, yk in enumerate(y) if yk]
+    return [sum(row[k] * yk for k, yk in ys) for row in v]
+
+
+def solve_integer(matrix, rhs) -> list[int] | None:
+    """One integer solution of A x = b, or None if no integral solution."""
+    return solve_diagonalized(integer_diagonalize(matrix), rhs)
 
 
 def solve_gf2(matrix, rhs) -> list[int] | None:

@@ -10,6 +10,7 @@ trailing newline) so identical values always serialize byte-identically.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .bundles import AtiyahBundle, make_bundle
@@ -54,17 +55,21 @@ def _any_dict(obj, what: str) -> dict:
     return obj
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_fraction(value, what: str = "rational") -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise SchemaError(f"{what} must be a string rational, got {value!r}")
-    if isinstance(value, int):
+    """An int, or a string [+-]digits[/digits]: no exponent can build a huge int."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"{what}: bad rational {value!r}") from exc
-    raise SchemaError(f"{what} must be a string rational, got {value!r}")
+    if not isinstance(value, str):
+        raise SchemaError(f"{what} must be a string rational, got {value!r}")
+    try:
+        if _RATIONAL.fullmatch(value):
+            return Fraction(value)  # past 4300 digits int() raises ValueError
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise SchemaError(f"{what}: bad rational {value!r}")
 
 
 def fraction_json(q: Fraction) -> str:

@@ -4,8 +4,11 @@ import contextlib
 import copy
 import io
 import json
+import re
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -28,6 +31,10 @@ from ellfib.serialize import (
 from ellfib.spectral import BundleFamily, make_cycle
 from ellfib.torus import ORIGIN, TorusPoint
 from ellfib.transform import make_skyscraper
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+import gen  # noqa: E402  (perfbench/gen.py: seeded documents, read only)
 
 
 def pt(u, v=0):
@@ -439,6 +446,16 @@ def test_invariants_rejects_bad_vectors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("entry", ["1e3", "1.5", "1/0"])
+def test_invariants_rejects_non_grammar_entries(capsys, entry):
+    code, out, err = run(
+        capsys, "invariants", "--preset", "kodaira", "--a", f"{entry},0,0,0", "--b", "0"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --a: bad rational") and err.count("\n") == 1
+
+
 def test_invariants_rejects_nonzero_conjugate_part_without_synthetic(capsys):
     code, _, err = run(
         capsys, "invariants", "--preset", "kodaira", "--a", "0", "--b", "0,0,0,1"
@@ -492,7 +509,11 @@ def test_validate_ring_rejects_malformed_sections(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("coeff", [0.1, True], ids=["float", "bool"])
+@pytest.mark.parametrize(
+    "coeff",
+    [0.1, True, "1e3", "1.5", " 2", "1e10000000"],
+    ids=["float", "bool", "exponent", "decimal", "space", "huge-exponent"],
+)
 def test_invariants_rejects_inexact_ring_coefficient(tmp_path, capsys, coeff):
     payload = ring_to_dict(load_preset("kodaira"))
     x = min(payload["products"])
@@ -500,9 +521,11 @@ def test_invariants_rejects_inexact_ring_coefficient(tmp_path, capsys, coeff):
     z = min(payload["products"][x][y])
     payload["products"][x][y][z] = coeff
     path = write(tmp_path, "inexact.json", payload)
+    start = time.perf_counter()
     code, out, err = run(
         capsys, "invariants", "--preset", f"file:{path}", "--a", "0", "--b", "0"
     )
+    assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -514,6 +537,8 @@ def test_invariants_rejects_inexact_ring_coefficient(tmp_path, capsys, coeff):
 
 KODAIRA_DOC = ring_to_dict(load_preset("kodaira"))
 JUNK = [None, True, 0, 1.5, "x", "", [], [1, 2], {}, {"x": 1}]
+# a fresh copy per draw, so that no mutation reaches JUNK itself
+FRESH_JUNK = st.sampled_from(JUNK).map(copy.deepcopy)
 BAD_LABELS = [1, None, "", [], {}, 2.5, True, "F1"]
 BAD_COEFFS = [
     0.1, 1.0, True, False, None, [], {}, "abc", "1/0", "",
@@ -555,7 +580,7 @@ def _mutate(data, doc):
             if kind == "delete":
                 del parent[path[-1]]
             else:
-                parent[path[-1]] = data.draw(st.sampled_from(JUNK))
+                parent[path[-1]] = data.draw(FRESH_JUNK)
     elif kind == "label":
         bases = _walk(doc, data.draw(st.sampled_from([("bigraded",), ("derham", "basis")])))
         labels = _walk(bases, [_pick(data, bases)])
@@ -606,6 +631,126 @@ def test_mutated_ring_files_exit_cleanly(tmp_path_factory, data):
         assert "Traceback" not in err
         if code == 2:
             assert out == "" and err.startswith("error: ")
+
+
+# -- mutated --in documents ------------------------------------------------
+
+
+KODAIRA_TEXT = (ROOT / "src/ellfib/cohomology/presets/kodaira.json").read_text()
+# every operation of the benchmark's cli mix that reads a document; seeds
+# 0-3 cover each verb's exit-0 and exit-1 inputs and the file: ring
+DOC_OPS = [
+    op
+    for seed in range(4)
+    for unit in gen.cli_inputs(seed, KODAIRA_TEXT)[: len(gen.CLI_VERBS)]
+    for op in unit
+    if op["doc"] is not None
+]
+RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+NON_GRAMMAR = ["1e3", "-2e-1", "1.5", "2.", " 2", "1e10000000", "1/-2", "+", ""]
+BAD_NAMES = ["zz", "zz,yy", "zz/s", "", "v0x0,v0x0"]
+
+
+def _nodes(node, path=()):
+    """(path, value) for every node below node, depth first."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        items = []
+    for key, child in items:
+        yield path + (key,), child
+        yield from _nodes(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _descriptor_exponents(data, doc):
+    gerbe, nerve = doc.get("gerbe"), doc.get("nerve")
+    overlaps = nerve.get("overlaps") if isinstance(nerve, dict) else None
+    if not isinstance(gerbe, dict) or not isinstance(overlaps, list):
+        return
+    # both orientations of every overlap the (possibly mutated) nerve lists
+    keys = [
+        ",".join(map(str, o[::step]))
+        for o in overlaps if isinstance(o, list) for step in (1, -1)
+    ]
+    if not keys:
+        return
+    pair = st.sampled_from(keys)
+    exponent = st.one_of(st.integers(-3, 3), FRESH_JUNK, st.sampled_from(["1", 10**30]))
+    gerbe["descriptors"] = data.draw(
+        st.dictionaries(pair, st.dictionaries(pair, exponent, max_size=3), max_size=3)
+    )
+
+
+def _mutate_document(data, doc):
+    kind = data.draw(st.sampled_from(
+        ["delete", "retype", "rational", "zero-denominator", "arity", "label", "key",
+         "descriptor"]
+    ))
+    if kind == "descriptor":
+        _descriptor_exponents(data, doc)
+        return
+    rational = lambda v: isinstance(v, str) and RATIONAL_TEXT.fullmatch(v)
+    wanted = {
+        "delete": lambda path, v: isinstance(_at(doc, path[:-1]), dict),
+        "retype": lambda path, v: True,
+        "rational": lambda path, v: rational(v),
+        "zero-denominator": lambda path, v: rational(v),
+        "arity": lambda path, v: (
+            isinstance(v, list) and path[-2:-1] in (("overlaps",), ("triples",))
+        ),
+        "label": lambda path, v: isinstance(v, str) and not rational(v),
+        "key": lambda path, v: isinstance(v, dict) and v,
+    }[kind]
+    choices = [path for path, value in _nodes(doc) if wanted(path, value)]
+    if not choices:
+        return
+    path = data.draw(st.sampled_from(choices))
+    parent, key = _at(doc, path[:-1]), path[-1]
+    value = parent[key]
+    if kind == "delete":
+        del parent[key]
+    elif kind == "retype":
+        parent[key] = data.draw(FRESH_JUNK)
+    elif kind == "rational":
+        parent[key] = data.draw(st.sampled_from(NON_GRAMMAR))
+    elif kind == "zero-denominator":
+        parent[key] = value.partition("/")[0] + "/0"
+    elif kind == "arity":
+        parent[key] = data.draw(st.sampled_from([value[:-1], value + value[:1], value + ["zz"]]))
+    elif kind == "label":
+        parent[key] = data.draw(st.sampled_from(BAD_NAMES))
+    else:
+        old = data.draw(st.sampled_from(sorted(value, key=str)))
+        value[data.draw(st.sampled_from(BAD_NAMES))] = value.pop(old)
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(data=st.data())
+def test_mutated_documents_exit_cleanly_on_every_verb(tmp_path_factory, data):
+    op = data.draw(st.sampled_from(DOC_OPS))
+    doc = copy.deepcopy(op["doc"])
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate_document(data, doc)
+    path = tmp_path_factory.mktemp("doc") / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = [arg.replace("{doc}", str(path)) for arg in op["args"]]
+    start = time.perf_counter()
+    code, out, err = _run_quietly(argv)
+    assert time.perf_counter() - start < 5.0, argv[0]
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 # -- plumbing --------------------------------------------------------------

@@ -1,11 +1,17 @@
 """Nerve validation, translation cocycles, gluing, and gerbe obstructions."""
 
+import itertools
 import random
+import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ellfib import fibration
+from ellfib import fibration, linalg
 from ellfib.errors import (
     IncompatibleFamily,
     InvalidGerbe,
@@ -25,7 +31,11 @@ from ellfib.fibration import (
     triple_key,
     validate_gerbe,
 )
+from ellfib.linalg import solve_integer
 from ellfib.torus import ORIGIN, TorusPoint
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402  (perfbench/gen.py: grid nerve shapes, read only)
 
 
 def pt(u, v=0) -> TorusPoint:
@@ -45,15 +55,7 @@ def cycle_nerve(samples=("s",)) -> Nerve:
     )
 
 
-def tetra_nerve() -> Nerve:
-    charts = ["c1", "c2", "c3", "c4"]
-    pairs = [(a, b) for i, a in enumerate(charts) for b in charts[i + 1 :]]
-    tris = [
-        (a, b, c)
-        for i, a in enumerate(charts)
-        for j, b in enumerate(charts[i + 1 :], i + 1)
-        for c in charts[j + 1 :]
-    ]
+def one_sample_nerve(charts, pairs, tris) -> Nerve:
     return Nerve(
         charts,
         pairs,
@@ -62,6 +64,20 @@ def tetra_nerve() -> Nerve:
         overlap_samples={p: ["s"] for p in pairs},
         triple_samples={t: ["s"] for t in tris},
     )
+
+
+def complete_nerve(charts) -> Nerve:
+    pairs, tris = (list(itertools.combinations(charts, r)) for r in (2, 3))
+    return one_sample_nerve(charts, pairs, tris)
+
+
+def tetra_nerve() -> Nerve:
+    return complete_nerve(["c1", "c2", "c3", "c4"])
+
+
+def grid_nerve(k: int, periodic: bool) -> Nerve:
+    """Triangulated k x k grid: a disc, or a torus when periodic."""
+    return one_sample_nerve(*gen.grid_complex(k, periodic))
 
 
 # -- nerve validation ------------------------------------------------------
@@ -155,6 +171,30 @@ def test_single_chart_constructor():
 def test_tetrahedra_enumeration():
     assert cycle_nerve().tetrahedra() == ()
     assert tetra_nerve().tetrahedra() == ((("c1", "c2", "c3", "c4"),))[0:1]
+
+
+def brute_force_tetrahedra(nerve: Nerve):
+    present = set(nerve.triples)
+    return tuple(
+        quad
+        for quad in itertools.combinations(nerve.charts, 4)
+        if all(face in present for face in itertools.combinations(quad, 3))
+    )
+
+
+def test_tetrahedra_match_brute_force_on_random_nerves():
+    rng = random.Random(47)
+    for _ in range(200):
+        charts = [f"c{i}" for i in range(rng.randint(1, 7))]
+        pairs = [p for p in itertools.combinations(charts, 2) if rng.random() < 0.8]
+        present = set(pairs)
+        tris = [
+            t
+            for t in itertools.combinations(charts, 3)
+            if all(p in present for p in itertools.combinations(t, 2)) and rng.random() < 0.8
+        ]
+        nerve = one_sample_nerve(charts, pairs, tris)
+        assert nerve.tetrahedra() == brute_force_tetrahedra(nerve)
 
 
 def test_nerve_equality_and_hash():
@@ -358,6 +398,22 @@ def test_gerbe_rejects_bad_scalars():
         )
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"a": {("c1", "c2"): 0.1}},
+        {"c": {("c1", "c2", "c3"): True}},
+        {"descriptors": {("c1", "c2"): {("c1", "c2"): 1.5}}},
+        {"descriptors": {("c1", "c2"): {("c1", "c2"): True}}},
+    ],
+    ids=["float-scalar", "bool-scalar", "float-exponent", "bool-exponent"],
+)
+def test_gerbe_refuses_float_and_bool_values(kwargs):
+    # a float loads as the binary fraction nearest it; int() truncates 1.5
+    with pytest.raises(SchemaError):
+        GerbeData(cycle_nerve(), **kwargs)
+
+
 def test_gerbe_descriptor_defaults_and_orientation():
     nerve = cycle_nerve()
     g = GerbeData(nerve)
@@ -406,6 +462,91 @@ def test_descriptor_condition_three():
 
 def test_descriptor_condition_four_holds_on_tetrahedra():
     validate_gerbe(GerbeData(tetra_nerve()))
+
+
+LATTICE_NERVES = [
+    complete_nerve(["c1", "c2", "c3", "c4"]),
+    complete_nerve(["c1", "c2", "c3", "c4", "c5"]),
+    grid_nerve(3, periodic=False),
+    grid_nerve(3, periodic=True),
+]
+
+
+@st.composite
+def descriptor_sets(draw, nerves=LATTICE_NERVES):
+    """A nerve and random descriptors, half of them shifted by relators.
+
+    A descriptor g_ij plus a combination of triple relators keeps
+    condition 3; an arbitrary exponent vector usually breaks it.  Keys
+    and generators come in either orientation.
+    """
+    nerve = draw(st.sampled_from(nerves))
+    overlap = st.sampled_from(nerve.overlaps)
+    descriptors = {}
+    for key in draw(st.lists(overlap, max_size=4, unique=True)):
+        if draw(st.booleans()):
+            vec = {key: 1}
+            for i, j, k in draw(st.lists(st.sampled_from(nerve.triples), min_size=1, max_size=3)):
+                sign = draw(st.sampled_from((-1, 1)))
+                for gen, e in (((i, j), sign), ((j, k), sign), ((i, k), -sign)):
+                    vec[gen] = vec.get(gen, 0) + e
+        else:
+            vec = draw(st.dictionaries(overlap, st.integers(-3, 3), max_size=3))
+        if draw(st.booleans()):
+            key = key[::-1]
+            vec = {gen[::-1]: e for gen, e in vec.items()}
+        descriptors[key] = vec
+    return GerbeData(nerve, descriptors=descriptors)
+
+
+def first_condition_three_failure(g: GerbeData):
+    """Reference: solve R^T x = t over the integers for each triple target t."""
+    gens = list(g.nerve.overlaps)
+    relators = []
+    for i, j, k in g.nerve.triples:
+        row = [0] * len(gens)
+        row[gens.index((i, j))] += 1
+        row[gens.index((j, k))] += 1
+        row[gens.index((i, k))] -= 1
+        relators.append(row)
+    transpose = [list(col) for col in zip(*relators)]
+    for i, j, k in g.nerve.triples:
+        target = [0] * len(gens)
+        for vec in (g.descriptor(i, j), g.descriptor(j, k), g.descriptor(k, i)):
+            for gen, e in vec.items():
+                target[gens.index(gen)] += e
+        if solve_integer(transpose, target) is None:
+            return (i, j, k)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(descriptor_sets())
+def test_condition_three_matches_a_transposed_integer_solve(g):
+    failing = first_condition_three_failure(g)
+    if failing is None:
+        validate_gerbe(g)
+    else:
+        with pytest.raises(InvalidGerbe, match=re.escape(f"triple {failing!r}")):
+            validate_gerbe(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(descriptor_sets(nerves=[complete_nerve(["c1", "c2", "c3", "c4", "c5"])]))
+def test_condition_four_face_sum_vanishes_by_encoding(g):
+    # the identity that lets validate_gerbe skip condition 4
+    def face(x, y, z):
+        return [g.descriptor(x, y), g.descriptor(y, z), g.descriptor(z, x)]
+
+    for i, j, k, l in g.nerve.tetrahedra():
+        total = {}
+        for sign, vecs in (
+            (1, face(i, j, k)), (-1, face(j, k, l)), (1, face(k, l, i)), (-1, face(l, i, j))
+        ):
+            for vec in vecs:
+                for gen, e in vec.items():
+                    total[gen] = total.get(gen, 0) + sign * e
+        assert not any(total.values()), (i, j, k, l)
 
 
 def rand_scalar(rng) -> Fraction:
@@ -499,6 +640,28 @@ def test_single_triple_gerbes_always_glue():
     nerve = cycle_nerve()
     report = gerbe_alpha(nerve, GerbeData(nerve, c={("c1", "c2", "c3"): 2}))
     assert report.gluable
+
+
+def test_gerbe_alpha_diagonalizes_the_relators_at_most_twice(monkeypatch):
+    nerve = grid_nerve(4, periodic=False)
+    rng = random.Random(53)
+    primes = (2, 3, 5, 7, 11, 13)
+    a = {key: Fraction(rng.choice(primes), rng.choice(primes)) for key in nerve.overlaps}
+    calls = []
+    original = linalg.integer_diagonalize
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return original(matrix)
+
+    for module in (linalg, fibration):
+        if hasattr(module, "integer_diagonalize"):
+            monkeypatch.setattr(module, "integer_diagonalize", counted)
+    report = gerbe_alpha(nerve, GerbeData(nerve, a))
+    assert report.gluable
+    seen = {p for _, q in report.alpha for p in primes if (q.numerator * q.denominator) % p == 0}
+    assert len(seen) >= 4
+    assert len(calls) <= 2
 
 
 def test_gerbe_alpha_rejects_foreign_nerve():

@@ -194,7 +194,11 @@ def test_fraction_strings_are_lowest_terms():
     assert parse_fraction(2) == Fraction(2)
 
 
-@pytest.mark.parametrize("bad", [1.5, True, False, "1/0", "x", None, [1]])
+@pytest.mark.parametrize(
+    "bad",
+    [1.5, True, False, "1/0", "x", None, [1], "1e3", pytest.param("1.5", id="decimal"),
+     " 2", "1e10000000", "1/-2"],
+)
 def test_fraction_rejects_non_rationals(bad):
     with pytest.raises(SchemaError):
         parse_fraction(bad)
