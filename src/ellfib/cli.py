@@ -21,6 +21,7 @@ from .cohomology.ring import PRESET_NAMES, load_preset, ring_from_dict, ring_val
 from .errors import DomainError, SchemaError
 from .fibration import Nerve, check_cocycle, classify_line_family, coboundary_solve, gerbe_alpha
 from .serialize import (
+    _require_dict,
     bundle_json,
     canonical_json,
     cocycle_report_json,
@@ -59,18 +60,6 @@ def _load(path: str):
 
 def _emit(payload) -> None:
     sys.stdout.write(canonical_json(payload))
-
-
-def _doc_keys(doc, required: set[str], optional: set[str] = frozenset()) -> dict:
-    if not isinstance(doc, dict):
-        raise SchemaError("input must be a JSON object")
-    missing = required - set(doc)
-    if missing:
-        raise SchemaError(f"input missing keys {sorted(missing)}")
-    unknown = set(doc) - required - optional
-    if unknown:
-        raise SchemaError(f"input has unknown keys {sorted(unknown)}")
-    return doc
 
 
 def cmd_fm(args) -> int:
@@ -114,7 +103,7 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_cocycle_check(args) -> int:
-    doc = _doc_keys(_load(args.infile), {"nerve", "cocycle"})
+    doc = _require_dict(_load(args.infile), "input", {"nerve", "cocycle"})
     nerve = parse_nerve(doc["nerve"])
     report = check_cocycle(nerve, parse_cocycle(doc["cocycle"]))
     _emit(cocycle_report_json(report))
@@ -122,7 +111,7 @@ def cmd_cocycle_check(args) -> int:
 
 
 def cmd_coboundary(args) -> int:
-    doc = _doc_keys(_load(args.infile), {"nerve", "cocycle"})
+    doc = _require_dict(_load(args.infile), "input", {"nerve", "cocycle"})
     nerve = parse_nerve(doc["nerve"])
     mu = coboundary_solve(nerve, parse_cocycle(doc["cocycle"]))
     _emit(mu_json(mu))
@@ -130,7 +119,7 @@ def cmd_coboundary(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    doc = _doc_keys(_load(args.infile), {"nerve", "cocycle", "local"})
+    doc = _require_dict(_load(args.infile), "input", {"nerve", "cocycle", "local"})
     nerve = parse_nerve(doc["nerve"])
     cocycle = parse_cocycle(doc["cocycle"])
     local = parse_chart_sample_map(doc["local"], "local", parse_point)
@@ -139,7 +128,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_gerbe(args) -> int:
-    doc = _doc_keys(_load(args.infile), {"nerve", "gerbe"})
+    doc = _require_dict(_load(args.infile), "input", {"nerve", "gerbe"})
     nerve = parse_nerve(doc["nerve"])
     report = gerbe_alpha(nerve, parse_gerbe(doc["gerbe"], nerve))
     _emit(gerbe_report_json(report))

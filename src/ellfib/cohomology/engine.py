@@ -33,6 +33,7 @@ from typing import Sequence
 
 from ..errors import InvalidClass, SchemaError
 from ..linalg import exact_rank
+from ..torus import parse_fraction
 from .fields import GENERIC_MODE, CoefficientMode
 from .ring import BIDEGREES, BigradedRing
 
@@ -59,7 +60,7 @@ class EtaClass:
 
 def _split_h2(ring: BigradedRing, vec) -> tuple[list, list, list]:
     sizes = [ring.dim(2, 0), ring.dim(1, 1), ring.dim(0, 2)]
-    values = [Fraction(x) for x in vec]
+    values = [parse_fraction(x, "H^2 coordinate") for x in vec]
     if len(values) != sum(sizes):
         raise SchemaError(
             f"H^2 vector needs {sum(sizes)} coordinates "
@@ -184,8 +185,8 @@ class _TotalPage:
 
     def __init__(self, ring: BigradedRing, a, b):
         self.ring = ring
-        self.a_dr = ring.to_derham(2, [Fraction(x) for x in a])
-        self.b_dr = ring.to_derham(2, [Fraction(x) for x in b])
+        self.a_dr = ring.to_derham(2, list(a))
+        self.b_dr = ring.to_derham(2, list(b))
         # (s, t) -> rank of the map leaving H^s(base) x H^t(fiber)
         self.rank: dict[tuple[int, int], int] = {}
         for s in range(5):
@@ -219,8 +220,9 @@ class _Page:
                 ("02", (0, 2), eta.etabar02, 1),
                 ("-02", (0, 2), eta.etabar02, -1),
             ):
-                data, _ = ring.mult_matrix(source, w_block, w_coeffs, mode.embed, sign)
-                self.blocks[source, kind] = data
+                self.blocks[source, kind] = ring.mult_matrix(
+                    source, w_block, w_coeffs, mode.embed, sign
+                )
         # (P, Q, t) -> checked rank of the differential leaving the cell:
         # t = 1 maps onto H^{P,Q+1}, t = 2 from H^{P-1,Q-1} onto H^{P,Q} + H^{P-1,Q+1}
         self.cells: dict[tuple[int, int, int], tuple[int, tuple]] = {}

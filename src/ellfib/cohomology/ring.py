@@ -7,6 +7,13 @@ sending (p,q) coordinates to (q,p) coordinates, a separate total-degree
 bigraded coordinates onto the de Rham basis.  Construction validates
 shape only; ring_validate reports the mathematical laws.
 
+Both towers share one core.  One label loader reads the bigraded and
+the de Rham basis; one vector loader reads both product tables, the
+conjugation and the identification, every coefficient through
+parse_fraction.  One sparse contraction builds every matrix
+(mult_matrix, dr_mult_matrix, to_derham and the validation matrices)
+by walking only the nonzero table entries.
+
 The conjugation is validated in a one-sided form: dimensions h^{p,q} and
 h^{q,p} may differ (non-Kahler bases), so the map is required to have
 rank min(h^{p,q}, h^{q,p}) and to restrict to an inverse pair on the
@@ -23,7 +30,7 @@ from typing import Mapping
 
 from ..errors import SchemaError
 from ..linalg import exact_rank
-from ..serialize import parse_fraction
+from ..torus import parse_fraction
 
 BIDEGREES = [(p, q) for p in range(3) for q in range(3)]
 
@@ -31,6 +38,69 @@ BIDEGREES = [(p, q) for p in range(3) for q in range(3)]
 def degree_blocks(k: int) -> list[tuple[int, int]]:
     """Bidegrees of total degree k, highest p first (the declared order)."""
     return [(p, k - p) for p in range(min(k, 2), -1, -1) if 0 <= k - p <= 2]
+
+
+def _load_labels(raw: Mapping, degrees, what: str, unit: str) -> tuple[dict, dict]:
+    """Labels per degree (every degree present), and the degree of each label."""
+    extra = set(raw) - set(degrees)
+    if extra:
+        raise SchemaError(f"{what} basis given at out-of-range {unit} {sorted(extra)}")
+    by_degree, degree_of = {}, {}
+    for deg in degrees:
+        by_degree[deg] = tuple(raw.get(deg, ()))
+        for label in by_degree[deg]:
+            if not isinstance(label, str) or not label:
+                raise SchemaError(f"bad {what} label {label!r} at {deg}")
+            if label in degree_of:
+                raise SchemaError(f"duplicate {what} label {label!r}")
+            degree_of[label] = deg
+    return by_degree, degree_of
+
+
+def _load_vectors(raw: Mapping, where: str, target_of, out_degree: Mapping) -> dict:
+    """Each vector of raw, its coefficients read by parse_fraction and zeros dropped.
+
+    target_of(key) is the degree every output label of key's vector must
+    have, or None for a product beyond the top degree, whose vector must
+    vanish; it raises KeyError when key names an unknown label.
+    """
+    table = {}
+    for key, vec in raw.items():
+        name = f"{where} of {key!r}"
+        try:
+            target = target_of(key)
+        except KeyError:
+            raise SchemaError(f"{name} references an unknown label") from None
+        out = {}
+        for z, coeff in vec.items():
+            coeff = parse_fraction(coeff, f"{name} coefficient at {z!r}")
+            if target is None:
+                if coeff:
+                    raise SchemaError(f"{name} exceeds the top degree")
+            elif out_degree.get(z) != target:
+                raise SchemaError(f"{name} must land in degree {target}, not at {z!r}")
+            if coeff:
+                out[z] = coeff
+        table[key] = out
+    return table
+
+
+def _contract(rows, columns, zero) -> list[list]:
+    """The matrix whose column j sums value * vec over the (value, vec) of columns[j].
+
+    Each vec maps row labels to coefficients, and only its entries are
+    walked; a value that tests false (a zero Fraction) adds nothing.
+    Every entry sums its terms in the order columns[j] lists them.
+    """
+    at = {label: i for i, label in enumerate(rows)}
+    matrix = [[zero] * len(columns) for _ in rows]
+    for j, terms in enumerate(columns):
+        for value, vec in terms:
+            if value:
+                for out, coeff in vec.items():
+                    row = matrix[at[out]]
+                    row[j] = row[j] + value * coeff
+    return matrix
 
 
 class BigradedRing:
@@ -57,102 +127,24 @@ class BigradedRing:
         ident: Mapping[str, Mapping[str, Fraction]],
     ):
         self.name = str(name)
-        self.basis = {}
-        self._degree_of: dict[str, tuple[int, int]] = {}
-        for pq in BIDEGREES:
-            labels = tuple(basis.get(pq, ()))
-            for label in labels:
-                if not isinstance(label, str) or not label:
-                    raise SchemaError(f"bad basis label {label!r} at {pq}")
-                if label in self._degree_of:
-                    raise SchemaError(f"duplicate basis label {label!r}")
-                self._degree_of[label] = pq
-            self.basis[pq] = labels
-        extra = set(basis) - set(BIDEGREES)
-        if extra:
-            raise SchemaError(f"basis given at out-of-range bidegrees {sorted(extra)}")
+        self.basis, self._degree_of = _load_labels(basis, BIDEGREES, "bigraded", "bidegrees")
+        self.dr_basis, self._dr_degree_of = _load_labels(dr_basis, range(5), "de Rham", "degrees")
+        deg, dr_deg = self._degree_of, self._dr_degree_of
 
-        self.dr_basis = {}
-        self._dr_degree_of: dict[str, int] = {}
-        for k in range(5):
-            labels = tuple(dr_basis.get(k, ()))
-            for label in labels:
-                if not isinstance(label, str) or not label:
-                    raise SchemaError(f"bad de Rham label {label!r} in degree {k}")
-                if label in self._dr_degree_of:
-                    raise SchemaError(f"duplicate de Rham label {label!r}")
-                self._dr_degree_of[label] = k
-            self.dr_basis[k] = labels
-        extra = set(dr_basis) - set(range(5))
-        if extra:
-            raise SchemaError(f"de Rham basis at out-of-range degrees {sorted(extra)}")
+        def add_pq(key):
+            (p1, q1), (p2, q2) = deg[key[0]], deg[key[1]]
+            return (p1 + p2, q1 + q2) if p1 + p2 <= 2 and q1 + q2 <= 2 else None
 
-        def clean_table(raw, degree_of, where, add):
-            table = {}
-            for (x, y), vec in raw.items():
-                if x not in degree_of or y not in degree_of:
-                    raise SchemaError(f"{where} product references unknown labels {x!r}, {y!r}")
-                target = add(degree_of[x], degree_of[y])
-                if target is None:
-                    if any(Fraction(c) for c in vec.values()):
-                        raise SchemaError(f"{where} product {x!r}*{y!r} exceeds top degree")
-                    table[(x, y)] = {}
-                    continue
-                out = {}
-                for z, coeff in vec.items():
-                    if z not in degree_of:
-                        raise SchemaError(f"{where} product output {z!r} unknown")
-                    if degree_of[z] != target:
-                        raise SchemaError(
-                            f"{where} product {x!r}*{y!r} output {z!r} has wrong degree"
-                        )
-                    coeff = Fraction(coeff)
-                    if coeff:
-                        out[z] = coeff
-                table[(x, y)] = out
-            return table
-
-        def add_pq(d1, d2):
-            p, q = d1[0] + d2[0], d1[1] + d2[1]
-            return (p, q) if p <= 2 and q <= 2 else None
-
-        def add_k(k1, k2):
-            k = k1 + k2
+        def add_k(key):
+            k = dr_deg[key[0]] + dr_deg[key[1]]
             return k if k <= 4 else None
 
-        self.products = clean_table(products, self._degree_of, "bigraded", add_pq)
-        self.dr_products = clean_table(dr_products, self._dr_degree_of, "de Rham", add_k)
-
-        self.conj = {}
-        for x, vec in conj.items():
-            if x not in self._degree_of:
-                raise SchemaError(f"conjugation of unknown label {x!r}")
-            p, q = self._degree_of[x]
-            out = {}
-            for z, coeff in vec.items():
-                if z not in self._degree_of or self._degree_of[z] != (q, p):
-                    raise SchemaError(f"conjugation of {x!r} must land in {(q, p)}")
-                coeff = Fraction(coeff)
-                if coeff:
-                    out[z] = coeff
-            self.conj[x] = out
-        for label, pq in self._degree_of.items():
+        self.products = _load_vectors(products, "bigraded product", add_pq, deg)
+        self.dr_products = _load_vectors(dr_products, "de Rham product", add_k, dr_deg)
+        self.conj = _load_vectors(conj, "conjugation", lambda x: deg[x][::-1], deg)
+        self.ident = _load_vectors(ident, "identification", lambda x: sum(deg[x]), dr_deg)
+        for label in deg:
             self.conj.setdefault(label, {})
-
-        self.ident = {}
-        for x, vec in ident.items():
-            if x not in self._degree_of:
-                raise SchemaError(f"identification of unknown label {x!r}")
-            k = sum(self._degree_of[x])
-            out = {}
-            for z, coeff in vec.items():
-                if z not in self._dr_degree_of or self._dr_degree_of[z] != k:
-                    raise SchemaError(f"identification of {x!r} must land in degree {k}")
-                coeff = Fraction(coeff)
-                if coeff:
-                    out[z] = coeff
-            self.ident[x] = out
-        for label in self._degree_of:
             self.ident.setdefault(label, {})
 
     # -- basis bookkeeping -------------------------------------------------
@@ -185,64 +177,36 @@ class BigradedRing:
         return self.dr_products.get((x, y), {})
 
     def mult_matrix(self, source: tuple[int, int], w_block: tuple[int, int], w_coeffs, embed, sign=1):
-        """Field matrix of x -> x cup w from H^source, w given on w_block.
+        """Field matrix of x -> sign * (x cup w) from H^source, w given on w_block.
 
         Rows index the target-block basis; a target outside the bidegree
         square is the zero space (a 0-row matrix).
         """
         p, q = source[0] + w_block[0], source[1] + w_block[1]
-        cols = self.labels(*source)
-        w_labels = self.labels(*w_block)
         if p > 2 or q > 2:
-            return [], cols
-        rows = self.labels(p, q)
-        zero = embed(Fraction(0))
-        matrix = []
-        for out in rows:
-            row = []
-            for x in cols:
-                total = zero
-                for w_label, w_val in zip(w_labels, w_coeffs):
-                    coeff = self.cup(x, w_label).get(out)
-                    if coeff:
-                        total = total + (w_val * (sign * coeff))
-                row.append(total)
-            matrix.append(row)
-        return matrix, cols
+            return []
+        w = [(sign * value, y) for value, y in zip(w_coeffs, self.labels(*w_block))]
+        columns = [[(value, self.cup(x, y)) for value, y in w] for x in self.labels(*source)]
+        return _contract(self.labels(p, q), columns, embed(Fraction(0)))
 
     def dr_mult_matrix(self, source_deg: int, w_vec, w_deg: int):
         """Rational matrix of m -> m cup w on the de Rham ring."""
-        target = source_deg + w_deg
-        cols = self.dr_basis.get(source_deg, ())
-        if target > 4:
+        if source_deg + w_deg > 4:
             return []
-        rows = self.dr_basis.get(target, ())
-        w_labels = self.dr_basis.get(w_deg, ())
-        matrix = []
-        for out in rows:
-            row = []
-            for x in cols:
-                total = Fraction(0)
-                for w_label, w_val in zip(w_labels, w_vec):
-                    if w_val:
-                        total += w_val * self.dr_cup(x, w_label).get(out, Fraction(0))
-                row.append(total)
-            matrix.append(row)
-        return matrix
+        w = list(zip(w_vec, self.dr_basis.get(w_deg, ())))
+        columns = [
+            [(value, self.dr_cup(x, y)) for value, y in w]
+            for x in self.dr_basis.get(source_deg, ())
+        ]
+        return _contract(self.dr_basis.get(source_deg + w_deg, ()), columns, Fraction(0))
 
     def conj_matrix(self, p: int, q: int) -> list[list[Fraction]]:
-        rows = self.labels(q, p)
-        cols = self.labels(p, q)
-        return [
-            [self.conj[x].get(out, Fraction(0)) for x in cols] for out in rows
-        ]
+        columns = [[(1, self.conj[x])] for x in self.labels(p, q)]
+        return _contract(self.labels(q, p), columns, Fraction(0))
 
     def ident_matrix(self, k: int) -> list[list[Fraction]]:
-        rows = self.dr_basis.get(k, ())
-        cols = self.degree_labels(k)
-        return [
-            [self.ident[x].get(out, Fraction(0)) for x in cols] for out in rows
-        ]
+        columns = [[(1, self.ident[x])] for x in self.degree_labels(k)]
+        return _contract(self.dr_basis.get(k, ()), columns, Fraction(0))
 
     def to_derham(self, k: int, coords) -> list[Fraction]:
         """Push concatenated degree-k bigraded coordinates to de Rham ones."""
@@ -251,14 +215,11 @@ class BigradedRing:
             raise SchemaError(
                 f"degree-{k} vector needs {len(cols)} coordinates, got {len(coords)}"
             )
-        out = []
-        for row_label in self.dr_basis.get(k, ()):
-            total = Fraction(0)
-            for x, value in zip(cols, coords):
-                if value:
-                    total += Fraction(value) * self.ident[x].get(row_label, Fraction(0))
-            out.append(total)
-        return out
+        terms = [
+            (parse_fraction(value, f"degree-{k} coordinate"), self.ident[x])
+            for x, value in zip(cols, coords)
+        ]
+        return [row[0] for row in _contract(self.dr_basis.get(k, ()), [terms], Fraction(0))]
 
 
 def _total_sign(d1, d2) -> int:
@@ -311,22 +272,8 @@ def ring_validate(ring: BigradedRing) -> tuple[str, ...]:
         if len(labels_by_degree.get(top_key, ())) != 1:
             report.append(f"{tag}: {top_name} is not one-dimensional")
 
-    check_laws(
-        ring.basis,
-        ring._degree_of,
-        ring.cup,
-        "bigraded",
-        (2, 2),
-        "top bidegree (2,2)",
-    )
-    check_laws(
-        ring.dr_basis,
-        ring._dr_degree_of,
-        ring.dr_cup,
-        "de Rham",
-        4,
-        "top degree 4",
-    )
+    check_laws(ring.basis, ring._degree_of, ring.cup, "bigraded", (2, 2), "top bidegree (2,2)")
+    check_laws(ring.dr_basis, ring._dr_degree_of, ring.dr_cup, "de Rham", 4, "top degree 4")
 
     for p in range(3):
         for q in range(3):
@@ -369,6 +316,8 @@ def ring_validate(ring: BigradedRing) -> tuple[str, ...]:
 
 
 def ring_from_dict(payload: Mapping) -> BigradedRing:
+    """A ring from its JSON form: keys and shapes are decoded here, and
+    BigradedRing reads every coefficient."""
     try:
         name = payload["name"]
         basis_raw = payload["bigraded"]
@@ -381,90 +330,76 @@ def ring_from_dict(payload: Mapping) -> BigradedRing:
     if not isinstance(name, str):
         raise SchemaError(f"ring name must be a string, got {type(name).__name__}")
 
-    def parse_pq(key: str) -> tuple[int, int]:
-        try:
-            p, q = key.split(",")
-            return int(p), int(q)
-        except ValueError as exc:
-            raise SchemaError(f"bad bidegree key {key!r}") from exc
-
     def section(raw, where: str) -> Mapping:
         if not isinstance(raw, Mapping):
             raise SchemaError(f"ring {where} must be an object, got {type(raw).__name__}")
         return raw
 
-    def labels(raw, where: str) -> list:
-        if not isinstance(raw, (list, tuple)):
-            raise SchemaError(f"ring {where} must be a list, got {type(raw).__name__}")
-        return list(raw)
+    def pq(key: str) -> tuple[int, int]:
+        p, q = key.split(",")
+        return int(p), int(q)
 
-    def vector(raw, where: str) -> dict[str, Fraction]:
-        return {
-            z: parse_fraction(c, f"ring {where} coefficient at {z!r}")
-            for z, c in section(raw, where).items()
-        }
+    def basis(raw, where: str, decode) -> dict:
+        out = {}
+        for key, labels in section(raw, where).items():
+            try:
+                degree = decode(key)
+            except ValueError:
+                raise SchemaError(f"bad ring {where} key {key!r}") from None
+            if degree in out:
+                raise SchemaError(f"ring {where} lists degree {degree} twice")
+            if not isinstance(labels, (list, tuple)):
+                raise SchemaError(
+                    f"ring {where}.{key} must be a list, got {type(labels).__name__}"
+                )
+            out[degree] = list(labels)
+        return out
 
-    def vectors(raw, where: str) -> dict[str, dict[str, Fraction]]:
-        return {x: vector(vec, f"{where}.{x}") for x, vec in section(raw, where).items()}
+    def vectors(raw, where: str) -> dict:
+        return {x: section(vec, f"{where}.{x}") for x, vec in section(raw, where).items()}
 
-    def table(raw, where: str) -> dict[tuple[str, str], dict[str, Fraction]]:
+    def table(raw, where: str) -> dict:
         return {
             (x, y): vec
             for x, per in section(raw, where).items()
             for y, vec in vectors(per, f"{where}.{x}").items()
         }
 
-    basis = {
-        parse_pq(k): labels(v, f"bigraded.{k}")
-        for k, v in section(basis_raw, "bigraded").items()
-    }
-    products = table(products_raw, "products")
-    conj = vectors(conj_raw, "conjugation")
     dr = section(dr, "derham")
-    try:
-        dr_basis = {
-            int(k): labels(v, f"derham.basis.{k}")
-            for k, v in section(dr["basis"], "derham.basis").items()
-        }
-        dr_products_raw = dr["products"]
-    except (KeyError, ValueError) as exc:
-        raise SchemaError(f"bad de Rham section: {exc}") from exc
-    dr_products = table(dr_products_raw, "derham.products")
-    ident = vectors(ident_raw, "ident")
-    return BigradedRing(name, basis, products, conj, dr_basis, dr_products, ident)
+    if "basis" not in dr or "products" not in dr:
+        raise SchemaError("ring derham needs both basis and products")
+    return BigradedRing(
+        name,
+        basis(basis_raw, "bigraded", pq),
+        table(products_raw, "products"),
+        vectors(conj_raw, "conjugation"),
+        basis(dr["basis"], "derham.basis", int),
+        table(dr["products"], "derham.products"),
+        vectors(ident_raw, "ident"),
+    )
 
 
 def ring_to_dict(ring: BigradedRing) -> dict:
+    def vector_out(vec):
+        return {z: str(c) for z, c in sorted(vec.items())}
+
     def table_out(table):
         out: dict[str, dict[str, dict[str, str]]] = {}
         for (x, y), vec in sorted(table.items()):
-            if not vec:
-                continue
-            out.setdefault(x, {})[y] = {z: str(c) for z, c in sorted(vec.items())}
+            if vec:
+                out.setdefault(x, {})[y] = vector_out(vec)
         return out
 
     return {
         "name": ring.name,
-        "bigraded": {
-            f"{p},{q}": list(ring.basis[(p, q)])
-            for (p, q) in BIDEGREES
-            if ring.basis[(p, q)]
-        },
+        "bigraded": {f"{p},{q}": list(ring.basis[p, q]) for p, q in BIDEGREES if ring.basis[p, q]},
         "products": table_out(ring.products),
-        "conjugation": {
-            x: {z: str(c) for z, c in sorted(vec.items())}
-            for x, vec in sorted(ring.conj.items())
-            if vec
-        },
+        "conjugation": {x: vector_out(v) for x, v in sorted(ring.conj.items()) if v},
         "derham": {
             "basis": {str(k): list(v) for k, v in ring.dr_basis.items() if v},
             "products": table_out(ring.dr_products),
         },
-        "ident": {
-            x: {z: str(c) for z, c in sorted(vec.items())}
-            for x, vec in sorted(ring.ident.items())
-            if vec
-        },
+        "ident": {x: vector_out(v) for x, v in sorted(ring.ident.items()) if v},
     }
 
 

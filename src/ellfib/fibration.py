@@ -27,7 +27,7 @@ from .errors import (
     WitnessMismatch,
 )
 from .linalg import integer_diagonalize, solve_diagonalized, solve_gf2
-from .torus import TorusPoint
+from .torus import TorusPoint, parse_fraction
 
 _BAD_LABEL_CHARS = set(",/")
 
@@ -332,10 +332,7 @@ def classify_line_family(
 
 
 def _nonzero_rational(value, where: str) -> Fraction:
-    # a float or bool would load as a rational it does not state
-    if isinstance(value, (bool, float)):
-        raise SchemaError(f"gerbe scalar {where} must be exact, got {value!r}")
-    q = Fraction(value)
+    q = parse_fraction(value, f"gerbe scalar {where}")
     if q == 0:
         raise InvalidGerbe(f"zero scalar at {where}")
     return q

@@ -10,7 +10,6 @@ trailing newline) so identical values always serialize byte-identically.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 
 from .bundles import AtiyahBundle, make_bundle
@@ -23,7 +22,7 @@ from .fibration import (
     TranslationCocycle,
 )
 from .spectral import BundleFamily, RoundTripReport, SpectralCycle, make_cycle
-from .torus import Divisor, TorusPoint, make_divisor
+from .torus import Divisor, TorusPoint, make_divisor, parse_fraction
 from .transform import SkyscraperClass, make_skyscraper
 
 
@@ -53,23 +52,6 @@ def _any_dict(obj, what: str) -> dict:
     if not isinstance(obj, dict):
         raise SchemaError(f"{what} must be a JSON object")
     return obj
-
-
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-
-
-def parse_fraction(value, what: str = "rational") -> Fraction:
-    """An int, or a string [+-]digits[/digits]: no exponent can build a huge int."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if not isinstance(value, str):
-        raise SchemaError(f"{what} must be a string rational, got {value!r}")
-    try:
-        if _RATIONAL.fullmatch(value):
-            return Fraction(value)  # past 4300 digits int() raises ValueError
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise SchemaError(f"{what}: bad rational {value!r}")
 
 
 def fraction_json(q: Fraction) -> str:

@@ -265,18 +265,20 @@ def round_trip_verify(base: Nerve, n: int, torsion: int) -> RoundTripReport:
                 break
 
     bundles = enumerate_bundles(n, torsion)
+    classes = set()
     for bundle in bundles:
         section = gamma_map(constant_family(base, bundle))
         rebuilt = beta_map(
             base, {s: section[(chart, s)] for s in samples}, bundle.rank()
         )
-        expected = split_bundle(graded(bundle))
+        graded_class = graded(bundle)
+        classes.add(graded_class)
+        expected = split_bundle(graded_class)
         for s in samples:
             if rebuilt.fiber(chart, s) != expected:
                 failures.append(f"family round trip failed at {bundle!r}")
                 break
 
-    classes = {graded(bundle) for bundle in bundles}
     image = {cycle_of_graded(g) for g in classes}
     bijective = len(image) == len(classes) and image == set(cycles)
     if not bijective:

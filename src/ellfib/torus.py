@@ -15,20 +15,44 @@ with int multiplicities in one canonical form, built by merge_points.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable
 
-from .errors import EmptyBundle, NonPositiveRank, NonZeroDegree
+from .errors import EmptyBundle, NonPositiveRank, NonZeroDegree, SchemaError
 
 _setattr = object.__setattr__
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def parse_fraction(value, what: str = "rational") -> Fraction:
+    """A Fraction, an int, or a string [+-]digits[/digits].
+
+    This is the one rational grammar of the package: JSON documents, the
+    CLI vectors and the Python constructors all read rationals here, and
+    no exponent form can build a huge int.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if not isinstance(value, str):
+        raise SchemaError(f"{what} must be a string rational, got {value!r}")
+    try:
+        if _RATIONAL.fullmatch(value):
+            return Fraction(value)  # past 4300 digits int() raises ValueError
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise SchemaError(f"{what}: bad rational {value!r}")
 
 
 def _frac(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("float coordinates are not exact; pass Fraction, int, or str")
-    return Fraction(x)
+    return parse_fraction(x, "point coordinate")
 
 
 class TorusPoint:

@@ -477,6 +477,18 @@ def test_ring_from_file(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["betti"] == [1, 5, 11, 14, 11, 5, 1]
+    # a file: ring gives the bytes of its preset, zero and twisted classes alike
+    for name, a, b in [
+        ("kodaira", "0", "0"),
+        ("torus4", "0", "0"),
+        ("k3", "0", "0"),
+        ("kodaira", "0,1,0,0", "0,0,1/2,0"),
+    ]:
+        path = write(tmp_path, f"{name}.json", ring_to_dict(load_preset(name)))
+        for out_format in ("json", "table"):
+            args = ["--a", a, "--b", b, "--out", out_format]
+            from_file = run(capsys, "invariants", "--preset", f"file:{path}", *args)
+            assert from_file == run(capsys, "invariants", "--preset", name, *args)
 
 
 def test_validate_ring_presets(capsys):

@@ -459,3 +459,13 @@ def test_each_block_is_built_once(monkeypatch):
     assert calls["dr_mult_matrix"] == 10
     assert calls["mult_matrix"] <= 27
     assert calls["exact_rank"] <= 43
+
+
+@pytest.mark.parametrize("entry", ["1e3", "1.5", 0.5, True], ids=["exponent", "decimal", "float", "bool"])
+def test_class_coordinates_follow_the_rational_grammar(entry):
+    ring = load_preset("kodaira")
+    with pytest.raises(SchemaError):
+        char_to_eta(ring, [0, entry, 0, 0], kodaira_vec())
+    with pytest.raises(SchemaError):
+        leray_betti(ring, [0, entry, 0, 0], kodaira_vec())
+    assert char_to_eta(ring, [0, "2/4", 0, 0], kodaira_vec()).a_vec[1] == Fraction(1, 2)

@@ -405,8 +405,13 @@ def test_gerbe_rejects_bad_scalars():
         {"c": {("c1", "c2", "c3"): True}},
         {"descriptors": {("c1", "c2"): {("c1", "c2"): 1.5}}},
         {"descriptors": {("c1", "c2"): {("c1", "c2"): True}}},
+        {"a": {("c1", "c2"): "1e5"}},
+        {"c": {("c1", "c2", "c3"): "1.5"}},
     ],
-    ids=["float-scalar", "bool-scalar", "float-exponent", "bool-exponent"],
+    ids=[
+        "float-scalar", "bool-scalar", "float-exponent", "bool-exponent",
+        "exponent-string", "decimal-string",
+    ],
 )
 def test_gerbe_refuses_float_and_bool_values(kwargs):
     # a float loads as the binary fraction nearest it; int() truncates 1.5

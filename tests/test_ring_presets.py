@@ -1,13 +1,16 @@
 """Preset cohomology rings against independently frozen structure tables."""
 
 import importlib.util
+import random
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from ellfib.cohomology.fields import MODES
 from ellfib.cohomology.ring import (
+    BIDEGREES,
     BigradedRing,
     PRESET_NAMES,
     load_preset,
@@ -358,6 +361,20 @@ def test_ring_from_dict_rejects_out_of_range_bidegrees():
         ring_from_dict(payload)
 
 
+@pytest.mark.parametrize(
+    "section, key, same",
+    [("bigraded", "0, 0", "0,0"), ("basis", "+1", "1")],
+    ids=["bigraded", "derham"],
+)
+def test_ring_from_dict_rejects_a_degree_given_twice(section, key, same):
+    # int() reads " 0" and "+1" as 0 and 1: the second key would replace the first
+    payload = ring_to_dict(load_preset("kodaira"))
+    bases = payload["bigraded"] if section == "bigraded" else payload["derham"]["basis"]
+    bases[key] = list(bases[same])
+    with pytest.raises(SchemaError, match="twice"):
+        ring_from_dict(payload)
+
+
 def test_validate_flags_broken_commutativity():
     ring = BigradedRing(
         "broken",
@@ -394,3 +411,185 @@ def test_validate_flags_broken_commutativity():
     )
     report = ring_validate(ring)
     assert any("commutativity" in line for line in report)
+
+
+# -- the sparse contraction against the dense loops it replaced ---------------
+
+
+def dense_mult_matrix(ring, source, w_block, w_coeffs, embed, sign):
+    p, q = source[0] + w_block[0], source[1] + w_block[1]
+    if p > 2 or q > 2:
+        return []
+    matrix = []
+    for out in ring.labels(p, q):
+        row = []
+        for x in ring.labels(*source):
+            total = embed(Fraction(0))
+            for w_label, w_val in zip(ring.labels(*w_block), w_coeffs):
+                total = total + w_val * (sign * ring.cup(x, w_label).get(out, Fraction(0)))
+            row.append(total)
+        matrix.append(row)
+    return matrix
+
+
+def dense_dr_mult_matrix(ring, source_deg, w_vec, w_deg):
+    if source_deg + w_deg > 4:
+        return []
+    return [
+        [
+            sum(
+                (w_val * ring.dr_cup(x, w).get(out, Fraction(0))
+                 for w, w_val in zip(ring.dr_basis[w_deg], w_vec)),
+                Fraction(0),
+            )
+            for x in ring.dr_basis[source_deg]
+        ]
+        for out in ring.dr_basis[source_deg + w_deg]
+    ]
+
+
+def dense_to_derham(ring, k, coords):
+    return [
+        sum(
+            (Fraction(v) * ring.ident[x].get(out, Fraction(0))
+             for x, v in zip(ring.degree_labels(k), coords)),
+            Fraction(0),
+        )
+        for out in ring.dr_basis[k]
+    ]
+
+
+def random_rationals(rng, n):
+    # mostly sparse, as twisting classes are, with some dense draws
+    pool = [0, 0, 0, 1, -1, 2, Fraction(2, 3), Fraction(-5, 7)]
+    return [Fraction(rng.choice(pool)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("mode", MODES.values(), ids=list(MODES))
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_sparse_contraction_matches_dense_loops(name, mode):
+    ring = load_preset(name)
+    rng = random.Random(f"{name}-{mode.name}")
+    for w_block in BIDEGREES:
+        n = ring.dim(*w_block)
+        w = [
+            mode.embed(x) + mode.tau * mode.embed(y)
+            for x, y in zip(random_rationals(rng, n), random_rationals(rng, n))
+        ]
+        for source in BIDEGREES:
+            for sign in (1, -1):
+                assert ring.mult_matrix(source, w_block, w, mode.embed, sign) == (
+                    dense_mult_matrix(ring, source, w_block, w, mode.embed, sign)
+                ), (source, w_block, sign)
+    for w_deg in range(5):
+        w = random_rationals(rng, ring.dr_dim(w_deg))
+        for source_deg in range(5):
+            assert ring.dr_mult_matrix(source_deg, w, w_deg) == (
+                dense_dr_mult_matrix(ring, source_deg, w, w_deg)
+            ), (source_deg, w_deg)
+    for k in range(5):
+        coords = random_rationals(rng, len(ring.degree_labels(k)))
+        assert ring.to_derham(k, coords) == dense_to_derham(ring, k, coords), k
+
+
+# -- exact validation reports on small broken rings ---------------------------
+
+
+def tiny_ring(products=(), conj=(), ident=(), basis=(), dr_basis=(), dr_products=()):
+    """A valid ring with (1,1) = <a, b> and a*b = b*a = top; the arguments patch it."""
+    basis = {(0, 0): ["one"], (1, 1): ["a", "b"], (2, 2): ["top"], **dict(basis)}
+    dr_basis = {0: ["o"], 2: ["c", "d"], 4: ["z"], **dict(dr_basis)}
+
+    def with_unit(unit, labels, table):
+        out = {}
+        for x in (x for xs in labels.values() for x in xs):
+            out[unit, x] = out[x, unit] = {x: 1}
+        return {**out, **table}
+
+    return BigradedRing(
+        "tiny",
+        basis=basis,
+        products=with_unit(
+            "one", basis, {("a", "b"): {"top": 1}, ("b", "a"): {"top": 1}, **dict(products)}
+        ),
+        conj={"one": {"one": 1}, "a": {"a": 1}, "b": {"b": 1}, "top": {"top": 1},
+              **dict(conj)},
+        dr_basis=dr_basis,
+        dr_products=with_unit(
+            "o", dr_basis, {("c", "d"): {"z": 1}, ("d", "c"): {"z": 1}, **dict(dr_products)}
+        ),
+        ident={"one": {"o": 1}, "a": {"c": 1}, "b": {"d": 1}, "top": {"z": 1},
+               **dict(ident)},
+    )
+
+
+@pytest.mark.parametrize(
+    "patch, lines",
+    [
+        ({}, ()),
+        (
+            {"products": {("b", "a"): {"top": 2}}},
+            (
+                "bigraded: commutativity fails on (a, b)",
+                "bigraded: commutativity fails on (b, a)",
+            ),
+        ),
+        (
+            {"products": {("one", "one"): {"one": 2}}},
+            tuple(
+                f"bigraded: associativity fails on ({x}, {y}, {z})"
+                for x, y, z in [
+                    ("a", "one", "one"), ("b", "one", "one"), ("one", "one", "a"),
+                    ("one", "one", "b"), ("one", "one", "top"), ("top", "one", "one"),
+                ]
+            ),
+        ),
+        (
+            {
+                "basis": {(2, 2): ["top", "top2"]},
+                "conj": {"top2": {"top2": 1}},
+                "dr_basis": {4: ["z", "z2"]},
+                "ident": {"top2": {"z2": 1}},
+            },
+            (
+                "bigraded: top bidegree (2,2) is not one-dimensional",
+                "de Rham: top degree 4 is not one-dimensional",
+            ),
+        ),
+        (
+            {"conj": {"b": {"a": 1}}},
+            (
+                "conjugation rank at (1,1) is 1, expected 2",
+                "conjugation at (1,1) is not inverted by (1,1)",
+            ),
+        ),
+        (
+            {"conj": {"a": {"a": 2}}},
+            ("conjugation at (1,1) is not inverted by (1,1)",),
+        ),
+        (
+            {"ident": {"b": {"c": 1}}},
+            ("identification in degree 2 has rank 1, needs 2",),
+        ),
+    ],
+    ids=["valid", "commutativity", "associativity", "top", "conj-rank", "conj-inverse",
+         "ident-rank"],
+)
+def test_validate_reports_exact_lines(patch, lines):
+    assert ring_validate(tiny_ring(**patch)) == lines
+
+
+# -- the constructor reads coefficients by the one rational grammar ----------
+
+
+@pytest.mark.parametrize("coeff", [0.5, True, "1e3"], ids=["float", "bool", "exponent"])
+@pytest.mark.parametrize("table", ["products", "conj", "ident", "dr_products"])
+def test_constructor_refuses_inexact_coefficients(table, coeff):
+    where = {
+        "products": {("a", "b"): {"top": coeff}},
+        "conj": {"a": {"a": coeff}},
+        "ident": {"a": {"c": coeff}},
+        "dr_products": {("c", "d"): {"z": coeff}},
+    }
+    with pytest.raises(SchemaError, match="bad rational|must be a string rational"):
+        tiny_ring(**{table: where[table]})

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from ellfib import spectral
 from ellfib.bundles import graded, make_bundle, make_graded, split_bundle, tensor_line
 from ellfib.errors import (
     BudgetExceeded,
@@ -214,6 +215,14 @@ def test_round_trip_small_instance():
     assert report.bundles_checked == 54
     assert report.bijective
     assert report.failures == ()
+
+
+def test_round_trip_grades_each_bundle_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(spectral, "graded", lambda b: calls.append(b) or graded(b))
+    report = round_trip_verify(Nerve.single_chart("c", ("s1", "s2")), 2, 3)
+    assert report.ok
+    assert len(calls) == len(set(calls)) == report.bundles_checked == 54
 
 
 def test_round_trip_multi_sample():

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ellfib.bundles import GradedClass, make_bundle, make_graded
-from ellfib.errors import EmptyBundle, NonPositiveRank, NonZeroDegree
+from ellfib.errors import EmptyBundle, NonPositiveRank, NonZeroDegree, SchemaError
 from ellfib.spectral import SpectralCycle, make_cycle
 from ellfib.torus import (
     ORIGIN,
@@ -42,6 +42,13 @@ def test_int_and_string_coordinates_accepted():
 def test_float_coordinates_rejected():
     with pytest.raises(TypeError):
         TorusPoint(0.5, Fraction(0))
+
+
+@pytest.mark.parametrize("u", ["1e-3", "0.5", " 1/2", True], ids=["exponent", "decimal", "space", "bool"])
+def test_coordinates_follow_the_rational_grammar(u):
+    # Fraction() would read "1e-3" as 1/1000 and True as 1
+    with pytest.raises(SchemaError):
+        TorusPoint(u, "0")
 
 
 @given(points, points, points)
