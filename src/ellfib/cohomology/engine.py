@@ -206,10 +206,10 @@ class _TotalPage:
 
 
 class _Page:
-    """The second page of one class over one ring."""
+    """The second page of one class over its ring."""
 
-    def __init__(self, ring: BigradedRing, eta: EtaClass):
-        self.ring, self.eta = ring, eta
+    def __init__(self, eta: EtaClass):
+        self.eta = eta
         mode = eta.mode
         # (source, kind) -> x -> x*w from H^source, dim(target) x dim(source);
         # a source off the square reads as an empty block
@@ -220,7 +220,7 @@ class _Page:
                 ("02", (0, 2), eta.etabar02, 1),
                 ("-02", (0, 2), eta.etabar02, -1),
             ):
-                self.blocks[source, kind] = ring.mult_matrix(
+                self.blocks[source, kind] = eta.ring.mult_matrix(
                     source, w_block, w_coeffs, mode.embed, sign
                 )
         # (P, Q, t) -> checked rank of the differential leaving the cell:
@@ -239,21 +239,21 @@ class _Page:
         h = [[0] * 4 for _ in range(4)]
         for p, q, t in product(range(4), range(4), range(3)):
             leaving, entering = rank.get((p, q, t), 0), rank.get((p, q - 1, t + 1), 0)
-            h[p][q] += _cell_dim(self.ring, p, q, t) - leaving - entering
+            h[p][q] += _cell_dim(self.eta.ring, p, q, t) - leaving - entering
         return HodgeDiamond(h)
 
     @functools.cached_property
     def total(self) -> _TotalPage:
-        return _TotalPage(self.ring, self.eta.a_vec, self.eta.b_vec)
+        return _TotalPage(self.eta.ring, self.eta.a_vec, self.eta.b_vec)
 
 
 def _page(ring: BigradedRing, eta: EtaClass) -> _Page:
-    """The class's page over ring, built on first use and kept on eta."""
-    page = eta.__dict__.get("_page")
-    if page is None or page.ring is not ring:
-        page = _Page(ring, eta)
-        object.__setattr__(eta, "_page", page)
-    return page
+    """The class's page, built on first use and kept on eta; eta must be over ring."""
+    if ring is not eta.ring:
+        raise SchemaError(f"class was built over ring {eta.ring.name!r}, not {ring.name!r}")
+    if "_page" not in eta.__dict__:
+        object.__setattr__(eta, "_page", _Page(eta))
+    return eta._page
 
 
 # -- bigraded tower --------------------------------------------------------

@@ -44,7 +44,7 @@ def _load_labels(raw: Mapping, degrees, what: str, unit: str) -> tuple[dict, dic
     """Labels per degree (every degree present), and the degree of each label."""
     extra = set(raw) - set(degrees)
     if extra:
-        raise SchemaError(f"{what} basis given at out-of-range {unit} {sorted(extra)}")
+        raise SchemaError(f"{what} basis given at out-of-range {unit} {sorted(extra, key=repr)}")
     by_degree, degree_of = {}, {}
     for deg in degrees:
         by_degree[deg] = tuple(raw.get(deg, ()))
@@ -339,15 +339,15 @@ def ring_from_dict(payload: Mapping) -> BigradedRing:
         p, q = key.split(",")
         return int(p), int(q)
 
-    def basis(raw, where: str, decode) -> dict:
+    def basis(raw, where: str, decode, spell) -> dict:
         out = {}
         for key, labels in section(raw, where).items():
             try:
                 degree = decode(key)
-            except ValueError:
-                raise SchemaError(f"bad ring {where} key {key!r}") from None
-            if degree in out:
-                raise SchemaError(f"ring {where} lists degree {degree} twice")
+            except (ValueError, AttributeError):
+                degree = None
+            if degree is None or spell(degree) != key:
+                raise SchemaError(f"bad ring {where} key {key!r}")
             if not isinstance(labels, (list, tuple)):
                 raise SchemaError(
                     f"ring {where}.{key} must be a list, got {type(labels).__name__}"
@@ -370,10 +370,10 @@ def ring_from_dict(payload: Mapping) -> BigradedRing:
         raise SchemaError("ring derham needs both basis and products")
     return BigradedRing(
         name,
-        basis(basis_raw, "bigraded", pq),
+        basis(basis_raw, "bigraded", pq, lambda d: f"{d[0]},{d[1]}"),
         table(products_raw, "products"),
         vectors(conj_raw, "conjugation"),
-        basis(dr["basis"], "derham.basis", int),
+        basis(dr["basis"], "derham.basis", int, str),
         table(dr["products"], "derham.products"),
         vectors(ident_raw, "ident"),
     )

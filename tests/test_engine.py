@@ -126,6 +126,15 @@ def test_char_to_eta_rejects_antiholomorphic_part():
         char_to_eta(ring, kodaira_vec(), kodaira_vec(FF=1), GAUSSIAN_MODE)
 
 
+@pytest.mark.parametrize("other", ["torus4", "k3"])
+def test_engine_refuses_a_class_built_over_another_ring(other):
+    # the class's (1,1) coefficients would be read against the other ring's labels
+    eta = char_to_eta(load_preset("kodaira"), kodaira_vec(A=1), kodaira_vec(B=1))
+    for build in (borel_hodge, structure_maps):
+        with pytest.raises(SchemaError, match="built over ring 'kodaira'"):
+            build(load_preset(other), eta)
+
+
 def test_synthetic_eta_frees_the_conjugate_part():
     ring = load_preset("kodaira")
     eta = synthetic_eta(ring, kodaira_vec(), kodaira_vec(FF=1))

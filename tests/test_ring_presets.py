@@ -2,6 +2,7 @@
 
 import importlib.util
 import random
+import re
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -367,12 +368,41 @@ def test_ring_from_dict_rejects_out_of_range_bidegrees():
     ids=["bigraded", "derham"],
 )
 def test_ring_from_dict_rejects_a_degree_given_twice(section, key, same):
-    # int() reads " 0" and "+1" as 0 and 1: the second key would replace the first
+    # int() reads " 0" and "+1" as 0 and 1; only the canonical spelling is a key
     payload = ring_to_dict(load_preset("kodaira"))
     bases = payload["bigraded"] if section == "bigraded" else payload["derham"]["basis"]
     bases[key] = list(bases[same])
-    with pytest.raises(SchemaError, match="twice"):
+    with pytest.raises(SchemaError, match="bad ring .*" + re.escape(f"{section} key {key!r}")):
         ring_from_dict(payload)
+
+
+@pytest.mark.parametrize(
+    "section, key, canonical",
+    [
+        ("basis", "\u0663", "3"),
+        ("bigraded", "01,1", "1,1"),
+        ("basis", "0_1", "1"),
+        ("basis", "1_0", "1"),
+        ("basis", " 1", "1"),
+        ("bigraded", (1, 1), "1,1"),
+        ("basis", 3, "3"),
+    ],
+    ids=["arabic-indic-digit", "leading-zero", "underscore", "underscore-10", "space", "tuple",
+         "int"],
+)
+def test_ring_from_dict_rejects_a_non_canonical_degree_key(section, key, canonical):
+    # int() reads each string as a degree ("1_0" as 10), but none is that degree's spelling
+    payload = ring_to_dict(load_preset("kodaira"))
+    bases = payload["bigraded"] if section == "bigraded" else payload["derham"]["basis"]
+    bases[key] = bases.pop(canonical)
+    with pytest.raises(SchemaError, match="bad ring .*" + re.escape(f"{section} key {key!r}")):
+        ring_from_dict(payload)
+
+
+def test_out_of_range_keys_of_mixed_types_are_a_schema_error():
+    # the message lists the keys without comparing a tuple with a string
+    with pytest.raises(SchemaError, match=r"out-of-range bidegrees \['k', \(0, 3\)\]"):
+        BigradedRing("x", {(0, 3): ["a"], "k": ["b"]}, {}, {}, {}, {}, {})
 
 
 def test_validate_flags_broken_commutativity():

@@ -1,6 +1,7 @@
 """Spectral cycles, bundle families, and the two-way correspondence."""
 
 import time
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -231,6 +232,62 @@ def test_round_trip_multi_sample():
     assert report.ok
     assert report.sections_checked == 4
     assert report.bundles_checked == 4
+
+
+def sample_labels(k):
+    return [f"s{i}" for i in range(1, k + 1)]
+
+
+def test_round_trip_report_does_not_depend_on_the_sample_count():
+    for n in (1, 2):
+        for torsion in (1, 2, 3, 4):
+            reports = [
+                round_trip_verify(Nerve.single_chart("c", sample_labels(k)), n, torsion)
+                for k in (1, 2, 5)
+            ]
+            assert reports[0].ok, (n, torsion)
+            assert reports[0] == reports[1] == reports[2], (n, torsion)
+
+
+def test_round_trip_transforms_each_object_once_whatever_the_samples(monkeypatch):
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(spectral, name)
+
+        def counted(x):
+            calls[name] += 1
+            return original(x)
+
+        return counted
+
+    for name in ("fm_transform", "psi_transform"):
+        monkeypatch.setattr(spectral, name, counting(name))
+    seen = []
+    for k in (1, 3):
+        calls.clear()
+        report = round_trip_verify(Nerve.single_chart("c", sample_labels(k)), 2, 3)
+        assert report.ok
+        seen.append(dict(calls))
+    assert seen[0] == seen[1]
+    # one beta_map, so one inverse transform, per enumerated object
+    assert seen[0]["psi_transform"] == 45 + 54
+
+
+def test_round_trip_with_a_moved_block_fails_on_three_samples(monkeypatch):
+    step = TorusPoint.from_triple(1, 0, 2)
+    original = spectral.psi_transform
+
+    def moved(sky):
+        (n, x), *rest = original(sky).blocks
+        return make_bundle([(n, x + step)] + rest)
+
+    monkeypatch.setattr(spectral, "psi_transform", moved)
+    report = round_trip_verify(Nerve.single_chart("c", sample_labels(3)), 1, 2)
+    assert not report.ok
+    assert report.bijective
+    kinds = Counter(line.split(" round trip")[0] for line in report.failures)
+    assert kinds == {"section": report.sections_checked, "family": report.bundles_checked}
 
 
 def test_round_trip_requires_single_chart():

@@ -3,8 +3,10 @@
 Runs ellfib.cli.main in-process over perfbench.gen.cli_inputs (all
 twelve verbs) and over the invariants classes of
 perfbench.gen.invariants_inputs, each with --out json and --out table,
-for seeds 0-39.  Every run's argument list, exit code, stdout and
-stderr go into the digest of its verb.  Input documents are written to
+for seeds 0-39, then roundtrip over a fixed grid: n 1-3, torsion 1-4
+and --samples 1, 2 and 5, plus two refused requests (over the work
+budget, and --samples 0).  Every run's argument list, exit code, stdout
+and stderr go into the digest of its verb.  Input documents are written to
 one fixed relative path inside a temporary working directory, so no
 temporary path reaches the output.
 
@@ -58,6 +60,25 @@ def invariants_runs(seed: int):
                 yield argv + ["--out", out], None
 
 
+def roundtrip_runs():
+    """(argv, None) for the fixed roundtrip grid and two refused requests."""
+    for n in range(1, 4):
+        for torsion in range(1, 5):
+            for samples in (1, 2, 5):
+                yield ["roundtrip", "--n", str(n), "--torsion", str(torsion),
+                       "--samples", str(samples)], None
+    # 18 204 objects times 110 samples is over spectral.ROUND_TRIP_BUDGET
+    yield ["roundtrip", "--n", "3", "--torsion", "6", "--samples", "110"], None
+    yield ["roundtrip", "--n", "2", "--torsion", "3", "--samples", "0"], None
+
+
+def all_runs(kodaira_text: str):
+    """Every run in digest order: the seeds' runs, then the roundtrip grid."""
+    for seed in SEEDS:
+        yield from list(cli_runs(seed, kodaira_text)) + list(invariants_runs(seed))
+    yield from roundtrip_runs()
+
+
 def run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -73,15 +94,13 @@ def main_digest() -> None:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            for seed in SEEDS:
-                runs = list(cli_runs(seed, kodaira_text)) + list(invariants_runs(seed))
-                for argv, doc in runs:
-                    if doc is not None:
-                        Path(DOC).write_text(json.dumps(doc, indent=1))
-                    code, out, err = run(argv)
-                    record = json.dumps([argv, code, out, err]) + "\n"
-                    digests.setdefault(argv[0], hashlib.sha256()).update(record.encode())
-                    counts[argv[0]] = counts.get(argv[0], 0) + 1
+            for argv, doc in all_runs(kodaira_text):
+                if doc is not None:
+                    Path(DOC).write_text(json.dumps(doc, indent=1))
+                code, out, err = run(argv)
+                record = json.dumps([argv, code, out, err]) + "\n"
+                digests.setdefault(argv[0], hashlib.sha256()).update(record.encode())
+                counts[argv[0]] = counts.get(argv[0], 0) + 1
         finally:
             os.chdir(home)
     for verb in sorted(digests):
