@@ -44,7 +44,7 @@ from .serialize import (
     roundtrip_report_json,
     skyscraper_json,
 )
-from .spectral import beta_map, gamma_map, round_trip_verify, spectral_cover
+from .spectral import _check_budget, beta_map, gamma_map, round_trip_verify, spectral_cover
 from .transform import fm_transform, psi_transform
 
 
@@ -95,6 +95,8 @@ def cmd_beta(args) -> int:
 def cmd_roundtrip(args) -> int:
     if args.n < 1 or args.torsion < 1 or args.samples < 1:
         raise SchemaError("--n, --torsion, and --samples must be positive")
+    # refused before K labels and a K-sample nerve are built
+    _check_budget(args.n, args.torsion, args.samples)
     labels = ["s"] if args.samples == 1 else [f"s{i}" for i in range(1, args.samples + 1)]
     base = Nerve.single_chart("c", labels)
     report = round_trip_verify(base, args.n, args.torsion)

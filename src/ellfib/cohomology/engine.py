@@ -7,11 +7,13 @@ partner drive the bigraded differential, while the total-degree page
 uses the rational span of {a, b} directly and never sees tau.
 
 Each class has one page, built on first use and kept on the class.  It
-holds the blocks x*eta11, x*etabar02 and -x*etabar02 from every
-bidegree of the square, the 32 cell maps stacked from them with their
-ranks, and the total-degree page (a and b in de Rham coordinates and the
-ranks of the maps they induce).  borel_hodge, structure_maps and
-full_invariants read that page, so no map is built or ranked twice.
+holds the blocks x*eta11 and x*etabar02 from every bidegree of the
+square, the 32 cell maps stacked from them with their ranks, and the
+total-degree page (a and b in de Rham coordinates and the ranks of the
+maps they induce).  borel_hodge, structure_maps and full_invariants read
+that page, so no map is built or ranked twice.  No block is stored
+negated, and no rank, flag or output moves: negating the rows or columns
+of one block keeps the rank over the mode's field and at every sample point.
 
 Third-page dimensions come from exact ranks: dimension minus outgoing
 rank minus incoming rank.  This needs d*d = 0, which holds with nothing
@@ -49,11 +51,7 @@ class EtaClass:
     mode: CoefficientMode
     a_vec: tuple[Fraction, ...]
     b_vec: tuple[Fraction, ...]
-    eta20: tuple
     eta11: tuple
-    eta02: tuple
-    etabar20: tuple
-    etabar11: tuple
     etabar02: tuple
     synthetic: bool = False
 
@@ -73,26 +71,23 @@ def _split_h2(ring: BigradedRing, vec) -> tuple[list, list, list]:
 def _eta_class(
     ring: BigradedRing, a, b, mode: CoefficientMode, synthetic: bool
 ) -> EtaClass:
-    """Split a and b by bidegree and embed eta = a + tau*b and its conjugate."""
-    blocks = [list(zip(x, y)) for x, y in zip(_split_h2(ring, a), _split_h2(ring, b))]
-    embed = mode.embed
-
-    def twist(unit) -> list[tuple]:
-        return [tuple(embed(x) + unit * embed(y) for x, y in block) for block in blocks]
-
-    eta, etabar = twist(mode.tau), twist(mode.taubar)
-    if synthetic:
-        if any(x for x, _ in blocks[2]):
-            raise InvalidClass("synthetic classes require a zero (0,2) block in a")
-        eta[2] = tuple(embed(Fraction(0)) for _ in blocks[2])
-        etabar[2] = tuple((mode.taubar - mode.tau) * embed(y) for _, y in blocks[2])
-    elif any(not mode.dom.is_zero(x) for x in eta[2]):
+    """The parts the page reads: (1,1) of eta = a + tau*b, (0,2) of its conjugate."""
+    a20, a11, a02 = _split_h2(ring, a)
+    b20, b11, b02 = _split_h2(ring, b)
+    if synthetic and any(a02):
+        raise InvalidClass("synthetic classes require a zero (0,2) block in a")
+    if not synthetic and any(a02 + b02):
+        # tau is not rational in either mode, so a + tau*b vanishes only when a and b do
         raise InvalidClass(
             "the (0,2) part of a + tau*b must vanish; with rational inputs "
             "that means both (0,2) blocks are zero"
         )
-    a_vec, b_vec = tuple(Fraction(x) for x in a), tuple(Fraction(x) for x in b)
-    return EtaClass(ring, mode, a_vec, b_vec, *eta, *etabar, synthetic)
+    embed = mode.embed
+    # a synthetic class reads a's (0,2) block as -tau*b; a plain one has b02 = 0
+    etabar02 = tuple((mode.taubar - mode.tau) * embed(y) for y in b02)
+    eta11 = tuple(embed(x) + mode.tau * embed(y) for x, y in zip(a11, b11))
+    a_vec, b_vec = tuple(a20 + a11 + a02), tuple(b20 + b11 + b02)
+    return EtaClass(ring, mode, a_vec, b_vec, eta11, etabar02, synthetic)
 
 
 def char_to_eta(
@@ -123,12 +118,10 @@ def _checked_rank(mat: list, mode: CoefficientMode) -> tuple[int, tuple]:
     if not mat or not mat[0]:
         return 0, ()
     rank = exact_rank(mat, mode.dom)
-    if mode.specialize is None:
-        return rank, ()
     bad = tuple(
         pair
         for pair in mode.sample_points
-        if exact_rank([[mode.specialize(e, pair) for e in row] for row in mat]) != rank
+        if exact_rank([[e.subs(*pair) for e in row] for row in mat]) != rank
     )
     return rank, bad
 
@@ -193,9 +186,8 @@ class _TotalPage:
             ma = ring.dr_mult_matrix(s, self.a_dr, 2)
             mb = ring.dr_mult_matrix(s, self.b_dr, 2)
             joined = [ra + rb for ra, rb in zip(ma, mb)]
-            stacked = [[-x for x in row] for row in mb] + ma
             self.rank[s, 1] = exact_rank(joined) if joined else 0
-            self.rank[s, 2] = exact_rank(stacked) if stacked else 0
+            self.rank[s, 2] = exact_rank(mb + ma) if ma else 0
 
     def betti(self) -> tuple[int, ...]:
         betti = [0] * 7
@@ -215,13 +207,9 @@ class _Page:
         # a source off the square reads as an empty block
         self.blocks: dict[tuple[tuple[int, int], str], list] = defaultdict(list)
         for source in BIDEGREES:
-            for kind, w_block, w_coeffs, sign in (
-                ("11", (1, 1), eta.eta11, 1),
-                ("02", (0, 2), eta.etabar02, 1),
-                ("-02", (0, 2), eta.etabar02, -1),
-            ):
+            for kind, w_block, w_coeffs in (("11", (1, 1), eta.eta11), ("02", (0, 2), eta.etabar02)):
                 self.blocks[source, kind] = eta.ring.mult_matrix(
-                    source, w_block, w_coeffs, mode.embed, sign
+                    source, w_block, w_coeffs, mode.embed
                 )
         # (P, Q, t) -> checked rank of the differential leaving the cell:
         # t = 1 maps onto H^{P,Q+1}, t = 2 from H^{P-1,Q-1} onto H^{P,Q} + H^{P-1,Q+1}
@@ -230,7 +218,7 @@ class _Page:
         for P, Q in product(range(4), repeat=2):
             corner = (P - 1, Q - 1)
             first = _beside(blocks[(P, Q - 1), "02"], blocks[(P - 1, Q), "11"])
-            second = blocks[corner, "11"] + blocks[corner, "-02"]
+            second = blocks[corner, "11"] + blocks[corner, "02"]
             self.cells[P, Q, 1] = _checked_rank(first, mode)
             self.cells[P, Q, 2] = _checked_rank(second, mode)
 
@@ -319,10 +307,10 @@ def structure_maps(
             flags += _flags(f"combined map at ({p},{q})", *checked)
             per_bidegree.append(((p, q), checked[0]))
 
-    # [x*eta11 from (1,0), 0; -x*etabar02 from (1,0), x*eta11 from (0,1)]
+    # [x*eta11 from (1,0), 0; x*etabar02 from (1,0), x*eta11 from (0,1)]
     zeros = [mode.embed(Fraction(0))] * ring.dim(0, 1)
     top = [row + zeros for row in page.blocks[(1, 0), "11"]]
-    bottom = _beside(page.blocks[(1, 0), "-02"], page.blocks[(0, 1), "11"])
+    bottom = _beside(page.blocks[(1, 0), "02"], page.blocks[(0, 1), "11"])
     h_aggregate, bad = _checked_rank(top + bottom, mode)
     flags += _flags("degree-1 combined map", h_aggregate, bad)
 

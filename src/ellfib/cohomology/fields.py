@@ -159,19 +159,17 @@ GAUSS_DOMAIN = DomainOps(is_zero=lambda z: z.is_zero, div=lambda a, b: a / b)
 
 @dataclass(frozen=True)
 class CoefficientMode:
-    """How the formal period and its conjugate are represented."""
+    """How the formal period and its conjugate are represented.
+
+    Each rank over Poly2 is recomputed at every (t, s) of sample_points.
+    """
 
     name: str
     tau: object
     taubar: object
     embed: Callable
     dom: DomainOps
-    specialize: Callable | None = None
     sample_points: tuple = ()
-
-
-def _poly_specialize(elem: Poly2, pair: tuple[Fraction, Fraction]) -> Fraction:
-    return elem.subs(pair[0], pair[1])
 
 
 GENERIC_MODE = CoefficientMode(
@@ -180,7 +178,6 @@ GENERIC_MODE = CoefficientMode(
     taubar=POLY_S,
     embed=Poly2.const,
     dom=POLY2_DOMAIN,
-    specialize=_poly_specialize,
     sample_points=(
         (Fraction(19, 7), Fraction(-23, 11)),
         (Fraction(5, 3), Fraction(7, 2)),

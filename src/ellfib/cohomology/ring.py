@@ -155,9 +155,6 @@ class BigradedRing:
     def labels(self, p: int, q: int) -> tuple[str, ...]:
         return self.basis.get((p, q), ())
 
-    def degree_of(self, label: str) -> tuple[int, int]:
-        return self._degree_of[label]
-
     def dr_dim(self, k: int) -> int:
         return len(self.dr_basis.get(k, ()))
 
@@ -176,8 +173,8 @@ class BigradedRing:
     def dr_cup(self, x: str, y: str) -> dict[str, Fraction]:
         return self.dr_products.get((x, y), {})
 
-    def mult_matrix(self, source: tuple[int, int], w_block: tuple[int, int], w_coeffs, embed, sign=1):
-        """Field matrix of x -> sign * (x cup w) from H^source, w given on w_block.
+    def mult_matrix(self, source: tuple[int, int], w_block: tuple[int, int], w_coeffs, embed):
+        """Field matrix of x -> x cup w from H^source, w given on w_block.
 
         Rows index the target-block basis; a target outside the bidegree
         square is the zero space (a 0-row matrix).
@@ -185,7 +182,7 @@ class BigradedRing:
         p, q = source[0] + w_block[0], source[1] + w_block[1]
         if p > 2 or q > 2:
             return []
-        w = [(sign * value, y) for value, y in zip(w_coeffs, self.labels(*w_block))]
+        w = list(zip(w_coeffs, self.labels(*w_block)))
         columns = [[(value, self.cup(x, y)) for value, y in w] for x in self.labels(*source)]
         return _contract(self.labels(p, q), columns, embed(Fraction(0)))
 
@@ -288,21 +285,13 @@ def ring_validate(ring: BigradedRing) -> tuple[str, ...]:
                     f"conjugation rank at ({p},{q}) is {got}, expected {expected}"
                 )
             if dim_pq <= dim_qp:
-                back = ring.conj_matrix(q, p)
-                for col in range(dim_pq):
-                    image = [
-                        sum(
-                            back[r][m] * forward[m][col]
-                            for m in range(dim_qp)
-                        )
-                        for r in range(dim_pq)
-                    ]
-                    unit = [Fraction(int(r == col)) for r in range(dim_pq)]
-                    if image != unit:
-                        report.append(
-                            f"conjugation at ({p},{q}) is not inverted by ({q},{p})"
-                        )
-                        break
+                labels = ring.labels(p, q)
+                # column x holds conj(conj(x)), summed over the nonzero entries of conj(x)
+                twice = [[(c, ring.conj[m]) for m, c in ring.conj[x].items()] for x in labels]
+                if _contract(labels, twice, Fraction(0)) != [
+                    [int(r == c) for c in range(dim_pq)] for r in range(dim_pq)
+                ]:
+                    report.append(f"conjugation at ({p},{q}) is not inverted by ({q},{p})")
 
     for k in range(5):
         matrix = ring.ident_matrix(k)

@@ -232,6 +232,25 @@ class TranslationCocycle:
         return f"TranslationCocycle(overlaps={len(self.values)})"
 
 
+def _check_on_nerve(nerve: Nerve, cocycle: TranslationCocycle, local=None, what="local class"):
+    """Refuse a cocycle value, or a key of local, that lies off the nerve.
+
+    Given local, return the (chart, sample) pairs of the nerve it leaves out.
+    """
+    for key, per_sample in cocycle.values.items():
+        if key not in nerve._overlap_s:
+            raise SchemaError(f"cocycle value on unknown overlap {key!r}")
+        extra = per_sample.keys() - nerve._overlap_s[key]
+        if extra:
+            raise SchemaError(f"cocycle value on overlap {key!r} at unknown samples {sorted(extra)!r}")
+    if local is not None:
+        pairs = {(chart, s) for chart in nerve.charts for s in nerve.chart_samples(chart)}
+        for key in local:
+            if key not in pairs:
+                raise SchemaError(f"{what} at unknown chart/sample {key!r}")
+        return pairs - local.keys()
+
+
 @dataclass(frozen=True)
 class CocycleReport:
     ok: bool
@@ -240,6 +259,7 @@ class CocycleReport:
 
 def check_cocycle(nerve: Nerve, cocycle: TranslationCocycle) -> CocycleReport:
     """List every triple sample where the three-term sum is not zero."""
+    _check_on_nerve(nerve, cocycle)
     for i, j in nerve.overlaps:
         for s in nerve.overlap_samples(i, j):
             cocycle.value(i, j, s)
@@ -264,6 +284,7 @@ def coboundary_solve(
     Each connected component of the (chart, sample) constraint graph is
     anchored by zeroing its smallest node, so the answer is canonical.
     """
+    _check_on_nerve(nerve, cocycle)
     nodes = sorted(
         (chart, s) for chart in nerve.charts for s in nerve.chart_samples(chart)
     )
@@ -304,13 +325,12 @@ def classify_line_family(
     The transition translations do not move a degree-zero class, so
     gluing is plain equality of the local values on overlap samples.
     The cocycle is accepted for interface symmetry and precondition
-    context only.
+    context only; like local, it may hold no value off the nerve.
     """
-    del cocycle
-    for chart in nerve.charts:
-        for s in nerve.chart_samples(chart):
-            if (chart, s) not in local:
-                raise MissingSample(f"no local class for chart {chart!r} sample {s!r}")
+    missing = _check_on_nerve(nerve, cocycle, local)
+    if missing:
+        chart, s = min(missing)
+        raise MissingSample(f"no local class for chart {chart!r} sample {s!r}")
     for i, j in nerve.overlaps:
         for s in nerve.overlap_samples(i, j):
             left, right = local[(i, s)], local[(j, s)]

@@ -23,7 +23,7 @@ from .errors import (
     SchemaError,
     WrongTotal,
 )
-from .fibration import Nerve, TranslationCocycle
+from .fibration import Nerve, TranslationCocycle, _check_on_nerve
 from .torus import PointMultiset, TorusPoint, merge_points
 from .transform import SkyscraperClass, fm_transform, psi_transform
 
@@ -67,19 +67,12 @@ class BundleFamily:
         data: Mapping[tuple[str, str], AtiyahBundle],
         rank: int | None = None,
     ):
-        self.base = base
-        self.cocycle = cocycle
-        table: dict[tuple[str, str], AtiyahBundle] = {}
-        expected = {
-            (chart, s) for chart in base.charts for s in base.chart_samples(chart)
-        }
-        for key, bundle in data.items():
-            if key not in expected:
-                raise SchemaError(f"family data at unknown chart/sample {key!r}")
-            table[key] = bundle
-        missing = expected - set(table)
+        missing = _check_on_nerve(base, cocycle, data, "family data")
         if missing:
             raise MissingSample(f"family data missing at {sorted(missing)!r}")
+        self.base = base
+        self.cocycle = cocycle
+        table = dict(data)
         ranks = {bundle.rank() for bundle in table.values()}
         if rank is None:
             rank = min(ranks)
@@ -230,6 +223,16 @@ def round_trip_count(n: int, torsion: int, cap: int | None = None) -> tuple[int,
     return sections, bundles[-1]
 
 
+def _check_budget(n: int, torsion: int, samples: int) -> None:
+    """Refuse a round trip whose object count times samples exceeds the budget."""
+    work = sum(round_trip_count(n, torsion, ROUND_TRIP_BUDGET)) * samples
+    if work > ROUND_TRIP_BUDGET:
+        raise BudgetExceeded(
+            f"round trip over n={n}, torsion={torsion} and {samples} samples "
+            f"would check over {ROUND_TRIP_BUDGET} objects"
+        )
+
+
 @dataclass(frozen=True)
 class RoundTripReport:
     ok: bool
@@ -253,12 +256,7 @@ def round_trip_verify(base: Nerve, n: int, torsion: int) -> RoundTripReport:
     """
     chart = _require_single_chart(base)
     samples = base.chart_samples(chart)
-    work = sum(round_trip_count(n, torsion, ROUND_TRIP_BUDGET)) * len(samples)
-    if work > ROUND_TRIP_BUDGET:
-        raise BudgetExceeded(
-            f"round trip over n={n}, torsion={torsion} and {len(samples)} samples "
-            f"would check over {ROUND_TRIP_BUDGET} objects"
-        )
+    _check_budget(n, torsion, len(samples))
     view = Nerve.single_chart(chart, samples[:1])
     s = samples[0]
     failures: list[str] = []

@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import re
+import signal
 import sys
 import time
 from fractions import Fraction
@@ -231,6 +232,35 @@ def test_roundtrip_refuses_over_budget(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+class Overrun(Exception):
+    pass
+
+
+def _overrun(signum, frame):
+    raise Overrun
+
+
+def test_roundtrip_refuses_a_huge_sample_count_before_building_labels(capsys):
+    # an alarm stops the run after 1 s, so a build of 10**12 labels fails
+    # the test within that second instead of filling memory
+    previous = signal.signal(signal.SIGALRM, _overrun)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code, out, err = run(capsys, "roundtrip", "--n", "1", "--torsion", "1",
+                             "--samples", "1000000000000")
+    except Overrun:
+        pytest.fail("roundtrip --samples 10**12 was not refused within 1 s")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: round trip over n=1, torsion=1 and 1000000000000 samples "
+        "would check over 2000000 objects\n"
+    )
+
+
 # -- cocycle verbs ---------------------------------------------------------
 
 
@@ -294,6 +324,47 @@ def test_classify_conflict_is_domain_error(tmp_path, capsys):
     code, out, err = run(capsys, "classify", "--in", write(tmp_path, "c.json", doc))
     assert code == 1
     assert "('c1', 'c2')" in err
+
+
+def assert_schema_error(code, out, err, *pieces):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    for piece in pieces:
+        assert piece in err
+
+
+def off_nerve_docs():
+    """(verb, document) for every verb reading a cocycle, one value off the nerve each."""
+    family = family_json(two_chart_family())
+    classify = cocycle_doc(ORIGIN, ORIGIN, ORIGIN)
+    classify["local"] = {f"{c}/s": point_json(ORIGIN) for c in ("c1", "c2", "c3")}
+    for label, pair, sample, key in (
+        ("unknown-chart", "c1,q", "s", "unknown overlap"),
+        ("unknown-sample", "c1,c2", "zz", "['zz']"),
+    ):
+        for verb, doc in (
+            ("cocycle-check", cocycle_doc(ORIGIN, ORIGIN, ORIGIN)),
+            ("coboundary", cocycle_doc(ORIGIN, ORIGIN, ORIGIN)),
+            ("classify", classify),
+            ("gamma", family),
+        ):
+            doc = copy.deepcopy(doc)
+            doc["cocycle"]["lambda"].setdefault(pair, {})[sample] = point_json(ORIGIN)
+            yield pytest.param(verb, doc, key, id=f"{verb}-{label}")
+
+
+@pytest.mark.parametrize("verb, doc, key", off_nerve_docs())
+def test_cocycle_verbs_refuse_a_value_off_the_nerve(tmp_path, capsys, verb, doc, key):
+    code, out, err = run(capsys, verb, "--in", write(tmp_path, "doc.json", doc))
+    assert_schema_error(code, out, err, "cocycle value", key)
+
+
+def test_classify_refuses_a_local_class_off_the_nerve(tmp_path, capsys):
+    doc = cocycle_doc(ORIGIN, ORIGIN, ORIGIN)
+    doc["local"] = {f"{c}/s": point_json(ORIGIN) for c in ("c1", "c2", "c3", "nochart")}
+    code, out, err = run(capsys, "classify", "--in", write(tmp_path, "c.json", doc))
+    assert_schema_error(code, out, err, "('nochart', 's')")
 
 
 # -- gerbe verb ------------------------------------------------------------

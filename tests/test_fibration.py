@@ -372,6 +372,45 @@ def test_classify_detects_disconnected_disagreement():
         classify_line_family(nerve, TranslationCocycle({}), local)
 
 
+# -- data off the nerve ----------------------------------------------------
+
+
+def cocycle_with(nerve: Nerve, pair, sample) -> TranslationCocycle:
+    """Zero on every overlap sample of nerve, plus one value at (pair, sample)."""
+    values = {key: dict.fromkeys(nerve.overlap_samples(*key), ORIGIN) for key in nerve.overlaps}
+    values.setdefault(pair, {})[sample] = ORIGIN
+    return TranslationCocycle(values)
+
+
+OFF_NERVE = {
+    "unknown-chart": (("c1", "q"), "s", "unknown overlap ('c1', 'q')"),
+    "unknown-sample": (("c1", "c2"), "zz", "overlap ('c1', 'c2') at unknown samples ['zz']"),
+}
+
+
+@pytest.mark.parametrize("pair, sample, message", OFF_NERVE.values(), ids=list(OFF_NERVE))
+def test_cocycle_values_off_the_nerve_are_refused(pair, sample, message):
+    nerve = cycle_nerve()
+    cocycle = cocycle_with(nerve, pair, sample)
+    local = {(c, "s"): ORIGIN for c in nerve.charts}
+    for verb in (check_cocycle, coboundary_solve):
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            verb(nerve, cocycle)
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        classify_line_family(nerve, cocycle, local)
+
+
+@pytest.mark.parametrize(
+    "key", [("nochart", "s"), ("c1", "zz")], ids=["unknown-chart", "unknown-sample"]
+)
+def test_classify_refuses_a_local_class_off_the_nerve(key):
+    nerve = cycle_nerve()
+    local = {(c, "s"): ORIGIN for c in nerve.charts}
+    local[key] = ORIGIN
+    with pytest.raises(SchemaError, match=re.escape(f"local class at unknown chart/sample {key!r}")):
+        classify_line_family(nerve, TranslationCocycle({}), local)
+
+
 # -- gerbe data and obstruction --------------------------------------------
 
 

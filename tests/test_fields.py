@@ -100,15 +100,15 @@ def test_generic_mode_keeps_period_and_conjugate_independent():
     tau, taubar = GENERIC_MODE.tau, GENERIC_MODE.taubar
     assert tau == POLY_T and taubar == POLY_S
     assert not (tau - taubar).is_zero
-    # specialization hooks agree with direct substitution
+    # the sample points read a product at t and s
     pair = GENERIC_MODE.sample_points[0]
-    assert GENERIC_MODE.specialize(tau * taubar, pair) == pair[0] * pair[1]
+    assert (tau * taubar).subs(*pair) == pair[0] * pair[1]
 
 
 def test_gaussian_mode_uses_conjugate_pair():
     assert GAUSSIAN_MODE.tau * GAUSSIAN_MODE.taubar == GaussQ.const(1)
     assert GAUSSIAN_MODE.tau + GAUSSIAN_MODE.taubar == GaussQ.const(0)
-    assert GAUSSIAN_MODE.specialize is None
+    assert GAUSSIAN_MODE.sample_points == ()
 
 
 def test_mode_embeddings_are_unital():

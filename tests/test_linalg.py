@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ellfib.cohomology.fields import GAUSS_DOMAIN, GaussQ, POLY2_DOMAIN, Poly2
+from ellfib.cohomology.fields import GAUSS_DOMAIN, POLY_S, POLY_T, GaussQ, POLY2_DOMAIN, Poly2
 from ellfib.linalg import (
+    FRACTION_DOMAIN,
     exact_rank,
     integer_diagonalize,
     rref,
@@ -93,6 +96,44 @@ def test_rank_over_gaussian_rationals():
     # second row is i times the first
     assert exact_rank([[one, i], [i, i * i]], GAUSS_DOMAIN) == 1
     assert exact_rank([[one, i], [i, one]], GAUSS_DOMAIN) == 2
+
+
+# small coefficients with many zeros, so rank drops are common
+SMALL = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2)])
+ENTRIES = {
+    "fraction": (FRACTION_DOMAIN, st.builds(Fraction, SMALL)),
+    "poly2": (POLY2_DOMAIN, st.builds(
+        lambda c, t, s: Poly2.const(c) + t * POLY_T + s * POLY_S, SMALL, SMALL, SMALL
+    )),
+    "gauss": (GAUSS_DOMAIN, st.builds(GaussQ, st.builds(Fraction, SMALL), st.builds(Fraction, SMALL))),
+}
+
+
+@st.composite
+def negated_blocks(draw):
+    """A domain and blocks A (m1 x n), B (m2 x n), C (m2 x k) over it."""
+    name = draw(st.sampled_from(sorted(ENTRIES)))
+    dom, entry = ENTRIES[name]
+    m1, m2, n, k = (draw(st.integers(1, 3)) for _ in range(4))
+
+    def block(rows, cols):
+        return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+    return dom, block(m1, n), block(m2, n), block(m2, k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(negated_blocks())
+def test_negating_a_block_keeps_the_rank(blocks):
+    # the engine stores no negated block: only ranks are read off its page
+    dom, a, b, c = blocks
+    neg_b = [[-x for x in row] for row in b]
+    assert exact_rank(a + b, dom) == exact_rank(a + neg_b, dom)
+    zero = a[0][0] - a[0][0]
+    top = [row + [zero] * len(c[0]) for row in a]
+    assert exact_rank(top + [rb + rc for rb, rc in zip(b, c)], dom) == (
+        exact_rank(top + [rb + rc for rb, rc in zip(neg_b, c)], dom)
+    )
 
 
 def test_rref_produces_identity_leading_blocks():

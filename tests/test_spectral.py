@@ -104,6 +104,18 @@ def test_family_requires_complete_equal_rank_data():
         )
 
 
+@pytest.mark.parametrize(
+    "pair, sample", [(("a", "q"), "s"), (("a", "b"), "zz")], ids=["unknown-chart", "unknown-sample"]
+)
+def test_family_refuses_a_cocycle_value_off_the_nerve(pair, sample):
+    nerve = two_chart_nerve()
+    values = {("a", "b"): {"s": ORIGIN}}
+    values.setdefault(pair, {})[sample] = ORIGIN
+    b = make_bundle([(1, ORIGIN)])
+    with pytest.raises(SchemaError, match="cocycle value"):
+        BundleFamily(nerve, TranslationCocycle(values), {("a", "s"): b, ("b", "s"): b})
+
+
 def test_constant_family_covers_every_sample():
     nerve = two_chart_nerve()
     b = make_bundle([(1, pt("1/2"))])

@@ -5,8 +5,10 @@ twelve verbs) and over the invariants classes of
 perfbench.gen.invariants_inputs, each with --out json and --out table,
 for seeds 0-39, then roundtrip over a fixed grid: n 1-3, torsion 1-4
 and --samples 1, 2 and 5, plus two refused requests (over the work
-budget, and --samples 0).  Every run's argument list, exit code, stdout
-and stderr go into the digest of its verb.  Input documents are written to
+budget, and --samples 0), then validate-ring on the torus4 and k3
+presets and on a kodaira file: document whose conjugation of A is
+doubled (its inverse check fails).  Every run's argument list, exit
+code, stdout and stderr go into the digest of its verb.  Input documents are written to
 one fixed relative path inside a temporary working directory, so no
 temporary path reaches the output.
 
@@ -72,11 +74,21 @@ def roundtrip_runs():
     yield ["roundtrip", "--n", "2", "--torsion", "3", "--samples", "0"], None
 
 
+def validate_ring_runs(kodaira_text: str):
+    """(argv, document) for validate-ring beyond the kodaira files of the seeds."""
+    for preset in ("torus4", "k3"):
+        yield ["validate-ring", "--preset", preset], None
+    doc = json.loads(kodaira_text)
+    doc["conjugation"]["A"]["B"] = "-2"
+    yield ["validate-ring", "--preset", f"file:{DOC}"], doc
+
+
 def all_runs(kodaira_text: str):
-    """Every run in digest order: the seeds' runs, then the roundtrip grid."""
+    """Every run in digest order: the seeds' runs, the roundtrip grid, validate-ring."""
     for seed in SEEDS:
         yield from list(cli_runs(seed, kodaira_text)) + list(invariants_runs(seed))
     yield from roundtrip_runs()
+    yield from validate_ring_runs(kodaira_text)
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
