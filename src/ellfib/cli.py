@@ -95,10 +95,9 @@ def cmd_beta(args) -> int:
 def cmd_roundtrip(args) -> int:
     if args.n < 1 or args.torsion < 1 or args.samples < 1:
         raise SchemaError("--n, --torsion, and --samples must be positive")
-    # refused before K labels and a K-sample nerve are built
     _check_budget(args.n, args.torsion, args.samples)
-    labels = ["s"] if args.samples == 1 else [f"s{i}" for i in range(1, args.samples + 1)]
-    base = Nerve.single_chart("c", labels)
+    # round_trip_verify reads the first sample only; K counts toward the budget
+    base = Nerve.single_chart("c", ["s" if args.samples == 1 else "s1"])
     report = round_trip_verify(base, args.n, args.torsion)
     _emit(roundtrip_report_json(report))
     return 0 if report.ok else 1

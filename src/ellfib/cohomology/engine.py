@@ -39,7 +39,6 @@ from ..torus import parse_fraction
 from .fields import GENERIC_MODE, CoefficientMode
 from .ring import BIDEGREES, BigradedRing
 
-FIBER_HODGE = {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
 FIBER_BETTI = (1, 2, 1)
 
 
@@ -416,11 +415,3 @@ def full_invariants(
         betti=betti,
         consistency=consistency_report(diamond, betti),
     )
-
-
-def kunneth_diamond(ring: BigradedRing) -> HodgeDiamond:
-    """Product-case diamond: base numbers spread by the fiber square."""
-    h = [[0] * 4 for _ in range(4)]
-    for p, q in product(range(4), repeat=2):
-        h[p][q] = sum(mult * ring.dim(p - i, q - j) for (i, j), mult in FIBER_HODGE.items())
-    return HodgeDiamond(h)

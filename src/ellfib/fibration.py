@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-import sympy
-
 from .errors import (
     IncompatibleFamily,
     InvalidGerbe,
@@ -494,7 +492,18 @@ class GerbeReport:
     witness: tuple[tuple[tuple[str, str], Fraction], ...] | None
 
 
+def __getattr__(name: str):
+    # perfbench/tracing.py wraps factorint as `fibration.sympy.factorint`, so
+    # the name resolves here; the hook goes when sympy does (ROADMAP item 1)
+    if name != "sympy":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import sympy
+
+    return sympy
+
+
 def _prime_valuations(q: Fraction) -> dict[int, int]:
+    import sympy  # deferred: only the gerbe witness factors
     # numerator and denominator are coprime, so no prime appears in both
     vals = {int(p): int(e) for p, e in sympy.factorint(abs(q.numerator)).items()}
     vals.update((int(p), -int(e)) for p, e in sympy.factorint(q.denominator).items())

@@ -4,8 +4,10 @@ import contextlib
 import copy
 import io
 import json
+import os
 import re
 import signal
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -261,6 +263,24 @@ def test_roundtrip_refuses_a_huge_sample_count_before_building_labels(capsys):
     )
 
 
+def test_roundtrip_builds_one_sample_label_whatever_the_count(capsys, monkeypatch):
+    # 2 objects times 10**6 samples is the budget itself, so the run is accepted
+    _, expected, _ = run(capsys, "roundtrip", "--n", "1", "--torsion", "1", "--samples", "2")
+    sizes = []
+    build = Nerve.single_chart
+
+    def recorded(cls, chart="c", samples=("s",)):
+        sizes.append(len(samples))
+        return build(chart, samples)
+
+    monkeypatch.setattr(Nerve, "single_chart", classmethod(recorded))
+    code, out, err = run(capsys, "roundtrip", "--n", "1", "--torsion", "1",
+                         "--samples", "1000000")
+    assert (code, err) == (0, "")
+    assert sizes and set(sizes) == {1}
+    assert out == expected
+
+
 # -- cocycle verbs ---------------------------------------------------------
 
 
@@ -415,6 +435,37 @@ def test_gerbe_obstructed_fixture(tmp_path, capsys):
     assert payload["cocycle_ok"] is False
     assert payload["gluable"] is False
     assert payload["witness"] is None
+
+
+SYMPY_PROBE = """
+import contextlib, io, json, sys
+import ellfib.cli
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        ellfib.cli.main(argv)
+    loaded.append([argv[0], "sympy" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_only_the_gerbe_verb_loads_sympy(tmp_path):
+    # one fresh process runs every verb of a benchmark seed, gerbe last
+    kodaira_text = (ROOT / "src/ellfib/cohomology/presets/kodaira.json").read_text()
+    runs = []
+    for unit in gen.cli_inputs(0, kodaira_text)[:12]:
+        op = unit[0]
+        doc = tmp_path / f"{op['args'][0]}.json"
+        if op["doc"] is not None:
+            doc.write_text(json.dumps(op["doc"]))
+        runs.append([arg.replace("{doc}", str(doc)) for arg in op["args"]])
+    runs.sort(key=lambda argv: (argv[0] == "gerbe", argv[0] != "fm"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", SYMPY_PROBE, json.dumps(runs)],
+                          capture_output=True, text=True, env=env, check=True)
+    assert len(runs) == 12 and runs[0][0] == "fm"
+    assert json.loads(done.stdout) == [[argv[0], argv[0] == "gerbe"] for argv in runs]
 
 
 # -- invariants and ring validation ----------------------------------------

@@ -708,6 +708,31 @@ def test_gerbe_alpha_diagonalizes_the_relators_at_most_twice(monkeypatch):
     assert len(calls) <= 2
 
 
+def test_module_getattr_serves_sympy_and_nothing_else():
+    assert fibration.sympy is sys.modules["sympy"]
+    with pytest.raises(AttributeError):
+        getattr(fibration, "nope")
+
+
+def test_gerbe_alpha_factors_through_the_module_sympy(monkeypatch):
+    # the benchmark tracer counts factorizations by wrapping fibration.sympy.factorint
+    sympy = fibration.sympy
+    factored = []
+    original = sympy.factorint
+
+    def counted(n, *args, **kwargs):
+        factored.append(n)
+        return original(n, *args, **kwargs)
+
+    monkeypatch.setattr(sympy, "factorint", counted)
+    nerve = tetra_nerve()
+    report = gerbe_alpha(nerve, coherent_gerbe(nerve, random.Random(41)))
+    assert report.gluable
+    assert any(value != 1 for _, value in report.alpha)
+    for _, value in report.alpha:
+        assert {abs(value.numerator), value.denominator} <= set(factored)
+
+
 def test_gerbe_alpha_rejects_foreign_nerve():
     g = GerbeData(cycle_nerve())
     with pytest.raises(SchemaError):

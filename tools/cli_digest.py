@@ -5,9 +5,10 @@ twelve verbs) and over the invariants classes of
 perfbench.gen.invariants_inputs, each with --out json and --out table,
 for seeds 0-39, then roundtrip over a fixed grid: n 1-3, torsion 1-4
 and --samples 1, 2 and 5, plus two refused requests (over the work
-budget, and --samples 0), then validate-ring on the torus4 and k3
-presets and on a kodaira file: document whose conjugation of A is
-doubled (its inverse check fails).  Every run's argument list, exit
+budget, and --samples 0) and both sides of the budget edge (n 1,
+torsion 1, --samples 10**6 and 10**6 + 1), then validate-ring on the
+torus4 and k3 presets and on a kodaira file: document whose
+conjugation of A is doubled (its inverse check fails).  Every run's argument list, exit
 code, stdout and stderr go into the digest of its verb.  Input documents are written to
 one fixed relative path inside a temporary working directory, so no
 temporary path reaches the output.
@@ -63,7 +64,7 @@ def invariants_runs(seed: int):
 
 
 def roundtrip_runs():
-    """(argv, None) for the fixed roundtrip grid and two refused requests."""
+    """(argv, None) for the fixed roundtrip grid, refused requests and the budget edge."""
     for n in range(1, 4):
         for torsion in range(1, 5):
             for samples in (1, 2, 5):
@@ -71,6 +72,9 @@ def roundtrip_runs():
                        "--samples", str(samples)], None
     # 18 204 objects times 110 samples is over spectral.ROUND_TRIP_BUDGET
     yield ["roundtrip", "--n", "3", "--torsion", "6", "--samples", "110"], None
+    # 2 objects times 10**6 samples is the budget itself; one sample more is over it
+    for samples in ("1000000", "1000001"):
+        yield ["roundtrip", "--n", "1", "--torsion", "1", "--samples", samples], None
     yield ["roundtrip", "--n", "2", "--torsion", "3", "--samples", "0"], None
 
 
