@@ -11,15 +11,15 @@ objects agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import EmptyBundle, NonPositiveRank
 from .torus import LineBundleClass, PointMultiset, TorusPoint, merge_points
 
 
-def _block_key(block: tuple[int, TorusPoint]):
-    n, x = block
-    return (x, n)
+_rank = itemgetter(0)
+_twist = itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -44,13 +44,16 @@ class GradedClass(PointMultiset):
 
 
 def make_bundle(blocks: Iterable[tuple[int, TorusPoint]]) -> AtiyahBundle:
-    blocks = tuple(sorted(blocks, key=_block_key))
+    blocks = list(blocks)
     if not blocks:
         raise EmptyBundle("a bundle needs at least one block")
     for n, _ in blocks:
         if type(n) is not int or n < 1:
             raise NonPositiveRank(f"block rank must be a positive int, got {n!r}")
-    return AtiyahBundle(blocks)
+    # two stable sorts give (point, rank) order with one point call per comparison
+    blocks.sort(key=_rank)
+    blocks.sort(key=_twist)
+    return AtiyahBundle(tuple(blocks))
 
 
 def make_graded(parts: Iterable[tuple[TorusPoint, int]]) -> GradedClass:

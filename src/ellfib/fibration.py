@@ -54,7 +54,9 @@ def triple_key(i: str, j: str, k: str) -> tuple[str, str, str]:
 class Nerve:
     """Validated chart/overlap/triple incidence with sample labels."""
 
-    __slots__ = ("charts", "overlaps", "triples", "_chart_s", "_overlap_s", "_triple_s")
+    __slots__ = (
+        "charts", "overlaps", "triples", "_chart_s", "_overlap_s", "_triple_s", "_pairs"
+    )
 
     def __init__(
         self,
@@ -157,6 +159,16 @@ class Nerve:
             raise SchemaError(f"unknown triple {key!r}")
         return self._triple_s[key]
 
+    def _pair_set(self) -> frozenset[tuple[str, str]]:
+        """Every (chart, sample) key, built at the first call and kept."""
+        try:
+            return self._pairs
+        except AttributeError:
+            self._pairs = frozenset(
+                (chart, s) for chart, labels in self._chart_s.items() for s in labels
+            )
+            return self._pairs
+
     def tetrahedra(self) -> tuple[tuple[str, str, str, str], ...]:
         """Chart quadruples all four of whose triples are present, sorted."""
         thirds: dict[tuple[str, str], set[str]] = {}
@@ -242,7 +254,7 @@ def _check_on_nerve(nerve: Nerve, cocycle: TranslationCocycle, local=None, what=
         if extra:
             raise SchemaError(f"cocycle value on overlap {key!r} at unknown samples {sorted(extra)!r}")
     if local is not None:
-        pairs = {(chart, s) for chart in nerve.charts for s in nerve.chart_samples(chart)}
+        pairs = nerve._pair_set()
         for key in local:
             if key not in pairs:
                 raise SchemaError(f"{what} at unknown chart/sample {key!r}")

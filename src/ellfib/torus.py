@@ -10,6 +10,13 @@ x |-> class of [x] - [origin].
 
 Divisors, graded classes, skyscrapers and spectral cycles all store points
 with int multiplicities in one canonical form, built by merge_points.
+
+Negation is cached: a point builds its negative once and links the two,
+so the transforms, which negate every support point, reuse the same
+objects instead of rebuilding them.  The link is a hidden slot outside
+equality, hashing, repr and pickling, so points stay frozen, picklable
+values; the way back is a weak reference, so a pair forms no reference
+cycle and is freed as soon as it is dropped.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable
+from weakref import ref as _weak
 
 from .errors import EmptyBundle, NonPositiveRank, NonZeroDegree, SchemaError
 
@@ -63,9 +71,15 @@ class TorusPoint:
     the order of the point, equality and hashing are integer work, and
     the group law needs no Fraction arithmetic.  Points order
     lexicographically by (u, v).
+
+    -p is built on first use and kept in the _neg slot of p, and -p keeps
+    a weak link back to p there, so -(-p) is p.  The slot is a cache, not
+    a field: equality, hashing, repr and __reduce__ read only (a, b, d),
+    a copy or an unpickled point starts with an empty cache, and
+    assignment stays refused.
     """
 
-    __slots__ = ("_a", "_b", "_d", "_hash")
+    __slots__ = ("_a", "_b", "_d", "_hash", "_neg", "__weakref__")
 
     def __init__(self, u, v):
         u, v = _frac(u), _frac(v)
@@ -152,9 +166,25 @@ class TorusPoint:
         )
 
     def __neg__(self) -> "TorusPoint":
+        # _neg holds the negative this point built, or a weak link back to
+        # the point that built this one: no reference cycle, so a pair is
+        # freed by reference counting as soon as both points are dropped
+        try:
+            neg = self._neg
+        except AttributeError:
+            pass
+        else:
+            if neg.__class__ is TorusPoint:
+                return neg
+            neg = neg()
+            if neg is not None:
+                return neg
         # gcd(d - a, d - b, d) = gcd(a, b, d) = 1: still in lowest terms
         d = self._d
-        return _build(-self._a % d, -self._b % d, d)
+        neg = _build(-self._a % d, -self._b % d, d)
+        _setattr(neg, "_neg", _weak(self))
+        _setattr(self, "_neg", neg)
+        return neg
 
     def __sub__(self, other: "TorusPoint") -> "TorusPoint":
         return self + (-other)

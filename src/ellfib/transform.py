@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .bundles import AtiyahBundle, make_bundle
-from .errors import WrongDegree
-from .torus import PointMultiset, TorusPoint, merge_points
+from .bundles import AtiyahBundle
+from .errors import EmptyBundle, WrongDegree
+from .torus import PointMultiset, TorusPoint, _point, merge_points
 
 
 def _cohomological(degree: int) -> int:
@@ -62,9 +62,15 @@ def psi_transform(s: SkyscraperClass) -> AtiyahBundle:
     """Inverse transform of a degree-zero skyscraper: polystable bundle.
 
     Each support point p of length m contributes m rank-one blocks at -p.
+    The parts hold distinct points, so sorting their negatives once puts
+    the blocks in bundle order.
     """
     if s.degree != 0:
         raise WrongDegree(
             f"inverse transform needs cohomological degree 0, got {s.degree}"
         )
-    return make_bundle((1, -p) for p, m in s.parts for _ in range(m))
+    parts = sorted(((-p, m) for p, m in s.parts), key=_point)
+    blocks = tuple((1, q) for q, m in parts for _ in range(m))
+    if not blocks:
+        raise EmptyBundle("a bundle needs at least one block")
+    return AtiyahBundle(blocks)

@@ -21,6 +21,7 @@ from ellfib.bundles import (
 )
 from ellfib.errors import EmptyBundle, NonPositiveRank
 from ellfib.torus import ORIGIN, TorusPoint, point_class
+from ellfib.transform import make_skyscraper, psi_transform
 
 rationals = st.fractions(min_value=0, max_value=1, max_denominator=8)
 points = st.builds(TorusPoint, rationals, rationals)
@@ -45,6 +46,35 @@ def test_make_bundle_rejects_empty_and_bad_ranks():
         make_bundle([(0, ORIGIN)])
     with pytest.raises(NonPositiveRank):
         make_bundle([(-1, ORIGIN)])
+
+
+@pytest.mark.parametrize("bad", ["a", None, Fraction(3, 2), 1.0, True], ids=repr)
+def test_make_bundle_checks_ranks_before_sorting(bad):
+    # a bad rank next to an int rank at the same point must not reach a
+    # rank comparison, which would raise a raw TypeError
+    with pytest.raises(NonPositiveRank):
+        make_bundle([(1, half()), (bad, half())])
+    with pytest.raises(NonPositiveRank):
+        make_bundle([(bad, ORIGIN), (2, ORIGIN), (1, half())])
+
+
+# few points, so that one point often carries several ranks
+few_points = st.sampled_from(
+    [ORIGIN, half(), TorusPoint(0, Fraction(1, 2)), TorusPoint(Fraction(1, 3), Fraction(2, 3))]
+)
+
+
+@given(st.lists(st.tuples(st.integers(1, 3), few_points), min_size=1, max_size=7))
+def test_make_bundle_orders_blocks_by_point_then_rank(raw):
+    reference = sorted(raw, key=lambda b: (b[1].u, b[1].v, b[0]))
+    assert make_bundle(raw).blocks == tuple(reference)
+    assert make_bundle(reversed(raw)).blocks == tuple(reference)
+
+
+@given(st.lists(st.tuples(few_points, st.integers(1, 3)), min_size=1, max_size=5))
+def test_psi_transform_matches_make_bundle_of_negated_parts(raw):
+    s = make_skyscraper(raw, 0)
+    assert psi_transform(s) == make_bundle((1, -p) for p, m in s.parts for _ in range(m))
 
 
 def test_rank_and_degree():

@@ -1,10 +1,13 @@
 """Torus points, point multisets, divisors, and degree-zero line bundle classes."""
 
 import copy
+import gc
 import itertools
 import math
 import pickle
+import weakref
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -13,7 +16,8 @@ from hypothesis import strategies as st
 
 from ellfib.bundles import GradedClass, make_bundle, make_graded
 from ellfib.errors import EmptyBundle, NonPositiveRank, NonZeroDegree, SchemaError
-from ellfib.spectral import SpectralCycle, make_cycle
+from ellfib.fibration import Nerve
+from ellfib.spectral import SpectralCycle, make_cycle, round_trip_verify
 from ellfib.torus import (
     ORIGIN,
     PointMultiset,
@@ -143,6 +147,71 @@ def test_points_are_immutable():
     with pytest.raises(AttributeError):
         del p.v
     assert p == TorusPoint(Fraction(1, 3), Fraction(1, 2))
+
+
+@given(mixed, mixed)
+def test_negation_is_cached_and_linked(x, y):
+    p = TorusPoint(x, y)
+    d = p.order()
+    q = -p
+    assert -q is p and -p is q
+    twin = TorusPoint.from_triple(-int(p.u * d), -int(p.v * d), d)
+    assert q == twin and hash(q) == hash(twin)
+
+
+@given(mixed, mixed)
+def test_negated_points_copy_and_pickle_as_plain_points(x, y):
+    p = TorusPoint(x, y)
+    q = -p
+    for clone in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+        assert clone == q and hash(clone) == hash(q)
+        assert repr(clone) == repr(q)
+        assert -clone == p and -(-clone) is clone
+    assert pickle.dumps(q) == pickle.dumps(TorusPoint(q.u, q.v))
+
+
+def test_negation_pairs_are_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        p = TorusPoint(Fraction(1, 3), Fraction(1, 5))
+        q = -p
+        p_ref, q_ref = weakref.ref(p), weakref.ref(q)
+        del p
+        assert p_ref() is None  # q links back to p only weakly
+        assert -q == TorusPoint(Fraction(1, 3), Fraction(1, 5)) and -(-q) is q
+        del q
+        assert q_ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "name", ["u", "v", "_a", "_b", "_d", "_hash", "_neg", "__weakref__", "other"]
+)
+def test_every_attribute_stays_frozen(name):
+    p = TorusPoint(Fraction(1, 3), Fraction(1, 2))
+    for point in (p, -p, -ORIGIN):
+        with pytest.raises(FrozenInstanceError):
+            setattr(point, name, ORIGIN)
+        with pytest.raises(FrozenInstanceError):
+            delattr(point, name)
+    assert -(-p) is p and -p == TorusPoint(Fraction(2, 3), Fraction(1, 2))
+
+
+def test_round_trip_builds_each_point_and_its_negative_once(monkeypatch):
+    # wrap the one construction hook, as perfbench/tracing.py does
+    built = []
+    post_init = TorusPoint.__dict__["__post_init__"]
+
+    def counted(point):
+        built.append(1)
+        post_init(point)
+
+    monkeypatch.setattr(TorusPoint, "__post_init__", counted)
+    torsion = 4
+    report = round_trip_verify(Nerve.single_chart(), 3, torsion)
+    assert report.ok
+    assert len(built) <= 4 * torsion**2
 
 
 def test_points_compare_only_with_points():

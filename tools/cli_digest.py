@@ -6,9 +6,13 @@ perfbench.gen.invariants_inputs, each with --out json and --out table,
 for seeds 0-39, then roundtrip over a fixed grid: n 1-3, torsion 1-4
 and --samples 1, 2 and 5, plus two refused requests (over the work
 budget, and --samples 0) and both sides of the budget edge (n 1,
-torsion 1, --samples 10**6 and 10**6 + 1), then validate-ring on the
-torus4 and k3 presets and on a kodaira file: document whose
-conjugation of A is doubled (its inverse check fails).  Every run's argument list, exit
+torsion 1, --samples 10**6 and 10**6 + 1), then a fixed block-order
+grid over the four 2-torsion points: every rank-3 bundle through fm
+and spectral-cover, its blocks listed in reverse canonical order so
+that the block sort has work to do, and every rank-3 degree-0 cycle,
+as a skyscraper, through psi, then validate-ring on the torus4 and k3
+presets and on a kodaira file: document whose conjugation of A is
+doubled (its inverse check fails).  Every run's argument list, exit
 code, stdout and stderr go into the digest of its verb.  Input documents are written to
 one fixed relative path inside a temporary working directory, so no
 temporary path reaches the output.
@@ -30,6 +34,8 @@ import json
 import os
 import sys
 import tempfile
+from fractions import Fraction
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,6 +84,35 @@ def roundtrip_runs():
     yield ["roundtrip", "--n", "2", "--torsion", "3", "--samples", "0"], None
 
 
+TWO_TORSION = [(Fraction(a, 2), Fraction(b, 2)) for a in range(2) for b in range(2)]
+
+
+def _point_doc(point: tuple[Fraction, Fraction]) -> dict:
+    return {"u": str(point[0]), "v": str(point[1])}
+
+
+def block_order_runs():
+    """(argv, document) for every rank-3 bundle and degree-0 cycle over 2-torsion.
+
+    Bundles list their blocks in reverse (point, rank) order; cycles
+    list their parts, lengths merged, in reverse point order.
+    """
+    # (rank, point) blocks in (point, rank) order, so each combination
+    # below comes out in canonical block order
+    blocks = [(n, x) for x in TWO_TORSION for n in (1, 2, 3)]
+    for size in (1, 2, 3):
+        for combo in combinations_with_replacement(blocks, size):
+            if sum(n for n, _ in combo) != 3:
+                continue
+            doc = {"blocks": [{"n": n, "x": _point_doc(x)} for n, x in reversed(combo)]}
+            for verb in ("fm", "spectral-cover"):
+                yield [verb, "--in", DOC], doc
+    for combo in combinations_with_replacement(TWO_TORSION, 3):
+        parts = sorted({p: combo.count(p) for p in combo}.items(), reverse=True)
+        doc = {"parts": [{"p": _point_doc(p), "len": m} for p, m in parts], "degree": 0}
+        yield ["psi", "--in", DOC], doc
+
+
 def validate_ring_runs(kodaira_text: str):
     """(argv, document) for validate-ring beyond the kodaira files of the seeds."""
     for preset in ("torus4", "k3"):
@@ -88,10 +123,12 @@ def validate_ring_runs(kodaira_text: str):
 
 
 def all_runs(kodaira_text: str):
-    """Every run in digest order: the seeds' runs, the roundtrip grid, validate-ring."""
+    """Every run in digest order: the seeds' runs, the roundtrip grid, the
+    block-order grid, validate-ring."""
     for seed in SEEDS:
         yield from list(cli_runs(seed, kodaira_text)) + list(invariants_runs(seed))
     yield from roundtrip_runs()
+    yield from block_order_runs()
     yield from validate_ring_runs(kodaira_text)
 
 
