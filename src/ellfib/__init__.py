@@ -2,146 +2,7 @@
 rational torus, gluing data over sampled nerves, and cohomology tables
 for the associated total spaces.  Everything is computed over Q with
 fractions, so every result is reproducible bit for bit.
+
+The package root exports nothing and loads no submodule: import each
+name from its submodule (ellfib.torus, ellfib.bundles, ...).
 """
-
-from .bundles import (
-    AtiyahBundle,
-    GradedClass,
-    determinant,
-    direct_sum,
-    dual_bundle,
-    dual_graded,
-    graded,
-    make_bundle,
-    make_graded,
-    s_equivalent,
-    split_bundle,
-    tensor_line,
-    tensor_line_graded,
-)
-from .errors import (
-    DomainError,
-    EmptyBundle,
-    IncompatibleFamily,
-    InvalidClass,
-    InvalidGerbe,
-    MissingSample,
-    NonConstantLength,
-    NonPositiveRank,
-    NonZeroDegree,
-    OverlapMismatch,
-    SchemaError,
-    WrongDegree,
-    WrongTotal,
-)
-from .fibration import (
-    CocycleReport,
-    GerbeData,
-    GerbeReport,
-    Nerve,
-    TranslationCocycle,
-    check_cocycle,
-    classify_line_family,
-    coboundary_solve,
-    gerbe_alpha,
-    validate_gerbe,
-)
-from .spectral import (
-    BundleFamily,
-    RoundTripReport,
-    SpectralCycle,
-    beta_map,
-    constant_family,
-    cycle_of_graded,
-    enumerate_bundles,
-    enumerate_cycles,
-    gamma_map,
-    make_cycle,
-    round_trip_verify,
-    spectral_cover,
-    translate_cycle,
-)
-from .torus import (
-    ORIGIN,
-    Divisor,
-    LineBundleClass,
-    TorusPoint,
-    divisor_class,
-    make_divisor,
-    point_class,
-    point_divisor,
-)
-from .transform import (
-    SkyscraperClass,
-    fm_transform,
-    make_skyscraper,
-    psi_transform,
-    translate_skyscraper,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AtiyahBundle",
-    "BundleFamily",
-    "CocycleReport",
-    "Divisor",
-    "DomainError",
-    "EmptyBundle",
-    "GerbeData",
-    "GerbeReport",
-    "GradedClass",
-    "IncompatibleFamily",
-    "InvalidClass",
-    "InvalidGerbe",
-    "LineBundleClass",
-    "MissingSample",
-    "Nerve",
-    "NonConstantLength",
-    "NonPositiveRank",
-    "NonZeroDegree",
-    "ORIGIN",
-    "OverlapMismatch",
-    "RoundTripReport",
-    "SchemaError",
-    "SkyscraperClass",
-    "SpectralCycle",
-    "TorusPoint",
-    "TranslationCocycle",
-    "WrongDegree",
-    "WrongTotal",
-    "beta_map",
-    "check_cocycle",
-    "classify_line_family",
-    "coboundary_solve",
-    "constant_family",
-    "cycle_of_graded",
-    "determinant",
-    "direct_sum",
-    "divisor_class",
-    "dual_bundle",
-    "dual_graded",
-    "enumerate_bundles",
-    "enumerate_cycles",
-    "fm_transform",
-    "gamma_map",
-    "gerbe_alpha",
-    "graded",
-    "make_bundle",
-    "make_cycle",
-    "make_divisor",
-    "make_graded",
-    "make_skyscraper",
-    "point_class",
-    "point_divisor",
-    "psi_transform",
-    "round_trip_verify",
-    "s_equivalent",
-    "spectral_cover",
-    "split_bundle",
-    "tensor_line",
-    "tensor_line_graded",
-    "translate_cycle",
-    "translate_skyscraper",
-    "validate_gerbe",
-]

@@ -55,7 +55,8 @@ class Nerve:
     """Validated chart/overlap/triple incidence with sample labels."""
 
     __slots__ = (
-        "charts", "overlaps", "triples", "_chart_s", "_overlap_s", "_triple_s", "_pairs"
+        "charts", "overlaps", "triples", "_chart_s", "_overlap_s", "_triple_s", "_pairs",
+        "_relator",
     )
 
     def __init__(
@@ -168,6 +169,28 @@ class Nerve:
                 (chart, s) for chart, labels in self._chart_s.items() for s in labels
             )
             return self._pairs
+
+    def _relator_form(self):
+        """Relator matrix R and its diagonal form (D, U, V), built at the first call and kept.
+
+        R has one row g_ij + g_jk - g_ik per sorted triple and one column
+        per overlap; U R V = D.  Every part is a tuple of tuples, so the
+        readers (condition 3 and the gluability witness) share it unchanged.
+        """
+        try:
+            return self._relator
+        except AttributeError:
+            column = {key: pos for pos, key in enumerate(self.overlaps)}
+            rows = []
+            for i, j, k in self.triples:
+                row = [0] * len(column)
+                row[column[(i, j)]] += 1
+                row[column[(j, k)]] += 1
+                row[column[(i, k)]] -= 1
+                rows.append(tuple(row))
+            form = tuple(tuple(map(tuple, part)) for part in integer_diagonalize(rows))
+            self._relator = (tuple(rows), form)
+            return self._relator
 
     def tetrahedra(self) -> tuple[tuple[str, str, str, str], ...]:
         """Chart quadruples all four of whose triples are present, sorted."""
@@ -449,19 +472,6 @@ class GerbeData:
         return {g: -e for g, e in vec.items()} if key != (i, j) else dict(vec)
 
 
-def _relator_rows(nerve: Nerve) -> list[list[int]]:
-    """Relator matrix R: row g_ij + g_jk - g_ik per sorted triple, columns overlaps."""
-    gen_index = {key: pos for pos, key in enumerate(nerve.overlaps)}
-    rows = []
-    for i, j, k in nerve.triples:
-        row = [0] * len(gen_index)
-        row[gen_index[(i, j)]] += 1
-        row[gen_index[(j, k)]] += 1
-        row[gen_index[(i, k)]] -= 1
-        rows.append(row)
-    return rows
-
-
 def validate_gerbe(g: GerbeData) -> None:
     """Check descriptor condition 3; 1, 2 and 4 hold by encoding.
 
@@ -476,7 +486,7 @@ def validate_gerbe(g: GerbeData) -> None:
     which is zero because F_yx is stored as -F_xy.
     """
     nerve = g.nerve
-    d, _, v = integer_diagonalize(_relator_rows(nerve))
+    d, _, v = nerve._relator_form()[1]
     gen_index = {key: pos for pos, key in enumerate(nerve.overlaps)}
     diagonal = [d[c][c] if c < len(d) else 0 for c in range(len(v))]
     for i, j, k in nerve.triples:
@@ -506,7 +516,7 @@ class GerbeReport:
 
 def __getattr__(name: str):
     # perfbench/tracing.py wraps factorint as `fibration.sympy.factorint`, so
-    # the name resolves here; the hook goes when sympy does (ROADMAP item 1)
+    # the name resolves here; the hook goes when sympy does (ROADMAP item 3)
     if name != "sympy":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     import sympy
@@ -527,13 +537,13 @@ def _coboundary_witness(
 ) -> dict[tuple[str, str], Fraction] | None:
     """Solve alpha = (delta beta) in nonzero rationals, prime by prime.
 
-    Each alpha is factored once; one diagonal form of R serves every prime.
+    Each alpha is factored once; the nerve's one diagonal form of R serves
+    every prime.
     """
     gens = nerve.overlaps
-    rows = _relator_rows(nerve)
+    rows, form = nerve._relator_form()
     valuations = [_prime_valuations(alpha[tri]) for tri in nerve.triples]
     primes = sorted({p for vals in valuations for p in vals})
-    form = integer_diagonalize(rows)
     exponents: dict[tuple[str, str], Fraction] = {key: Fraction(1) for key in gens}
     for p in primes:
         sol = solve_diagonalized(form, [vals.get(p, 0) for vals in valuations])

@@ -19,6 +19,7 @@ from .errors import (
     BudgetExceeded,
     MissingSample,
     NonConstantLength,
+    NonPositiveRank,
     OverlapMismatch,
     SchemaError,
     WrongTotal,
@@ -67,6 +68,8 @@ class BundleFamily:
         data: Mapping[tuple[str, str], AtiyahBundle],
         rank: int | None = None,
     ):
+        if rank is not None and (type(rank) is not int or rank < 1):
+            raise NonPositiveRank(f"family rank must be a positive int, got {rank!r}")
         missing = _check_on_nerve(base, cocycle, data, "family data")
         if missing:
             raise MissingSample(f"family data missing at {sorted(missing)!r}")

@@ -468,6 +468,26 @@ def test_only_the_gerbe_verb_loads_sympy(tmp_path):
     assert json.loads(done.stdout) == [[argv[0], argv[0] == "gerbe"] for argv in runs]
 
 
+ROOT_PROBE = """
+import json, sys
+import ellfib
+root = sorted(name for name in sys.modules if name.startswith("ellfib."))
+import ellfib.cohomology.engine
+print(json.dumps([root, sorted(set(json.loads(sys.argv[1])) & set(sys.modules))]))
+"""
+
+
+def test_the_package_root_loads_nothing():
+    # each public name has one import path, its submodule
+    stacks = ["ellfib.bundles", "ellfib.transform", "ellfib.spectral", "ellfib.fibration",
+              "ellfib.serialize", "sympy"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", ROOT_PROBE, json.dumps(stacks)],
+                          capture_output=True, text=True, env=env, check=True)
+    assert json.loads(done.stdout) == [[], []]
+
+
 # -- invariants and ring validation ----------------------------------------
 
 

@@ -102,6 +102,11 @@ def test_family_requires_complete_equal_rank_data():
         BundleFamily(
             nerve, TranslationCocycle({}), {("c", "s"): b1, ("c", "t"): b1}, rank=2
         )
+    for rank in (True, 1.0, 0, -1, "1"):
+        with pytest.raises(NonPositiveRank):
+            BundleFamily(
+                nerve, TranslationCocycle({}), {("c", "s"): b1, ("c", "t"): b1}, rank=rank
+            )
 
 
 @pytest.mark.parametrize(
