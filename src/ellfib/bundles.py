@@ -15,7 +15,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .errors import EmptyBundle, NonPositiveRank
-from .torus import LineBundleClass, PointMultiset, TorusPoint, merge_points
+from .torus import LineBundleClass, Parts, PointMultiset, TorusPoint, merge_points
 
 
 _rank = itemgetter(0)
@@ -60,9 +60,20 @@ def make_graded(parts: Iterable[tuple[TorusPoint, int]]) -> GradedClass:
     return GradedClass(merge_points(parts))
 
 
+def _block_runs(bundle: AtiyahBundle) -> Parts:
+    """(x, summed rank) per run of blocks at x: canonical blocks need no check or sort."""
+    runs: list[tuple[TorusPoint, int]] = []
+    for n, x in bundle.blocks:
+        if runs and runs[-1][0] == x:
+            runs[-1] = (x, runs[-1][1] + n)
+        else:
+            runs.append((x, n))
+    return tuple(runs)
+
+
 def graded(bundle: AtiyahBundle) -> GradedClass:
     """Collapse each block of rank n at x to n copies of the twist line at x."""
-    return make_graded((x, n) for n, x in bundle.blocks)
+    return GradedClass(_block_runs(bundle))
 
 
 def s_equivalent(a: AtiyahBundle, b: AtiyahBundle) -> bool:

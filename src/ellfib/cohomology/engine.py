@@ -20,8 +20,13 @@ rank minus incoming rank.  This needs d*d = 0, which holds with nothing
 to check: two differentials in a row shift the base bidegree by (1, 3),
 and a ring has no basis outside 0 <= p, q <= 2 (BigradedRing refuses
 one), so every composite has an empty source or an empty target.
-In generic mode every rank is recomputed at fixed rational values of
-the indeterminates and discrepancies are flagged.
+
+Ranks are taken over Z, Z[i] or Z[t, s]: each tower clears its class's
+denominators by one scale, and the ring's integer tables scale whole
+maps, so no rank moves.  Generic ranks are also taken, first, at fixed
+rational (t, s) and flagged where they differ.  A sample rank of
+min(m, n) certifies the generic rank (specialization only lowers rank),
+so only the other maps are eliminated over Z[t, s].
 """
 
 from __future__ import annotations
@@ -31,12 +36,13 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Sequence
 
 from ..errors import InvalidClass, SchemaError
-from ..linalg import exact_rank
+from ..linalg import INTEGER_DOMAIN, exact_rank
 from ..torus import parse_fraction
-from .fields import GENERIC_MODE, CoefficientMode
+from .fields import GENERIC_MODE, CoefficientMode, at_sample
 from .ring import BIDEGREES, BigradedRing
 
 FIBER_BETTI = (1, 2, 1)
@@ -67,6 +73,12 @@ def _split_h2(ring: BigradedRing, vec) -> tuple[list, list, list]:
     return values[:i], values[i:j], values[j:]
 
 
+def _cleared(values: list[Fraction]) -> list[int]:
+    """The values times the lcm of their denominators, one scale for all."""
+    scale = lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values]
+
+
 def _eta_class(
     ring: BigradedRing, a, b, mode: CoefficientMode, synthetic: bool
 ) -> EtaClass:
@@ -81,10 +93,12 @@ def _eta_class(
             "the (0,2) part of a + tau*b must vanish; with rational inputs "
             "that means both (0,2) blocks are zero"
         )
+    # one scale for every part eta reads scales eta as a whole
+    cleared, n = _cleared(a11 + b11 + b02), len(a11)
     embed = mode.embed
     # a synthetic class reads a's (0,2) block as -tau*b; a plain one has b02 = 0
-    etabar02 = tuple((mode.taubar - mode.tau) * embed(y) for y in b02)
-    eta11 = tuple(embed(x) + mode.tau * embed(y) for x, y in zip(a11, b11))
+    etabar02 = tuple((mode.taubar - mode.tau) * embed(y) for y in cleared[2 * n :])
+    eta11 = tuple(embed(x) + mode.tau * embed(y) for x, y in zip(cleared[:n], cleared[n : 2 * n]))
     a_vec, b_vec = tuple(a20 + a11 + a02), tuple(b20 + b11 + b02)
     return EtaClass(ring, mode, a_vec, b_vec, eta11, etabar02, synthetic)
 
@@ -113,16 +127,13 @@ def synthetic_eta(
 
 
 def _checked_rank(mat: list, mode: CoefficientMode) -> tuple[int, tuple]:
-    """Rank over the mode's field, and the sample points that change it."""
+    """Rank over the mode's domain, and the sample points that change it."""
     if not mat or not mat[0]:
         return 0, ()
-    rank = exact_rank(mat, mode.dom)
-    bad = tuple(
-        pair
-        for pair in mode.sample_points
-        if exact_rank([[e.subs(*pair) for e in row] for row in mat]) != rank
-    )
-    return rank, bad
+    at = [exact_rank(at_sample(mat, *pair), INTEGER_DOMAIN) for pair in mode.sample_points]
+    full = min(len(mat), len(mat[0]))
+    rank = full if full in at else exact_rank(mat, mode.dom)
+    return rank, tuple(pair for pair, r in zip(mode.sample_points, at) if r != rank)
 
 
 def _flags(tag: str, rank: int, bad: tuple) -> list[str]:
@@ -154,13 +165,7 @@ class HodgeDiamond:
 
     def rows_by_total(self) -> list[list[int]]:
         """Row k lists h(p, k-p) left to right by decreasing q."""
-        out = []
-        for k in range(7):
-            row = []
-            for p in range(max(0, k - 3), min(3, k) + 1):
-                row.append(self.h[p][k - p])
-            out.append(row)
-        return out
+        return [[self.h[p][k - p] for p in range(max(0, k - 3), min(3, k) + 1)] for k in range(7)]
 
 
 def _cell_dim(ring: BigradedRing, P: int, Q: int, t: int) -> int:
@@ -173,20 +178,21 @@ def _cell_dim(ring: BigradedRing, P: int, Q: int, t: int) -> int:
 
 
 class _TotalPage:
-    """a and b in de Rham coordinates, and the ranks of the total-degree page."""
+    """a and b (one denominator cleared) in de Rham coordinates, and the page's ranks."""
 
     def __init__(self, ring: BigradedRing, a, b):
         self.ring = ring
-        self.a_dr = ring.to_derham(2, list(a))
-        self.b_dr = ring.to_derham(2, list(b))
+        cleared = _cleared([parse_fraction(x, "degree-2 coordinate") for x in [*a, *b]])
+        self.a_dr = ring.to_derham(2, cleared[: len(a)])
+        self.b_dr = ring.to_derham(2, cleared[len(a) :])
         # (s, t) -> rank of the map leaving H^s(base) x H^t(fiber)
         self.rank: dict[tuple[int, int], int] = {}
         for s in range(5):
             ma = ring.dr_mult_matrix(s, self.a_dr, 2)
             mb = ring.dr_mult_matrix(s, self.b_dr, 2)
             joined = [ra + rb for ra, rb in zip(ma, mb)]
-            self.rank[s, 1] = exact_rank(joined) if joined else 0
-            self.rank[s, 2] = exact_rank(mb + ma) if ma else 0
+            self.rank[s, 1] = exact_rank(joined, INTEGER_DOMAIN) if joined else 0
+            self.rank[s, 2] = exact_rank(mb + ma, INTEGER_DOMAIN) if ma else 0
 
     def betti(self) -> tuple[int, ...]:
         betti = [0] * 7
@@ -294,7 +300,7 @@ def structure_maps(
     flags: list[str] = []
     e = 0 if all(mode.dom.is_zero(x) for x in eta.etabar02) else 1
     g = 0 if all(mode.dom.is_zero(x) for x in eta.eta11) else 1
-    d = exact_rank([page.total.a_dr, page.total.b_dr]) if page.total.a_dr else 0
+    d = exact_rank([page.total.a_dr, page.total.b_dr], INTEGER_DOMAIN) if page.total.a_dr else 0
 
     f_rank, bad = _checked_rank(page.blocks[(1, 0), "02"], mode)
     flags += _flags("f map", f_rank, bad)
@@ -307,7 +313,7 @@ def structure_maps(
             per_bidegree.append(((p, q), checked[0]))
 
     # [x*eta11 from (1,0), 0; x*etabar02 from (1,0), x*eta11 from (0,1)]
-    zeros = [mode.embed(Fraction(0))] * ring.dim(0, 1)
+    zeros = [mode.embed(0)] * ring.dim(0, 1)
     top = [row + zeros for row in page.blocks[(1, 0), "11"]]
     bottom = _beside(page.blocks[(1, 0), "02"], page.blocks[(0, 1), "11"])
     h_aggregate, bad = _checked_rank(top + bottom, mode)
@@ -349,9 +355,7 @@ def leray_betti(ring: BigradedRing, a, b) -> tuple[int, ...]:
 def consistency_report(diamond: HodgeDiamond, betti: Sequence[int]) -> tuple[str, ...]:
     """Violation list: Euler counts, both dualities, degeneration bound."""
     report = []
-    chi = sum(
-        (-1) ** (p + q) * diamond.value(p, q) for p in range(4) for q in range(4)
-    )
+    chi = sum((-1) ** (p + q) * diamond.value(p, q) for p in range(4) for q in range(4))
     if chi != 0:
         report.append(f"alternating Hodge sum is {chi}, expected 0")
     euler = sum((-1) ** k * bk for k, bk in enumerate(betti))
@@ -368,14 +372,9 @@ def consistency_report(diamond: HodgeDiamond, betti: Sequence[int]) -> tuple[str
                     f"h({3 - p},{3 - q}) = {diamond.value(3 - p, 3 - q)}"
                 )
     for k in range(7):
-        hodge_sum = sum(
-            diamond.value(p, k - p) for p in range(4) if 0 <= k - p <= 3
-        )
+        hodge_sum = sum(diamond.value(p, k - p) for p in range(4) if 0 <= k - p <= 3)
         if betti[k] > hodge_sum:
-            report.append(
-                f"degeneration bound fails: b{k} = {betti[k]} exceeds "
-                f"Hodge sum {hodge_sum}"
-            )
+            report.append(f"degeneration bound fails: b{k} = {betti[k]} exceeds Hodge sum {hodge_sum}")
     return tuple(report)
 
 
@@ -398,8 +397,7 @@ def full_invariants(
     synthetic: bool = False,
 ) -> InvariantsResult:
     """One-call pipeline: class, both towers, ranks, cross-checks."""
-    build = synthetic_eta if synthetic else char_to_eta
-    eta = build(ring, a, b, mode)
+    eta = (synthetic_eta if synthetic else char_to_eta)(ring, a, b, mode)
     flags: list[str] = []
     diamond = borel_hodge(ring, eta, flags)
     profile = structure_maps(ring, eta, diamond)

@@ -2,10 +2,14 @@
 
 A twisting class is stored as a pair of rational vectors (a, b) and
 enters rank computations as a + tau * b, where tau is a formal period.
-Two interpretations are supported: a generic mode where tau and its
-conjugate are independent indeterminates (exact, no special relations),
-and a gaussian mode where tau = i.  Both feed the same fraction-free
-rank routine through a DomainOps adapter.
+The engine clears the denominators of (a, b) first, so every entry it
+ranks is integral.  Two interpretations are supported: a generic mode
+where tau and its conjugate are independent indeterminates t and s
+(entries in Z[t, s]), and a gaussian mode where tau = i (entries in
+Z[i]).  Both feed the same fraction-free rank routine through a
+DomainOps adapter.  Poly2 and GaussQ take rational coefficients as well
+and divide exactly either way; on integer data every quotient stays an
+integer.
 """
 
 from __future__ import annotations
@@ -14,24 +18,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from ..linalg import DomainOps
+from ..linalg import DomainOps, exact_quotient
 
 
 class Poly2:
-    """Sparse polynomial in two variables over the rationals."""
+    """Sparse polynomial in two variables t, s over the integers or the rationals."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: dict[tuple[int, int], Fraction]):
-        self.coeffs = {k: Fraction(v) for k, v in coeffs.items() if v != 0}
+    def __init__(self, coeffs: dict[tuple[int, int], int | Fraction]):
+        self.coeffs = {k: v for k, v in coeffs.items() if v}
 
     @classmethod
     def const(cls, value) -> "Poly2":
-        return cls({(0, 0): Fraction(value)})
+        return cls({(0, 0): value})
 
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly2) and self.coeffs == other.coeffs
@@ -45,7 +52,7 @@ class Poly2:
     def __add__(self, other) -> "Poly2":
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
+            out[k] = out.get(k, 0) + v
         return Poly2(out)
 
     def __sub__(self, other) -> "Poly2":
@@ -53,22 +60,27 @@ class Poly2:
 
     def __mul__(self, other) -> "Poly2":
         if isinstance(other, (int, Fraction)):
-            other = Poly2.const(other)
-        out: dict[tuple[int, int], Fraction] = {}
+            return Poly2({k: v * other for k, v in self.coeffs.items()})
+        out: dict[tuple[int, int], int | Fraction] = {}
         for (i, j), u in self.coeffs.items():
             for (k, l), v in other.coeffs.items():
                 key = (i + k, j + l)
-                out[key] = out.get(key, Fraction(0)) + u * v
+                out[key] = out.get(key, 0) + u * v
         return Poly2(out)
 
     __rmul__ = __mul__
 
     def divexact(self, other: "Poly2") -> "Poly2":
-        """Exact division; caller guarantees divisibility (Bareiss does)."""
+        """Exact division over Q[t, s]; caller guarantees divisibility (Bareiss does).
+
+        Int coefficients that divide give an int, others a Fraction: a
+        polynomial's coefficient types cannot tell Z[t, s] from Q[t, s],
+        since a Fraction coefficient that cancels is dropped.
+        """
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         rem = dict(self.coeffs)
-        quot: dict[tuple[int, int], Fraction] = {}
+        quot: dict[tuple[int, int], int | Fraction] = {}
         lead = max(other.coeffs)
         lead_c = other.coeffs[lead]
         while rem:
@@ -76,22 +88,20 @@ class Poly2:
             dt, ds = top[0] - lead[0], top[1] - lead[1]
             if dt < 0 or ds < 0:
                 raise ArithmeticError("inexact polynomial division")
-            c = rem[top] / lead_c
-            quot[(dt, ds)] = quot.get((dt, ds), Fraction(0)) + c
+            num = rem[top]
+            if type(num) is int and type(lead_c) is int and not num % lead_c:
+                c = num // lead_c
+            else:
+                c = Fraction(num) / lead_c
+            quot[(dt, ds)] = quot.get((dt, ds), 0) + c
             for (i, j), v in other.coeffs.items():
                 key = (i + dt, j + ds)
-                new = rem.get(key, Fraction(0)) - c * v
+                new = rem.get(key, 0) - c * v
                 if new:
                     rem[key] = new
                 else:
                     rem.pop(key, None)
         return Poly2(quot)
-
-    def subs(self, t_val: Fraction, s_val: Fraction) -> Fraction:
-        total = Fraction(0)
-        for (i, j), v in self.coeffs.items():
-            total += v * t_val**i * s_val**j
-        return total
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -102,26 +112,45 @@ class Poly2:
         return "Poly2(" + " + ".join(parts) + ")"
 
 
-POLY_T = Poly2({(1, 0): Fraction(1)})
-POLY_S = Poly2({(0, 1): Fraction(1)})
+def at_sample(matrix, t: Fraction, s: Fraction) -> list[list]:
+    """q*r times a matrix of Poly2 at (t, s) = (p/q, u/r): its rank at (t, s),
+    integral for integer coefficients, for entries of degree at most 1 in
+    each variable (as every page entry is)."""
+    (p, q), (u, r) = t.as_integer_ratio(), s.as_integer_ratio()
+    weight = {(0, 0): q * r, (1, 0): p * r, (0, 1): q * u, (1, 1): p * u}
+    try:
+        return [[sum(c * weight[m] for m, c in e.coeffs.items()) for e in row] for row in matrix]
+    except KeyError:
+        raise ValueError("an entry has degree above 1 in t or s") from None
+
+
+POLY_T = Poly2({(1, 0): 1})
+POLY_S = Poly2({(0, 1): 1})
 
 POLY2_DOMAIN = DomainOps(is_zero=lambda p: p.is_zero, div=lambda a, b: a.divexact(b))
 
 
 @dataclass(frozen=True)
 class GaussQ:
-    """Gaussian rational a + b*i."""
+    """Gaussian number re + im*i over the integers or the rationals.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    Gaussian integers divide exactly or raise ArithmeticError: a product
+    reads both parts of both factors, so int parts come from int data only.
+    """
+
+    re: int | Fraction = 0
+    im: int | Fraction = 0
 
     @classmethod
     def const(cls, value) -> "GaussQ":
-        return cls(Fraction(value), Fraction(0))
+        return cls(value, 0)
 
     @property
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
+
+    def __bool__(self) -> bool:
+        return not self.is_zero
 
     def __neg__(self) -> "GaussQ":
         return GaussQ(-self.re, -self.im)
@@ -134,7 +163,7 @@ class GaussQ:
 
     def __mul__(self, other) -> "GaussQ":
         if isinstance(other, (int, Fraction)):
-            other = GaussQ.const(other)
+            return GaussQ(self.re * other, self.im * other)
         return GaussQ(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -146,13 +175,12 @@ class GaussQ:
         norm = other.re * other.re + other.im * other.im
         if norm == 0:
             raise ZeroDivisionError("gaussian division by zero")
-        return GaussQ(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        re = self.re * other.re + self.im * other.im
+        im = self.im * other.re - self.re * other.im
+        return GaussQ(exact_quotient(re, norm), exact_quotient(im, norm))
 
 
-GAUSS_I = GaussQ(Fraction(0), Fraction(1))
+GAUSS_I = GaussQ(0, 1)
 
 GAUSS_DOMAIN = DomainOps(is_zero=lambda z: z.is_zero, div=lambda a, b: a / b)
 
@@ -161,7 +189,7 @@ GAUSS_DOMAIN = DomainOps(is_zero=lambda z: z.is_zero, div=lambda a, b: a / b)
 class CoefficientMode:
     """How the formal period and its conjugate are represented.
 
-    Each rank over Poly2 is recomputed at every (t, s) of sample_points.
+    Each generic rank is also taken at every (t, s) of sample_points.
     """
 
     name: str

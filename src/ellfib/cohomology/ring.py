@@ -14,6 +14,12 @@ parse_fraction.  One sparse contraction builds every matrix
 (mult_matrix, dr_mult_matrix, to_derham and the validation matrices)
 by walking only the nonzero table entries.
 
+For the integer engine each ring also keeps int copies of both product
+tables and the identification, each times the lcm of its denominators.
+mult_matrix, dr_mult_matrix and to_derham read them, so their matrices
+are scaled, with the same ranks; cup, dr_cup, ring_validate and
+ring_to_dict read the rational tables.
+
 The conjugation is validated in a one-sided form: dimensions h^{p,q} and
 h^{q,p} may differ (non-Kahler bases), so the map is required to have
 rank min(h^{p,q}, h^{q,p}) and to restrict to an inverse pair on the
@@ -26,6 +32,7 @@ import functools
 import json
 from fractions import Fraction
 from importlib import resources
+from math import lcm
 from typing import Mapping
 
 from ..errors import SchemaError
@@ -85,11 +92,21 @@ def _load_vectors(raw: Mapping, where: str, target_of, out_degree: Mapping) -> d
     return table
 
 
+def _integral(table: dict) -> dict:
+    """The table times the lcm of its denominators, with int coefficients."""
+    denominators = {c.denominator for vec in table.values() for c in vec.values()} - {1}
+    scale = lcm(*denominators) if denominators else 1
+    return {
+        key: {z: c.numerator * (scale // c.denominator) for z, c in vec.items()}
+        for key, vec in table.items()
+    }
+
+
 def _contract(rows, columns, zero) -> list[list]:
     """The matrix whose column j sums value * vec over the (value, vec) of columns[j].
 
     Each vec maps row labels to coefficients, and only its entries are
-    walked; a value that tests false (a zero Fraction) adds nothing.
+    walked; a value that tests false (a zero number or Poly2) adds nothing.
     Every entry sums its terms in the order columns[j] lists them.
     """
     at = {label: i for i, label in enumerate(rows)}
@@ -114,6 +131,9 @@ class BigradedRing:
         "ident",
         "_degree_of",
         "_dr_degree_of",
+        "_int_products",
+        "_int_dr_products",
+        "_int_ident",
     )
 
     def __init__(
@@ -146,6 +166,9 @@ class BigradedRing:
         for label in deg:
             self.conj.setdefault(label, {})
             self.ident.setdefault(label, {})
+        self._int_products = _integral(self.products)
+        self._int_dr_products = _integral(self.dr_products)
+        self._int_ident = _integral(self.ident)
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -174,7 +197,7 @@ class BigradedRing:
         return self.dr_products.get((x, y), {})
 
     def mult_matrix(self, source: tuple[int, int], w_block: tuple[int, int], w_coeffs, embed):
-        """Field matrix of x -> x cup w from H^source, w given on w_block.
+        """Matrix of x -> x cup w from H^source, w given on w_block, times the product scale.
 
         Rows index the target-block basis; a target outside the bidegree
         square is the zero space (a 0-row matrix).
@@ -182,20 +205,22 @@ class BigradedRing:
         p, q = source[0] + w_block[0], source[1] + w_block[1]
         if p > 2 or q > 2:
             return []
-        w = list(zip(w_coeffs, self.labels(*w_block)))
-        columns = [[(value, self.cup(x, y)) for value, y in w] for x in self.labels(*source)]
-        return _contract(self.labels(p, q), columns, embed(Fraction(0)))
+        table = self._int_products
+        w = [(value, y) for value, y in zip(w_coeffs, self.labels(*w_block)) if value]
+        columns = [[(value, table.get((x, y), {})) for value, y in w] for x in self.labels(*source)]
+        return _contract(self.labels(p, q), columns, embed(0))
 
     def dr_mult_matrix(self, source_deg: int, w_vec, w_deg: int):
-        """Rational matrix of m -> m cup w on the de Rham ring."""
+        """Matrix of m -> m cup w on the de Rham ring, times the de Rham product scale."""
         if source_deg + w_deg > 4:
             return []
-        w = list(zip(w_vec, self.dr_basis.get(w_deg, ())))
+        table = self._int_dr_products
+        w = [(value, y) for value, y in zip(w_vec, self.dr_basis.get(w_deg, ())) if value]
         columns = [
-            [(value, self.dr_cup(x, y)) for value, y in w]
+            [(value, table.get((x, y), {})) for value, y in w]
             for x in self.dr_basis.get(source_deg, ())
         ]
-        return _contract(self.dr_basis.get(source_deg + w_deg, ()), columns, Fraction(0))
+        return _contract(self.dr_basis.get(source_deg + w_deg, ()), columns, 0)
 
     def conj_matrix(self, p: int, q: int) -> list[list[Fraction]]:
         columns = [[(1, self.conj[x])] for x in self.labels(p, q)]
@@ -205,18 +230,20 @@ class BigradedRing:
         columns = [[(1, self.ident[x])] for x in self.degree_labels(k)]
         return _contract(self.dr_basis.get(k, ()), columns, Fraction(0))
 
-    def to_derham(self, k: int, coords) -> list[Fraction]:
-        """Push concatenated degree-k bigraded coordinates to de Rham ones."""
+    def to_derham(self, k: int, coords) -> list:
+        """Push concatenated degree-k bigraded coordinates to de Rham ones,
+        times the identification scale; int coordinates give ints."""
         cols = self.degree_labels(k)
         if len(coords) != len(cols):
             raise SchemaError(
                 f"degree-{k} vector needs {len(cols)} coordinates, got {len(coords)}"
             )
         terms = [
-            (parse_fraction(value, f"degree-{k} coordinate"), self.ident[x])
+            (value if type(value) is int else parse_fraction(value, f"degree-{k} coordinate"),
+             self._int_ident[x])
             for x, value in zip(cols, coords)
         ]
-        return [row[0] for row in _contract(self.dr_basis.get(k, ()), [terms], Fraction(0))]
+        return [row[0] for row in _contract(self.dr_basis.get(k, ()), [terms], 0)]
 
 
 def _total_sign(d1, d2) -> int:

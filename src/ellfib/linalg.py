@@ -1,15 +1,19 @@
 """Exact linear algebra used across the package.
 
 Rank is computed by fraction-free Bareiss elimination, which works over
-any integral domain supplying exact division (rationals, Gaussian
-rationals, polynomial rings).  Rational solving/rref, an integer
-diagonalization with unimodular transforms, and a GF(2) solver cover the
-remaining needs; nothing here is asymptotically clever because every
-matrix in this artifact is desk-sized.
+any integral domain supplying exact division: the integers, the
+rationals, the Gaussian integers and the polynomials in two variables.
+Every division it makes is exact in the domain (Bareiss, Math. Comp. 22,
+1968), so integer data never needs a fraction; the integer domain raises
+on a remainder instead of flooring it.  Rational solving/rref, an
+integer diagonalization with unimodular transforms, and a GF(2) solver
+cover the remaining needs; nothing here is asymptotically clever because
+every matrix in this artifact is desk-sized.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -24,6 +28,20 @@ class DomainOps:
 
 
 FRACTION_DOMAIN = DomainOps(is_zero=lambda a: a == 0, div=lambda a, b: a / b)
+
+
+def exact_quotient(a, b):
+    """a / b where b divides a: two ints must leave no remainder (ArithmeticError
+    otherwise, never a floor or a float); other values divide as in their field."""
+    if type(a) is int and type(b) is int:
+        quotient, remainder = divmod(a, b)
+        if remainder:
+            raise ArithmeticError(f"inexact integer division {a} / {b}")
+        return quotient
+    return a / b
+
+
+INTEGER_DOMAIN = DomainOps(is_zero=operator.not_, div=exact_quotient)
 
 
 def exact_rank(matrix: Sequence[Sequence], dom: DomainOps = FRACTION_DOMAIN) -> int:

@@ -158,17 +158,19 @@ def torsion_points(torsion: int) -> list[TorusPoint]:
     ]
 
 
-def enumerate_cycles(n: int, torsion: int) -> list[SpectralCycle]:
-    points = sorted(torsion_points(torsion))
+def enumerate_cycles(n: int, torsion: int, points=None) -> list[SpectralCycle]:
+    """Every rank-n cycle on torsion points; points, if given, are them sorted."""
+    points = sorted(torsion_points(torsion)) if points is None else points
     return [
         make_cycle((point, 1) for point in combo)
         for combo in combinations_with_replacement(points, n)
     ]
 
 
-def enumerate_bundles(n: int, torsion: int) -> list[AtiyahBundle]:
-    """Every rank-n bundle whose block points are torsion, each class once."""
-    points = sorted(torsion_points(torsion))
+def enumerate_bundles(n: int, torsion: int, points=None) -> list[AtiyahBundle]:
+    """Every rank-n bundle whose block points are torsion, each class once;
+    points, if given, are the sorted torsion points."""
+    points = sorted(torsion_points(torsion)) if points is None else points
 
     def partitions(total: int, cap: int) -> list[tuple[int, ...]]:
         if total == 0:
@@ -264,12 +266,14 @@ def round_trip_verify(base: Nerve, n: int, torsion: int) -> RoundTripReport:
     s = samples[0]
     failures: list[str] = []
 
-    cycles = enumerate_cycles(n, torsion)
+    # one set of torsion points (and their negatives) serves both enumerations
+    points = sorted(torsion_points(torsion))
+    cycles = enumerate_cycles(n, torsion, points)
     for cycle in cycles:
         if gamma_map(beta_map(view, {s: cycle}, n))[chart, s] != cycle:
             failures.append(f"section round trip failed at {cycle!r}")
 
-    bundles = enumerate_bundles(n, torsion)
+    bundles = enumerate_bundles(n, torsion, points)
     classes = set()
     for bundle in bundles:
         section = gamma_map(constant_family(view, bundle))

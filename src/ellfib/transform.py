@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .bundles import AtiyahBundle
+from .bundles import AtiyahBundle, _block_runs
 from .errors import EmptyBundle, WrongDegree
 from .torus import PointMultiset, TorusPoint, _point, merge_points
 
@@ -52,10 +52,10 @@ def translate_skyscraper(s: SkyscraperClass, z: TorusPoint) -> SkyscraperClass:
 def fm_transform(bundle: AtiyahBundle) -> SkyscraperClass:
     """Forward transform: graded part (y, m) becomes length m at -y, degree 1.
 
-    The graded part at y sums the ranks of the blocks at y, so merging the
-    negated blocks directly gives the same parts.
+    The graded parts hold distinct points, so their negatives need one
+    sort and no merge.
     """
-    return SkyscraperClass(merge_points((-y, n) for n, y in bundle.blocks), 1)
+    return SkyscraperClass(tuple(sorted([(-y, m) for y, m in _block_runs(bundle)], key=_point)), 1)
 
 
 def psi_transform(s: SkyscraperClass) -> AtiyahBundle:

@@ -5,13 +5,18 @@ preset structure tables: block-by-block differentials for the bigraded
 tower and explicit multiplication matrices for the total-degree tower.
 """
 
+import json
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from importlib import resources
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ellfib.cohomology import engine
+from ellfib.cohomology import ring as ring_module
 from ellfib.cohomology.engine import (
     FIBER_BETTI,
     borel_hodge,
@@ -23,9 +28,9 @@ from ellfib.cohomology.engine import (
     synthetic_eta,
 )
 from ellfib.cohomology.fields import GAUSSIAN_MODE, GENERIC_MODE
-from ellfib.cohomology.ring import BigradedRing, load_preset
+from ellfib.cohomology.ring import PRESET_NAMES, BigradedRing, load_preset, ring_from_dict
 from ellfib.errors import InvalidClass, SchemaError
-from ellfib.linalg import exact_rank
+from ellfib.linalg import FRACTION_DOMAIN, exact_rank
 
 FIBER_HODGE = {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
 
@@ -476,3 +481,191 @@ def test_class_coordinates_follow_the_rational_grammar(entry):
     with pytest.raises(SchemaError):
         leray_betti(ring, [0, entry, 0, 0], kodaira_vec())
     assert char_to_eta(ring, [0, "2/4", 0, 0], kodaira_vec()).a_vec[1] == Fraction(1, 2)
+
+
+# -- the integer engine against a rational reference ------------------------
+
+
+def substitute(entry, t, s):
+    return sum((c * t**i * s**j for (i, j), c in entry.coeffs.items()), Fraction(0))
+
+
+def reference_rank(mat, mode):
+    """The mode's rank of a rational matrix, and the sample points (ranked
+    over FRACTION_DOMAIN by substitution) that change it."""
+    if not mat or not mat[0]:
+        return 0, ()
+    rank = exact_rank(mat, mode.dom)
+    bad = tuple(
+        pair for pair in mode.sample_points
+        if exact_rank([[substitute(e, *pair) for e in row] for row in mat], FRACTION_DOMAIN) != rank
+    )
+    return rank, bad
+
+
+def rational_block(ring, source, w_block, w, zero):
+    """x -> x*w from H^source on the rational product table, dense."""
+    p, q = source[0] + w_block[0], source[1] + w_block[1]
+    if p > 2 or q > 2:
+        return []
+    return [
+        [
+            sum((v * ring.cup(x, y).get(out, 0) for v, y in zip(w, ring.labels(*w_block))), zero)
+            for x in ring.labels(*source)
+        ]
+        for out in ring.labels(p, q)
+    ]
+
+
+def rational_dr(ring, source_deg, w):
+    return [
+        [
+            sum((v * ring.dr_cup(x, y).get(out, 0) for v, y in zip(w, ring.dr_basis[2])), Fraction(0))
+            for x in ring.dr_basis.get(source_deg, ())
+        ]
+        for out in ring.dr_basis.get(source_deg + 2, ())
+    ]
+
+
+def rational_reference(ring, a, b, mode):
+    """Cell ranks, f, the degree-1 aggregate, d and the total-page ranks of
+    a class, from rational data only, without clearing a denominator."""
+    a, b = [Fraction(x) for x in a], [Fraction(x) for x in b]
+    n20, n11 = ring.dim(2, 0), ring.dim(1, 1)
+    embed, zero = mode.embed, mode.embed(Fraction(0))
+    eta11 = [embed(x) + mode.tau * embed(y) for x, y in zip(a[n20:n20 + n11], b[n20:n20 + n11])]
+    etabar02 = [(mode.taubar - mode.tau) * embed(y) for y in b[n20 + n11:]]
+
+    def block(source, kind):
+        if kind == "11":
+            return rational_block(ring, source, (1, 1), eta11, zero)
+        return rational_block(ring, source, (0, 2), etabar02, zero)
+
+    def beside(left, right):
+        return [l + r for l, r in zip(left, right)] if left and right else left or right
+
+    cells = {}
+    for P in range(4):
+        for Q in range(4):
+            corner = (P - 1, Q - 1)
+            cells[P, Q, 1] = reference_rank(beside(block((P, Q - 1), "02"), block((P - 1, Q), "11")), mode)
+            cells[P, Q, 2] = reference_rank(block(corner, "11") + block(corner, "02"), mode)
+    top = [row + [zero] * ring.dim(0, 1) for row in block((1, 0), "11")]
+    aggregate = reference_rank(top + beside(block((1, 0), "02"), block((0, 1), "11")), mode)
+    labels = ring.degree_labels(2)
+    a_dr, b_dr = (
+        [sum((v * ring.ident[x].get(out, 0) for x, v in zip(labels, vec)), Fraction(0))
+         for out in ring.dr_basis[2]]
+        for vec in (a, b)
+    )
+    total = {}
+    for deg in range(5):
+        ma, mb = rational_dr(ring, deg, a_dr), rational_dr(ring, deg, b_dr)
+        total[deg, 1] = exact_rank([ra + rb for ra, rb in zip(ma, mb)]) if ma else 0
+        total[deg, 2] = exact_rank(mb + ma) if ma else 0
+    return {
+        "cells": cells,
+        "f": reference_rank(block((1, 0), "02"), mode)[0],
+        "aggregate": aggregate[0],
+        "d": exact_rank([a_dr, b_dr]),
+        "total": total,
+    }
+
+
+RATIONALS = st.sampled_from([0, 0, 0, 1, -1, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)])
+# at t = s = 0 and at t = s = 1 the conjugate part vanishes, so sample ranks
+# often drop at both points and only elimination over Z[t, s] gives the rank
+SPECIAL_MODE = replace(GENERIC_MODE, sample_points=(
+    (Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))
+))
+
+
+@st.composite
+def rational_classes(draw):
+    ring = load_preset(draw(st.sampled_from(PRESET_NAMES)))
+    mode = draw(st.sampled_from(MODES + (SPECIAL_MODE,)))
+    synthetic = draw(st.booleans())
+    head = ring.dim(2, 0) + ring.dim(1, 1)
+
+    def vec(with_02):
+        tail = [draw(RATIONALS) if with_02 else 0 for _ in range(ring.dim(0, 2))]
+        return [draw(RATIONALS) for _ in range(head)] + tail
+
+    return ring, mode, synthetic, vec(False), vec(synthetic)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_classes())
+# the torus4 class special at tau = i: its gaussian ranks see the ratio of a to b
+@example((load_preset("torus4"), GAUSSIAN_MODE, False,
+          [0, Fraction(1, 2), 0, 0, 2, 0], [2, 0, -1, 1, 0, 0]))
+def test_integer_ranks_match_a_rational_reference(drawn):
+    ring, mode, synthetic, a, b = drawn
+    eta = (synthetic_eta if synthetic else char_to_eta)(ring, a, b, mode)
+    profile = structure_maps(ring, eta)
+    page = engine._page(ring, eta)
+    expected = rational_reference(ring, a, b, mode)
+    assert page.cells == expected["cells"]
+    assert profile.f == expected["f"]
+    assert profile.h_aggregate == expected["aggregate"]
+    assert profile.d == expected["d"]
+    assert page.total.rank == expected["total"]
+
+
+def scaled_kodaira(products, dr_products, ident) -> dict:
+    """The kodaira document with each of three tables times its own rational."""
+    doc = json.loads(resources.files("ellfib.cohomology").joinpath("presets/kodaira.json").read_text())
+
+    def scale(table, c):
+        return {x: {z: str(Fraction(v) * c) for z, v in vec.items()} for x, vec in table.items()}
+
+    doc["products"] = {x: scale(per, products) for x, per in doc["products"].items()}
+    doc["derham"]["products"] = {x: scale(per, dr_products) for x, per in doc["derham"]["products"].items()}
+    doc["ident"] = scale(doc["ident"], ident)
+    return doc
+
+
+def test_fractional_tables_give_the_preset_results(monkeypatch):
+    lcms, real_lcm = [], ring_module.lcm
+
+    def counted(*args):
+        lcms.append(args)
+        return real_lcm(*args)
+
+    monkeypatch.setattr(ring_module, "lcm", counted)
+    for name in PRESET_NAMES:
+        text = resources.files("ellfib.cohomology").joinpath(f"presets/{name}.json").read_text()
+        ring_from_dict(json.loads(text))
+    assert lcms == []  # an integral table is copied as it is
+    scaled = ring_from_dict(scaled_kodaira(Fraction(3, 2), Fraction(1, 6), Fraction(5, 4)))
+    assert len(lcms) == 3  # one per scaled table
+    preset = load_preset("kodaira")
+    classes = [
+        (kodaira_vec(), kodaira_vec(), False),
+        (kodaira_vec(A=1), kodaira_vec(B=1), False),
+        (kodaira_vec(n1=Fraction(1, 3), A=2), kodaira_vec(B=Fraction(-1, 2)), False),
+        (kodaira_vec(B=1), kodaira_vec(FF=Fraction(2, 5)), True),
+    ]
+    for a, b, synthetic in classes:
+        for mode in MODES:
+            assert full_invariants(scaled, a, b, mode, synthetic) == (
+                full_invariants(preset, a, b, mode, synthetic)
+            ), (a, b, mode.name)
+
+
+def test_full_invariants_ranks_nothing_over_the_rationals(monkeypatch):
+    domains = []
+
+    def recorded(matrix, dom=FRACTION_DOMAIN):
+        domains.append(dom)
+        return exact_rank(matrix, dom)
+
+    monkeypatch.setattr(engine, "exact_rank", recorded)
+    for name in PRESET_NAMES:
+        ring = load_preset(name)
+        n = ring.dim(2, 0) + ring.dim(1, 1) + ring.dim(0, 2)
+        a = [Fraction(1, 2)] + [0] * (n - 1)
+        b = [0] * (n - 1) + [Fraction(-3, 7)]
+        for mode in MODES:
+            full_invariants(ring, a, b, mode, synthetic=True)
+    assert domains and FRACTION_DOMAIN not in domains

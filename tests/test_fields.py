@@ -15,6 +15,7 @@ from ellfib.cohomology.fields import (
     POLY_T,
     GaussQ,
     Poly2,
+    at_sample,
 )
 
 coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -58,10 +59,35 @@ def test_poly_inexact_division_raises():
         (POLY_T + Poly2.const(1)).divexact(POLY_S)
 
 
-@given(polys, polys, coeffs, coeffs)
-def test_poly_substitution_is_a_ring_map(a, b, t, s):
-    assert (a * b).subs(t, s) == a.subs(t, s) * b.subs(t, s)
-    assert (a + b).subs(t, s) == a.subs(t, s) + b.subs(t, s)
+# integer polynomials of degree at most 1 in each variable, where at_sample is defined
+ints = st.integers(-5, 5)
+bilinear = st.builds(
+    Poly2, st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1)), ints, max_size=4)
+)
+in_t = st.builds(lambda c, x: Poly2.const(c) + x * POLY_T, ints, ints)
+in_s = st.builds(lambda c, y: Poly2.const(c) + y * POLY_S, ints, ints)
+
+
+def scaled_value(p, t, s):
+    return at_sample([[p]], t, s)[0][0]
+
+
+@given(bilinear, bilinear, in_t, in_s, coeffs, coeffs)
+def test_poly_substitution_is_a_ring_map(a, b, f, g, t, s):
+    # at_sample is q*r times substitution at (t, s) = (p/q, u/r): additive,
+    # multiplicative up to that scale, and integral on integer polynomials
+    scale = t.denominator * s.denominator
+    assert scaled_value(a + b, t, s) == scaled_value(a, t, s) + scaled_value(b, t, s)
+    assert scale * scaled_value(f * g, t, s) == scaled_value(f, t, s) * scaled_value(g, t, s)
+    assert type(scaled_value(a, t, s)) is int
+    assert scaled_value(a, t, s) == scale * sum(
+        c * t**i * s**j for (i, j), c in a.coeffs.items()
+    )
+
+
+def test_sample_values_need_degree_at_most_one_per_variable():
+    with pytest.raises(ValueError):
+        at_sample([[POLY_T * POLY_T]], Fraction(1, 2), Fraction(1, 3))
 
 
 def test_scalar_multiplication_of_polys():
@@ -100,9 +126,9 @@ def test_generic_mode_keeps_period_and_conjugate_independent():
     tau, taubar = GENERIC_MODE.tau, GENERIC_MODE.taubar
     assert tau == POLY_T and taubar == POLY_S
     assert not (tau - taubar).is_zero
-    # the sample points read a product at t and s
-    pair = GENERIC_MODE.sample_points[0]
-    assert (tau * taubar).subs(*pair) == pair[0] * pair[1]
+    # the sample points read a product at t and s, times both denominators
+    t, s = GENERIC_MODE.sample_points[0]
+    assert at_sample([[tau * taubar]], t, s) == [[t.numerator * s.numerator]]
 
 
 def test_gaussian_mode_uses_conjugate_pair():

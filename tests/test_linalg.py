@@ -7,9 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellfib.cohomology.fields import GAUSS_DOMAIN, POLY_S, POLY_T, GaussQ, POLY2_DOMAIN, Poly2
+from ellfib.cohomology.fields import (
+    GAUSS_DOMAIN,
+    POLY_S,
+    POLY_T,
+    GaussQ,
+    POLY2_DOMAIN,
+    Poly2,
+    at_sample,
+)
 from ellfib.linalg import (
     FRACTION_DOMAIN,
+    INTEGER_DOMAIN,
+    _as_fractions,
     exact_rank,
     integer_diagonalize,
     rref,
@@ -83,9 +93,7 @@ def test_polynomial_rank_specializes_consistently():
         m, n = rng.randint(1, 3), rng.randint(1, 3)
         mat = [[basis[rng.randrange(len(basis))] * rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
         generic = exact_rank(mat, POLY2_DOMAIN)
-        special = exact_rank(
-            [[e.subs(Fraction(19, 7), Fraction(-23, 11)) for e in row] for row in mat]
-        )
+        special = exact_rank(at_sample(mat, Fraction(19, 7), Fraction(-23, 11)), INTEGER_DOMAIN)
         # specialization can only lose rank
         assert special <= generic
 
@@ -96,6 +104,32 @@ def test_rank_over_gaussian_rationals():
     # second row is i times the first
     assert exact_rank([[one, i], [i, i * i]], GAUSS_DOMAIN) == 1
     assert exact_rank([[one, i], [i, one]], GAUSS_DOMAIN) == 2
+
+
+def test_integer_division_raises_instead_of_flooring():
+    assert INTEGER_DOMAIN.div(-12, 4) == -3
+    with pytest.raises(ArithmeticError):
+        INTEGER_DOMAIN.div(7, 2)
+    with pytest.raises(ArithmeticError):
+        INTEGER_DOMAIN.div(-7, 2)
+    # Gaussian integers divide the same way
+    assert (GaussQ(3, 1) * GaussQ(1, 2)) / GaussQ(1, 2) == GaussQ(3, 1)
+    with pytest.raises(ArithmeticError):
+        GaussQ(1, 0) / GaussQ(1, 1)  # (1 - i)/2 is no Gaussian integer
+    # rational coefficients still divide as in a field
+    assert GaussQ(Fraction(1), 0) / GaussQ(1, 1) == GaussQ(Fraction(1, 2), Fraction(-1, 2))
+    # integer polynomials keep integer quotients, and divide over Q where ints do not
+    quotient = Poly2({(1, 0): 6, (0, 0): -4}).divexact(Poly2.const(2))
+    assert quotient == Poly2({(1, 0): 3, (0, 0): -2})
+    assert {type(c) for c in quotient.coeffs.values()} == {int}
+    assert Poly2({(1, 0): 3}).divexact(Poly2.const(2)) == Poly2({(1, 0): Fraction(3, 2)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=1, max_size=5))
+def test_integer_rank_is_the_rational_rank(rows):
+    # Bareiss quotients over Z are minors, so they are exact and never floored
+    assert exact_rank(rows, INTEGER_DOMAIN) == exact_rank(_as_fractions(rows))
 
 
 # small coefficients with many zeros, so rank drops are common

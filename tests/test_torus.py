@@ -211,7 +211,7 @@ def test_round_trip_builds_each_point_and_its_negative_once(monkeypatch):
     torsion = 4
     report = round_trip_verify(Nerve.single_chart(), 3, torsion)
     assert report.ok
-    assert len(built) <= 4 * torsion**2
+    assert len(built) <= 2 * torsion**2
 
 
 def test_points_compare_only_with_points():

@@ -11,11 +11,12 @@ from ellfib.bundles import (
     dual_bundle,
     graded,
     make_bundle,
+    make_graded,
     split_bundle,
     tensor_line,
 )
 from ellfib.errors import EmptyBundle, NonPositiveRank, WrongDegree
-from ellfib.torus import TorusPoint
+from ellfib.torus import TorusPoint, merge_points
 from ellfib.transform import (
     fm_transform,
     make_skyscraper,
@@ -28,6 +29,27 @@ points = st.builds(TorusPoint, rationals, rationals)
 blocks = st.lists(
     st.tuples(st.integers(min_value=1, max_value=3), points), min_size=1, max_size=5
 )
+
+
+# few points, so blocks often share one
+few_points = st.sampled_from(
+    [TorusPoint(Fraction(a, 3), Fraction(b, 2)) for a in range(3) for b in range(2)]
+)
+few_parts = st.lists(st.tuples(few_points, st.integers(1, 3)), min_size=1, max_size=5)
+canonical_bundles = st.one_of(
+    st.lists(st.tuples(st.integers(1, 3), few_points), min_size=1, max_size=7).map(make_bundle),
+    few_parts.map(lambda parts: psi_transform(make_skyscraper(parts, 0))),
+    few_parts.map(lambda parts: split_bundle(make_graded(parts))),
+)
+
+
+@given(canonical_bundles)
+def test_graded_and_fm_merge_block_runs_as_merge_points_does(bundle):
+    # both read the canonical blocks in one pass over runs; merge_points is the reference
+    assert graded(bundle).parts == merge_points((x, n) for n, x in bundle.blocks)
+    forward = fm_transform(bundle)
+    assert forward.parts == merge_points((-x, n) for n, x in bundle.blocks)
+    assert forward.degree == 1
 
 
 def test_make_skyscraper_validates_degree_and_lengths():

@@ -12,7 +12,10 @@ and spectral-cover, its blocks listed in reverse canonical order so
 that the block sort has work to do, and every rank-3 degree-0 cycle,
 as a skyscraper, through psi, then validate-ring on the torus4 and k3
 presets and on a kodaira file: document whose conjugation of A is
-doubled (its inverse check fails).  Every run's argument list, exit
+doubled (its inverse check fails), then invariants on a kodaira file:
+document whose product, de Rham product and identification tables are
+scaled by 3/2, 1/6 and 5/4 (the kodaira classes of seeds 0-9, both
+modes, --out json and --out table).  Every run's argument list, exit
 code, stdout and stderr go into the digest of its verb.  Input documents are written to
 one fixed relative path inside a temporary working directory, so no
 temporary path reaches the output.
@@ -45,6 +48,7 @@ import gen  # noqa: E402  (perfbench/gen.py)
 from ellfib.cli import main  # noqa: E402
 
 SEEDS = range(40)
+FRACTIONAL_SEEDS = range(10)
 DOC = "doc.json"
 
 
@@ -55,13 +59,15 @@ def cli_runs(seed: int, kodaira_text: str):
             yield [arg.replace("{doc}", DOC) for arg in op["args"]], op["doc"]
 
 
-def invariants_runs(seed: int):
-    """(argv, None) for every invariants class of the seed, in both outputs."""
+def invariants_runs(seed: int, preset: str | None = None):
+    """(argv, None) for every invariants class of the seed, in both outputs;
+    given a preset, only its classes, run on the ring of the file DOC."""
     for unit in gen.invariants_inputs(seed):
         for op in unit:
-            if op["kind"] != "invariants":
+            if op["kind"] != "invariants" or preset not in (None, op["preset"]):
                 continue
-            argv = ["invariants", "--preset", op["preset"], "--a=" + ",".join(op["a"]),
+            ring = op["preset"] if preset is None else f"file:{DOC}"
+            argv = ["invariants", "--preset", ring, "--a=" + ",".join(op["a"]),
                     "--b=" + ",".join(op["b"]), "--mode", op["mode"]]
             if op["synthetic"]:
                 argv.append("--synthetic")
@@ -122,14 +128,32 @@ def validate_ring_runs(kodaira_text: str):
     yield ["validate-ring", "--preset", f"file:{DOC}"], doc
 
 
+def fractional_ring_runs(kodaira_text: str):
+    """(argv, document) for invariants on the kodaira ring with fractional tables."""
+    doc = json.loads(kodaira_text)
+
+    def scaled(vectors: dict, c: Fraction) -> dict:
+        return {x: {z: str(Fraction(v) * c) for z, v in vec.items()} for x, vec in vectors.items()}
+
+    doc["products"] = {x: scaled(per, Fraction(3, 2)) for x, per in doc["products"].items()}
+    doc["derham"]["products"] = {
+        x: scaled(per, Fraction(1, 6)) for x, per in doc["derham"]["products"].items()
+    }
+    doc["ident"] = scaled(doc["ident"], Fraction(5, 4))
+    for seed in FRACTIONAL_SEEDS:
+        for argv, _ in invariants_runs(seed, "kodaira"):
+            yield argv, doc
+
+
 def all_runs(kodaira_text: str):
     """Every run in digest order: the seeds' runs, the roundtrip grid, the
-    block-order grid, validate-ring."""
+    block-order grid, validate-ring, invariants on fractional tables."""
     for seed in SEEDS:
         yield from list(cli_runs(seed, kodaira_text)) + list(invariants_runs(seed))
     yield from roundtrip_runs()
     yield from block_order_runs()
     yield from validate_ring_runs(kodaira_text)
+    yield from fractional_ring_runs(kodaira_text)
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
