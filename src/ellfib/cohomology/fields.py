@@ -113,9 +113,12 @@ class Poly2:
 
 
 def at_sample(matrix, t: Fraction, s: Fraction) -> list[list]:
-    """q*r times a matrix of Poly2 at (t, s) = (p/q, u/r): its rank at (t, s),
-    integral for integer coefficients, for entries of degree at most 1 in
-    each variable (as every page entry is)."""
+    """q*r times a matrix of Poly2 at (t, s) = (p/q, u/r), which has the rank
+    of the matrix at (t, s) and integer entries for integer coefficients.
+
+    Every entry must have degree at most 1 in each variable, as every page
+    entry has, so that one scale q*r serves all of them.
+    """
     (p, q), (u, r) = t.as_integer_ratio(), s.as_integer_ratio()
     weight = {(0, 0): q * r, (1, 0): p * r, (0, 1): q * u, (1, 1): p * u}
     try:
