@@ -48,13 +48,23 @@ from .spectral import _check_budget, beta_map, gamma_map, round_trip_verify, spe
 from .transform import fm_transform, psi_transform
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a key given twice."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        key = next(k for k in keys if keys.count(k) > 1)
+        raise SchemaError(f"key {key!r} is given twice in one object")
+    return obj
+
+
 def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
 
 

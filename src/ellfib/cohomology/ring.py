@@ -14,11 +14,12 @@ parse_fraction.  One sparse contraction builds every matrix
 (mult_matrix, dr_mult_matrix, to_derham and the validation matrices)
 by walking only the nonzero table entries.
 
-For the integer engine each ring also keeps int copies of both product
-tables and the identification, each times the lcm of its denominators.
-mult_matrix, dr_mult_matrix and to_derham read them, so their matrices
-are scaled, with the same ranks; cup, dr_cup, ring_validate and
-ring_to_dict read the rational tables.
+Each of the four tables (products, de Rham products, conjugation,
+identification) is held once, as ints: the loader multiplies it by the
+lcm of its own denominators and keeps that scale beside it.  Every
+reader sees the scaled table: cup, dr_cup and the matrices differ from
+the rational ones by the scale, which keeps every rank and every ring
+law verdict, and ring_to_dict divides it out again.
 
 The conjugation is validated in a one-sided form: dimensions h^{p,q} and
 h^{q,p} may differ (non-Kahler bases), so the map is required to have
@@ -36,7 +37,7 @@ from math import lcm
 from typing import Mapping
 
 from ..errors import SchemaError
-from ..linalg import exact_rank
+from ..linalg import INTEGER_DOMAIN, exact_rank
 from ..torus import parse_fraction
 
 BIDEGREES = [(p, q) for p in range(3) for q in range(3)]
@@ -64,8 +65,9 @@ def _load_labels(raw: Mapping, degrees, what: str, unit: str) -> tuple[dict, dic
     return by_degree, degree_of
 
 
-def _load_vectors(raw: Mapping, where: str, target_of, out_degree: Mapping) -> dict:
-    """Each vector of raw, its coefficients read by parse_fraction and zeros dropped.
+def _load_vectors(raw: Mapping, where: str, target_of, out_degree: Mapping) -> tuple[dict, int]:
+    """Each vector of raw, its coefficients read by parse_fraction and zeros
+    dropped, made integral by _integral: the int table and its scale.
 
     target_of(key) is the degree every output label of key's vector must
     have, or None for a product beyond the top degree, whose vector must
@@ -89,17 +91,17 @@ def _load_vectors(raw: Mapping, where: str, target_of, out_degree: Mapping) -> d
             if coeff:
                 out[z] = coeff
         table[key] = out
-    return table
+    return _integral(table)
 
 
-def _integral(table: dict) -> dict:
-    """The table times the lcm of its denominators, with int coefficients."""
+def _integral(table: dict) -> tuple[dict, int]:
+    """The table times the lcm of its denominators, with int coefficients, and that lcm."""
     denominators = {c.denominator for vec in table.values() for c in vec.values()} - {1}
     scale = lcm(*denominators) if denominators else 1
     return {
         key: {z: c.numerator * (scale // c.denominator) for z, c in vec.items()}
         for key, vec in table.items()
-    }
+    }, scale
 
 
 def _contract(rows, columns, zero) -> list[list]:
@@ -124,16 +126,13 @@ class BigradedRing:
     __slots__ = (
         "name",
         "basis",
-        "products",
-        "conj",
+        "products", "product_scale",
+        "conj", "conj_scale",
         "dr_basis",
-        "dr_products",
-        "ident",
+        "dr_products", "dr_product_scale",
+        "ident", "ident_scale",
         "_degree_of",
         "_dr_degree_of",
-        "_int_products",
-        "_int_dr_products",
-        "_int_ident",
     )
 
     def __init__(
@@ -159,16 +158,17 @@ class BigradedRing:
             k = dr_deg[key[0]] + dr_deg[key[1]]
             return k if k <= 4 else None
 
-        self.products = _load_vectors(products, "bigraded product", add_pq, deg)
-        self.dr_products = _load_vectors(dr_products, "de Rham product", add_k, dr_deg)
-        self.conj = _load_vectors(conj, "conjugation", lambda x: deg[x][::-1], deg)
-        self.ident = _load_vectors(ident, "identification", lambda x: sum(deg[x]), dr_deg)
+        self.products, self.product_scale = _load_vectors(products, "bigraded product", add_pq, deg)
+        self.dr_products, self.dr_product_scale = _load_vectors(
+            dr_products, "de Rham product", add_k, dr_deg
+        )
+        self.conj, self.conj_scale = _load_vectors(conj, "conjugation", lambda x: deg[x][::-1], deg)
+        self.ident, self.ident_scale = _load_vectors(
+            ident, "identification", lambda x: sum(deg[x]), dr_deg
+        )
         for label in deg:
             self.conj.setdefault(label, {})
             self.ident.setdefault(label, {})
-        self._int_products = _integral(self.products)
-        self._int_dr_products = _integral(self.dr_products)
-        self._int_ident = _integral(self.ident)
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -190,10 +190,12 @@ class BigradedRing:
 
     # -- products ----------------------------------------------------------
 
-    def cup(self, x: str, y: str) -> dict[str, Fraction]:
+    def cup(self, x: str, y: str) -> dict[str, int]:
+        """x cup y, times product_scale."""
         return self.products.get((x, y), {})
 
-    def dr_cup(self, x: str, y: str) -> dict[str, Fraction]:
+    def dr_cup(self, x: str, y: str) -> dict[str, int]:
+        """x cup y in the de Rham ring, times dr_product_scale."""
         return self.dr_products.get((x, y), {})
 
     def mult_matrix(self, source: tuple[int, int], w_block: tuple[int, int], w_coeffs, embed):
@@ -205,7 +207,7 @@ class BigradedRing:
         p, q = source[0] + w_block[0], source[1] + w_block[1]
         if p > 2 or q > 2:
             return []
-        table = self._int_products
+        table = self.products
         w = [(value, y) for value, y in zip(w_coeffs, self.labels(*w_block)) if value]
         columns = [[(value, table.get((x, y), {})) for value, y in w] for x in self.labels(*source)]
         return _contract(self.labels(p, q), columns, embed(0))
@@ -214,7 +216,7 @@ class BigradedRing:
         """Matrix of m -> m cup w on the de Rham ring, times the de Rham product scale."""
         if source_deg + w_deg > 4:
             return []
-        table = self._int_dr_products
+        table = self.dr_products
         w = [(value, y) for value, y in zip(w_vec, self.dr_basis.get(w_deg, ())) if value]
         columns = [
             [(value, table.get((x, y), {})) for value, y in w]
@@ -222,13 +224,15 @@ class BigradedRing:
         ]
         return _contract(self.dr_basis.get(source_deg + w_deg, ()), columns, 0)
 
-    def conj_matrix(self, p: int, q: int) -> list[list[Fraction]]:
+    def conj_matrix(self, p: int, q: int) -> list[list[int]]:
+        """Matrix of the conjugation H^{p,q} -> H^{q,p}, times conj_scale."""
         columns = [[(1, self.conj[x])] for x in self.labels(p, q)]
-        return _contract(self.labels(q, p), columns, Fraction(0))
+        return _contract(self.labels(q, p), columns, 0)
 
-    def ident_matrix(self, k: int) -> list[list[Fraction]]:
+    def ident_matrix(self, k: int) -> list[list[int]]:
+        """Matrix of the identification in degree k, times ident_scale."""
         columns = [[(1, self.ident[x])] for x in self.degree_labels(k)]
-        return _contract(self.dr_basis.get(k, ()), columns, Fraction(0))
+        return _contract(self.dr_basis.get(k, ()), columns, 0)
 
     def to_derham(self, k: int, coords) -> list:
         """Push concatenated degree-k bigraded coordinates to de Rham ones,
@@ -240,63 +244,53 @@ class BigradedRing:
             )
         terms = [
             (value if type(value) is int else parse_fraction(value, f"degree-{k} coordinate"),
-             self._int_ident[x])
+             self.ident[x])
             for x, value in zip(cols, coords)
         ]
         return [row[0] for row in _contract(self.dr_basis.get(k, ()), [terms], 0)]
 
 
-def _total_sign(d1, d2) -> int:
-    t1 = sum(d1) if isinstance(d1, tuple) else d1
-    t2 = sum(d2) if isinstance(d2, tuple) else d2
-    return -1 if (t1 % 2) and (t2 % 2) else 1
-
-
-def _vec_scale(vec, c):
-    return {k: c * v for k, v in vec.items() if c * v}
-
-
-def _vec_add(u, v):
-    out = dict(u)
-    for k, val in v.items():
-        n = out.get(k, Fraction(0)) + val
+def _add_multiple(out: dict, c: int, vec: dict) -> None:
+    """out += c * vec in place, dropping the entries that cancel."""
+    for k, v in vec.items():
+        n = out.get(k, 0) + c * v
         if n:
             out[k] = n
         else:
-            out.pop(k, None)
-    return out
+            del out[k]
 
 
 def ring_validate(ring: BigradedRing) -> tuple[str, ...]:
-    """Report every violated ring law; an empty report means valid."""
+    """Report every violated ring law; an empty report means valid.
+
+    The scaled tables keep every verdict: commutativity and associativity are
+    homogeneous, ranks ignore a scale, and conj twice must be conj_scale**2."""
     report: list[str] = []
 
-    def check_laws(labels_by_degree, degree_of, cup, tag, top_key, top_name):
-        labels = sorted(degree_of)
+    def check_laws(labels_by_degree, total, cup, tag, top_key, top_name):
+        labels = sorted(total)
         for x in labels:
             for y in labels:
-                sign = _total_sign(degree_of[x], degree_of[y])
-                left = cup(x, y)
-                right = _vec_scale(cup(y, x), Fraction(sign))
-                if left != right:
+                sign = -1 if total[x] % 2 and total[y] % 2 else 1
+                if cup(x, y) != {k: sign * v for k, v in cup(y, x).items()}:
                     report.append(f"{tag}: commutativity fails on ({x}, {y})")
         for x in labels:
             for y in labels:
                 xy = cup(x, y)
                 for z in labels:
-                    left: dict[str, Fraction] = {}
+                    left: dict[str, int] = {}
                     for mid, c in xy.items():
-                        left = _vec_add(left, _vec_scale(cup(mid, z), c))
-                    yz = cup(y, z)
-                    right: dict[str, Fraction] = {}
-                    for mid, c in yz.items():
-                        right = _vec_add(right, _vec_scale(cup(x, mid), c))
+                        _add_multiple(left, c, cup(mid, z))
+                    right: dict[str, int] = {}
+                    for mid, c in cup(y, z).items():
+                        _add_multiple(right, c, cup(x, mid))
                     if left != right:
                         report.append(f"{tag}: associativity fails on ({x}, {y}, {z})")
         if len(labels_by_degree.get(top_key, ())) != 1:
             report.append(f"{tag}: {top_name} is not one-dimensional")
 
-    check_laws(ring.basis, ring._degree_of, ring.cup, "bigraded", (2, 2), "top bidegree (2,2)")
+    total = {x: p + q for x, (p, q) in ring._degree_of.items()}
+    check_laws(ring.basis, total, ring.cup, "bigraded", (2, 2), "top bidegree (2,2)")
     check_laws(ring.dr_basis, ring._dr_degree_of, ring.dr_cup, "de Rham", 4, "top degree 4")
 
     for p in range(3):
@@ -306,28 +300,24 @@ def ring_validate(ring: BigradedRing) -> tuple[str, ...]:
                 continue
             forward = ring.conj_matrix(p, q)
             expected = min(dim_pq, dim_qp)
-            got = exact_rank(forward) if forward else 0
+            got = exact_rank(forward, INTEGER_DOMAIN) if forward else 0
             if got != expected:
-                report.append(
-                    f"conjugation rank at ({p},{q}) is {got}, expected {expected}"
-                )
+                report.append(f"conjugation rank at ({p},{q}) is {got}, expected {expected}")
             if dim_pq <= dim_qp:
                 labels = ring.labels(p, q)
                 # column x holds conj(conj(x)), summed over the nonzero entries of conj(x)
                 twice = [[(c, ring.conj[m]) for m, c in ring.conj[x].items()] for x in labels]
-                if _contract(labels, twice, Fraction(0)) != [
-                    [int(r == c) for c in range(dim_pq)] for r in range(dim_pq)
+                if _contract(labels, twice, 0) != [
+                    [ring.conj_scale**2 * (r == c) for c in range(dim_pq)] for r in range(dim_pq)
                 ]:
                     report.append(f"conjugation at ({p},{q}) is not inverted by ({q},{p})")
 
     for k in range(5):
         matrix = ring.ident_matrix(k)
         need = ring.dr_dim(k)
-        got = exact_rank(matrix) if matrix else 0
+        got = exact_rank(matrix, INTEGER_DOMAIN) if matrix else 0
         if got != need:
-            report.append(
-                f"identification in degree {k} has rank {got}, needs {need}"
-            )
+            report.append(f"identification in degree {k} has rank {got}, needs {need}")
     return tuple(report)
 
 
@@ -396,26 +386,27 @@ def ring_from_dict(payload: Mapping) -> BigradedRing:
 
 
 def ring_to_dict(ring: BigradedRing) -> dict:
-    def vector_out(vec):
-        return {z: str(c) for z, c in sorted(vec.items())}
+    """The JSON form of a ring, each table divided by its scale again."""
+    def vec_out(vec, scale):
+        return {z: str(Fraction(c, scale)) for z, c in sorted(vec.items())}
 
-    def table_out(table):
+    def table_out(table, scale):
         out: dict[str, dict[str, dict[str, str]]] = {}
         for (x, y), vec in sorted(table.items()):
             if vec:
-                out.setdefault(x, {})[y] = vector_out(vec)
+                out.setdefault(x, {})[y] = vec_out(vec, scale)
         return out
 
     return {
         "name": ring.name,
         "bigraded": {f"{p},{q}": list(ring.basis[p, q]) for p, q in BIDEGREES if ring.basis[p, q]},
-        "products": table_out(ring.products),
-        "conjugation": {x: vector_out(v) for x, v in sorted(ring.conj.items()) if v},
+        "products": table_out(ring.products, ring.product_scale),
+        "conjugation": {x: vec_out(v, ring.conj_scale) for x, v in sorted(ring.conj.items()) if v},
         "derham": {
             "basis": {str(k): list(v) for k, v in ring.dr_basis.items() if v},
-            "products": table_out(ring.dr_products),
+            "products": table_out(ring.dr_products, ring.dr_product_scale),
         },
-        "ident": {x: vector_out(v) for x, v in sorted(ring.ident.items()) if v},
+        "ident": {x: vec_out(v, ring.ident_scale) for x, v in sorted(ring.ident.items()) if v},
     }
 
 

@@ -921,6 +921,35 @@ def test_missing_and_malformed_files(tmp_path, capsys):
     assert "invalid JSON" in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe\x00bad", b"[" * 100_000],
+    ids=["not-utf8", "deeply-nested"],
+)
+@pytest.mark.parametrize(
+    "verb",
+    [("fm", "--in", "{}"), ("validate-ring", "--preset", "file:{}")],
+    ids=["in", "file-ring"],
+)
+def test_unreadable_json_is_a_schema_error(tmp_path, capsys, content, verb):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, *(arg.format(path) for arg in verb))
+    assert_schema_error(code, out, err, "invalid JSON")
+
+
+def test_a_key_given_twice_is_a_schema_error(tmp_path, capsys):
+    doc = cocycle_doc(pt("1/2"), ORIGIN, ORIGIN)
+    text = json.dumps(doc)
+    first = json.dumps({"c1,c2": doc["cocycle"]["lambda"]["c1,c2"]})[1:-1]
+    assert '"1/2"' in first and text.count(first) == 1
+    # the second value, (0, 0), would make the cocycle a coboundary
+    path = tmp_path / "twice.json"
+    path.write_text(text.replace(first, f'{first}, {first.replace("1/2", "0")}'), encoding="utf-8")
+    code, out, err = run(capsys, "coboundary", "--in", str(path))
+    assert_schema_error(code, out, err, "'c1,c2'", "twice")
+
+
 def test_verb_required():
     with pytest.raises(SystemExit):
         main([])

@@ -1,6 +1,7 @@
 """Preset cohomology rings against independently frozen structure tables."""
 
 import importlib.util
+import json
 import random
 import re
 from fractions import Fraction
@@ -600,12 +601,44 @@ def tiny_ring(products=(), conj=(), ident=(), basis=(), dr_basis=(), dr_products
             {"ident": {"b": {"c": 1}}},
             ("identification in degree 2 has rank 1, needs 2",),
         ),
+        # fractional tables are checked at their scale: conj twice against scale**2
+        ({"conj": {"a": {"b": 2}, "b": {"a": Fraction(1, 2)}}}, ()),
+        (
+            {"conj": {"a": {"b": 2}, "b": {"a": 1}}},
+            ("conjugation at (1,1) is not inverted by (1,1)",),
+        ),
+        (
+            {"products": {("a", "b"): {"top": "1/2"}, ("b", "a"): {"top": "1/2"}}},
+            (),
+        ),
     ],
     ids=["valid", "commutativity", "associativity", "top", "conj-rank", "conj-inverse",
-         "ident-rank"],
+         "ident-rank", "fractional-conj", "fractional-conj-inverse", "fractional-products"],
 )
 def test_validate_reports_exact_lines(patch, lines):
     assert ring_validate(tiny_ring(**patch)) == lines
+
+
+def test_scaled_tables_validate_and_round_trip():
+    preset = resources.files("ellfib.cohomology").joinpath("presets/kodaira.json").read_text()
+    doc = json.loads(preset)
+
+    def scaled(vectors, c):
+        return {x: {z: str(Fraction(v) * c) for z, v in vec.items()} for x, vec in vectors.items()}
+
+    doc["products"] = {x: scaled(per, Fraction(3, 2)) for x, per in doc["products"].items()}
+    doc["derham"]["products"] = {
+        x: scaled(per, Fraction(1, 6)) for x, per in doc["derham"]["products"].items()
+    }
+    doc["ident"] = scaled(doc["ident"], Fraction(5, 4))
+    ring = ring_from_dict(doc)
+    assert (ring.product_scale, ring.dr_product_scale, ring.conj_scale, ring.ident_scale) == (
+        2, 6, 1, 4
+    )
+    assert ring_validate(ring) == ()
+    text = canonical_json(ring_to_dict(ring))
+    assert text == canonical_json(doc)
+    assert canonical_json(ring_to_dict(ring_from_dict(json.loads(text)))) == text
 
 
 # -- the constructor reads coefficients by the one rational grammar ----------

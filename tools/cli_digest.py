@@ -11,11 +11,12 @@ grid over the four 2-torsion points: every rank-3 bundle through fm
 and spectral-cover, its blocks listed in reverse canonical order so
 that the block sort has work to do, and every rank-3 degree-0 cycle,
 as a skyscraper, through psi, then validate-ring on the torus4 and k3
-presets and on a kodaira file: document whose conjugation of A is
-doubled (its inverse check fails), then invariants on a kodaira file:
-document whose product, de Rham product and identification tables are
-scaled by 3/2, 1/6 and 5/4 (the kodaira classes of seeds 0-9, both
-modes, --out json and --out table).  Every run's argument list, exit
+presets and on three kodaira file: documents: one whose conjugation of
+A is doubled (its inverse check fails), one whose product, de Rham
+product and identification tables are scaled by 3/2, 1/6 and 5/4, and
+one whose conjugation is an involution with fractional entries, then
+invariants on the scaled kodaira document (the kodaira classes of seeds
+0-9, both modes, --out json and --out table).  Every run's argument list, exit
 code, stdout and stderr go into the digest of its verb.  Input documents are written to
 one fixed relative path inside a temporary working directory, so no
 temporary path reaches the output.
@@ -119,17 +120,9 @@ def block_order_runs():
         yield ["psi", "--in", DOC], doc
 
 
-def validate_ring_runs(kodaira_text: str):
-    """(argv, document) for validate-ring beyond the kodaira files of the seeds."""
-    for preset in ("torus4", "k3"):
-        yield ["validate-ring", "--preset", preset], None
-    doc = json.loads(kodaira_text)
-    doc["conjugation"]["A"]["B"] = "-2"
-    yield ["validate-ring", "--preset", f"file:{DOC}"], doc
-
-
-def fractional_ring_runs(kodaira_text: str):
-    """(argv, document) for invariants on the kodaira ring with fractional tables."""
+def scaled_kodaira(kodaira_text: str) -> dict:
+    """The kodaira document with its product, de Rham product and
+    identification tables scaled by 3/2, 1/6 and 5/4."""
     doc = json.loads(kodaira_text)
 
     def scaled(vectors: dict, c: Fraction) -> dict:
@@ -140,6 +133,29 @@ def fractional_ring_runs(kodaira_text: str):
         x: scaled(per, Fraction(1, 6)) for x, per in doc["derham"]["products"].items()
     }
     doc["ident"] = scaled(doc["ident"], Fraction(5, 4))
+    return doc
+
+
+def validate_ring_runs(kodaira_text: str):
+    """(argv, document) for validate-ring beyond the kodaira files of the seeds."""
+    for preset in ("torus4", "k3"):
+        yield ["validate-ring", "--preset", preset], None
+    argv = ["validate-ring", "--preset", f"file:{DOC}"]
+    doc = json.loads(kodaira_text)
+    doc["conjugation"]["A"]["B"] = "-2"
+    yield argv, doc
+    yield argv, scaled_kodaira(kodaira_text)
+    # an involution whose conjugation table has the scale 6
+    doc = json.loads(kodaira_text)
+    doc["conjugation"].update(
+        A={"B": "-2"}, B={"A": "-1/2"}, G2={"H1": "3"}, H1={"G2": "1/3"}
+    )
+    yield argv, doc
+
+
+def fractional_ring_runs(kodaira_text: str):
+    """(argv, document) for invariants on the kodaira ring with fractional tables."""
+    doc = scaled_kodaira(kodaira_text)
     for seed in FRACTIONAL_SEEDS:
         for argv, _ in invariants_runs(seed, "kodaira"):
             yield argv, doc
