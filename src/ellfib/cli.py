@@ -5,6 +5,9 @@ for domain errors or a failing verdict (a cocycle violation, a gerbe
 that does not glue, a failed round trip), 2 for malformed input.  All
 output is canonical JSON, so repeated runs on the same input are
 byte-identical.
+
+Each verb imports its layer when it runs, not when this module loads, so
+a cold process imports (and compiles) only the modules its verb calls.
 """
 
 from __future__ import annotations
@@ -13,39 +16,13 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .cohomology.engine import InvariantsResult, full_invariants
-from .cohomology.fields import MODES
-from .cohomology.ring import PRESET_NAMES, load_preset, ring_from_dict, ring_validate
 from .errors import DomainError, SchemaError
-from .fibration import Nerve, check_cocycle, classify_line_family, coboundary_solve, gerbe_alpha
-from .serialize import (
-    _require_dict,
-    bundle_json,
-    canonical_json,
-    cocycle_report_json,
-    cycle_json,
-    family_json,
-    gamma_json,
-    gerbe_report_json,
-    glued_json,
-    mu_json,
-    parse_bundle,
-    parse_chart_sample_map,
-    parse_cocycle,
-    parse_family,
-    parse_fraction,
-    parse_gerbe,
-    parse_nerve,
-    parse_point,
-    parse_section_doc,
-    parse_skyscraper,
-    roundtrip_report_json,
-    skyscraper_json,
-)
-from .spectral import _check_budget, beta_map, gamma_map, round_trip_verify, spectral_cover
-from .transform import fm_transform, psi_transform
+from .serialize import canonical_json
+
+if TYPE_CHECKING:
+    from .cohomology.engine import InvariantsResult
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -73,36 +50,55 @@ def _emit(payload) -> None:
 
 
 def cmd_fm(args) -> int:
+    from .serialize import parse_bundle, skyscraper_json
+    from .transform import fm_transform
+
     bundle = parse_bundle(_load(args.infile))
     _emit(skyscraper_json(fm_transform(bundle)))
     return 0
 
 
 def cmd_psi(args) -> int:
+    from .serialize import bundle_json, parse_skyscraper
+    from .transform import psi_transform
+
     sky = parse_skyscraper(_load(args.infile))
     _emit(bundle_json(psi_transform(sky)))
     return 0
 
 
 def cmd_spectral_cover(args) -> int:
+    from .serialize import cycle_json, parse_bundle
+    from .spectral import spectral_cover
+
     bundle = parse_bundle(_load(args.infile))
     _emit(cycle_json(spectral_cover(bundle)))
     return 0
 
 
 def cmd_gamma(args) -> int:
+    from .serialize import gamma_json, parse_family
+    from .spectral import gamma_map
+
     family = parse_family(_load(args.infile))
     _emit(gamma_json(gamma_map(family)))
     return 0
 
 
 def cmd_beta(args) -> int:
+    from .serialize import family_json, parse_section_doc
+    from .spectral import beta_map
+
     nerve, section, n = parse_section_doc(_load(args.infile))
     _emit(family_json(beta_map(nerve, section, n)))
     return 0
 
 
 def cmd_roundtrip(args) -> int:
+    from .fibration import Nerve
+    from .serialize import roundtrip_report_json
+    from .spectral import _check_budget, round_trip_verify
+
     if args.n < 1 or args.torsion < 1 or args.samples < 1:
         raise SchemaError("--n, --torsion, and --samples must be positive")
     _check_budget(args.n, args.torsion, args.samples)
@@ -114,6 +110,9 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_cocycle_check(args) -> int:
+    from .fibration import check_cocycle
+    from .serialize import _require_dict, cocycle_report_json, parse_cocycle, parse_nerve
+
     doc = _require_dict(_load(args.infile), "input", {"nerve", "cocycle"})
     nerve = parse_nerve(doc["nerve"])
     report = check_cocycle(nerve, parse_cocycle(doc["cocycle"]))
@@ -122,6 +121,9 @@ def cmd_cocycle_check(args) -> int:
 
 
 def cmd_coboundary(args) -> int:
+    from .fibration import coboundary_solve
+    from .serialize import _require_dict, mu_json, parse_cocycle, parse_nerve
+
     doc = _require_dict(_load(args.infile), "input", {"nerve", "cocycle"})
     nerve = parse_nerve(doc["nerve"])
     mu = coboundary_solve(nerve, parse_cocycle(doc["cocycle"]))
@@ -130,6 +132,11 @@ def cmd_coboundary(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .fibration import classify_line_family
+    from .serialize import (
+        _require_dict, glued_json, parse_chart_sample_map, parse_cocycle, parse_nerve, parse_point,
+    )
+
     doc = _require_dict(_load(args.infile), "input", {"nerve", "cocycle", "local"})
     nerve = parse_nerve(doc["nerve"])
     cocycle = parse_cocycle(doc["cocycle"])
@@ -139,6 +146,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_gerbe(args) -> int:
+    from .fibration import gerbe_alpha
+    from .serialize import _require_dict, gerbe_report_json, parse_gerbe, parse_nerve
+
     doc = _require_dict(_load(args.infile), "input", {"nerve", "gerbe"})
     nerve = parse_nerve(doc["nerve"])
     report = gerbe_alpha(nerve, parse_gerbe(doc["gerbe"], nerve))
@@ -147,6 +157,8 @@ def cmd_gerbe(args) -> int:
 
 
 def _resolve_ring(selector: str):
+    from .cohomology.ring import PRESET_NAMES, load_preset, ring_from_dict
+
     if selector in PRESET_NAMES:
         return load_preset(selector)
     if selector.startswith("file:"):
@@ -157,6 +169,8 @@ def _resolve_ring(selector: str):
 
 
 def _parse_vector(text: str, length: int, what: str) -> list[Fraction]:
+    from .torus import parse_fraction
+
     if text.strip() == "0":
         return [Fraction(0)] * length
     vec = [parse_fraction(part.strip(), what) for part in text.split(",")]
@@ -205,6 +219,9 @@ def _invariants_table(result: InvariantsResult) -> str:
 
 
 def cmd_invariants(args) -> int:
+    from .cohomology.engine import full_invariants
+    from .cohomology.fields import MODES
+
     ring = _resolve_ring(args.preset)
     length = sum(ring.dim(p, q) for p, q in ((2, 0), (1, 1), (0, 2)))
     a = _parse_vector(args.a, length, "--a")
@@ -219,6 +236,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_validate_ring(args) -> int:
+    from .cohomology.ring import ring_validate
+
     ring = _resolve_ring(args.preset)
     violations = ring_validate(ring)
     _emit(

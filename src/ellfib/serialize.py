@@ -5,25 +5,26 @@ rejected everywhere.  Parsing is strict: wrong shapes, unknown keys, or
 non-integer counts raise SchemaError, which the command line maps to
 exit code 2.  Emission is canonical (sorted keys, two-space indent,
 trailing newline) so identical values always serialize byte-identically.
+
+The parsers of cycles, nerves, cocycles, gerbes and families import the
+fibration and spectral layers when they run, so reading a bundle or a
+skyscraper loads neither.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .bundles import AtiyahBundle, make_bundle
-from .errors import SchemaError
-from .fibration import (
-    CocycleReport,
-    GerbeData,
-    GerbeReport,
-    Nerve,
-    TranslationCocycle,
-)
-from .spectral import BundleFamily, RoundTripReport, SpectralCycle, make_cycle
+from .errors import BudgetExceeded, SchemaError
 from .torus import Divisor, TorusPoint, make_divisor, parse_fraction
-from .transform import SkyscraperClass, make_skyscraper
+from .transform import PSI_BLOCK_BUDGET, SkyscraperClass, make_skyscraper
+
+if TYPE_CHECKING:
+    from .fibration import CocycleReport, GerbeData, GerbeReport, Nerve, TranslationCocycle
+    from .spectral import BundleFamily, RoundTripReport, SpectralCycle
 
 
 def canonical_json(payload) -> str:
@@ -110,7 +111,17 @@ def parse_skyscraper(obj) -> SkyscraperClass:
     for item in _require_list(data["parts"], "parts"):
         entry = _require_dict(item, "part", {"p", "len"})
         parts.append((parse_point(entry["p"]), parse_int(entry["len"], "len")))
-    return make_skyscraper(parts, parse_int(data["degree"], "degree"))
+    sky = make_skyscraper(parts, parse_int(data["degree"], "degree"))
+    _check_blocks(sky.total(), "skyscraper asks for")
+    return sky
+
+
+def _check_blocks(count: int, what: str) -> None:
+    """Refuse a document whose inverse transforms would build over PSI_BLOCK_BUDGET blocks."""
+    if count > PSI_BLOCK_BUDGET:
+        raise BudgetExceeded(
+            f"{what} {count} rank-one blocks, over the budget of {PSI_BLOCK_BUDGET}"
+        )
 
 
 def skyscraper_json(s: SkyscraperClass) -> dict:
@@ -121,6 +132,8 @@ def skyscraper_json(s: SkyscraperClass) -> dict:
 
 
 def parse_cycle(obj) -> SpectralCycle:
+    from .spectral import make_cycle
+
     data = _require_dict(obj, "cycle", {"parts"})
     parts = []
     for item in _require_list(data["parts"], "parts"):
@@ -155,6 +168,8 @@ def _labels(obj, what: str) -> list[str]:
 
 
 def parse_nerve(obj) -> Nerve:
+    from .fibration import Nerve
+
     data = _require_dict(obj, "nerve", {"charts", "samples"}, {"overlaps", "triples"})
     charts = _labels(data["charts"], "charts")
     overlaps = [
@@ -196,6 +211,8 @@ def nerve_json(n: Nerve) -> dict:
 
 
 def parse_cocycle(obj) -> TranslationCocycle:
+    from .fibration import TranslationCocycle
+
     data = _require_dict(obj, "cocycle", {"lambda"})
     table = {}
     lam = data["lambda"]
@@ -240,6 +257,8 @@ def chart_sample_key(chart: str, sample: str) -> str:
 
 
 def parse_gerbe(obj, nerve: Nerve) -> GerbeData:
+    from .fibration import GerbeData
+
     data = _require_dict(obj, "gerbe", set(), {"a", "c", "descriptors"})
     a = {}
     for key, value in _any_dict(data.get("a", {}), "gerbe a").items():
@@ -279,6 +298,9 @@ def gerbe_json(g: GerbeData) -> dict:
 
 
 def parse_family(obj) -> BundleFamily:
+    from .fibration import TranslationCocycle
+    from .spectral import BundleFamily
+
     data = _require_dict(obj, "family", {"nerve", "data"}, {"cocycle", "rank"})
     nerve = parse_nerve(data["nerve"])
     cocycle = (
@@ -306,7 +328,10 @@ def parse_section_doc(obj) -> tuple[Nerve, dict[str, SpectralCycle], int]:
     if not isinstance(data["section"], dict):
         raise SchemaError("section must be an object keyed by sample")
     section = {s: parse_cycle(c) for s, c in data["section"].items()}
-    return nerve, section, parse_int(data["n"], "n")
+    n = parse_int(data["n"], "n")
+    # beta builds n blocks at every sample of the section
+    _check_blocks(n * len(section), f"section (rank {n}, samples {len(section)}) asks for")
+    return nerve, section, n
 
 
 def section_doc_json(nerve: Nerve, section: dict[str, SpectralCycle], n: int) -> dict:

@@ -58,6 +58,15 @@ def fm_transform(bundle: AtiyahBundle) -> SkyscraperClass:
     return SkyscraperClass(tuple(sorted([(-y, m) for y, m in _block_runs(bundle)], key=_point)), 1)
 
 
+# Most rank-one blocks that one psi or beta document may ask psi_transform
+# to build (for beta, its rank times its samples): each unit of length is
+# one block, so a document of a few bytes can name a length far past what
+# fits in memory.  At this budget a cold `ellfib psi` writes about 8 MB in
+# about 2 s.  The check is made when the document is parsed (serialize),
+# so the round trip's own calls pay nothing.
+PSI_BLOCK_BUDGET = 100_000
+
+
 def psi_transform(s: SkyscraperClass) -> AtiyahBundle:
     """Inverse transform of a degree-zero skyscraper: polystable bundle.
 

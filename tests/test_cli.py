@@ -33,7 +33,7 @@ from ellfib.serialize import (
 )
 from ellfib.spectral import BundleFamily, make_cycle
 from ellfib.torus import ORIGIN, TorusPoint
-from ellfib.transform import make_skyscraper
+from ellfib.transform import PSI_BLOCK_BUDGET, make_skyscraper
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -242,19 +242,24 @@ def _overrun(signum, frame):
     raise Overrun
 
 
-def test_roundtrip_refuses_a_huge_sample_count_before_building_labels(capsys):
-    # an alarm stops the run after 1 s, so a build of 10**12 labels fails
-    # the test within that second instead of filling memory
+def _within_one_second(capsys, *argv):
+    """run(), failed by an alarm if it takes over 1 s, so that a request
+    the budget misses fails the test within that second instead of
+    filling memory."""
     previous = signal.signal(signal.SIGALRM, _overrun)
     signal.setitimer(signal.ITIMER_REAL, 1.0)
     try:
-        code, out, err = run(capsys, "roundtrip", "--n", "1", "--torsion", "1",
-                             "--samples", "1000000000000")
+        return run(capsys, *argv)
     except Overrun:
-        pytest.fail("roundtrip --samples 10**12 was not refused within 1 s")
+        pytest.fail(f"{' '.join(argv)} was not refused within 1 s")
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_roundtrip_refuses_a_huge_sample_count_before_building_labels(capsys):
+    code, out, err = _within_one_second(capsys, "roundtrip", "--n", "1", "--torsion", "1",
+                                        "--samples", "1000000000000")
     assert code == 2
     assert out == ""
     assert err == (
@@ -279,6 +284,41 @@ def test_roundtrip_builds_one_sample_label_whatever_the_count(capsys, monkeypatc
     assert (code, err) == (0, "")
     assert sizes and set(sizes) == {1}
     assert out == expected
+
+
+def test_psi_refuses_a_length_over_the_block_budget(tmp_path, capsys):
+    # a 70-byte document once asked psi for 10**8 rank-one blocks
+    doc = {"parts": [{"p": {"u": "0", "v": "0"}, "len": 10**8}], "degree": 0}
+    code, out, err = _within_one_second(capsys, "psi", "--in", write(tmp_path, "s.json", doc))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: skyscraper asks for 100000000 rank-one blocks, over the budget of 100000\n"
+    )
+    # the budget counts the merged total, not each part
+    half = PSI_BLOCK_BUDGET // 2 + 1
+    doc["parts"] = [{"p": {"u": "0", "v": "0"}, "len": half}] * 2
+    code, out, err = _within_one_second(capsys, "psi", "--in", write(tmp_path, "s.json", doc))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_beta_refuses_a_rank_over_the_block_budget(tmp_path, capsys):
+    # beta builds n blocks at each sample: one sample past the budget, then
+    # two samples whose ranks are each within it
+    for samples, n in ((["s"], PSI_BLOCK_BUDGET + 1), (["s1", "s2"], PSI_BLOCK_BUDGET // 2 + 1)):
+        cycle = {"parts": [{"p": {"u": "0", "v": "0"}, "m": n}]}
+        doc = {
+            "nerve": nerve_json(Nerve.single_chart("c", samples)),
+            "section": {s: cycle for s in samples},
+            "n": n,
+        }
+        path = write(tmp_path, "d.json", doc)
+        code, out, err = _within_one_second(capsys, "beta", "--in", path)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: section (rank {n}, samples {len(samples)}) asks for "
+            f"{n * len(samples)} rank-one blocks, over the budget of 100000\n"
+        )
 
 
 # -- cocycle verbs ---------------------------------------------------------
@@ -486,6 +526,40 @@ def test_the_package_root_loads_nothing():
     done = subprocess.run([sys.executable, "-c", ROOT_PROBE, json.dumps(stacks)],
                           capture_output=True, text=True, env=env, check=True)
     assert json.loads(done.stdout) == [[], []]
+
+
+VERB_PROBE = """
+import contextlib, io, json, sys
+import ellfib.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = ellfib.cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+# what each verb must not load: the layers it never calls
+UNUSED_LAYERS = {
+    "fm": ("ellfib.cohomology", "ellfib.fibration", "ellfib.linalg", "ellfib.spectral", "sympy"),
+    "psi": ("ellfib.cohomology", "ellfib.fibration", "ellfib.linalg", "ellfib.spectral", "sympy"),
+    "invariants": ("ellfib.fibration", "ellfib.spectral", "sympy"),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(UNUSED_LAYERS))
+def test_each_verb_loads_only_its_layer(tmp_path, verb):
+    # one fresh process per verb, on the verb's operation of a benchmark seed
+    kodaira_text = (ROOT / "src/ellfib/cohomology/presets/kodaira.json").read_text()
+    (op,) = next(unit for unit in gen.cli_inputs(0, kodaira_text) if unit[0]["verb"] == verb)
+    doc = tmp_path / "doc.json"
+    if op["doc"] is not None:
+        doc.write_text(json.dumps(op["doc"]))
+    argv = [arg.replace("{doc}", str(doc)) for arg in op["args"]]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", VERB_PROBE, json.dumps(argv)],
+                          capture_output=True, text=True, env=env, check=True)
+    code, loaded = json.loads(done.stdout)
+    assert code == op["expect"]["code"]
+    assert "ellfib.transform" in loaded
+    assert [name for name in loaded if name.startswith(UNUSED_LAYERS[verb])] == []
 
 
 # -- invariants and ring validation ----------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ellfib.bundles import make_bundle
-from ellfib.errors import SchemaError
+from ellfib.errors import BudgetExceeded, SchemaError
 from ellfib.fibration import GerbeData, Nerve, TranslationCocycle
 from ellfib.serialize import (
     bundle_json,
@@ -46,7 +46,7 @@ from ellfib.serialize import (
 from ellfib.spectral import BundleFamily, make_cycle, round_trip_verify
 from ellfib.fibration import check_cocycle, gerbe_alpha
 from ellfib.torus import ORIGIN, TorusPoint, make_divisor
-from ellfib.transform import make_skyscraper
+from ellfib.transform import PSI_BLOCK_BUDGET, make_skyscraper
 
 
 def rand_fraction(rng, den=12, span=3):
@@ -326,6 +326,25 @@ def _bad_cases():
 def test_malformed_payloads_raise_schema_error(parser, payload):
     with pytest.raises(SchemaError):
         parser(payload)
+
+
+def test_block_budget_edge_at_the_document_boundary():
+    origin = {"u": "0", "v": "0"}
+    nerve_payload = nerve_json(Nerve.single_chart())
+
+    def sky(blocks):
+        return {"parts": [{"p": origin, "len": blocks}], "degree": 0}
+
+    def section_doc(blocks):
+        section = {"s": {"parts": [{"p": origin, "m": blocks}]}}
+        return {"nerve": nerve_payload, "section": section, "n": blocks}
+
+    assert parse_skyscraper(sky(PSI_BLOCK_BUDGET)).total() == PSI_BLOCK_BUDGET
+    assert parse_section_doc(section_doc(PSI_BLOCK_BUDGET))[2] == PSI_BLOCK_BUDGET
+    with pytest.raises(BudgetExceeded):
+        parse_skyscraper(sky(PSI_BLOCK_BUDGET + 1))
+    with pytest.raises(BudgetExceeded):
+        parse_section_doc(section_doc(PSI_BLOCK_BUDGET + 1))
 
 
 def test_gerbe_parser_rejects_unknown_keys_and_bad_descriptors():

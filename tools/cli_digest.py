@@ -16,8 +16,12 @@ A is doubled (its inverse check fails), one whose product, de Rham
 product and identification tables are scaled by 3/2, 1/6 and 5/4, and
 one whose conjugation is an involution with fractional entries, then
 invariants on the scaled kodaira document (the kodaira classes of seeds
-0-9, both modes, --out json and --out table).  Every run's argument list, exit
-code, stdout and stderr go into the digest of its verb.  Input documents are written to
+0-9, both modes, --out json and --out table), then psi and beta at
+transform.PSI_BLOCK_BUDGET blocks and one block past it (the refusal).
+Every run's argument list, exit code, stdout and stderr go into the
+digest of its verb; the budget runs go into "psi budget" and "beta
+budget", so the other twelve digests can be compared with a checkout
+that has no such budget.  Input documents are written to
 one fixed relative path inside a temporary working directory, so no
 temporary path reaches the output.
 
@@ -47,6 +51,10 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import gen  # noqa: E402  (perfbench/gen.py)
 from ellfib.cli import main  # noqa: E402
+
+# transform.PSI_BLOCK_BUDGET, written out so that the tool also runs on a
+# checkout that has no such budget
+PSI_BLOCK_BUDGET = 100_000
 
 SEEDS = range(40)
 FRACTIONAL_SEEDS = range(10)
@@ -161,6 +169,16 @@ def fractional_ring_runs(kodaira_text: str):
             yield argv, doc
 
 
+def budget_runs():
+    """(argv, document) for psi and beta at the block budget and one block past it."""
+    origin = _point_doc((Fraction(0), Fraction(0)))
+    for blocks in (PSI_BLOCK_BUDGET, PSI_BLOCK_BUDGET + 1):
+        yield ["psi", "--in", DOC], {"parts": [{"p": origin, "len": blocks}], "degree": 0}
+        section = {"s": {"parts": [{"p": origin, "m": blocks}]}}
+        nerve = {"charts": ["c"], "samples": {"charts": {"c": ["s"]}}}
+        yield ["beta", "--in", DOC], {"nerve": nerve, "section": section, "n": blocks}
+
+
 def all_runs(kodaira_text: str):
     """Every run in digest order: the seeds' runs, the roundtrip grid, the
     block-order grid, validate-ring, invariants on fractional tables."""
@@ -187,13 +205,15 @@ def main_digest() -> None:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            for argv, doc in all_runs(kodaira_text):
+            runs = [(argv[0], argv, doc) for argv, doc in all_runs(kodaira_text)]
+            runs += [(f"{argv[0]} budget", argv, doc) for argv, doc in budget_runs()]
+            for verb, argv, doc in runs:
                 if doc is not None:
                     Path(DOC).write_text(json.dumps(doc, indent=1))
                 code, out, err = run(argv)
                 record = json.dumps([argv, code, out, err]) + "\n"
-                digests.setdefault(argv[0], hashlib.sha256()).update(record.encode())
-                counts[argv[0]] = counts.get(argv[0], 0) + 1
+                digests.setdefault(verb, hashlib.sha256()).update(record.encode())
+                counts[verb] = counts.get(verb, 0) + 1
         finally:
             os.chdir(home)
     for verb in sorted(digests):
