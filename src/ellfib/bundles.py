@@ -29,7 +29,7 @@ class AtiyahBundle:
     blocks: tuple[tuple[int, TorusPoint], ...]
 
     def rank(self) -> int:
-        return sum(n for n, _ in self.blocks)
+        return sum(map(_rank, self.blocks))
 
     def degree(self) -> int:
         return 0
@@ -113,7 +113,7 @@ def direct_sum(a: AtiyahBundle, b: AtiyahBundle) -> AtiyahBundle:
 def split_bundle(g: GradedClass) -> AtiyahBundle:
     """Polystable representative: every part becomes rank-one blocks."""
     # parts are sorted by point, so these blocks are already in bundle order
-    return AtiyahBundle(tuple((1, p) for p, m in g.parts for _ in range(m)))
+    return AtiyahBundle(tuple([(1, p) for p, m in g.parts for _ in range(m)]))
 
 
 def determinant(bundle: AtiyahBundle) -> LineBundleClass:

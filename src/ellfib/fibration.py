@@ -91,32 +91,35 @@ class Nerve:
         for tri in triples:
             if len(tri) != 3:
                 raise SchemaError(f"triple must list three charts: {tri!r}")
-            key = triple_key(*tri)
-            for a in range(3):
-                for b in range(a + 1, 3):
-                    if overlap_key(key[a], key[b]) not in seen_pairs:
-                        raise SchemaError(
-                            f"triple {key!r} misses overlap {(key[a], key[b])!r}"
-                        )
+            i, j, k = key = triple_key(*tri)
+            # the key is sorted, so its three pairs are overlap keys already
+            for pair in ((i, j), (i, k), (j, k)):
+                if pair not in seen_pairs:
+                    raise SchemaError(f"triple {key!r} misses overlap {pair!r}")
             if key in seen_triples:
                 raise SchemaError(f"duplicate triple {key!r}")
             seen_triples.add(key)
         self.triples = tuple(sorted(seen_triples))
 
         def clean_samples(raw, keys, kind):
-            raw = dict(raw or {})
-            out = {}
+            given, out = {}, {}
+            for key, labels in (raw or {}).items():
+                # an overlap or triple key may list its charts in any order
+                key = tuple(sorted(key)) if isinstance(key, tuple) else key
+                if key in given:
+                    raise SchemaError(f"samples for {kind} {key!r} given in two orders")
+                given[key] = labels
             for key in keys:
-                if key not in raw:
+                if key not in given:
                     raise SchemaError(f"missing samples for {kind} {key!r}")
-                labels = [_check_label(s, "sample") for s in raw.pop(key)]
+                labels = [_check_label(s, "sample") for s in given.pop(key)]
                 if not labels:
                     raise SchemaError(f"empty sample set for {kind} {key!r}")
                 if len(set(labels)) != len(labels):
                     raise SchemaError(f"duplicate samples for {kind} {key!r}")
                 out[key] = tuple(sorted(labels))
-            if raw:
-                raise SchemaError(f"samples given for unknown {kind}s: {sorted(raw)!r}")
+            if given:
+                raise SchemaError(f"samples given for unknown {kind}s: {sorted(given)!r}")
             return out
 
         self._chart_s = clean_samples(chart_samples, self.charts, "chart")
@@ -130,7 +133,7 @@ class Nerve:
                         f"overlap {(i, j)!r} sample {s!r} missing from a chart"
                     )
         for (i, j, k), labels in self._triple_s.items():
-            pairs = [overlap_key(i, j), overlap_key(j, k), overlap_key(i, k)]
+            pairs = [(i, j), (j, k), (i, k)]
             for s in labels:
                 for pair in pairs:
                     if s not in self._overlap_s[pair]:

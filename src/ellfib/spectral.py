@@ -134,9 +134,8 @@ def beta_map(base: Nerve, section: Mapping[str, SpectralCycle], n: int) -> Bundl
     for s in samples:
         if s not in section:
             raise MissingSample(f"section undefined at sample {s!r}")
-    extra = set(section) - set(samples)
-    if extra:
-        raise SchemaError(f"section given at unknown samples {sorted(extra)!r}")
+    if len(section) != len(samples):
+        raise SchemaError(f"section given at unknown samples {sorted(set(section) - set(samples))!r}")
     data = {}
     for s in samples:
         cycle = section[s]
@@ -160,11 +159,19 @@ def torsion_points(torsion: int) -> list[TorusPoint]:
 
 def enumerate_cycles(n: int, torsion: int, points=None) -> list[SpectralCycle]:
     """Every rank-n cycle on torsion points; points, if given, are them sorted."""
+    if n < 1:
+        raise SchemaError("cycle rank must be at least 1")
     points = sorted(torsion_points(torsion)) if points is None else points
-    return [
-        make_cycle((point, 1) for point in combo)
-        for combo in combinations_with_replacement(points, n)
-    ]
+    cycles = []
+    for combo in combinations_with_replacement(points, n):
+        runs = []  # a sorted combination repeats one point object: one pass gives the parts
+        for point in combo:
+            if runs and runs[-1][0] is point:
+                runs[-1] = (point, runs[-1][1] + 1)
+            else:
+                runs.append((point, 1))
+        cycles.append(SpectralCycle(tuple(runs)))
+    return cycles
 
 
 def enumerate_bundles(n: int, torsion: int, points=None) -> list[AtiyahBundle]:
@@ -183,15 +190,12 @@ def enumerate_bundles(n: int, torsion: int, points=None) -> list[AtiyahBundle]:
 
     bundles = []
     for shape in partitions(n, n):
-        groups: dict[int, int] = {}
-        for part in shape:
-            groups[part] = groups.get(part, 0) + 1
         choices = [
             [
                 tuple((part, point) for point in combo)
-                for combo in combinations_with_replacement(points, count)
+                for combo in combinations_with_replacement(points, shape.count(part))
             ]
-            for part, count in sorted(groups.items())
+            for part in sorted(set(shape))
         ]
         for blocks in product(*choices):
             bundles.append(make_bundle(chain.from_iterable(blocks)))
@@ -254,10 +258,12 @@ def round_trip_verify(base: Nerve, n: int, torsion: int) -> RoundTripReport:
     ROUND_TRIP_BUDGET are refused before anything is enumerated.
 
     Each object's round trip runs once, on a one-sample view of the
-    chart: with one chart and no overlaps, beta_map and gamma_map compute
-    each sample only from that sample's entry, every entry is the same
-    object, and their cross-sample checks (equal totals, equal ranks)
-    compare equal values, so other samples drop no check.
+    chart: on one chart every sample sees the same entry, so further
+    samples would repeat each check on equal values.  Each object calls
+    beta_map once, which checks total and rank, and spectral_cover
+    directly: with one sample and no overlap, gamma_map's equal-totals and
+    overlap checks compare nothing, and constant_family's keys and rank
+    hold by construction, so no check is dropped.
     """
     chart = _require_single_chart(base)
     samples = base.chart_samples(chart)
@@ -270,14 +276,13 @@ def round_trip_verify(base: Nerve, n: int, torsion: int) -> RoundTripReport:
     points = sorted(torsion_points(torsion))
     cycles = enumerate_cycles(n, torsion, points)
     for cycle in cycles:
-        if gamma_map(beta_map(view, {s: cycle}, n))[chart, s] != cycle:
+        if spectral_cover(beta_map(view, {s: cycle}, n).fiber(chart, s)) != cycle:
             failures.append(f"section round trip failed at {cycle!r}")
 
     bundles = enumerate_bundles(n, torsion, points)
     classes = set()
     for bundle in bundles:
-        section = gamma_map(constant_family(view, bundle))
-        rebuilt = beta_map(view, {s: section[chart, s]}, bundle.rank())
+        rebuilt = beta_map(view, {s: spectral_cover(bundle)}, bundle.rank())
         graded_class = graded(bundle)
         classes.add(graded_class)
         if rebuilt.fiber(chart, s) != split_bundle(graded_class):

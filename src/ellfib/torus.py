@@ -225,6 +225,7 @@ ORIGIN = TorusPoint(Fraction(0), Fraction(0))
 Parts = tuple[tuple[TorusPoint, int], ...]
 
 _point = itemgetter(0)
+_multiplicity = itemgetter(1)
 
 
 def merge_points(pairs: Iterable[tuple[TorusPoint, int]], signed: bool = False) -> Parts:
@@ -261,7 +262,7 @@ class PointMultiset:
     parts: Parts
 
     def total(self) -> int:
-        return sum(m for _, m in self.parts)
+        return sum(map(_multiplicity, self.parts))
 
 
 @dataclass(frozen=True)

@@ -78,8 +78,8 @@ def psi_transform(s: SkyscraperClass) -> AtiyahBundle:
         raise WrongDegree(
             f"inverse transform needs cohomological degree 0, got {s.degree}"
         )
-    parts = sorted(((-p, m) for p, m in s.parts), key=_point)
-    blocks = tuple((1, q) for q, m in parts for _ in range(m))
+    parts = sorted([(-p, m) for p, m in s.parts], key=_point)
+    blocks = tuple([(1, q) for q, m in parts for _ in range(m)])
     if not blocks:
         raise EmptyBundle("a bundle needs at least one block")
     return AtiyahBundle(blocks)

@@ -32,6 +32,7 @@ from ellfib.fibration import (
     validate_gerbe,
 )
 from ellfib.linalg import solve_integer
+from ellfib.serialize import nerve_json, parse_nerve
 from ellfib.torus import ORIGIN, TorusPoint
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -148,6 +149,53 @@ def test_nerve_requires_nested_sample_sets():
             },
             triple_samples={("a", "b", "c"): ["t"]},
         )
+
+
+def test_sample_keys_may_list_their_charts_in_any_order():
+    sorted_keys = cycle_nerve(("s", "t"))
+    shuffled = Nerve(
+        ["c3", "c1", "c2"],
+        [("c2", "c1"), ("c3", "c1"), ("c3", "c2")],
+        [("c3", "c1", "c2")],
+        chart_samples={c: ("t", "s") for c in ("c1", "c2", "c3")},
+        overlap_samples={
+            ("c2", "c1"): ("s", "t"),
+            ("c1", "c3"): ("t", "s"),
+            ("c3", "c2"): ("s", "t"),
+        },
+        triple_samples={("c2", "c3", "c1"): ("s", "t")},
+    )
+    assert shuffled == sorted_keys
+    assert nerve_json(shuffled) == nerve_json(sorted_keys)
+    # "c10" sorts before "c2", so a document may well list the pair the other way
+    doc = {
+        "charts": ["c2", "c10"],
+        "overlaps": [["c2", "c10"]],
+        "samples": {"charts": {"c2": ["s"], "c10": ["s"]}, "overlaps": {"c2,c10": ["s"]}},
+    }
+    assert nerve_json(parse_nerve(doc))["samples"]["overlaps"] == {"c10,c2": ["s"]}
+
+
+def test_sample_key_given_in_two_orders_is_refused():
+    charts, pairs, tris = ["a", "b", "c"], [("a", "b"), ("a", "c"), ("b", "c")], [("a", "b", "c")]
+    samples = {c: ["s"] for c in charts}
+    overlap_samples = {p: ["s"] for p in pairs}
+    with pytest.raises(SchemaError, match=re.escape("overlap ('a', 'b') given in two orders")):
+        Nerve(charts, pairs, tris, samples, {**overlap_samples, ("b", "a"): ["s"]},
+              {("a", "b", "c"): ["s"]})
+    with pytest.raises(SchemaError, match=re.escape("triple ('a', 'b', 'c') given in two orders")):
+        Nerve(charts, pairs, tris, samples, overlap_samples,
+              {("a", "b", "c"): ["s"], ("c", "a", "b"): ["s"]})
+    # the document schema reaches the same refusal through its "i,j" keys
+    doc = nerve_json(Nerve(charts, pairs, tris, samples, overlap_samples, {("a", "b", "c"): ["s"]}))
+    doc["samples"]["overlaps"]["b,a"] = ["s"]
+    with pytest.raises(SchemaError, match=re.escape("overlap ('a', 'b') given in two orders")):
+        parse_nerve(doc)
+    del doc["samples"]["overlaps"]["a,b"]
+    assert parse_nerve(doc).overlap_samples("a", "b") == ("s",)
+    # a key that is not a tuple of the charts names no overlap
+    with pytest.raises(SchemaError, match=re.escape("missing samples for overlap ('a', 'b')")):
+        Nerve(["a", "b"], [("a", "b")], (), {"a": ["s"], "b": ["s"]}, {"ba": ["s"]})
 
 
 def test_nerve_sorts_and_answers_queries():

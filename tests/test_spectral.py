@@ -3,6 +3,7 @@
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
@@ -37,6 +38,7 @@ from ellfib.spectral import (
     translate_cycle,
 )
 from ellfib.torus import ORIGIN, TorusPoint
+from ellfib.transform import make_skyscraper
 
 
 def pt(u, v=0) -> TorusPoint:
@@ -203,6 +205,21 @@ def test_enumerate_cycles_counts_multisets():
     assert all(c.total() == 2 for c in enumerate_cycles(2, 2))
 
 
+def test_enumerated_cycles_are_canonical():
+    # the run-length parts equal make_cycle's merged parts, type and order included
+    for n in (1, 2, 3):
+        for torsion in range(1, 7):
+            points = sorted(torsion_points(torsion))
+            expected = [
+                make_cycle((p, 1) for p in combo)
+                for combo in combinations_with_replacement(points, n)
+            ]
+            cycles = enumerate_cycles(n, torsion)
+            assert [(type(c), c.parts) for c in cycles] == [(type(c), c.parts) for c in expected]
+    with pytest.raises(SchemaError):
+        enumerate_cycles(0, 2)
+
+
 def test_enumerate_bundles_counts_block_shapes():
     # rank 2 over 4 points: 4 single towers + 10 unordered pairs
     assert len(enumerate_bundles(2, 2)) == 14
@@ -303,6 +320,33 @@ def test_round_trip_with_a_moved_block_fails_on_three_samples(monkeypatch):
     report = round_trip_verify(Nerve.single_chart("c", sample_labels(3)), 1, 2)
     assert not report.ok
     assert report.bijective
+    kinds = Counter(line.split(" round trip")[0] for line in report.failures)
+    assert kinds == {"section": report.sections_checked, "family": report.bundles_checked}
+
+
+def test_round_trip_keeps_the_family_rank_check(monkeypatch):
+    original = spectral.psi_transform
+
+    def one_block_more(sky):
+        return make_bundle(original(sky).blocks + ((1, ORIGIN),))
+
+    monkeypatch.setattr(spectral, "psi_transform", one_block_more)
+    with pytest.raises(NonConstantLength, match="family fibers must all have rank 1"):
+        round_trip_verify(Nerve.single_chart(), 1, 2)
+
+
+def test_round_trip_covers_through_the_module_transform(monkeypatch):
+    step = TorusPoint.from_triple(1, 0, 2)
+    original = spectral.fm_transform
+
+    def moved(bundle):
+        sky = original(bundle)
+        (p, m), *rest = sky.parts
+        return make_skyscraper([(p + step, m)] + rest, sky.degree)
+
+    monkeypatch.setattr(spectral, "fm_transform", moved)
+    report = round_trip_verify(Nerve.single_chart(), 1, 2)
+    assert not report.ok
     kinds = Counter(line.split(" round trip")[0] for line in report.failures)
     assert kinds == {"section": report.sections_checked, "family": report.bundles_checked}
 

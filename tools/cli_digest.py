@@ -17,11 +17,15 @@ product and identification tables are scaled by 3/2, 1/6 and 5/4, and
 one whose conjugation is an involution with fractional entries, then
 invariants on the scaled kodaira document (the kodaira classes of seeds
 0-9, both modes, --out json and --out table), then psi and beta at
-transform.PSI_BLOCK_BUDGET blocks and one block past it (the refusal).
+transform.PSI_BLOCK_BUDGET blocks and one block past it (the refusal),
+and last the fixed round trips of the moduli benchmark, roundtrip
+--n 3 --torsion 6 and --n 4 --torsion 4, each in a fresh `python -m
+ellfib.cli` process.
 Every run's argument list, exit code, stdout and stderr go into the
 digest of its verb; the budget runs go into "psi budget" and "beta
 budget", so the other twelve digests can be compared with a checkout
-that has no such budget.  Input documents are written to
+that has no such budget, and the two fresh-process round trips into
+"roundtrip cold".  Input documents are written to
 one fixed relative path inside a temporary working directory, so no
 temporary path reaches the output.
 
@@ -40,6 +44,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction
@@ -179,6 +184,13 @@ def budget_runs():
         yield ["beta", "--in", DOC], {"nerve": nerve, "section": section, "n": blocks}
 
 
+# the fixed (n, torsion) round trips of the moduli benchmark, run cold
+COLD_ROUNDTRIPS = [
+    ["roundtrip", "--n", "3", "--torsion", "6"],
+    ["roundtrip", "--n", "4", "--torsion", "4"],
+]
+
+
 def all_runs(kodaira_text: str):
     """Every run in digest order: the seeds' runs, the roundtrip grid, the
     block-order grid, validate-ring, invariants on fractional tables."""
@@ -197,6 +209,15 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def run_cold(argv: list[str]) -> tuple[int, str, str]:
+    """One `python -m ellfib.cli` process of this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ellfib.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def main_digest() -> None:
     kodaira_text = (ROOT / "src/ellfib/cohomology/presets/kodaira.json").read_text()
     digests = {}
@@ -207,10 +228,11 @@ def main_digest() -> None:
         try:
             runs = [(argv[0], argv, doc) for argv, doc in all_runs(kodaira_text)]
             runs += [(f"{argv[0]} budget", argv, doc) for argv, doc in budget_runs()]
+            runs += [("roundtrip cold", argv, None) for argv in COLD_ROUNDTRIPS]
             for verb, argv, doc in runs:
                 if doc is not None:
                     Path(DOC).write_text(json.dumps(doc, indent=1))
-                code, out, err = run(argv)
+                code, out, err = (run_cold if verb == "roundtrip cold" else run)(argv)
                 record = json.dumps([argv, code, out, err]) + "\n"
                 digests.setdefault(verb, hashlib.sha256()).update(record.encode())
                 counts[verb] = counts.get(verb, 0) + 1
