@@ -15,7 +15,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .errors import EmptyBundle, NonPositiveRank
-from .torus import LineBundleClass, Parts, PointMultiset, TorusPoint, merge_points
+from .torus import Parts, PointMultiset, TorusPoint, merge_points
 
 
 _rank = itemgetter(0)
@@ -76,34 +76,14 @@ def graded(bundle: AtiyahBundle) -> GradedClass:
     return GradedClass(_block_runs(bundle))
 
 
-def s_equivalent(a: AtiyahBundle, b: AtiyahBundle) -> bool:
-    return graded(a) == graded(b)
-
-
-def _twist_point(twist: TorusPoint | LineBundleClass) -> TorusPoint:
-    if isinstance(twist, LineBundleClass):
-        return twist.point
-    return twist
-
-
-def tensor_line(bundle: AtiyahBundle, twist: TorusPoint | LineBundleClass) -> AtiyahBundle:
-    """Tensor every block by the degree-zero line bundle of the given class."""
-    t = _twist_point(twist)
+def tensor_line(bundle: AtiyahBundle, t: TorusPoint) -> AtiyahBundle:
+    """Tensor every block by the degree-zero line bundle of the point t."""
     return make_bundle((n, x + t) for n, x in bundle.blocks)
-
-
-def tensor_line_graded(g: GradedClass, twist: TorusPoint | LineBundleClass) -> GradedClass:
-    t = _twist_point(twist)
-    return make_graded((p + t, m) for p, m in g.parts)
 
 
 def dual_bundle(bundle: AtiyahBundle) -> AtiyahBundle:
     # each block tower is self-dual; only the twist point negates
     return make_bundle((n, -x) for n, x in bundle.blocks)
-
-
-def dual_graded(g: GradedClass) -> GradedClass:
-    return make_graded((-p, m) for p, m in g.parts)
 
 
 def direct_sum(a: AtiyahBundle, b: AtiyahBundle) -> AtiyahBundle:
@@ -114,11 +94,3 @@ def split_bundle(g: GradedClass) -> AtiyahBundle:
     """Polystable representative: every part becomes rank-one blocks."""
     # parts are sorted by point, so these blocks are already in bundle order
     return AtiyahBundle(tuple([(1, p) for p, m in g.parts for _ in range(m)]))
-
-
-def determinant(bundle: AtiyahBundle) -> LineBundleClass:
-    """Degree-zero class whose point is the rank-weighted sum of twists."""
-    total = TorusPoint(0, 0)
-    for n, x in bundle.blocks:
-        total = total + x.scale(n)
-    return LineBundleClass(total)

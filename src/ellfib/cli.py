@@ -29,9 +29,11 @@ def _unique_keys(pairs: list) -> dict:
     """A JSON object as a dict, refusing a key given twice."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        keys = [k for k, _ in pairs]
-        key = next(k for k in keys if keys.count(k) > 1)
-        raise SchemaError(f"key {key!r} is given twice in one object")
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError(f"key {key!r} is given twice in one object")
+            seen.add(key)
     return obj
 
 

@@ -19,10 +19,6 @@ class BudgetExceeded(SchemaError):
     """A request whose closed-form size exceeds an explicit work budget."""
 
 
-class NonZeroDegree(DomainError):
-    """Operation requires a degree-zero bundle summand."""
-
-
 class WrongDegree(DomainError):
     """Transform input has the wrong fiberwise degree."""
 

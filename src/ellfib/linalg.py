@@ -5,17 +5,16 @@ any integral domain supplying exact division: the integers, the
 rationals, the Gaussian integers and the polynomials in two variables.
 Every division it makes is exact in the domain (Bareiss, Math. Comp. 22,
 1968), so integer data never needs a fraction; the integer domain raises
-on a remainder instead of flooring it.  Rational solving/rref, an
-integer diagonalization with unimodular transforms, and a GF(2) solver
-cover the remaining needs; nothing here is asymptotically clever because
-every matrix in this artifact is desk-sized.
+on a remainder instead of flooring it.  An integer diagonalization with
+unimodular transforms and a GF(2) solver cover the remaining needs;
+nothing here is asymptotically clever because every matrix in this
+artifact is desk-sized.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 
@@ -72,53 +71,6 @@ def exact_rank(matrix: Sequence[Sequence], dom: DomainOps = FRACTION_DOMAIN) -> 
         if top == m:
             break
     return rank
-
-
-def _as_fractions(matrix) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in matrix]
-
-
-def rref(matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals, with pivot columns."""
-    rows = _as_fractions(matrix)
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    pivots: list[int] = []
-    top = 0
-    for col in range(n):
-        piv = next((i for i in range(top, m) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[top], rows[piv] = rows[piv], rows[top]
-        inv = 1 / rows[top][col]
-        rows[top] = [inv * x for x in rows[top]]
-        for i in range(m):
-            if i != top and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[top])]
-        pivots.append(col)
-        top += 1
-        if top == m:
-            break
-    return rows, pivots
-
-
-def solve_fractions(matrix, rhs) -> list[Fraction] | None:
-    """One solution of A x = b over the rationals, or None; free variables 0."""
-    rows = _as_fractions(matrix)
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    b = [Fraction(x) for x in rhs]
-    if len(b) != m:
-        raise ValueError("rhs length mismatch")
-    aug = [rows[i] + [b[i]] for i in range(m)]
-    red, pivots = rref(aug)
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        x[col] = red[r][n]
-    return x
 
 
 def integer_diagonalize(matrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:

@@ -177,6 +177,8 @@ def enumerate_cycles(n: int, torsion: int, points=None) -> list[SpectralCycle]:
 def enumerate_bundles(n: int, torsion: int, points=None) -> list[AtiyahBundle]:
     """Every rank-n bundle whose block points are torsion, each class once;
     points, if given, are the sorted torsion points."""
+    if n < 1:
+        raise SchemaError("bundle rank must be at least 1")
     points = sorted(torsion_points(torsion)) if points is None else points
 
     def partitions(total: int, cap: int) -> list[tuple[int, ...]]:

@@ -3,10 +3,9 @@
 Points carry two rational coordinates reduced mod 1, so the group law is
 coordinatewise addition; each point is stored as integers over one
 common denominator.  Divisors are finite formal sums of points with
-integer multiplicities.  A degree-zero divisor determines a line-bundle
-class by the group sum of its points; that sum is a complete isomorphism
-invariant, with the origin fixed as the base point of the normalization
-x |-> class of [x] - [origin].
+integer multiplicities.  A degree-zero line bundle is given by its point:
+Pic^0 of the curve is the curve itself, with the origin as base point,
+so x stands for the class of [x] - [origin].
 
 Divisors, graded classes, skyscrapers and spectral cycles all store points
 with int multiplicities in one canonical form, built by merge_points.
@@ -29,7 +28,7 @@ from operator import itemgetter
 from typing import Iterable
 from weakref import ref as _weak
 
-from .errors import EmptyBundle, NonPositiveRank, NonZeroDegree, SchemaError
+from .errors import EmptyBundle, NonPositiveRank, SchemaError
 
 _setattr = object.__setattr__
 
@@ -70,7 +69,8 @@ class TorusPoint:
     v = b/d, in lowest terms: 0 <= a, b < d and gcd(a, b, d) = 1.  So d is
     the order of the point, equality and hashing are integer work, and
     the group law needs no Fraction arithmetic.  Points order
-    lexicographically by (u, v).
+    lexicographically by (u, v); Python reflects > and >= onto __lt__
+    and __le__.
 
     -p is built on first use and kept in the _neg slot of p, and -p keeps
     a weak link back to p there, so -(-p) is p.  The slot is a cache, not
@@ -140,20 +140,10 @@ class TorusPoint:
         # compare (u, v) lexicographically over the common denominator d * e
         return (self._a * e, self._b * e) < (other._a * d, other._b * d)
 
-    def __gt__(self, other) -> bool:
-        if other.__class__ is not TorusPoint:
-            return NotImplemented
-        return other < self
-
     def __le__(self, other) -> bool:
         if other.__class__ is not TorusPoint:
             return NotImplemented
         return not other < self
-
-    def __ge__(self, other) -> bool:
-        if other.__class__ is not TorusPoint:
-            return NotImplemented
-        return not self < other
 
     def __add__(self, other: "TorusPoint") -> "TorusPoint":
         d, e = self._d, other._d
@@ -192,10 +182,6 @@ class TorusPoint:
     def scale(self, n: int) -> "TorusPoint":
         d = self._d
         return _lowest(n * self._a % d, n * self._b % d, d)
-
-    def order(self) -> int:
-        """Least n >= 1 with n * self == 0: the denominator d."""
-        return self._d
 
     def is_zero(self) -> bool:
         return self._d == 1
@@ -271,63 +257,7 @@ class Divisor:
 
     terms: Parts
 
-    def degree(self) -> int:
-        return sum(m for _, m in self.terms)
-
-    def points_sum(self) -> TorusPoint:
-        total = ORIGIN
-        for p, m in self.terms:
-            total = total + p.scale(m)
-        return total
-
-    def __add__(self, other: "Divisor") -> "Divisor":
-        return make_divisor(self.terms + other.terms)
-
-    def __neg__(self) -> "Divisor":
-        return Divisor(tuple((p, -m) for p, m in self.terms))
-
-    def __sub__(self, other: "Divisor") -> "Divisor":
-        return self + (-other)
-
 
 def make_divisor(pairs: Iterable[tuple[TorusPoint, int]]) -> Divisor:
     """Merge duplicate points, drop zero multiplicities, sort canonically."""
     return Divisor(merge_points(pairs, signed=True))
-
-
-def point_divisor(p: TorusPoint, m: int = 1) -> Divisor:
-    return make_divisor([(p, m)])
-
-
-@dataclass(frozen=True, order=True)
-class LineBundleClass:
-    """Isomorphism class of a degree-zero line bundle.
-
-    Classes of degree zero are classified by the group sum of any divisor
-    representing them, so a single point is a complete invariant.  Tensor
-    adds the points and dual negates; nonzero degrees are outside this
-    type on purpose.
-    """
-
-    point: TorusPoint
-
-    def tensor(self, other: "LineBundleClass") -> "LineBundleClass":
-        return LineBundleClass(self.point + other.point)
-
-    def dual(self) -> "LineBundleClass":
-        return LineBundleClass(-self.point)
-
-    def is_trivial(self) -> bool:
-        return self.point.is_zero()
-
-
-def divisor_class(d: Divisor) -> LineBundleClass:
-    """Class of a degree-zero divisor; its point is the weighted group sum."""
-    if d.degree() != 0:
-        raise NonZeroDegree(f"divisor has degree {d.degree()}, need 0")
-    return LineBundleClass(d.points_sum())
-
-
-def point_class(x: TorusPoint) -> LineBundleClass:
-    """Class of the degree-zero bundle attached to x, i.e. of [x] - [origin]."""
-    return LineBundleClass(x)

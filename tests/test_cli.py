@@ -1024,6 +1024,17 @@ def test_a_key_given_twice_is_a_schema_error(tmp_path, capsys):
     assert_schema_error(code, out, err, "'c1,c2'", "twice")
 
 
+def test_a_repeated_key_in_a_large_object_is_found_in_linear_time(tmp_path, capsys):
+    # the repeat is the last key, so a per-key count would scan all 100 000 keys for each one
+    keys = [f"k{i}" for i in range(100_000)] + ["k99999"]
+    path = tmp_path / "wide.json"
+    path.write_text("{" + ", ".join(f'"{k}": 0' for k in keys) + "}", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "fm", "--in", str(path))
+    assert time.perf_counter() - start < 5.0
+    assert_schema_error(code, out, err, "'k99999'", "twice")
+
+
 def test_verb_required():
     with pytest.raises(SystemExit):
         main([])

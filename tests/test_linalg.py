@@ -19,14 +19,12 @@ from ellfib.cohomology.fields import (
 from ellfib.linalg import (
     FRACTION_DOMAIN,
     INTEGER_DOMAIN,
-    _as_fractions,
     exact_rank,
     integer_diagonalize,
-    rref,
-    solve_fractions,
     solve_gf2,
     solve_integer,
 )
+from make_presets import rref, solve_fractions
 
 
 def det(matrix) -> Fraction:
@@ -129,7 +127,8 @@ def test_integer_division_raises_instead_of_flooring():
 @given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=1, max_size=5))
 def test_integer_rank_is_the_rational_rank(rows):
     # Bareiss quotients over Z are minors, so they are exact and never floored
-    assert exact_rank(rows, INTEGER_DOMAIN) == exact_rank(_as_fractions(rows))
+    rationals = [[Fraction(x) for x in row] for row in rows]
+    assert exact_rank(rows, INTEGER_DOMAIN) == exact_rank(rationals)
 
 
 # small coefficients with many zeros, so rank drops are common

@@ -220,6 +220,13 @@ def test_enumerated_cycles_are_canonical():
         enumerate_cycles(0, 2)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("enumerate_", [enumerate_cycles, enumerate_bundles])
+def test_enumerators_refuse_a_rank_below_one(enumerate_, n):
+    with pytest.raises(SchemaError, match="rank must be at least 1"):
+        enumerate_(n, 2)
+
+
 def test_enumerate_bundles_counts_block_shapes():
     # rank 2 over 4 points: 4 single towers + 10 unordered pairs
     assert len(enumerate_bundles(2, 2)) == 14

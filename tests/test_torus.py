@@ -1,4 +1,4 @@
-"""Torus points, point multisets, divisors, and degree-zero line bundle classes."""
+"""Torus points, point multisets and divisors."""
 
 import copy
 import gc
@@ -15,18 +15,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ellfib.bundles import GradedClass, make_bundle, make_graded
-from ellfib.errors import EmptyBundle, NonPositiveRank, NonZeroDegree, SchemaError
+from ellfib.errors import EmptyBundle, NonPositiveRank, SchemaError
 from ellfib.fibration import Nerve
 from ellfib.spectral import SpectralCycle, make_cycle, round_trip_verify
-from ellfib.torus import (
-    ORIGIN,
-    PointMultiset,
-    TorusPoint,
-    divisor_class,
-    make_divisor,
-    point_class,
-    point_divisor,
-)
+from ellfib.torus import ORIGIN, PointMultiset, TorusPoint, make_divisor
 from ellfib.transform import SkyscraperClass, make_skyscraper
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
@@ -73,17 +65,6 @@ def test_scale_matches_repeated_addition(p, n):
     assert p.scale(n) == total
 
 
-def test_order_is_lcm_of_denominators():
-    assert TorusPoint(Fraction(1, 3), Fraction(1, 4)).order() == 12
-    assert ORIGIN.order() == 1
-    assert TorusPoint(Fraction(5, 6), Fraction(0)).order() == 6
-
-
-@given(points)
-def test_order_annihilates(p):
-    assert p.scale(p.order()).is_zero()
-
-
 def test_points_are_ordered_and_hashable():
     a = TorusPoint(Fraction(1, 3), Fraction(0))
     b = TorusPoint(Fraction(1, 2), Fraction(0))
@@ -113,7 +94,7 @@ def test_points_agree_with_fraction_pairs_mod_one(raw, n):
         assert isinstance(p.u, Fraction) and isinstance(p.v, Fraction)
         assert coords(-p) == reference(-r[0], -r[1])
         assert coords(p.scale(n)) == reference(n * r[0], n * r[1])
-        assert p.order() == math.lcm(r[0].denominator, r[1].denominator)
+        assert p.scale(math.lcm(r[0].denominator, r[1].denominator)).is_zero()
         assert p.is_zero() == (r == (0, 0))
         for q, s in zip(points, refs):
             assert (p == q) == (r == s)
@@ -152,7 +133,7 @@ def test_points_are_immutable():
 @given(mixed, mixed)
 def test_negation_is_cached_and_linked(x, y):
     p = TorusPoint(x, y)
-    d = p.order()
+    d = math.lcm(p.u.denominator, p.v.denominator)
     q = -p
     assert -q is p and -p is q
     twin = TorusPoint.from_triple(-int(p.u * d), -int(p.v * d), d)
@@ -224,7 +205,7 @@ def test_from_triple_reduces_to_lowest_terms():
     assert TorusPoint.from_triple(2, 4, 6) == TorusPoint(Fraction(1, 3), Fraction(2, 3))
     assert TorusPoint.from_triple(-1, 7, 3) == TorusPoint(Fraction(2, 3), Fraction(1, 3))
     assert TorusPoint.from_triple(5, 10, 5) == ORIGIN
-    assert TorusPoint.from_triple(3, 0, 6).order() == 2
+    assert TorusPoint.from_triple(3, 0, 6) == TorusPoint(Fraction(1, 2), Fraction(0))
     with pytest.raises(ValueError):
         TorusPoint.from_triple(1, 1, 0)
 
@@ -234,7 +215,6 @@ def test_make_divisor_merges_and_drops_zeros():
     q = TorusPoint(Fraction(1, 3), Fraction(0))
     d = make_divisor([(p, 2), (q, 1), (p, -2)])
     assert d.terms == ((q, 1),)
-    assert d.degree() == 1
 
 
 def test_make_divisor_rejects_non_integer_multiplicity():
@@ -325,49 +305,3 @@ def test_multiset_types_stay_distinct_on_equal_parts():
         assert a != b
     assert GradedClass(parts) == make_graded([(ORIGIN, 1), (ORIGIN, 1)])
     assert len(set(values)) == len(values)
-
-
-@given(st.lists(st.tuples(points, st.integers(-3, 3)), max_size=6))
-def test_divisor_sum_and_negation(pairs):
-    d = make_divisor(pairs)
-    assert (d - d).terms == ()
-    assert d.degree() == sum(m for _, m in pairs)
-
-
-def test_points_sum_weights_by_multiplicity():
-    p = TorusPoint(Fraction(1, 4), Fraction(0))
-    d = make_divisor([(p, 3)])
-    assert d.points_sum() == TorusPoint(Fraction(3, 4), Fraction(0))
-
-
-def test_divisor_class_requires_degree_zero():
-    with pytest.raises(NonZeroDegree):
-        divisor_class(point_divisor(ORIGIN, 1))
-
-
-def test_divisor_class_of_point_minus_origin():
-    x = TorusPoint(Fraction(1, 5), Fraction(2, 5))
-    d = point_divisor(x, 1) + point_divisor(ORIGIN, -1)
-    assert divisor_class(d) == point_class(x)
-
-
-@given(points, points)
-def test_class_sum_matches_tensor(x, y):
-    # [x] + [y] - 2[0] and the tensor of the two single-point classes agree
-    d = (
-        point_divisor(x, 1)
-        + point_divisor(y, 1)
-        + point_divisor(ORIGIN, -2)
-    )
-    assert divisor_class(d) == point_class(x).tensor(point_class(y))
-
-
-@given(points)
-def test_dual_inverts_tensor(x):
-    c = point_class(x)
-    assert c.tensor(c.dual()).is_trivial()
-
-
-def test_trivial_class_detection():
-    assert point_class(ORIGIN).is_trivial()
-    assert not point_class(TorusPoint(Fraction(1, 2), Fraction(0))).is_trivial()

@@ -25,7 +25,7 @@ from math import comb
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from ellfib.cohomology.ring import ring_from_dict, ring_to_dict, ring_validate
-from ellfib.linalg import exact_rank, solve_fractions
+from ellfib.linalg import exact_rank
 from ellfib.serialize import canonical_json
 
 Mono = tuple[int, ...]
@@ -143,6 +143,56 @@ class ExteriorModel:
             s, m = hit
             acc(out, m, coeff * s)
         return out
+
+
+# -- rational solving: reduced row echelon form over Q ---------------------
+
+
+def _as_fractions(matrix) -> list[list[Fraction]]:
+    return [[Fraction(x) for x in row] for row in matrix]
+
+
+def rref(matrix) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over the rationals, with pivot columns."""
+    rows = _as_fractions(matrix)
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    pivots: list[int] = []
+    top = 0
+    for col in range(n):
+        piv = next((i for i in range(top, m) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[top], rows[piv] = rows[piv], rows[top]
+        inv = 1 / rows[top][col]
+        rows[top] = [inv * x for x in rows[top]]
+        for i in range(m):
+            if i != top and rows[i][col] != 0:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[top])]
+        pivots.append(col)
+        top += 1
+        if top == m:
+            break
+    return rows, pivots
+
+
+def solve_fractions(matrix, rhs) -> list[Fraction] | None:
+    """One solution of A x = b over the rationals, or None; free variables 0."""
+    rows = _as_fractions(matrix)
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    b = [Fraction(x) for x in rhs]
+    if len(b) != m:
+        raise ValueError("rhs length mismatch")
+    aug = [rows[i] + [b[i]] for i in range(m)]
+    red, pivots = rref(aug)
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for r, col in enumerate(pivots):
+        x[col] = red[r][n]
+    return x
 
 
 def vec_of(form: Form, monos: list[Mono]) -> list[Fraction]:
