@@ -31,16 +31,10 @@ class AtiyahBundle:
     def rank(self) -> int:
         return sum(map(_rank, self.blocks))
 
-    def degree(self) -> int:
-        return 0
-
 
 @dataclass(frozen=True)
 class GradedClass(PointMultiset):
     """Associated graded of a bundle: twist points with multiplicities."""
-
-    def rank(self) -> int:
-        return self.total()
 
 
 def make_bundle(blocks: Iterable[tuple[int, TorusPoint]]) -> AtiyahBundle:

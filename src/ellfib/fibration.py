@@ -174,11 +174,12 @@ class Nerve:
             return self._pairs
 
     def _relator_form(self):
-        """Relator matrix R and its diagonal form (D, U, V), built at the first call and kept.
+        """Diagonal form (d, U, V) of the relator matrix R, built at the first call and kept.
 
         R has one row g_ij + g_jk - g_ik per sorted triple and one column
-        per overlap; U R V = D.  Every part is a tuple of tuples, so the
-        readers (condition 3 and the gluability witness) share it unchanged.
+        per overlap; U R V = diag(d).  R itself is not kept: condition 3,
+        the integer witness and its signs (the form read mod 2) all read
+        the form, whose parts are tuples so no reader can change them.
         """
         try:
             return self._relator
@@ -190,9 +191,9 @@ class Nerve:
                 row[column[(i, j)]] += 1
                 row[column[(j, k)]] += 1
                 row[column[(i, k)]] -= 1
-                rows.append(tuple(row))
-            form = tuple(tuple(map(tuple, part)) for part in integer_diagonalize(rows))
-            self._relator = (tuple(rows), form)
+                rows.append(row)
+            d, u, v = integer_diagonalize(rows)
+            self._relator = (tuple(d), tuple(map(tuple, u)), tuple(map(tuple, v)))
             return self._relator
 
     def tetrahedra(self) -> tuple[tuple[str, str, str, str], ...]:
@@ -481,17 +482,17 @@ def validate_gerbe(g: GerbeData) -> None:
     Condition 3 (triviality of F_ij + F_jk + F_ki) means membership in
     the row lattice of the relator matrix R, whose rows are exactly the
     identifications the conditions impose on the free group of overlap
-    generators.  With U R V = D, t is in it exactly when t V is in the
-    row lattice of D: divisible by the diagonal, zero off it.
+    generators.  With U R V = diag(d), t is in it exactly when t V is in
+    the row lattice of diag(d): divisible by d, zero past it.
 
     Condition 4 (F_ijk - F_jkl + F_kli - F_lij trivial, with F_xyz =
     F_xy + F_yz + F_zx) telescopes to (F_ki + F_ik) - (F_lj + F_jl),
     which is zero because F_yx is stored as -F_xy.
     """
     nerve = g.nerve
-    d, _, v = nerve._relator_form()[1]
+    d, _, v = nerve._relator_form()
     gen_index = {key: pos for pos, key in enumerate(nerve.overlaps)}
-    diagonal = [d[c][c] if c < len(d) else 0 for c in range(len(v))]
+    diagonal = d + (0,) * (len(v) - len(d))
     for i, j, k in nerve.triples:
         # t V, summed over the few nonzero entries of t = F_ij + F_jk + F_ki
         terms = [
@@ -541,10 +542,10 @@ def _coboundary_witness(
     """Solve alpha = (delta beta) in nonzero rationals, prime by prime.
 
     Each alpha is factored once; the nerve's one diagonal form of R serves
-    every prime.
+    every prime and, read mod 2, the signs.
     """
     gens = nerve.overlaps
-    rows, form = nerve._relator_form()
+    form = nerve._relator_form()
     valuations = [_prime_valuations(alpha[tri]) for tri in nerve.triples]
     primes = sorted({p for vals in valuations for p in vals})
     exponents: dict[tuple[str, str], Fraction] = {key: Fraction(1) for key in gens}
@@ -555,7 +556,7 @@ def _coboundary_witness(
         for key, e in zip(gens, sol):
             exponents[key] *= Fraction(p) ** e
     sign_rhs = [0 if alpha[tri] > 0 else 1 for tri in nerve.triples]
-    sign_sol = solve_gf2(rows, sign_rhs)
+    sign_sol = solve_gf2(form, sign_rhs)
     if sign_sol is None:
         return None
     return {

@@ -6,9 +6,12 @@ rationals, the Gaussian integers and the polynomials in two variables.
 Every division it makes is exact in the domain (Bareiss, Math. Comp. 22,
 1968), so integer data never needs a fraction; the integer domain raises
 on a remainder instead of flooring it.  An integer diagonalization with
-unimodular transforms and a GF(2) solver cover the remaining needs;
-nothing here is asymptotically clever because every matrix in this
-artifact is desk-sized.
+unimodular transforms covers the remaining needs: its one form (d, U, V)
+solves A x = b over the integers and, read mod 2, over GF(2), since
+unimodular U and V stay invertible mod 2 (the universal-coefficient
+reading of a Smith form; Kaczynski, Mischaikow and Mrozek, Computational
+Homology, 2004).  Nothing here is asymptotically clever because every
+matrix in this artifact is desk-sized.
 """
 
 from __future__ import annotations
@@ -73,11 +76,12 @@ def exact_rank(matrix: Sequence[Sequence], dom: DomainOps = FRACTION_DOMAIN) -> 
     return rank
 
 
-def integer_diagonalize(matrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Diagonalize an integer matrix: returns (D, U, V) with U A V = D.
+def integer_diagonalize(matrix) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """Diagonalize an integer matrix: returns (d, U, V) with U A V = diag(d).
 
-    U and V are unimodular.  The diagonal is not normalized to the full
-    divisibility chain; diagonal form is all the integer solver needs.
+    d holds the min(m, n) diagonal entries; U and V are unimodular.  The
+    diagonal is not normalized to the full divisibility chain; diagonal
+    form is all the solvers need.
     """
     a = [[int(x) for x in row] for row in matrix]
     m = len(a)
@@ -137,29 +141,31 @@ def integer_diagonalize(matrix) -> tuple[list[list[int]], list[list[int]], list[
         if dirty:
             continue
         t += 1
-    return a, u, v
+    return [a[i][i] for i in range(min(m, n))], u, v
+
+
+def _times(matrix, vec) -> list[int]:
+    """matrix @ vec over the integers, summed over the nonzero entries of vec."""
+    terms = [(k, int(x)) for k, x in enumerate(vec) if x]
+    return [sum(row[k] * x for k, x in terms) for row in matrix]
 
 
 def solve_diagonalized(form, rhs) -> list[int] | None:
-    """Solve A x = b over the integers from (D, U, V) with U A V = D.
+    """Solve A x = b over the integers from (d, U, V) with U A V = diag(d).
 
-    x = V y where D y = U b, free coordinates 0; one form serves any b.
+    x = V y where d_i y_i = (U b)_i, free coordinates 0; one form serves any b.
     """
     d, u, v = form
-    n = len(v)
-    b = [(k, int(x)) for k, x in enumerate(rhs) if x]
-    c = [sum(row[k] * x for k, x in b) for row in u]
-    y = [0] * n
-    for i, ci in enumerate(c):
-        dii = d[i][i] if i < n else 0
-        if dii:
-            if ci % dii:
+    y = [0] * len(v)
+    for i, ci in enumerate(_times(u, rhs)):
+        di = d[i] if i < len(d) else 0
+        if di:
+            if ci % di:
                 return None
-            y[i] = ci // dii
+            y[i] = ci // di
         elif ci:
             return None
-    ys = [(k, yk) for k, yk in enumerate(y) if yk]
-    return [sum(row[k] * yk for k, yk in ys) for row in v]
+    return _times(v, y)
 
 
 def solve_integer(matrix, rhs) -> list[int] | None:
@@ -167,29 +173,18 @@ def solve_integer(matrix, rhs) -> list[int] | None:
     return solve_diagonalized(integer_diagonalize(matrix), rhs)
 
 
-def solve_gf2(matrix, rhs) -> list[int] | None:
-    """One solution of A x = b over GF(2), or None."""
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    rows = [[int(x) & 1 for x in matrix[i]] + [int(rhs[i]) & 1] for i in range(m)]
-    pivots: list[int] = []
-    top = 0
-    for col in range(n):
-        piv = next((i for i in range(top, m) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[top], rows[piv] = rows[piv], rows[top]
-        for i in range(m):
-            if i != top and rows[i][col]:
-                rows[i] = [(x + y) & 1 for x, y in zip(rows[i], rows[top])]
-        pivots.append(col)
-        top += 1
-        if top == m:
-            break
-    for i in range(top, m):
-        if rows[i][n]:
+def solve_gf2(form, rhs) -> list[int] | None:
+    """One solution of A x = b over GF(2) from the integer form (d, U, V) of A, or None.
+
+    U and V are unimodular, so they stay invertible mod 2 and the same
+    form read mod 2 solves the system: an odd d_i fixes y_i = (U b)_i, an
+    even or missing one needs (U b)_i even; then x = V y mod 2.
+    """
+    d, u, v = form
+    y = [0] * len(v)
+    for i, ci in enumerate(_times(u, rhs)):
+        if i < len(d) and d[i] & 1:
+            y[i] = ci & 1
+        elif ci & 1:
             return None
-    x = [0] * n
-    for r, col in enumerate(pivots):
-        x[col] = rows[r][n]
-    return x
+    return [x & 1 for x in _times(v, y)]

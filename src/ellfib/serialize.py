@@ -77,16 +77,25 @@ def point_json(p: TorusPoint) -> dict:
     return {"u": fraction_json(p.u), "v": fraction_json(p.v)}
 
 
+def _parse_counted(obj, what: str, item: str, point_key: str, count_key: str) -> list:
+    """(point, count) pairs from a JSON array of {point_key, count_key} objects."""
+    pairs = []
+    for entry in _require_list(obj, what):
+        data = _require_dict(entry, item, {point_key, count_key})
+        pairs.append((parse_point(data[point_key]), parse_int(data[count_key], count_key)))
+    return pairs
+
+
+def _counted_json(pairs, point_key: str, count_key: str) -> list:
+    return [{point_key: point_json(p), count_key: m} for p, m in pairs]
+
+
 def parse_divisor(obj) -> Divisor:
-    terms = []
-    for item in _require_list(obj, "divisor"):
-        data = _require_dict(item, "divisor term", {"point", "coeff"})
-        terms.append((parse_point(data["point"]), parse_int(data["coeff"], "coeff")))
-    return make_divisor(terms)
+    return make_divisor(_parse_counted(obj, "divisor", "divisor term", "point", "coeff"))
 
 
 def divisor_json(d: Divisor) -> list:
-    return [{"point": point_json(p), "coeff": m} for p, m in d.terms]
+    return _counted_json(d.terms, "point", "coeff")
 
 
 # -- bundles, skyscrapers, cycles -----------------------------------------
@@ -94,23 +103,17 @@ def divisor_json(d: Divisor) -> list:
 
 def parse_bundle(obj) -> AtiyahBundle:
     data = _require_dict(obj, "bundle", {"blocks"})
-    blocks = []
-    for item in _require_list(data["blocks"], "blocks"):
-        entry = _require_dict(item, "block", {"n", "x"})
-        blocks.append((parse_int(entry["n"], "n"), parse_point(entry["x"])))
-    return make_bundle(blocks)
+    blocks = _parse_counted(data["blocks"], "blocks", "block", "x", "n")
+    return make_bundle((n, x) for x, n in blocks)
 
 
 def bundle_json(b: AtiyahBundle) -> dict:
-    return {"blocks": [{"n": n, "x": point_json(x)} for n, x in b.blocks]}
+    return {"blocks": _counted_json(((x, n) for n, x in b.blocks), "x", "n")}
 
 
 def parse_skyscraper(obj) -> SkyscraperClass:
     data = _require_dict(obj, "skyscraper", {"parts", "degree"})
-    parts = []
-    for item in _require_list(data["parts"], "parts"):
-        entry = _require_dict(item, "part", {"p", "len"})
-        parts.append((parse_point(entry["p"]), parse_int(entry["len"], "len")))
+    parts = _parse_counted(data["parts"], "parts", "part", "p", "len")
     sky = make_skyscraper(parts, parse_int(data["degree"], "degree"))
     _check_blocks(sky.total(), "skyscraper asks for")
     return sky
@@ -125,25 +128,18 @@ def _check_blocks(count: int, what: str) -> None:
 
 
 def skyscraper_json(s: SkyscraperClass) -> dict:
-    return {
-        "parts": [{"p": point_json(p), "len": m} for p, m in s.parts],
-        "degree": s.degree,
-    }
+    return {"parts": _counted_json(s.parts, "p", "len"), "degree": s.degree}
 
 
 def parse_cycle(obj) -> SpectralCycle:
     from .spectral import make_cycle
 
     data = _require_dict(obj, "cycle", {"parts"})
-    parts = []
-    for item in _require_list(data["parts"], "parts"):
-        entry = _require_dict(item, "part", {"p", "m"})
-        parts.append((parse_point(entry["p"]), parse_int(entry["m"], "m")))
-    return make_cycle(parts)
+    return make_cycle(_parse_counted(data["parts"], "parts", "part", "p", "m"))
 
 
 def cycle_json(c: SpectralCycle) -> dict:
-    return {"parts": [{"p": point_json(p), "m": m} for p, m in c.parts]}
+    return {"parts": _counted_json(c.parts, "p", "m")}
 
 
 # -- nerve, cocycle, chart/sample maps ------------------------------------

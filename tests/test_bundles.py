@@ -76,14 +76,13 @@ def test_psi_transform_matches_make_bundle_of_negated_parts(raw):
 def test_rank_and_degree():
     b = make_bundle([(2, ORIGIN), (3, half())])
     assert b.rank() == 5
-    assert b.degree() == 0
 
 
 def test_graded_collapses_towers():
     b = make_bundle([(3, ORIGIN), (2, half()), (1, half())])
     g = graded(b)
     assert g.parts == ((ORIGIN, 3), (half(), 3))
-    assert g.rank() == b.rank()
+    assert g.total() == b.rank()
 
 
 def test_make_graded_merges_and_validates():

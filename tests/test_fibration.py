@@ -758,6 +758,41 @@ def test_gerbe_alpha_diagonalizes_the_relators_once(monkeypatch):
     assert len(calls) == 1
 
 
+# the 6-vertex triangulation of the real projective plane: every pair of
+# vertices is an edge, and each edge lies on exactly two of the ten faces
+RP2_FACES = (
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+    (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6),
+)
+
+
+def rp2_nerve() -> Nerve:
+    charts = [f"c{v}" for v in range(1, 7)]
+    tris = [tuple(f"c{v}" for v in face) for face in RP2_FACES]
+    return one_sample_nerve(charts, list(itertools.combinations(charts, 2)), tris)
+
+
+def test_rp2_sign_gerbes_glue_exactly_when_an_even_number_of_signs_is_negative():
+    # with a = 1 and c = +-1, alpha is the sign cochain; H^2(RP^2; Z/2) = Z/2
+    # is detected by the fundamental class, the sum of all ten faces, so the
+    # cochain is a coboundary exactly when it has an even number of -1
+    nerve = rp2_nerve()
+    assert (len(nerve.charts), len(nerve.overlaps), len(nerve.triples)) == (6, 15, 10)
+    assert nerve.tetrahedra() == ()
+    # with an all-odd diagonal every sign pattern would glue; the 2 refuses half
+    d, _, _ = nerve._relator_form()
+    assert sorted(abs(x) for x in d) == [1] * 9 + [2]
+    glued = 0
+    for signs in itertools.product((1, -1), repeat=len(nerve.triples)):
+        report = gerbe_alpha(nerve, GerbeData(nerve, c=dict(zip(nerve.triples, signs))))
+        assert report.gluable == (signs.count(-1) % 2 == 0)
+        if report.gluable:
+            # gerbe_alpha has checked the witness on every triple
+            assert {abs(q) for _, q in report.witness} == {1}
+            glued += 1
+    assert glued == 512
+
+
 def test_module_getattr_serves_sympy_and_nothing_else():
     assert fibration.sympy is sys.modules["sympy"]
     with pytest.raises(AttributeError):

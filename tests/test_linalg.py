@@ -1,5 +1,6 @@
 """Exact rank, solving, and diagonalization routines cross-checked."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -194,9 +195,10 @@ def test_integer_diagonalize_transforms_are_unimodular():
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         mat = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
         d, u, v = integer_diagonalize(mat)
+        assert len(d) == min(m, n)
         assert abs(det(u)) == 1
         assert abs(det(v)) == 1
-        # U A V = D and D is diagonal
+        # U A V = diag(d)
         uav = [
             [
                 sum(u[i][a] * mat[a][b] * v[b][j] for a in range(m) for b in range(n))
@@ -204,11 +206,7 @@ def test_integer_diagonalize_transforms_are_unimodular():
             ]
             for i in range(m)
         ]
-        assert uav == d
-        for i in range(m):
-            for j in range(n):
-                if i != j:
-                    assert d[i][j] == 0
+        assert uav == [[d[i] if i == j else 0 for j in range(n)] for i in range(m)]
 
 
 def test_solve_integer_residual_and_obstructions():
@@ -236,10 +234,39 @@ def test_solve_gf2_residual_and_obstructions():
         mat = [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)]
         x_true = [rng.randint(0, 1) for _ in range(n)]
         rhs = [sum(r * x for r, x in zip(row, x_true)) % 2 for row in mat]
-        x = solve_gf2(mat, rhs)
+        x = solve_gf2(integer_diagonalize(mat), rhs)
         assert x is not None
         for row, b in zip(mat, rhs):
             assert sum(c * v for c, v in zip(row, x)) % 2 == b
-    assert solve_gf2([[0, 0]], [1]) is None
+    assert solve_gf2(integer_diagonalize([[0, 0]]), [1]) is None
     # signed integer entries reduce mod 2
-    assert solve_gf2([[-1]], [1]) == [1]
+    assert solve_gf2(integer_diagonalize([[-1]]), [1]) == [1]
+
+
+def test_solve_gf2_agrees_with_brute_force():
+    # entries in -3..3 give even diagonal entries (2, -2) as well as odd ones
+    rng = random.Random(67)
+    evens = unsolvable = 0
+    for _ in range(300):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        mat = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        form = integer_diagonalize(mat)
+        evens += any(di and di % 2 == 0 for di in form[0])
+        for rhs in ([rng.randint(-3, 3) for _ in range(m)], [rng.randint(0, 1) for _ in range(m)]):
+            solutions = [
+                x
+                for x in itertools.product((0, 1), repeat=n)
+                if all(
+                    (sum(c * v for c, v in zip(row, x)) - b) % 2 == 0
+                    for row, b in zip(mat, rhs)
+                )
+            ]
+            x = solve_gf2(form, rhs)
+            if not solutions:
+                assert x is None
+                unsolvable += 1
+                continue
+            assert x is not None and set(x) <= {0, 1}
+            assert tuple(x) in solutions
+    assert evens >= 10
+    assert 100 <= unsolvable <= 500

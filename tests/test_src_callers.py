@@ -2,10 +2,13 @@
 
 A function, class or method counts as called when its name appears in
 another part of the package: as a name, an attribute or an import.
-Names inside its own body (recursion) do not count.  The allowlist holds
-the names whose only callers live outside src/, one reason each; it must
-stay exact, so a name that is gone or that gains a caller under src/
-fails here too.
+Names inside its own body (recursion) do not count.  Names are matched
+bare, so a method escapes the check whenever another definition or
+attribute under src/ shares its name (a test-only `rank` method on one
+class hides behind `rank` read on another); such methods must be found
+by reading their callers.  The allowlist holds the names whose only
+callers live outside src/, one reason each; it must stay exact, so a
+name that is gone or that gains a caller under src/ fails here too.
 """
 
 import ast

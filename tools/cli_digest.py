@@ -18,16 +18,18 @@ one whose conjugation is an involution with fractional entries, then
 invariants on the scaled kodaira document (the kodaira classes of seeds
 0-9, both modes, --out json and --out table), then psi and beta at
 transform.PSI_BLOCK_BUDGET blocks and one block past it (the refusal),
-and last the fixed round trips of the moduli benchmark, roundtrip
---n 3 --torsion 6 and --n 4 --torsion 4, each in a fresh `python -m
-ellfib.cli` process.
+then gerbe on the 6-vertex triangulation of the real projective plane,
+whose relator diagonal holds a 2: every sign pattern of c with a = 1,
+then seeded signed prime ratios for a and c, and last the fixed round
+trips of the moduli benchmark, roundtrip --n 3 --torsion 6 and --n 4
+--torsion 4, each in a fresh `python -m ellfib.cli` process.
 Every run's argument list, exit code, stdout and stderr go into the
 digest of its verb; the budget runs go into "psi budget" and "beta
 budget", so the other twelve digests can be compared with a checkout
-that has no such budget, and the two fresh-process round trips into
-"roundtrip cold".  Input documents are written to
-one fixed relative path inside a temporary working directory, so no
-temporary path reaches the output.
+that has no such budget, the projective-plane gerbes into "gerbe rp2",
+and the two fresh-process round trips into "roundtrip cold".  Input
+documents are written to one fixed relative path inside a temporary
+working directory, so no temporary path reaches the output.
 
 Two checkouts that print the same digests gave the same bytes on every
 one of these runs.  Run it from any directory, on each checkout:
@@ -44,11 +46,12 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -184,6 +187,56 @@ def budget_runs():
         yield ["beta", "--in", DOC], {"nerve": nerve, "section": section, "n": blocks}
 
 
+# the 6-vertex triangulation of the real projective plane: every pair of
+# vertices is an edge, and each edge lies on exactly two of the ten faces
+RP2_FACES = (
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+    (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6),
+)
+RP2_SEEDS = range(64)
+
+
+def _signed_ratio(rng: random.Random) -> Fraction:
+    num = rng.choice((-1, 1)) * rng.choice((2, 3)) ** rng.randint(0, 2)
+    return Fraction(num, rng.choice((1, 2, 3)))
+
+
+def rp2_gerbe_runs():
+    """(argv, document) for gerbe on the projective plane: each of the 1024
+    sign patterns of c with a = 1 (it glues exactly when an even number of
+    c are -1), then per seed random signed ratios of 2 and 3 for a, and c
+    the coboundary of such ratios with random signs, on every fourth seed
+    with one face doubled (its prime part no longer glues)."""
+    charts = [f"c{v}" for v in range(1, 7)]
+    overlaps = list(combinations(charts, 2))
+    triples = [tuple(f"c{v}" for v in face) for face in RP2_FACES]
+    nerve = {
+        "charts": charts,
+        "overlaps": [list(pair) for pair in overlaps],
+        "triples": [list(tri) for tri in triples],
+        "samples": {
+            "charts": {c: ["s"] for c in charts},
+            "overlaps": {",".join(pair): ["s"] for pair in overlaps},
+            "triples": {",".join(tri): ["s"] for tri in triples},
+        },
+    }
+    argv = ["gerbe", "--in", DOC]
+    faces = [",".join(tri) for tri in triples]
+    for signs in product(("1", "-1"), repeat=len(faces)):
+        yield argv, {"nerve": nerve, "gerbe": {"c": dict(zip(faces, signs))}}
+    for seed in RP2_SEEDS:
+        rng = random.Random(seed)
+        a = {",".join(pair): str(_signed_ratio(rng)) for pair in overlaps}
+        b = {pair: _signed_ratio(rng) for pair in overlaps}
+        c = {
+            ",".join((i, j, k)): b[(i, j)] * b[(j, k)] / b[(i, k)] * rng.choice((-1, 1))
+            for i, j, k in triples
+        }
+        if seed % 4 == 3:
+            c[rng.choice(faces)] *= 2
+        yield argv, {"nerve": nerve, "gerbe": {"a": a, "c": {f: str(q) for f, q in c.items()}}}
+
+
 # the fixed (n, torsion) round trips of the moduli benchmark, run cold
 COLD_ROUNDTRIPS = [
     ["roundtrip", "--n", "3", "--torsion", "6"],
@@ -228,6 +281,7 @@ def main_digest() -> None:
         try:
             runs = [(argv[0], argv, doc) for argv, doc in all_runs(kodaira_text)]
             runs += [(f"{argv[0]} budget", argv, doc) for argv, doc in budget_runs()]
+            runs += [("gerbe rp2", argv, doc) for argv, doc in rp2_gerbe_runs()]
             runs += [("roundtrip cold", argv, None) for argv in COLD_ROUNDTRIPS]
             for verb, argv, doc in runs:
                 if doc is not None:
