@@ -105,7 +105,7 @@ def cmd_roundtrip(args) -> int:
         raise SchemaError("--n, --torsion, and --samples must be positive")
     _check_budget(args.n, args.torsion, args.samples)
     # round_trip_verify reads the first sample only; K counts toward the budget
-    base = Nerve.single_chart("c", ["s" if args.samples == 1 else "s1"])
+    base = Nerve.single_chart()
     report = round_trip_verify(base, args.n, args.torsion)
     _emit(roundtrip_report_json(report))
     return 0 if report.ok else 1

@@ -15,15 +15,22 @@ that page, so no map is built or ranked twice.  No block is stored
 negated, and no rank, flag or output moves: negating the rows or columns
 of one block keeps the rank over the mode's field and at every sample point.
 
+The page is the same for both modes.  Every entry is affine in tau and
+its conjugate, c + ct*t + cs*s, and is held as the integer triple
+(c, ct, cs): eta11 = x + tau*y gives (x, y, 0) from the integer blocks
+of x and y, and etabar02 = (taubar - tau)*z gives (0, -z, z).  The mode
+only chooses which reader of fields a rank is taken through.
+
 Third-page dimensions come from exact ranks: dimension minus outgoing
 rank minus incoming rank.  This needs d*d = 0, which holds with nothing
 to check: two differentials in a row shift the base bidegree by (1, 3),
 and a ring has no basis outside 0 <= p, q <= 2 (BigradedRing refuses
 one), so every composite has an empty source or an empty target.
 
-Ranks are taken over Z, Z[i] or Z[t, s]: each tower clears its class's
+Ranks are taken over Z or Z[t, s]: each tower clears its class's
 denominators by one scale, and the ring's integer tables scale whole
-maps, so no rank moves.  Generic ranks are also taken, first, at fixed
+maps, so no rank moves.  A rank at tau = i is half the integer rank of
+the map's real form.  Generic ranks are also taken, first, at fixed
 rational (t, s) and flagged where they differ.  A sample rank of
 min(m, n) certifies the generic rank (specialization only lowers rank),
 so only the other maps are eliminated over Z[t, s].
@@ -42,7 +49,8 @@ from typing import Sequence
 from ..errors import InvalidClass, SchemaError
 from ..linalg import INTEGER_DOMAIN, exact_rank
 from ..torus import parse_fraction
-from .fields import GENERIC_MODE, CoefficientMode, at_sample
+from .fields import GAUSS_DOMAIN, GENERIC_MODE, POLY2_DOMAIN, CoefficientMode
+from .fields import at_sample, poly2_matrix, real_form
 from .ring import BIDEGREES, BigradedRing
 
 FIBER_BETTI = (1, 2, 1)
@@ -50,14 +58,19 @@ FIBER_BETTI = (1, 2, 1)
 
 @dataclass(frozen=True)
 class EtaClass:
-    """Twisting class split into bidegree parts; _page keeps its page on it."""
+    """Twisting class split into bidegree parts; _page keeps its page on it.
+
+    The parts are cleared integer vectors: eta11 = x11 + tau*y11 and
+    etabar02 = (taubar - tau)*z02.
+    """
 
     ring: BigradedRing
     mode: CoefficientMode
     a_vec: tuple[Fraction, ...]
     b_vec: tuple[Fraction, ...]
-    eta11: tuple
-    etabar02: tuple
+    x11: tuple[int, ...]
+    y11: tuple[int, ...]
+    z02: tuple[int, ...]
     synthetic: bool = False
 
 
@@ -95,12 +108,10 @@ def _eta_class(
         )
     # one scale for every part eta reads scales eta as a whole
     cleared, n = _cleared(a11 + b11 + b02), len(a11)
-    embed = mode.embed
     # a synthetic class reads a's (0,2) block as -tau*b; a plain one has b02 = 0
-    etabar02 = tuple((mode.taubar - mode.tau) * embed(y) for y in cleared[2 * n :])
-    eta11 = tuple(embed(x) + mode.tau * embed(y) for x, y in zip(cleared[:n], cleared[n : 2 * n]))
+    x11, y11, z02 = tuple(cleared[:n]), tuple(cleared[n : 2 * n]), tuple(cleared[2 * n :])
     a_vec, b_vec = tuple(a20 + a11 + a02), tuple(b20 + b11 + b02)
-    return EtaClass(ring, mode, a_vec, b_vec, eta11, etabar02, synthetic)
+    return EtaClass(ring, mode, a_vec, b_vec, x11, y11, z02, synthetic)
 
 
 def char_to_eta(
@@ -127,12 +138,14 @@ def synthetic_eta(
 
 
 def _checked_rank(mat: list, mode: CoefficientMode) -> tuple[int, tuple]:
-    """Rank over the mode's domain, and the sample points that change it."""
+    """The mode's rank of a matrix of triples, and the sample points that change it."""
     if not mat or not mat[0]:
         return 0, ()
+    if mode.at_tau_i:
+        return exact_rank(real_form(mat), GAUSS_DOMAIN) // 2, ()
     at = [exact_rank(at_sample(mat, *pair), INTEGER_DOMAIN) for pair in mode.sample_points]
     full = min(len(mat), len(mat[0]))
-    rank = full if full in at else exact_rank(mat, mode.dom)
+    rank = full if full in at else exact_rank(poly2_matrix(mat), POLY2_DOMAIN)
     return rank, tuple(pair for pair, r in zip(mode.sample_points, at) if r != rank)
 
 
@@ -207,15 +220,18 @@ class _Page:
 
     def __init__(self, eta: EtaClass):
         self.eta = eta
-        mode = eta.mode
-        # (source, kind) -> x -> x*w from H^source, dim(target) x dim(source);
-        # a source off the square reads as an empty block
+        mode, ring = eta.mode, eta.ring
+        # (source, kind) -> x -> x*w from H^source as triples, dim(target) x
+        # dim(source); a source off the square reads as an empty block
         self.blocks: dict[tuple[tuple[int, int], str], list] = defaultdict(list)
         for source in BIDEGREES:
-            for kind, w_block, w_coeffs in (("11", (1, 1), eta.eta11), ("02", (0, 2), eta.etabar02)):
-                self.blocks[source, kind] = eta.ring.mult_matrix(
-                    source, w_block, w_coeffs, mode.embed
-                )
+            x = ring.mult_matrix(source, (1, 1), eta.x11, int)
+            y = ring.mult_matrix(source, (1, 1), eta.y11, int)
+            z = ring.mult_matrix(source, (0, 2), eta.z02, int)
+            self.blocks[source, "11"] = [
+                [(c, ct, 0) for c, ct in zip(xrow, yrow)] for xrow, yrow in zip(x, y)
+            ]
+            self.blocks[source, "02"] = [[(0, -c, c) for c in row] for row in z]
         # (P, Q, t) -> checked rank of the differential leaving the cell:
         # t = 1 maps onto H^{P,Q+1}, t = 2 from H^{P-1,Q-1} onto H^{P,Q} + H^{P-1,Q+1}
         self.cells: dict[tuple[int, int, int], tuple[int, tuple]] = {}
@@ -298,8 +314,9 @@ def structure_maps(
     mode = eta.mode
     page = _page(ring, eta)
     flags: list[str] = []
-    e = 0 if all(mode.dom.is_zero(x) for x in eta.etabar02) else 1
-    g = 0 if all(mode.dom.is_zero(x) for x in eta.eta11) else 1
+    # tau is not rational, so a part vanishes exactly when its integer vectors do
+    e = 1 if any(eta.z02) else 0
+    g = 1 if any(eta.x11) or any(eta.y11) else 0
     d = exact_rank([page.total.a_dr, page.total.b_dr], INTEGER_DOMAIN) if page.total.a_dr else 0
 
     f_rank, bad = _checked_rank(page.blocks[(1, 0), "02"], mode)
@@ -313,7 +330,7 @@ def structure_maps(
             per_bidegree.append(((p, q), checked[0]))
 
     # [x*eta11 from (1,0), 0; x*etabar02 from (1,0), x*eta11 from (0,1)]
-    zeros = [mode.embed(0)] * ring.dim(0, 1)
+    zeros = [(0, 0, 0)] * ring.dim(0, 1)
     top = [row + zeros for row in page.blocks[(1, 0), "11"]]
     bottom = _beside(page.blocks[(1, 0), "02"], page.blocks[(0, 1), "11"])
     h_aggregate, bad = _checked_rank(top + bottom, mode)

@@ -1,24 +1,30 @@
-"""Coefficient domains for twisting-class arithmetic.
+"""Readers for the integer page of a twisting class.
 
 A twisting class is stored as a pair of rational vectors (a, b) and
 enters rank computations as a + tau * b, where tau is a formal period.
-The engine clears the denominators of (a, b) first, so every entry it
-ranks is integral.  Two interpretations are supported: a generic mode
-where tau and its conjugate are independent indeterminates t and s
-(entries in Z[t, s]), and a gaussian mode where tau = i (entries in
-Z[i]).  Both feed the same fraction-free rank routine through a
-DomainOps adapter.  Poly2 and GaussQ take rational coefficients as well
-and divide exactly either way; on integer data every quotient stays an
-integer.
+The engine clears the denominators of (a, b) first and builds one page
+of integer triples for either mode: every page entry is affine in tau
+and its conjugate, c + ct*t + cs*s with t = tau and s = taubar, and is
+held as (c, ct, cs).  A mode only chooses how a rank is read off that
+matrix:
+
+- generic mode keeps t and s independent.  at_sample reads the matrix
+  at a rational (t, s), and poly2_matrix gives its entries in Z[t, s]
+  for Bareiss elimination over that ring.
+- gaussian mode sets tau = i, so t = i and s = -i, and an entry becomes
+  A + iB with A = c and B = ct - cs.  Its rank over Q(i) is half the
+  integer rank of the real form [[A, -B], [B, A]] (real_form).
+
+Poly2 takes rational coefficients as well and divides exactly either
+way; on integer data every quotient stays an integer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
-from ..linalg import DomainOps, exact_quotient
+from ..linalg import INTEGER_DOMAIN, DomainOps
 
 
 class Poly2:
@@ -28,10 +34,6 @@ class Poly2:
 
     def __init__(self, coeffs: dict[tuple[int, int], int | Fraction]):
         self.coeffs = {k: v for k, v in coeffs.items() if v}
-
-    @classmethod
-    def const(cls, value) -> "Poly2":
-        return cls({(0, 0): value})
 
     @property
     def is_zero(self) -> bool:
@@ -112,115 +114,55 @@ class Poly2:
         return "Poly2(" + " + ".join(parts) + ")"
 
 
-def at_sample(matrix, t: Fraction, s: Fraction) -> list[list]:
-    """q*r times a matrix of Poly2 at (t, s) = (p/q, u/r), which has the rank
-    of the matrix at (t, s) and integer entries for integer coefficients.
-
-    Every entry must have degree at most 1 in each variable, as every page
-    entry has, so that one scale q*r serves all of them.
-    """
+def at_sample(matrix, t: Fraction, s: Fraction) -> list[list[int]]:
+    """q*r times a matrix of triples at (t, s) = (p/q, u/r): integer entries
+    with the rank of the matrix at (t, s), since every entry is affine."""
     (p, q), (u, r) = t.as_integer_ratio(), s.as_integer_ratio()
-    weight = {(0, 0): q * r, (1, 0): p * r, (0, 1): q * u, (1, 1): p * u}
-    try:
-        return [[sum(c * weight[m] for m, c in e.coeffs.items()) for e in row] for row in matrix]
-    except KeyError:
-        raise ValueError("an entry has degree above 1 in t or s") from None
+    one, at_t, at_s = q * r, p * r, q * u
+    return [[one * c + at_t * ct + at_s * cs for c, ct, cs in row] for row in matrix]
 
 
-POLY_T = Poly2({(1, 0): 1})
-POLY_S = Poly2({(0, 1): 1})
+def poly2_matrix(matrix) -> list[list[Poly2]]:
+    """A matrix of triples with entries c + ct*t + cs*s in Z[t, s]."""
+    return [[Poly2({(0, 0): c, (1, 0): ct, (0, 1): cs}) for c, ct, cs in row] for row in matrix]
+
+
+def real_form(matrix) -> list[list[int]]:
+    """[[A, -B], [B, A]] for a matrix of triples at t = i, s = -i, where each
+    entry is A + iB with A = c and B = ct - cs; its rank is twice the rank
+    of the matrix over Q(i)."""
+    re = [[c for c, _, _ in row] for row in matrix]
+    im = [[ct - cs for _, ct, cs in row] for row in matrix]
+    return [a + [-x for x in b] for a, b in zip(re, im)] + [b + a for a, b in zip(re, im)]
+
 
 POLY2_DOMAIN = DomainOps(is_zero=lambda p: p.is_zero, div=lambda a, b: a.divexact(b))
 
-
-@dataclass(frozen=True)
-class GaussQ:
-    """Gaussian number re + im*i over the integers or the rationals.
-
-    Gaussian integers divide exactly or raise ArithmeticError: a product
-    reads both parts of both factors, so int parts come from int data only.
-    """
-
-    re: int | Fraction = 0
-    im: int | Fraction = 0
-
-    @classmethod
-    def const(cls, value) -> "GaussQ":
-        return cls(value, 0)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
-    def __neg__(self) -> "GaussQ":
-        return GaussQ(-self.re, -self.im)
-
-    def __add__(self, other) -> "GaussQ":
-        return GaussQ(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other) -> "GaussQ":
-        return GaussQ(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other) -> "GaussQ":
-        if isinstance(other, (int, Fraction)):
-            return GaussQ(self.re * other, self.im * other)
-        return GaussQ(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "GaussQ") -> "GaussQ":
-        norm = other.re * other.re + other.im * other.im
-        if norm == 0:
-            raise ZeroDivisionError("gaussian division by zero")
-        re = self.re * other.re + self.im * other.im
-        im = self.im * other.re - self.re * other.im
-        return GaussQ(exact_quotient(re, norm), exact_quotient(im, norm))
-
-
-GAUSS_I = GaussQ(0, 1)
-
-GAUSS_DOMAIN = DomainOps(is_zero=lambda z: z.is_zero, div=lambda a, b: a / b)
+# real forms are ranked over the integers; a domain of their own names them
+GAUSS_DOMAIN = DomainOps(is_zero=INTEGER_DOMAIN.is_zero, div=INTEGER_DOMAIN.div)
 
 
 @dataclass(frozen=True)
 class CoefficientMode:
-    """How the formal period and its conjugate are represented.
+    """How a rank is read off a page of triples.
 
-    Each generic rank is also taken at every (t, s) of sample_points.
+    A generic rank is also taken at every (t, s) of sample_points; with
+    at_tau_i the rank is taken at tau = i, through the real form.
     """
 
     name: str
-    tau: object
-    taubar: object
-    embed: Callable
-    dom: DomainOps
     sample_points: tuple = ()
+    at_tau_i: bool = False
 
 
 GENERIC_MODE = CoefficientMode(
     name="generic",
-    tau=POLY_T,
-    taubar=POLY_S,
-    embed=Poly2.const,
-    dom=POLY2_DOMAIN,
     sample_points=(
         (Fraction(19, 7), Fraction(-23, 11)),
         (Fraction(5, 3), Fraction(7, 2)),
     ),
 )
 
-GAUSSIAN_MODE = CoefficientMode(
-    name="gaussian",
-    tau=GAUSS_I,
-    taubar=-GAUSS_I,
-    embed=GaussQ.const,
-    dom=GAUSS_DOMAIN,
-)
+GAUSSIAN_MODE = CoefficientMode(name="gaussian", at_tau_i=True)
 
 MODES = {m.name: m for m in (GENERIC_MODE, GAUSSIAN_MODE)}

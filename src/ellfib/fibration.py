@@ -25,7 +25,7 @@ from .errors import (
     WitnessMismatch,
 )
 from .linalg import integer_diagonalize, solve_diagonalized, solve_gf2
-from .torus import TorusPoint, parse_fraction
+from .torus import ORIGIN, TorusPoint, parse_fraction
 
 _BAD_LABEL_CHARS = set(",/")
 
@@ -337,7 +337,7 @@ def coboundary_solve(
     for root in nodes:
         if root in mu:
             continue
-        mu[root] = TorusPoint(Fraction(0), Fraction(0))
+        mu[root] = ORIGIN
         queue = deque([root])
         while queue:
             node = queue.popleft()

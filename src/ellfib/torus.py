@@ -179,10 +179,6 @@ class TorusPoint:
     def __sub__(self, other: "TorusPoint") -> "TorusPoint":
         return self + (-other)
 
-    def scale(self, n: int) -> "TorusPoint":
-        d = self._d
-        return _lowest(n * self._a % d, n * self._b % d, d)
-
     def is_zero(self) -> bool:
         return self._d == 1
 

@@ -1,22 +1,23 @@
-"""Polynomial and Gaussian coefficient domains behind the rank engine."""
+"""The readers of a page of triples, the Poly2 domain, and the Gaussian reference."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellfib.cohomology.fields import (
-    GAUSS_I,
+    GAUSS_DOMAIN,
     GAUSSIAN_MODE,
     GENERIC_MODE,
     MODES,
-    POLY_S,
-    POLY_T,
-    GaussQ,
     Poly2,
     at_sample,
+    poly2_matrix,
+    real_form,
 )
+from ellfib.linalg import INTEGER_DOMAIN, exact_rank
+from gaussian import GAUSS_I, GAUSSIAN_RATIONALS, POLY_S, POLY_T, GaussQ, at_i, poly_const
 
 coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 polys = st.builds(
@@ -32,7 +33,7 @@ def test_poly_zero_terms_dropped_on_construction():
     p = Poly2({(0, 0): Fraction(0), (1, 0): Fraction(2)})
     assert (0, 0) not in p.coeffs
     assert not p.is_zero
-    assert Poly2.const(0).is_zero
+    assert poly_const(0).is_zero
 
 
 @given(polys, polys, polys)
@@ -42,7 +43,7 @@ def test_poly_ring_laws(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-    assert a - a == Poly2.const(0)
+    assert a - a == poly_const(0)
 
 
 @given(polys, polys)
@@ -56,38 +57,52 @@ def test_poly_exact_division_inverts_multiplication(a, b):
 
 def test_poly_inexact_division_raises():
     with pytest.raises(ArithmeticError):
-        (POLY_T + Poly2.const(1)).divexact(POLY_S)
+        (POLY_T + poly_const(1)).divexact(POLY_S)
 
 
-# integer polynomials of degree at most 1 in each variable, where at_sample is defined
+# page entries: c + ct*t + cs*s held as the integer triple (c, ct, cs)
 ints = st.integers(-5, 5)
-bilinear = st.builds(
-    Poly2, st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1)), ints, max_size=4)
-)
-in_t = st.builds(lambda c, x: Poly2.const(c) + x * POLY_T, ints, ints)
-in_s = st.builds(lambda c, y: Poly2.const(c) + y * POLY_S, ints, ints)
+triples = st.tuples(ints, ints, ints)
 
 
-def scaled_value(p, t, s):
-    return at_sample([[p]], t, s)[0][0]
+def scaled_value(entry, t, s):
+    return at_sample([[entry]], t, s)[0][0]
 
 
-@given(bilinear, bilinear, in_t, in_s, coeffs, coeffs)
-def test_poly_substitution_is_a_ring_map(a, b, f, g, t, s):
+@given(triples, triples, coeffs, coeffs)
+def test_sample_values_are_scaled_substitution(a, b, t, s):
     # at_sample is q*r times substitution at (t, s) = (p/q, u/r): additive,
-    # multiplicative up to that scale, and integral on integer polynomials
+    # and integral on integer triples
     scale = t.denominator * s.denominator
-    assert scaled_value(a + b, t, s) == scaled_value(a, t, s) + scaled_value(b, t, s)
-    assert scale * scaled_value(f * g, t, s) == scaled_value(f, t, s) * scaled_value(g, t, s)
+    total = tuple(x + y for x, y in zip(a, b))
+    assert scaled_value(total, t, s) == scaled_value(a, t, s) + scaled_value(b, t, s)
     assert type(scaled_value(a, t, s)) is int
-    assert scaled_value(a, t, s) == scale * sum(
-        c * t**i * s**j for (i, j), c in a.coeffs.items()
+    c, ct, cs = a
+    assert scaled_value(a, t, s) == scale * (c + ct * t + cs * s)
+
+
+def triple_matrices(max_side):
+    # small parts with many zeros, so rank drops are common
+    part = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    entry = st.tuples(part, part, part)
+    return st.integers(1, max_side).flatmap(
+        lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=max_side)
     )
 
 
-def test_sample_values_need_degree_at_most_one_per_variable():
-    with pytest.raises(ValueError):
-        at_sample([[POLY_T * POLY_T]], Fraction(1, 2), Fraction(1, 3))
+@settings(max_examples=80, deadline=None)
+@given(triple_matrices(4))
+def test_real_form_rank_is_twice_the_rank_at_tau_i(mat):
+    real = exact_rank(real_form(mat), GAUSS_DOMAIN)
+    assert real % 2 == 0
+    assert real // 2 == exact_rank(at_i(mat), GAUSSIAN_RATIONALS)
+
+
+@given(triple_matrices(3))
+def test_poly2_matrix_is_the_matrix_over_z_t_s(mat):
+    assert poly2_matrix(mat) == [
+        [poly_const(c) + POLY_T * ct + POLY_S * cs for c, ct, cs in row] for row in mat
+    ]
 
 
 def test_scalar_multiplication_of_polys():
@@ -97,6 +112,9 @@ def test_scalar_multiplication_of_polys():
 
 def test_gaussian_square_of_i():
     assert GAUSS_I * GAUSS_I == GaussQ.const(-1)
+    # tau = i and its conjugate -i, read through the real form
+    assert real_form([[(0, 1, 0)]]) == [[0, -1], [1, 0]]
+    assert real_form([[(0, 0, 1)]]) == [[0, 1], [-1, 0]]
 
 
 @given(gaussians, gaussians, gaussians)
@@ -123,20 +141,34 @@ def test_modes_registry():
 
 
 def test_generic_mode_keeps_period_and_conjugate_independent():
-    tau, taubar = GENERIC_MODE.tau, GENERIC_MODE.taubar
-    assert tau == POLY_T and taubar == POLY_S
-    assert not (tau - taubar).is_zero
-    # the sample points read a product at t and s, times both denominators
-    t, s = GENERIC_MODE.sample_points[0]
-    assert at_sample([[tau * taubar]], t, s) == [[t.numerator * s.numerator]]
+    assert not GENERIC_MODE.at_tau_i
+    assert poly2_matrix([[(0, -1, 1)]]) == [[POLY_S - POLY_T]]
+    # taubar - tau, the factor of the conjugate (0,2) part, vanishes at no sample point
+    for t, s in GENERIC_MODE.sample_points:
+        assert t != s
+        assert at_sample([[(0, -1, 1)]], t, s) == [[t.denominator * s.denominator * (s - t)]]
 
 
 def test_gaussian_mode_uses_conjugate_pair():
-    assert GAUSSIAN_MODE.tau * GAUSSIAN_MODE.taubar == GaussQ.const(1)
-    assert GAUSSIAN_MODE.tau + GAUSSIAN_MODE.taubar == GaussQ.const(0)
+    assert GAUSSIAN_MODE.at_tau_i
     assert GAUSSIAN_MODE.sample_points == ()
+    # tau + taubar = i - i vanishes, taubar - tau = -2i does not
+    assert real_form([[(0, 1, 1)]]) == [[0, 0], [0, 0]]
+    assert real_form([[(0, -1, 1)]]) == [[0, 2], [-2, 0]]
 
 
 def test_mode_embeddings_are_unital():
-    assert GENERIC_MODE.embed(Fraction(3, 2)) == Poly2.const(Fraction(3, 2))
-    assert GAUSSIAN_MODE.embed(2) == GaussQ.const(2)
+    # a constant triple reads as itself in every reading
+    assert at_sample([[(3, 0, 0)]], Fraction(1, 2), Fraction(2, 5)) == [[30]]
+    assert poly2_matrix([[(3, 0, 0)]]) == [[poly_const(3)]]
+    assert real_form([[(3, 0, 0)]]) == [[3, 0], [0, 3]]
+    assert at_i([[(3, 0, 0)]]) == [[GaussQ.const(3)]]
+
+
+def test_the_gaussian_domain_is_its_own_object():
+    # real forms are integer matrices, but a trace must tell their ranks
+    # from the integer ranks at sample points and on the total page
+    assert GAUSS_DOMAIN is not INTEGER_DOMAIN
+    assert GAUSS_DOMAIN.div(-12, 4) == -3
+    with pytest.raises(ArithmeticError):
+        GAUSS_DOMAIN.div(7, 2)

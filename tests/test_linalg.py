@@ -8,15 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellfib.cohomology.fields import (
-    GAUSS_DOMAIN,
-    POLY_S,
-    POLY_T,
-    GaussQ,
-    POLY2_DOMAIN,
-    Poly2,
-    at_sample,
-)
+from ellfib.cohomology.fields import POLY2_DOMAIN, Poly2, at_sample, poly2_matrix
 from ellfib.linalg import (
     FRACTION_DOMAIN,
     INTEGER_DOMAIN,
@@ -25,6 +17,7 @@ from ellfib.linalg import (
     solve_gf2,
     solve_integer,
 )
+from gaussian import GAUSSIAN_RATIONALS, POLY_S, POLY_T, GaussQ, poly_const
 from make_presets import rref, solve_fractions
 
 
@@ -76,22 +69,26 @@ def test_bareiss_agrees_with_rref_pivot_count():
 def test_rank_over_polynomial_domain():
     t = Poly2({(1, 0): Fraction(1)})
     s = Poly2({(0, 1): Fraction(1)})
-    one = Poly2.const(1)
+    one = poly_const(1)
     # rows [1, t], [s, t*s] are proportional; adding [0, 1] restores rank 2
     assert exact_rank([[one, t], [s, t * s]], POLY2_DOMAIN) == 1
-    zero = Poly2.const(0)
+    zero = poly_const(0)
     assert exact_rank([[one, t], [s, t * s], [zero, one]], POLY2_DOMAIN) == 2
 
 
 def test_polynomial_rank_specializes_consistently():
     rng = random.Random(11)
-    t = Poly2({(1, 0): Fraction(1)})
-    s = Poly2({(0, 1): Fraction(1)})
-    basis = [Poly2.const(1), t, s, t * s, t + s]
+    # affine triples c + ct*t + cs*s, as every page entry is: 1, t, s and t + s
+    basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)]
+
+    def entry():
+        part, k = basis[rng.randrange(len(basis))], rng.randint(-2, 2)
+        return tuple(k * x for x in part)
+
     for _ in range(40):
         m, n = rng.randint(1, 3), rng.randint(1, 3)
-        mat = [[basis[rng.randrange(len(basis))] * rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
-        generic = exact_rank(mat, POLY2_DOMAIN)
+        mat = [[entry() for _ in range(n)] for _ in range(m)]
+        generic = exact_rank(poly2_matrix(mat), POLY2_DOMAIN)
         special = exact_rank(at_sample(mat, Fraction(19, 7), Fraction(-23, 11)), INTEGER_DOMAIN)
         # specialization can only lose rank
         assert special <= generic
@@ -101,8 +98,8 @@ def test_rank_over_gaussian_rationals():
     i = GaussQ(Fraction(0), Fraction(1))
     one = GaussQ.const(1)
     # second row is i times the first
-    assert exact_rank([[one, i], [i, i * i]], GAUSS_DOMAIN) == 1
-    assert exact_rank([[one, i], [i, one]], GAUSS_DOMAIN) == 2
+    assert exact_rank([[one, i], [i, i * i]], GAUSSIAN_RATIONALS) == 1
+    assert exact_rank([[one, i], [i, one]], GAUSSIAN_RATIONALS) == 2
 
 
 def test_integer_division_raises_instead_of_flooring():
@@ -118,10 +115,10 @@ def test_integer_division_raises_instead_of_flooring():
     # rational coefficients still divide as in a field
     assert GaussQ(Fraction(1), 0) / GaussQ(1, 1) == GaussQ(Fraction(1, 2), Fraction(-1, 2))
     # integer polynomials keep integer quotients, and divide over Q where ints do not
-    quotient = Poly2({(1, 0): 6, (0, 0): -4}).divexact(Poly2.const(2))
+    quotient = Poly2({(1, 0): 6, (0, 0): -4}).divexact(poly_const(2))
     assert quotient == Poly2({(1, 0): 3, (0, 0): -2})
     assert {type(c) for c in quotient.coeffs.values()} == {int}
-    assert Poly2({(1, 0): 3}).divexact(Poly2.const(2)) == Poly2({(1, 0): Fraction(3, 2)})
+    assert Poly2({(1, 0): 3}).divexact(poly_const(2)) == Poly2({(1, 0): Fraction(3, 2)})
 
 
 @settings(max_examples=80, deadline=None)
@@ -137,9 +134,9 @@ SMALL = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2)])
 ENTRIES = {
     "fraction": (FRACTION_DOMAIN, st.builds(Fraction, SMALL)),
     "poly2": (POLY2_DOMAIN, st.builds(
-        lambda c, t, s: Poly2.const(c) + t * POLY_T + s * POLY_S, SMALL, SMALL, SMALL
+        lambda c, t, s: poly_const(c) + t * POLY_T + s * POLY_S, SMALL, SMALL, SMALL
     )),
-    "gauss": (GAUSS_DOMAIN, st.builds(GaussQ, st.builds(Fraction, SMALL), st.builds(Fraction, SMALL))),
+    "gauss": (GAUSSIAN_RATIONALS, st.builds(GaussQ, st.builds(Fraction, SMALL), st.builds(Fraction, SMALL))),
 }
 
 

@@ -1,12 +1,15 @@
 """Every definition under src/ has a caller under src/, or a stated reason.
 
-A function, class or method counts as called when its name appears in
-another part of the package: as a name, an attribute or an import.
-Names inside its own body (recursion) do not count.  Names are matched
-bare, so a method escapes the check whenever another definition or
-attribute under src/ shares its name (a test-only `rank` method on one
-class hides behind `rank` read on another); such methods must be found
-by reading their callers.  The allowlist holds the names whose only
+A function or class counts as called when its name appears in another
+part of the package: as a name, an attribute or an import.  A method,
+defined in a class body, is reached through its object, so it counts as
+called only when its name is read as an attribute (`.name`); a local
+variable of the same name does not hide it.  Names inside its own body
+(recursion) do not count.  Attributes are matched bare, so a method
+still escapes the check whenever an attribute of the same name is read
+on another object (a test-only `rank` method on one class hides behind
+`rank` read on another); such methods must be found by reading their
+callers.  The allowlist holds the names whose only
 callers live outside src/, one reason each; it must stay exact, so a
 name that is gone or that gains a caller under src/ fails here too.
 """
@@ -37,34 +40,51 @@ ALLOWED = {
 }
 
 
-def _names(node) -> Counter:
-    """How often each name is mentioned below node."""
-    seen = Counter()
+def _names(node) -> tuple[Counter, Counter]:
+    """How often each name is mentioned below node, and how often as an attribute."""
+    seen, attributes = Counter(), Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             seen[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
             seen[sub.attr] += 1
+            attributes[sub.attr] += 1
         elif isinstance(sub, ast.alias):
             seen[sub.name.rpartition(".")[2]] += 1
             if sub.asname:
                 seen[sub.asname] += 1
-    return seen
+    return seen, attributes
 
 
 def uncalled() -> dict[str, str]:
-    """name -> "file:line" for each non-dunder definition named nowhere else under src/."""
+    """name -> "file:line" for each non-dunder definition named nowhere else under src/
+    (a method: read as an attribute nowhere else)."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.rglob("*.py"))}
-    named = sum((_names(tree) for tree in trees.values()), Counter())
+    named, read = Counter(), Counter()
+    for tree in trees.values():
+        seen, attributes = _names(tree)
+        named += seen
+        read += attributes
     found = {}
     for path, tree in trees.items():
+        methods = {
+            id(item)
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for item in cls.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if named[name] - _names(node)[name] == 0:
+            own, own_attributes = _names(node)
+            if id(node) in methods:
+                calls = read[name] - own_attributes[name]
+            else:
+                calls = named[name] - own[name]
+            if calls == 0:
                 found[name] = f"{path.relative_to(SRC.parent)}:{node.lineno}"
     return found
 

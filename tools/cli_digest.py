@@ -20,14 +20,17 @@ invariants on the scaled kodaira document (the kodaira classes of seeds
 transform.PSI_BLOCK_BUDGET blocks and one block past it (the refusal),
 then gerbe on the 6-vertex triangulation of the real projective plane,
 whose relator diagonal holds a 2: every sign pattern of c with a = 1,
-then seeded signed prime ratios for a and c, and last the fixed round
-trips of the moduli benchmark, roundtrip --n 3 --torsion 6 and --n 4
---torsion 4, each in a fresh `python -m ellfib.cli` process.
+then seeded signed prime ratios for a and c, then invariants on six
+torus4 classes whose ranks change at tau = i (both modes, --out json
+and --out table), and last the fixed round trips of the moduli
+benchmark, roundtrip --n 3 --torsion 6 and --n 4 --torsion 4, each in a
+fresh `python -m ellfib.cli` process.
 Every run's argument list, exit code, stdout and stderr go into the
 digest of its verb; the budget runs go into "psi budget" and "beta
 budget", so the other twelve digests can be compared with a checkout
 that has no such budget, the projective-plane gerbes into "gerbe rp2",
-and the two fresh-process round trips into "roundtrip cold".  Input
+the torus4 classes into "invariants tau=i", and the two fresh-process
+round trips into "roundtrip cold".  Input
 documents are written to one fixed relative path inside a temporary
 working directory, so no temporary path reaches the output.
 
@@ -237,6 +240,28 @@ def rp2_gerbe_runs():
         yield argv, {"nerve": nerve, "gerbe": {"a": a, "c": {f: str(q) for f, q in c.items()}}}
 
 
+# torus4 classes (a, b) whose gaussian row of total degree 2, [3,6,2], differs
+# from the generic [3,5,1]: tau = i changes their ranks, so a slip in how
+# a rank at tau = i is read shows here first
+TAU_I_CLASSES = [
+    ("0,1/2,0,0,2,0", "2,0,-1,1,0,0"),
+    ("0,2,0,0,-1,0", "2,0,2,1,0,0"),
+    ("2,0,2,1,0,0", "-1,2,0,0,-1,0"),
+    ("0,2,-1,0,-1,0", "1,1,2,1,0,0"),
+    ("1/2,-1,0,0,1,0", "0,0,1,1,0,0"),
+    ("0,0,1,1,1,0", "0,2,1,1,0,0"),
+]
+
+
+def tau_i_runs():
+    """(argv, None) for invariants on each TAU_I_CLASSES class, both modes and outputs."""
+    for a, b in TAU_I_CLASSES:
+        for mode in ("generic", "gaussian"):
+            for out in ("json", "table"):
+                yield ["invariants", "--preset", "torus4", f"--a={a}", f"--b={b}",
+                       "--mode", mode, "--out", out], None
+
+
 # the fixed (n, torsion) round trips of the moduli benchmark, run cold
 COLD_ROUNDTRIPS = [
     ["roundtrip", "--n", "3", "--torsion", "6"],
@@ -282,6 +307,7 @@ def main_digest() -> None:
             runs = [(argv[0], argv, doc) for argv, doc in all_runs(kodaira_text)]
             runs += [(f"{argv[0]} budget", argv, doc) for argv, doc in budget_runs()]
             runs += [("gerbe rp2", argv, doc) for argv, doc in rp2_gerbe_runs()]
+            runs += [("invariants tau=i", argv, None) for argv, _ in tau_i_runs()]
             runs += [("roundtrip cold", argv, None) for argv in COLD_ROUNDTRIPS]
             for verb, argv, doc in runs:
                 if doc is not None:
