@@ -27,13 +27,14 @@ to check: two differentials in a row shift the base bidegree by (1, 3),
 and a ring has no basis outside 0 <= p, q <= 2 (BigradedRing refuses
 one), so every composite has an empty source or an empty target.
 
-Ranks are taken over Z or Z[t, s]: each tower clears its class's
+Every rank is an integer rank: each tower clears its class's
 denominators by one scale, and the ring's integer tables scale whole
 maps, so no rank moves.  A rank at tau = i is half the integer rank of
 the map's real form.  Generic ranks are also taken, first, at fixed
 rational (t, s) and flagged where they differ.  A sample rank of
-min(m, n) certifies the generic rank (specialization only lowers rank),
-so only the other maps are eliminated over Z[t, s].
+min(m, n) certifies the generic rank (specialization only lowers rank);
+any other map takes its generic rank from fields.generic_rank, the
+largest integer rank at a triangle of integer points.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ from typing import Sequence
 from ..errors import InvalidClass, SchemaError
 from ..linalg import INTEGER_DOMAIN, exact_rank
 from ..torus import parse_fraction
-from .fields import GAUSS_DOMAIN, GENERIC_MODE, POLY2_DOMAIN, CoefficientMode
-from .fields import at_sample, poly2_matrix, real_form
+from .fields import GAUSS_DOMAIN, GENERIC_MODE, CoefficientMode
+from .fields import at_sample, generic_rank, real_form
 from .ring import BIDEGREES, BigradedRing
 
 FIBER_BETTI = (1, 2, 1)
@@ -145,7 +146,7 @@ def _checked_rank(mat: list, mode: CoefficientMode) -> tuple[int, tuple]:
         return exact_rank(real_form(mat), GAUSS_DOMAIN) // 2, ()
     at = [exact_rank(at_sample(mat, *pair), INTEGER_DOMAIN) for pair in mode.sample_points]
     full = min(len(mat), len(mat[0]))
-    rank = full if full in at else exact_rank(poly2_matrix(mat), POLY2_DOMAIN)
+    rank = full if full in at else generic_rank(mat)
     return rank, tuple(pair for pair, r in zip(mode.sample_points, at) if r != rank)
 
 
@@ -225,9 +226,9 @@ class _Page:
         # dim(source); a source off the square reads as an empty block
         self.blocks: dict[tuple[tuple[int, int], str], list] = defaultdict(list)
         for source in BIDEGREES:
-            x = ring.mult_matrix(source, (1, 1), eta.x11, int)
-            y = ring.mult_matrix(source, (1, 1), eta.y11, int)
-            z = ring.mult_matrix(source, (0, 2), eta.z02, int)
+            x = ring.mult_matrix(source, (1, 1), eta.x11)
+            y = ring.mult_matrix(source, (1, 1), eta.y11)
+            z = ring.mult_matrix(source, (0, 2), eta.z02)
             self.blocks[source, "11"] = [
                 [(c, ct, 0) for c, ct in zip(xrow, yrow)] for xrow, yrow in zip(x, y)
             ]

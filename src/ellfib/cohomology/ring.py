@@ -104,15 +104,15 @@ def _integral(table: dict) -> tuple[dict, int]:
     }, scale
 
 
-def _contract(rows, columns, zero) -> list[list]:
+def _contract(rows, columns) -> list[list]:
     """The matrix whose column j sums value * vec over the (value, vec) of columns[j].
 
     Each vec maps row labels to coefficients, and only its entries are
-    walked; a value that tests false (a zero number or Poly2) adds nothing.
-    Every entry sums its terms in the order columns[j] lists them.
+    walked; a zero value adds nothing.  Every entry starts at 0 and sums
+    its terms in the order columns[j] lists them.
     """
     at = {label: i for i, label in enumerate(rows)}
-    matrix = [[zero] * len(columns) for _ in rows]
+    matrix = [[0] * len(columns) for _ in rows]
     for j, terms in enumerate(columns):
         for value, vec in terms:
             if value:
@@ -198,7 +198,7 @@ class BigradedRing:
         """x cup y in the de Rham ring, times dr_product_scale."""
         return self.dr_products.get((x, y), {})
 
-    def mult_matrix(self, source: tuple[int, int], w_block: tuple[int, int], w_coeffs, embed):
+    def mult_matrix(self, source: tuple[int, int], w_block: tuple[int, int], w_coeffs):
         """Matrix of x -> x cup w from H^source, w given on w_block, times the product scale.
 
         Rows index the target-block basis; a target outside the bidegree
@@ -210,7 +210,7 @@ class BigradedRing:
         table = self.products
         w = [(value, y) for value, y in zip(w_coeffs, self.labels(*w_block)) if value]
         columns = [[(value, table.get((x, y), {})) for value, y in w] for x in self.labels(*source)]
-        return _contract(self.labels(p, q), columns, embed(0))
+        return _contract(self.labels(p, q), columns)
 
     def dr_mult_matrix(self, source_deg: int, w_vec, w_deg: int):
         """Matrix of m -> m cup w on the de Rham ring, times the de Rham product scale."""
@@ -222,17 +222,17 @@ class BigradedRing:
             [(value, table.get((x, y), {})) for value, y in w]
             for x in self.dr_basis.get(source_deg, ())
         ]
-        return _contract(self.dr_basis.get(source_deg + w_deg, ()), columns, 0)
+        return _contract(self.dr_basis.get(source_deg + w_deg, ()), columns)
 
     def conj_matrix(self, p: int, q: int) -> list[list[int]]:
         """Matrix of the conjugation H^{p,q} -> H^{q,p}, times conj_scale."""
         columns = [[(1, self.conj[x])] for x in self.labels(p, q)]
-        return _contract(self.labels(q, p), columns, 0)
+        return _contract(self.labels(q, p), columns)
 
     def ident_matrix(self, k: int) -> list[list[int]]:
         """Matrix of the identification in degree k, times ident_scale."""
         columns = [[(1, self.ident[x])] for x in self.degree_labels(k)]
-        return _contract(self.dr_basis.get(k, ()), columns, 0)
+        return _contract(self.dr_basis.get(k, ()), columns)
 
     def to_derham(self, k: int, coords) -> list:
         """Push concatenated degree-k bigraded coordinates to de Rham ones,
@@ -247,7 +247,7 @@ class BigradedRing:
              self.ident[x])
             for x, value in zip(cols, coords)
         ]
-        return [row[0] for row in _contract(self.dr_basis.get(k, ()), [terms], 0)]
+        return [row[0] for row in _contract(self.dr_basis.get(k, ()), [terms])]
 
 
 def _add_multiple(out: dict, c: int, vec: dict) -> None:
@@ -307,7 +307,7 @@ def ring_validate(ring: BigradedRing) -> tuple[str, ...]:
                 labels = ring.labels(p, q)
                 # column x holds conj(conj(x)), summed over the nonzero entries of conj(x)
                 twice = [[(c, ring.conj[m]) for m, c in ring.conj[x].items()] for x in labels]
-                if _contract(labels, twice, 0) != [
+                if _contract(labels, twice) != [
                     [ring.conj_scale**2 * (r == c) for c in range(dim_pq)] for r in range(dim_pq)
                 ]:
                     report.append(f"conjugation at ({p},{q}) is not inverted by ({q},{p})")

@@ -1,9 +1,10 @@
 """Exact linear algebra used across the package.
 
 Rank is computed by fraction-free Bareiss elimination, which works over
-any integral domain supplying exact division: the integers, the
-rationals, the Gaussian integers and the polynomials in two variables.
-Every division it makes is exact in the domain (Bareiss, Math. Comp. 22,
+any integral domain supplying exact division.  The package ranks integer
+matrices only; the tests also rank over the rationals, the Gaussian
+rationals and the polynomials in two variables, as references.  Every
+division it makes is exact in the domain (Bareiss, Math. Comp. 22,
 1968), so integer data never needs a fraction; the integer domain raises
 on a remainder instead of flooring it.  An integer diagonalization with
 unimodular transforms covers the remaining needs: its one form (d, U, V)

@@ -1,18 +1,114 @@
-"""Reference arithmetic for the tests: Gaussian numbers, and each mode's period.
+"""Reference arithmetic for the tests: Q[t, s], Gaussian numbers, and each mode's period.
 
 The engine ranks one integer page of affine triples (c, ct, cs) in both
-modes and reads tau = i through the real form.  The tests compare it
-with ranks taken another way: over Q(i) with GaussQ, and over Q[t, s]
-with Poly2 entries built from their own t and s.  MODE_ARITHMETIC gives,
-per mode name, the (embed, tau, taubar, domain) a rational reference
-computes with.
+modes: generic ranks as the largest integer rank at a triangle of
+integer points, and tau = i through the real form.  The tests compare it
+with ranks taken another way, by Bareiss elimination over Q[t, s] with
+Poly2 entries built from their own t and s, and over Q(i) with GaussQ.
+MODE_ARITHMETIC gives, per mode name, the (embed, tau, taubar, domain) a
+rational reference computes with.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ellfib.cohomology.fields import POLY2_DOMAIN, Poly2
 from ellfib.linalg import DomainOps, exact_quotient
+
+
+class Poly2:
+    """Sparse polynomial in two variables t, s over the integers or the rationals."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: dict[tuple[int, int], int | Fraction]):
+        self.coeffs = {k: v for k, v in coeffs.items() if v}
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Poly2) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(frozenset(self.coeffs.items()))
+
+    def __neg__(self) -> "Poly2":
+        return Poly2({k: -v for k, v in self.coeffs.items()})
+
+    def __add__(self, other) -> "Poly2":
+        out = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            out[k] = out.get(k, 0) + v
+        return Poly2(out)
+
+    def __sub__(self, other) -> "Poly2":
+        return self + (-other)
+
+    def __mul__(self, other) -> "Poly2":
+        if isinstance(other, (int, Fraction)):
+            return Poly2({k: v * other for k, v in self.coeffs.items()})
+        out: dict[tuple[int, int], int | Fraction] = {}
+        for (i, j), u in self.coeffs.items():
+            for (k, l), v in other.coeffs.items():
+                key = (i + k, j + l)
+                out[key] = out.get(key, 0) + u * v
+        return Poly2(out)
+
+    __rmul__ = __mul__
+
+    def divexact(self, other: "Poly2") -> "Poly2":
+        """Exact division over Q[t, s]; caller guarantees divisibility (Bareiss does).
+
+        Int coefficients that divide give an int, others a Fraction: a
+        polynomial's coefficient types cannot tell Z[t, s] from Q[t, s],
+        since a Fraction coefficient that cancels is dropped.
+        """
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = dict(self.coeffs)
+        quot: dict[tuple[int, int], int | Fraction] = {}
+        lead = max(other.coeffs)
+        lead_c = other.coeffs[lead]
+        while rem:
+            top = max(rem)
+            dt, ds = top[0] - lead[0], top[1] - lead[1]
+            if dt < 0 or ds < 0:
+                raise ArithmeticError("inexact polynomial division")
+            num = rem[top]
+            if type(num) is int and type(lead_c) is int and not num % lead_c:
+                c = num // lead_c
+            else:
+                c = Fraction(num) / lead_c
+            quot[(dt, ds)] = quot.get((dt, ds), 0) + c
+            for (i, j), v in other.coeffs.items():
+                key = (i + dt, j + ds)
+                new = rem.get(key, 0) - c * v
+                if new:
+                    rem[key] = new
+                else:
+                    rem.pop(key, None)
+        return Poly2(quot)
+
+    def __repr__(self) -> str:
+        if self.is_zero:
+            return "Poly2(0)"
+        parts = []
+        for (i, j), v in sorted(self.coeffs.items()):
+            parts.append(f"{v}*t^{i}*s^{j}")
+        return "Poly2(" + " + ".join(parts) + ")"
+
+
+# Bareiss over Q[t, s], or over Z[t, s] on integer polynomials
+POLYNOMIALS = DomainOps(is_zero=lambda p: p.is_zero, div=lambda a, b: a.divexact(b))
+
+
+def poly2_matrix(matrix) -> list[list[Poly2]]:
+    """A matrix of triples with entries c + ct*t + cs*s in Z[t, s]."""
+    return [[Poly2({(0, 0): c, (1, 0): ct, (0, 1): cs}) for c, ct, cs in row] for row in matrix]
 
 
 @dataclass(frozen=True)
@@ -89,6 +185,6 @@ def at_i(matrix) -> list[list[GaussQ]]:
 # mode name -> (embed, tau, taubar, domain): the period and conjugate as
 # indeterminates of Q[t, s] for generic, and as i and -i for gaussian
 MODE_ARITHMETIC = {
-    "generic": (poly_const, POLY_T, POLY_S, POLY2_DOMAIN),
+    "generic": (poly_const, POLY_T, POLY_S, POLYNOMIALS),
     "gaussian": (GaussQ.const, GAUSS_I, -GAUSS_I, GAUSSIAN_RATIONALS),
 }

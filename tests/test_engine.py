@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ellfib.cohomology import engine
+from ellfib.cohomology import engine, fields
 from ellfib.cohomology import ring as ring_module
 from ellfib.cohomology.engine import (
     FIBER_BETTI,
@@ -680,18 +680,28 @@ def test_fractional_tables_give_the_preset_results(monkeypatch):
 
 
 def test_full_invariants_ranks_nothing_over_the_rationals(monkeypatch):
-    domains = []
+    # every matrix engine and fields rank, generic ranks included, holds ints
+    domains, entry_types, calls = [], set(), Counter()
 
-    def recorded(matrix, dom=FRACTION_DOMAIN):
-        domains.append(dom)
-        return exact_rank(matrix, dom)
+    def recorded(module):
+        def rank(matrix, dom=FRACTION_DOMAIN):
+            calls[module] += 1
+            domains.append(dom)
+            entry_types.update(type(x) for row in matrix for x in row)
+            return exact_rank(matrix, dom)
 
-    monkeypatch.setattr(engine, "exact_rank", recorded)
+        return rank
+
+    for module in (engine, fields):
+        monkeypatch.setattr(module, "exact_rank", recorded(module.__name__))
     for name in PRESET_NAMES:
         ring = load_preset(name)
         n = ring.dim(2, 0) + ring.dim(1, 1) + ring.dim(0, 2)
         a = [Fraction(1, 2)] + [0] * (n - 1)
         b = [0] * (n - 1) + [Fraction(-3, 7)]
-        for mode in MODES:
+        # SPECIAL_MODE's sample points drop ranks, so generic_rank runs too
+        for mode in MODES + (SPECIAL_MODE,):
             full_invariants(ring, a, b, mode, synthetic=True)
-    assert domains and FRACTION_DOMAIN not in domains
+    assert calls[engine.__name__] and calls[fields.__name__]
+    assert FRACTION_DOMAIN not in domains
+    assert entry_types == {int}

@@ -1,9 +1,9 @@
-"""The readers of a page of triples, the Poly2 domain, and the Gaussian reference."""
+"""The readers of a page of triples, and the Q[t, s] and Gaussian references."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellfib.cohomology.fields import (
@@ -11,13 +11,24 @@ from ellfib.cohomology.fields import (
     GAUSSIAN_MODE,
     GENERIC_MODE,
     MODES,
-    Poly2,
+    POLY2_DOMAIN,
     at_sample,
-    poly2_matrix,
+    generic_rank,
     real_form,
 )
 from ellfib.linalg import INTEGER_DOMAIN, exact_rank
-from gaussian import GAUSS_I, GAUSSIAN_RATIONALS, POLY_S, POLY_T, GaussQ, at_i, poly_const
+from gaussian import (
+    GAUSS_I,
+    GAUSSIAN_RATIONALS,
+    POLY_S,
+    POLY_T,
+    POLYNOMIALS,
+    GaussQ,
+    Poly2,
+    at_i,
+    poly2_matrix,
+    poly_const,
+)
 
 coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 polys = st.builds(
@@ -98,6 +109,41 @@ def test_real_form_rank_is_twice_the_rank_at_tau_i(mat):
     assert real // 2 == exact_rank(at_i(mat), GAUSSIAN_RATIONALS)
 
 
+@st.composite
+def generic_rank_inputs(draw):
+    """Triples up to 5x5 with zero rows and columns mixed in, or a product
+    L*K of an m x k integer matrix and a k x n matrix of triples, whose rank
+    over Q(t, s) is at most k and often below min(m, n)."""
+    part = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    entry = st.tuples(part, part, part)
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, min(m, n)))
+        left = [[draw(st.integers(-2, 2)) for _ in range(k)] for _ in range(m)]
+        right = [[draw(entry) for _ in range(n)] for _ in range(k)]
+        return [
+            [tuple(sum(l * e[x] for l, e in zip(row, column)) for x in range(3))
+             for column in zip(*right)]
+            for row in left
+        ]
+    mat = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    zero_rows = draw(st.sets(st.integers(0, m - 1), max_size=m - 1))
+    zero_columns = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    return [
+        [(0, 0, 0) if i in zero_rows or j in zero_columns else e for j, e in enumerate(row)]
+        for i, row in enumerate(mat)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(generic_rank_inputs())
+@example([[(0, 1, 0)]])  # t: nonzero, but zero at (0, 0)
+@example([[(0, 0, 1)]])  # s, likewise
+@example([[(0, 0, 0)] * 2 for _ in range(3)])  # all zero, 3x2
+def test_generic_rank_is_the_rank_over_q_t_s(mat):
+    assert generic_rank(mat) == exact_rank(poly2_matrix(mat), POLYNOMIALS)
+
+
 @given(triple_matrices(3))
 def test_poly2_matrix_is_the_matrix_over_z_t_s(mat):
     assert poly2_matrix(mat) == [
@@ -166,9 +212,10 @@ def test_mode_embeddings_are_unital():
 
 
 def test_the_gaussian_domain_is_its_own_object():
-    # real forms are integer matrices, but a trace must tell their ranks
-    # from the integer ranks at sample points and on the total page
-    assert GAUSS_DOMAIN is not INTEGER_DOMAIN
+    # real forms and generic_rank's points are integer matrices, but a trace
+    # must tell their ranks from the integer ranks at sample points and on
+    # the total page (the domains compare equal, so identity tells them apart)
+    assert len({id(dom) for dom in (INTEGER_DOMAIN, GAUSS_DOMAIN, POLY2_DOMAIN)}) == 3
     assert GAUSS_DOMAIN.div(-12, 4) == -3
     with pytest.raises(ArithmeticError):
         GAUSS_DOMAIN.div(7, 2)

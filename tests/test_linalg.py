@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellfib.cohomology.fields import POLY2_DOMAIN, Poly2, at_sample, poly2_matrix
+from ellfib.cohomology.fields import at_sample
 from ellfib.linalg import (
     FRACTION_DOMAIN,
     INTEGER_DOMAIN,
@@ -17,7 +17,16 @@ from ellfib.linalg import (
     solve_gf2,
     solve_integer,
 )
-from gaussian import GAUSSIAN_RATIONALS, POLY_S, POLY_T, GaussQ, poly_const
+from gaussian import (
+    GAUSSIAN_RATIONALS,
+    POLY_S,
+    POLY_T,
+    POLYNOMIALS,
+    GaussQ,
+    Poly2,
+    poly2_matrix,
+    poly_const,
+)
 from make_presets import rref, solve_fractions
 
 
@@ -71,9 +80,9 @@ def test_rank_over_polynomial_domain():
     s = Poly2({(0, 1): Fraction(1)})
     one = poly_const(1)
     # rows [1, t], [s, t*s] are proportional; adding [0, 1] restores rank 2
-    assert exact_rank([[one, t], [s, t * s]], POLY2_DOMAIN) == 1
+    assert exact_rank([[one, t], [s, t * s]], POLYNOMIALS) == 1
     zero = poly_const(0)
-    assert exact_rank([[one, t], [s, t * s], [zero, one]], POLY2_DOMAIN) == 2
+    assert exact_rank([[one, t], [s, t * s], [zero, one]], POLYNOMIALS) == 2
 
 
 def test_polynomial_rank_specializes_consistently():
@@ -88,7 +97,7 @@ def test_polynomial_rank_specializes_consistently():
     for _ in range(40):
         m, n = rng.randint(1, 3), rng.randint(1, 3)
         mat = [[entry() for _ in range(n)] for _ in range(m)]
-        generic = exact_rank(poly2_matrix(mat), POLY2_DOMAIN)
+        generic = exact_rank(poly2_matrix(mat), POLYNOMIALS)
         special = exact_rank(at_sample(mat, Fraction(19, 7), Fraction(-23, 11)), INTEGER_DOMAIN)
         # specialization can only lose rank
         assert special <= generic
@@ -133,7 +142,7 @@ def test_integer_rank_is_the_rational_rank(rows):
 SMALL = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2)])
 ENTRIES = {
     "fraction": (FRACTION_DOMAIN, st.builds(Fraction, SMALL)),
-    "poly2": (POLY2_DOMAIN, st.builds(
+    "poly2": (POLYNOMIALS, st.builds(
         lambda c, t, s: poly_const(c) + t * POLY_T + s * POLY_S, SMALL, SMALL, SMALL
     )),
     "gauss": (GAUSSIAN_RATIONALS, st.builds(GaussQ, st.builds(Fraction, SMALL), st.builds(Fraction, SMALL))),

@@ -18,7 +18,10 @@ collects all four.  For each end-to-end metric of BENCHMARK.json it
 holds every run of both sides, both medians, each side's quartile
 distance, the number of pairs the change won (ties count for neither)
 and the change's relative worsening against the metric's bound; for the
-workload, the operations attempted and failed on each side.
+workload, the operations attempted and failed on each side and their
+share.  A run that exits nonzero, outlasts RUN_TIMEOUT_S or whose last
+line is no report is recorded as failed, with the reason on stderr, and
+the pairs go on.
 
 Standard library only.  perfbench/ is read, never written: each run
 keeps its scratch files under .bench_build/ of the checkout that ran it.
@@ -28,6 +31,8 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -63,13 +68,33 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict | None:
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(SECONDS),
     ]
-    proc = subprocess.run(
-        cmd, cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S
+    # a session of its own, so a timeout also ends the worker run.py started
+    proc = subprocess.Popen(
+        cmd, cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
     )
+    try:
+        out, err = proc.communicate(timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        return _failed(checkout, seed, f"no report within {RUN_TIMEOUT_S} s")
     if proc.returncode != 0:
-        sys.stderr.write(proc.stderr)
-        return None
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+        sys.stderr.write(err)
+        return _failed(checkout, seed, f"exit code {proc.returncode}")
+    last = (out.strip().splitlines() or [""])[-1]
+    try:
+        report = json.loads(last)
+    except json.JSONDecodeError:
+        report = None
+    if not isinstance(report, dict) or not {"attempted", "failed", "metrics"} <= report.keys():
+        return _failed(checkout, seed, f"last line is no report: {last[:200]!r}")
+    return report
+
+
+def _failed(checkout: Path, seed: int, reason: str) -> None:
+    print(f"run failed in {checkout} with seed {seed}: {reason}", file=sys.stderr)
+    return None
 
 
 def quartile_distance(values: list[float]) -> float:
@@ -112,11 +137,13 @@ def summarize(spec: dict, runs: dict[str, list[dict | None]]) -> dict:
     counts = {}
     for side, side_runs in runs.items():
         done = [r for r in side_runs if r]
+        attempted, failed = sum(r["attempted"] for r in done), sum(r["failed"] for r in done)
         counts[side] = {
             "runs": len(side_runs),
             "runs_failed": len(side_runs) - len(done),
-            "attempted": sum(r["attempted"] for r in done),
-            "failed": sum(r["failed"] for r in done),
+            "attempted": attempted,
+            "failed": failed,
+            "failed_share": failed / attempted if attempted else None,
         }
     return {"operations": counts, "metrics": metrics}
 
