@@ -494,19 +494,16 @@ def validate_gerbe(g: GerbeData) -> None:
     gen_index = {key: pos for pos, key in enumerate(nerve.overlaps)}
     diagonal = d + (0,) * (len(v) - len(d))
     for i, j, k in nerve.triples:
-        # t V, summed over the few nonzero entries of t = F_ij + F_jk + F_ki
-        terms = [
-            (v[gen_index[gen]], e)
-            for vec in (g.descriptor(i, j), g.descriptor(j, k), g.descriptor(k, i))
-            for gen, e in vec.items()
-        ]
-        for col, dc in enumerate(diagonal):
-            x = sum(e * row[col] for row, e in terms)
-            if x % dc if dc else x:
-                raise InvalidGerbe(
-                    f"condition 3 violated on triple {(i, j, k)!r}: descriptor "
-                    "product is not canonically trivial"
-                )
+        # t V: the rows of V named by the few nonzero entries of t = F_ij + F_jk + F_ki
+        tv = [0] * len(v)
+        for vec in (g.descriptor(i, j), g.descriptor(j, k), g.descriptor(k, i)):
+            for gen, e in vec.items():
+                tv = [x + e * y for x, y in zip(tv, v[gen_index[gen]])]
+        if any(x % dc if dc else x for x, dc in zip(tv, diagonal)):
+            raise InvalidGerbe(
+                f"condition 3 violated on triple {(i, j, k)!r}: descriptor "
+                "product is not canonically trivial"
+            )
 
 
 @dataclass(frozen=True)
@@ -548,19 +545,24 @@ def _coboundary_witness(
     form = nerve._relator_form()
     valuations = [_prime_valuations(alpha[tri]) for tri in nerve.triples]
     primes = sorted({p for vals in valuations for p in vals})
-    exponents: dict[tuple[str, str], Fraction] = {key: Fraction(1) for key in gens}
+    # each overlap's numerator and denominator, multiplied by its nonzero exponents only
+    num, den = [1] * len(gens), [1] * len(gens)
     for p in primes:
         sol = solve_diagonalized(form, [vals.get(p, 0) for vals in valuations])
         if sol is None:
             return None
-        for key, e in zip(gens, sol):
-            exponents[key] *= Fraction(p) ** e
+        for pos, e in enumerate(sol):
+            if e > 0:
+                num[pos] *= p**e
+            elif e:
+                den[pos] *= p**-e
     sign_rhs = [0 if alpha[tri] > 0 else 1 for tri in nerve.triples]
     sign_sol = solve_gf2(form, sign_rhs)
     if sign_sol is None:
         return None
     return {
-        key: (-1 if bit else 1) * exponents[key] for key, bit in zip(gens, sign_sol)
+        key: Fraction(-x if bit else x, y)
+        for key, x, y, bit in zip(gens, num, den, sign_sol)
     }
 
 

@@ -11,8 +11,12 @@ unimodular transforms covers the remaining needs: its one form (d, U, V)
 solves A x = b over the integers and, read mod 2, over GF(2), since
 unimodular U and V stay invertible mod 2 (the universal-coefficient
 reading of a Smith form; Kaczynski, Mischaikow and Mrozek, Computational
-Homology, 2004).  Nothing here is asymptotically clever because every
-matrix in this artifact is desk-sized.
+Homology, 2004).  The diagonalization works in whole rows: once pivot t
+is placed, the rows above it hold only their diagonal entries, so column
+operations on A start at row t, and V is kept transposed so that its
+column operations are row operations too.  Nothing here is
+asymptotically clever because every matrix in this artifact is
+desk-sized.
 """
 
 from __future__ import annotations
@@ -82,23 +86,25 @@ def integer_diagonalize(matrix) -> tuple[list[int], list[list[int]], list[list[i
 
     d holds the min(m, n) diagonal entries; U and V are unimodular.  The
     diagonal is not normalized to the full divisibility chain; diagonal
-    form is all the solvers need.
+    form is all the solvers need.  Rows above the current pivot t hold
+    only their diagonal entry, so column operations on A touch rows t..m
+    only; V is kept transposed, its column operations are whole-row ones,
+    and it is transposed back once at the end.
     """
     a = [[int(x) for x in row] for row in matrix]
     m = len(a)
     n = len(a[0]) if m else 0
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    u = [[0] * i + [1] + [0] * (m - i - 1) for i in range(m)]
+    vt = [[0] * j + [1] + [0] * (n - j - 1) for j in range(n)]  # V transposed
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
-        for row in a:
+        for row in a[t:]:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        vt[i], vt[j] = vt[j], vt[i]
 
     def add_row(src, dst, q):
         # dst += q * src
@@ -106,10 +112,10 @@ def integer_diagonalize(matrix) -> tuple[list[int], list[list[int]], list[list[i
         u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
 
     def add_col(src, dst, q):
-        for row in a:
+        # rows above t are zero in both columns (src, dst >= t), so they are skipped
+        for row in a[t:]:
             row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
+        vt[dst] = [x + q * y for x, y in zip(vt[dst], vt[src])]
 
     t = 0
     while t < m and t < n:
@@ -142,7 +148,7 @@ def integer_diagonalize(matrix) -> tuple[list[int], list[list[int]], list[list[i
         if dirty:
             continue
         t += 1
-    return [a[i][i] for i in range(min(m, n))], u, v
+    return [a[i][i] for i in range(min(m, n))], u, [list(row) for row in zip(*vt)]
 
 
 def _times(matrix, vec) -> list[int]:

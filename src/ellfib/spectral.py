@@ -90,11 +90,15 @@ class BundleFamily:
         return self.data[(chart, sample)]
 
 
+# the empty cocycle of every family built below, shared because nothing writes to it
+_NO_TRANSITIONS = TranslationCocycle({})
+
+
 def constant_family(base: Nerve, bundle: AtiyahBundle) -> BundleFamily:
     data = {
         (chart, s): bundle for chart in base.charts for s in base.chart_samples(chart)
     }
-    return BundleFamily(base, TranslationCocycle({}), data, bundle.rank())
+    return BundleFamily(base, _NO_TRANSITIONS, data, bundle.rank())
 
 
 def gamma_map(family: BundleFamily) -> dict[tuple[str, str], SpectralCycle]:
@@ -144,7 +148,7 @@ def beta_map(base: Nerve, section: Mapping[str, SpectralCycle], n: int) -> Bundl
                 f"sample {s!r}: cycle total {cycle.total()} differs from rank {n}"
             )
         data[(chart, s)] = psi_transform(SkyscraperClass(cycle.parts, 0))
-    return BundleFamily(base, TranslationCocycle({}), data, n)
+    return BundleFamily(base, _NO_TRANSITIONS, data, n)
 
 
 def torsion_points(torsion: int) -> list[TorusPoint]:

@@ -623,6 +623,24 @@ def test_condition_three_matches_a_transposed_integer_solve(g):
             validate_gerbe(g)
 
 
+# V rows of 75 and 21 entries, against at most 27 on LATTICE_NERVES
+LONG_ROW_NERVES = [
+    grid_nerve(5, periodic=True),
+    complete_nerve([f"c{i}" for i in range(1, 8)]),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(descriptor_sets(nerves=LONG_ROW_NERVES))
+def test_condition_three_matches_a_transposed_integer_solve_on_long_rows(g):
+    failing = first_condition_three_failure(g)
+    if failing is None:
+        validate_gerbe(g)
+    else:
+        with pytest.raises(InvalidGerbe, match=re.escape(f"triple {failing!r}")):
+            validate_gerbe(g)
+
+
 @settings(max_examples=60, deadline=None)
 @given(descriptor_sets(nerves=[complete_nerve(["c1", "c2", "c3", "c4", "c5"])]))
 def test_condition_four_face_sum_vanishes_by_encoding(g):

@@ -28,6 +28,7 @@ from gaussian import (
     poly_const,
 )
 from make_presets import rref, solve_fractions
+from test_fibration import complete_nerve, grid_nerve, rp2_nerve
 
 
 def det(matrix) -> Fraction:
@@ -276,3 +277,134 @@ def test_solve_gf2_agrees_with_brute_force():
             assert tuple(x) in solutions
     assert evens >= 10
     assert 100 <= unsolvable <= 500
+
+
+def reference_diagonalize(matrix):
+    """integer_diagonalize as it stood before its whole-row rewrite, verbatim.
+
+    Its column operations run over every row of A, and V is kept as is,
+    so a column operation on V is a loop over V's rows.
+    """
+    a = [[int(x) for x in row] for row in matrix]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, q):
+        # dst += q * src
+        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(src, dst, q):
+        for row in a:
+            row[dst] += q * row[src]
+        for row in v:
+            row[dst] += q * row[src]
+
+    t = 0
+    while t < m and t < n:
+        mi, mj, best = -1, -1, 0
+        for i in range(t, m):
+            row = a[i]
+            for j in range(t, n):
+                x = abs(row[j])
+                if x and (best == 0 or x < best):
+                    mi, mj, best = i, j, x
+            if best == 1:
+                break  # a later entry cannot be smaller, so the pivot is final
+        if best == 0:
+            break
+        swap_rows(t, mi)
+        swap_cols(t, mj)
+        dirty = False
+        for i in range(t + 1, m):
+            if a[i][t]:
+                q = a[i][t] // a[t][t]
+                add_row(t, i, -q)
+                if a[i][t]:
+                    dirty = True
+        for j in range(t + 1, n):
+            if a[t][j]:
+                q = a[t][j] // a[t][t]
+                add_col(t, j, -q)
+                if a[t][j]:
+                    dirty = True
+        if dirty:
+            continue
+        t += 1
+    return [a[i][i] for i in range(min(m, n))], u, v
+
+
+def matmul(x, y):
+    cols = list(zip(*y))
+    return [[sum(p * q for p, q in zip(row, col)) for col in cols] for row in x]
+
+
+def relator_matrix(nerve):
+    """One row g_ij + g_jk - g_ik per sorted triple, one column per overlap."""
+    column = {key: pos for pos, key in enumerate(nerve.overlaps)}
+    rows = []
+    for i, j, k in nerve.triples:
+        row = [0] * len(column)
+        row[column[(i, j)]] += 1
+        row[column[(j, k)]] += 1
+        row[column[(i, k)]] -= 1
+        rows.append(row)
+    return rows
+
+
+def random_sparse_matrices():
+    rng = random.Random(71)
+    for _ in range(120):
+        m, n = rng.randint(1, 10), rng.randint(1, 14)
+        mat = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        for i in rng.sample(range(m), rng.randint(0, m // 3)):
+            mat[i] = [0] * n
+        for j in rng.sample(range(n), rng.randint(0, n // 3)):
+            for row in mat:
+                row[j] = 0
+        yield mat
+
+
+RELATOR_NERVES = {
+    "planar 4": grid_nerve(4, periodic=False),
+    "planar 6": grid_nerve(6, periodic=False),
+    "periodic 4": grid_nerve(4, periodic=True),
+    "periodic 5": grid_nerve(5, periodic=True),
+    "complete 7": complete_nerve([f"c{i}" for i in range(1, 8)]),
+    "complete 8": complete_nerve([f"c{i}" for i in range(1, 9)]),
+    "rp2": rp2_nerve(),
+}
+
+
+@pytest.mark.parametrize(
+    "matrices",
+    [pytest.param(random_sparse_matrices, id="random")]
+    + [
+        pytest.param(lambda nerve=nerve: [relator_matrix(nerve)], id=name)
+        for name, nerve in RELATOR_NERVES.items()
+    ],
+)
+def test_integer_diagonalize_keeps_the_reference_form_at_realistic_sizes(matrices):
+    # the whole-row rewrite keeps every pivot, so (d, U, V) is the same lists
+    for mat in matrices():
+        form = integer_diagonalize(mat)
+        assert form == reference_diagonalize(mat)
+        d, u, v = form
+        m, n = len(mat), len(mat[0])
+        assert matmul(matmul(u, mat), v) == [
+            [d[i] if i == j else 0 for j in range(n)] for i in range(m)
+        ]
+        if max(m, n) <= 14:
+            assert abs(det(u)) == 1 == abs(det(v))
