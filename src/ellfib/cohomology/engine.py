@@ -6,12 +6,13 @@ eta = a + tau*b; only its (1,1) part and the (0,2) part of the conjugate
 partner drive the bigraded differential, while the total-degree page
 uses the rational span of {a, b} directly and never sees tau.
 
-Each class has one page, built on first use and kept on the class.  It
-holds the blocks x*eta11 and x*etabar02 from every bidegree of the
-square, the 32 cell maps stacked from them with their ranks, and the
+Each class carries its one page, as cached properties of EtaClass built
+on first read: the blocks x*eta11 and x*etabar02 from every bidegree of
+the square, the 32 cell maps stacked from them with their ranks, the
 total-degree page (a and b in de Rham coordinates and the ranks of the
-maps they induce).  borel_hodge, structure_maps and full_invariants read
-that page, so no map is built or ranked twice.  No block is stored
+maps they induce) and the Hodge diamond.  borel_hodge and structure_maps
+take the class alone and read that page, so no map is built or ranked
+twice, and structure_maps assembles every flag.  No block is stored
 negated, and no rank, flag or output moves: negating the rows or columns
 of one block keeps the rank over the mode's field and at every sample point.
 
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import functools
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -59,10 +60,13 @@ FIBER_BETTI = (1, 2, 1)
 
 @dataclass(frozen=True)
 class EtaClass:
-    """Twisting class split into bidegree parts; _page keeps its page on it.
+    """Twisting class split into bidegree parts, with its page.
 
     The parts are cleared integer vectors: eta11 = x11 + tau*y11 and
-    etabar02 = (taubar - tau)*z02.
+    etabar02 = (taubar - tau)*z02.  blocks, cells, total and diamond are
+    the class's page, each built on first read and kept on the instance
+    (cached_property writes the instance dict, so the fields, equality
+    and repr are those of the parts alone).
     """
 
     ring: BigradedRing
@@ -73,6 +77,47 @@ class EtaClass:
     y11: tuple[int, ...]
     z02: tuple[int, ...]
     synthetic: bool = False
+
+    @functools.cached_property
+    def blocks(self) -> dict[tuple[tuple[int, int], str], list]:
+        """(source, kind) -> x -> x*w from H^source as triples, dim(target) x
+        dim(source); a source off the square reads as an empty block."""
+        blocks: dict[tuple[tuple[int, int], str], list] = defaultdict(list)
+        for source in BIDEGREES:
+            x = self.ring.mult_matrix(source, (1, 1), self.x11)
+            y = self.ring.mult_matrix(source, (1, 1), self.y11)
+            z = self.ring.mult_matrix(source, (0, 2), self.z02)
+            blocks[source, "11"] = [
+                [(c, ct, 0) for c, ct in zip(xrow, yrow)] for xrow, yrow in zip(x, y)
+            ]
+            blocks[source, "02"] = [[(0, -c, c) for c in row] for row in z]
+        return blocks
+
+    @functools.cached_property
+    def cells(self) -> dict[tuple[int, int, int], tuple[int, tuple]]:
+        """(P, Q, t) -> checked rank of the differential leaving the cell:
+        t = 1 maps onto H^{P,Q+1}, t = 2 from H^{P-1,Q-1} onto H^{P,Q} + H^{P-1,Q+1}."""
+        blocks, cells = self.blocks, {}
+        for P, Q in product(range(4), repeat=2):
+            corner = (P - 1, Q - 1)
+            first = _beside(blocks[(P, Q - 1), "02"], blocks[(P - 1, Q), "11"])
+            second = blocks[corner, "11"] + blocks[corner, "02"]
+            cells[P, Q, 1] = _checked_rank(first, self.mode)
+            cells[P, Q, 2] = _checked_rank(second, self.mode)
+        return cells
+
+    @functools.cached_property
+    def total(self) -> _TotalPage:
+        return _TotalPage(self.ring, self.a_vec, self.b_vec)
+
+    @functools.cached_property
+    def diamond(self) -> HodgeDiamond:
+        rank = {cell: checked[0] for cell, checked in self.cells.items()}
+        h = [[0] * 4 for _ in range(4)]
+        for p, q, t in product(range(4), range(4), range(3)):
+            leaving, entering = rank.get((p, q, t), 0), rank.get((p, q - 1, t + 1), 0)
+            h[p][q] += _cell_dim(self.ring, p, q, t) - leaving - entering
+        return HodgeDiamond(tuple(map(tuple, h)))
 
 
 def _split_h2(ring: BigradedRing, vec) -> tuple[list, list, list]:
@@ -167,13 +212,6 @@ class HodgeDiamond:
 
     h: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if len(self.h) != 4 or any(len(row) != 4 for row in self.h):
-            raise SchemaError("diamond must be a 4x4 table")
-        object.__setattr__(
-            self, "h", tuple(tuple(int(x) for x in row) for row in self.h)
-        )
-
     def value(self, p: int, q: int) -> int:
         return self.h[p][q]
 
@@ -216,68 +254,12 @@ class _TotalPage:
         return tuple(betti)
 
 
-class _Page:
-    """The second page of one class over its ring."""
-
-    def __init__(self, eta: EtaClass):
-        self.eta = eta
-        mode, ring = eta.mode, eta.ring
-        # (source, kind) -> x -> x*w from H^source as triples, dim(target) x
-        # dim(source); a source off the square reads as an empty block
-        self.blocks: dict[tuple[tuple[int, int], str], list] = defaultdict(list)
-        for source in BIDEGREES:
-            x = ring.mult_matrix(source, (1, 1), eta.x11)
-            y = ring.mult_matrix(source, (1, 1), eta.y11)
-            z = ring.mult_matrix(source, (0, 2), eta.z02)
-            self.blocks[source, "11"] = [
-                [(c, ct, 0) for c, ct in zip(xrow, yrow)] for xrow, yrow in zip(x, y)
-            ]
-            self.blocks[source, "02"] = [[(0, -c, c) for c in row] for row in z]
-        # (P, Q, t) -> checked rank of the differential leaving the cell:
-        # t = 1 maps onto H^{P,Q+1}, t = 2 from H^{P-1,Q-1} onto H^{P,Q} + H^{P-1,Q+1}
-        self.cells: dict[tuple[int, int, int], tuple[int, tuple]] = {}
-        blocks = self.blocks
-        for P, Q in product(range(4), repeat=2):
-            corner = (P - 1, Q - 1)
-            first = _beside(blocks[(P, Q - 1), "02"], blocks[(P - 1, Q), "11"])
-            second = blocks[corner, "11"] + blocks[corner, "02"]
-            self.cells[P, Q, 1] = _checked_rank(first, mode)
-            self.cells[P, Q, 2] = _checked_rank(second, mode)
-
-    def diamond(self) -> HodgeDiamond:
-        rank = {cell: checked[0] for cell, checked in self.cells.items()}
-        h = [[0] * 4 for _ in range(4)]
-        for p, q, t in product(range(4), range(4), range(3)):
-            leaving, entering = rank.get((p, q, t), 0), rank.get((p, q - 1, t + 1), 0)
-            h[p][q] += _cell_dim(self.eta.ring, p, q, t) - leaving - entering
-        return HodgeDiamond(h)
-
-    @functools.cached_property
-    def total(self) -> _TotalPage:
-        return _TotalPage(self.eta.ring, self.eta.a_vec, self.eta.b_vec)
-
-
-def _page(ring: BigradedRing, eta: EtaClass) -> _Page:
-    """The class's page, built on first use and kept on eta; eta must be over ring."""
-    if ring is not eta.ring:
-        raise SchemaError(f"class was built over ring {eta.ring.name!r}, not {ring.name!r}")
-    if "_page" not in eta.__dict__:
-        object.__setattr__(eta, "_page", _Page(eta))
-    return eta._page
-
-
 # -- bigraded tower --------------------------------------------------------
 
 
-def borel_hodge(
-    ring: BigradedRing, eta: EtaClass, flags: list | None = None
-) -> HodgeDiamond:
+def borel_hodge(eta: EtaClass) -> HodgeDiamond:
     """Third-page Hodge numbers h(p,q) for 0 <= p,q <= 3."""
-    page = _page(ring, eta)
-    if flags is not None:
-        for (P, Q, t), checked in page.cells.items():
-            flags.extend(_flags(f"page cell ({P},{Q},{t})", *checked))
-    return page.diamond()
+    return eta.diamond
 
 
 # -- rank profile ----------------------------------------------------------
@@ -297,13 +279,12 @@ class RankProfile:
     flags: tuple[str, ...]
 
 
-def structure_maps(
-    ring: BigradedRing, eta: EtaClass, diamond: HodgeDiamond | None = None
-) -> RankProfile:
+def structure_maps(eta: EtaClass) -> RankProfile:
     """Ranks of the connecting maps, read from the class's page.
 
     The combined map at (p, q) is page cell (p+1, q+1, 2); f and the
-    degree-1 aggregate are built from the page's blocks.
+    degree-1 aggregate are built from the page's blocks.  The flags list
+    the page cells first, then these maps, then h-selection-unrealized.
 
     The reported rank h is selected, not computed from one map: with
     target = 6 - g - h(1,1) read from the finished table, h is the first
@@ -312,34 +293,35 @@ def structure_maps(
     When neither matches, h is the aggregate rank and the profile is
     flagged h-selection-unrealized.
     """
-    mode = eta.mode
-    page = _page(ring, eta)
-    flags: list[str] = []
+    mode, ring, blocks, total = eta.mode, eta.ring, eta.blocks, eta.total
+    flags = [
+        flag
+        for (P, Q, t), checked in eta.cells.items()
+        for flag in _flags(f"page cell ({P},{Q},{t})", *checked)
+    ]
     # tau is not rational, so a part vanishes exactly when its integer vectors do
     e = 1 if any(eta.z02) else 0
     g = 1 if any(eta.x11) or any(eta.y11) else 0
-    d = exact_rank([page.total.a_dr, page.total.b_dr], INTEGER_DOMAIN) if page.total.a_dr else 0
+    d = exact_rank([total.a_dr, total.b_dr], INTEGER_DOMAIN) if total.a_dr else 0
 
-    f_rank, bad = _checked_rank(page.blocks[(1, 0), "02"], mode)
+    f_rank, bad = _checked_rank(blocks[(1, 0), "02"], mode)
     flags += _flags("f map", f_rank, bad)
 
     per_bidegree = []
     for p, q in BIDEGREES:
         if ring.dim(p, q):
-            checked = page.cells[p + 1, q + 1, 2]
+            checked = eta.cells[p + 1, q + 1, 2]
             flags += _flags(f"combined map at ({p},{q})", *checked)
             per_bidegree.append(((p, q), checked[0]))
 
     # [x*eta11 from (1,0), 0; x*etabar02 from (1,0), x*eta11 from (0,1)]
     zeros = [(0, 0, 0)] * ring.dim(0, 1)
-    top = [row + zeros for row in page.blocks[(1, 0), "11"]]
-    bottom = _beside(page.blocks[(1, 0), "02"], page.blocks[(0, 1), "11"])
+    top = [row + zeros for row in blocks[(1, 0), "11"]]
+    bottom = _beside(blocks[(1, 0), "02"], blocks[(0, 1), "11"])
     h_aggregate, bad = _checked_rank(top + bottom, mode)
     flags += _flags("degree-1 combined map", h_aggregate, bad)
 
-    if diamond is None:
-        diamond = borel_hodge(ring, eta, flags)
-    target = 6 - g - diamond.value(1, 1)
+    target = 6 - g - eta.diamond.value(1, 1)
     h_bidegree = next((pq for pq, rank in per_bidegree if rank == target), None)
     h_rank = h_aggregate if h_bidegree is None else target
     if h_rank != target:
@@ -349,7 +331,7 @@ def structure_maps(
         e=e,
         g=g,
         d=d,
-        dprime=page.total.rank[1, 1],
+        dprime=total.rank[1, 1],
         h_rank=h_rank,
         f=f_rank,
         h_bidegree=h_bidegree,
@@ -416,12 +398,10 @@ def full_invariants(
 ) -> InvariantsResult:
     """One-call pipeline: class, both towers, ranks, cross-checks."""
     eta = (synthetic_eta if synthetic else char_to_eta)(ring, a, b, mode)
-    flags: list[str] = []
-    diamond = borel_hodge(ring, eta, flags)
-    profile = structure_maps(ring, eta, diamond)
-    profile = replace(profile, flags=tuple(dict.fromkeys(flags + list(profile.flags))))
+    diamond = borel_hodge(eta)
+    profile = structure_maps(eta)
     # the class's own total-degree page, already built by structure_maps
-    betti = _page(ring, eta).total.betti()
+    betti = eta.total.betti()
     return InvariantsResult(
         ring_name=ring.name,
         mode_name=mode.name,
