@@ -30,12 +30,14 @@ one), so every composite has an empty source or an empty target.
 
 Every rank is an integer rank: each tower clears its class's
 denominators by one scale, and the ring's integer tables scale whole
-maps, so no rank moves.  A rank at tau = i is half the integer rank of
-the map's real form.  Generic ranks are also taken, first, at fixed
+maps, so no rank moves.  Generic ranks are taken, first, at fixed
 rational (t, s) and flagged where they differ.  A sample rank of
 min(m, n) certifies the generic rank (specialization only lowers rank);
 any other map takes its generic rank from fields.generic_rank, the
-largest integer rank at a triangle of integer points.
+largest integer rank at a triangle of integer points.  A rank at tau = i
+is half the integer rank of the map's real form; where it is below
+min(m, n), the map's generic rank is taken as generic mode takes it,
+and a rank that tau = i lowers is flagged.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ class EtaClass:
         return blocks
 
     @functools.cached_property
-    def cells(self) -> dict[tuple[int, int, int], tuple[int, tuple]]:
+    def cells(self) -> dict[tuple[int, int, int], tuple[int, tuple[str, ...]]]:
         """(P, Q, t) -> checked rank of the differential leaving the cell:
         t = 1 maps onto H^{P,Q+1}, t = 2 from H^{P-1,Q-1} onto H^{P,Q} + H^{P-1,Q+1}."""
         blocks, cells = self.blocks, {}
@@ -183,20 +185,36 @@ def synthetic_eta(
 # -- the pages -------------------------------------------------------------
 
 
-def _checked_rank(mat: list, mode: CoefficientMode) -> tuple[int, tuple]:
-    """The mode's rank of a matrix of triples, and the sample points that change it."""
+def _sampled_rank(mat: list, points: tuple) -> tuple[int, list[int]]:
+    """The generic rank of a nonempty matrix of triples, and its ranks at points."""
+    at = [exact_rank(at_sample(mat, *pair), INTEGER_DOMAIN) for pair in points]
+    full = min(len(mat), len(mat[0]))
+    return (full if full in at else generic_rank(mat)), at
+
+
+def _checked_rank(mat: list, mode: CoefficientMode) -> tuple[int, tuple[str, ...]]:
+    """The mode's rank of a matrix of triples, and where it misses the generic rank.
+
+    At tau = i the generic rank is taken as generic mode takes it; a
+    rank of min(m, n) needs none, since specialization only lowers rank.
+    """
     if not mat or not mat[0]:
         return 0, ()
     if mode.at_tau_i:
-        return exact_rank(real_form(mat), GAUSS_DOMAIN) // 2, ()
-    at = [exact_rank(at_sample(mat, *pair), INTEGER_DOMAIN) for pair in mode.sample_points]
-    full = min(len(mat), len(mat[0]))
-    rank = full if full in at else generic_rank(mat)
-    return rank, tuple(pair for pair, r in zip(mode.sample_points, at) if r != rank)
+        rank = exact_rank(real_form(mat), GAUSS_DOMAIN) // 2
+        if rank == min(len(mat), len(mat[0])):
+            return rank, ()
+        generic = _sampled_rank(mat, GENERIC_MODE.sample_points)[0]
+        return rank, (f"generic rank {generic} not reproduced at tau = i",) if rank < generic else ()
+    rank, at = _sampled_rank(mat, mode.sample_points)
+    return rank, tuple(
+        f"generic rank {rank} not reproduced at t,s = {pair}"
+        for pair, r in zip(mode.sample_points, at) if r != rank
+    )
 
 
-def _flags(tag: str, rank: int, bad: tuple) -> list[str]:
-    return [f"{tag}: generic rank {rank} not reproduced at t,s = {pair}" for pair in bad]
+def _flags(tag: str, missed: tuple[str, ...]) -> list[str]:
+    return [f"{tag}: {why}" for why in missed]
 
 
 def _beside(left: list, right: list) -> list:
@@ -297,29 +315,29 @@ def structure_maps(eta: EtaClass) -> RankProfile:
     flags = [
         flag
         for (P, Q, t), checked in eta.cells.items()
-        for flag in _flags(f"page cell ({P},{Q},{t})", *checked)
+        for flag in _flags(f"page cell ({P},{Q},{t})", checked[1])
     ]
     # tau is not rational, so a part vanishes exactly when its integer vectors do
     e = 1 if any(eta.z02) else 0
     g = 1 if any(eta.x11) or any(eta.y11) else 0
     d = exact_rank([total.a_dr, total.b_dr], INTEGER_DOMAIN) if total.a_dr else 0
 
-    f_rank, bad = _checked_rank(blocks[(1, 0), "02"], mode)
-    flags += _flags("f map", f_rank, bad)
+    f_rank, missed = _checked_rank(blocks[(1, 0), "02"], mode)
+    flags += _flags("f map", missed)
 
     per_bidegree = []
     for p, q in BIDEGREES:
         if ring.dim(p, q):
             checked = eta.cells[p + 1, q + 1, 2]
-            flags += _flags(f"combined map at ({p},{q})", *checked)
+            flags += _flags(f"combined map at ({p},{q})", checked[1])
             per_bidegree.append(((p, q), checked[0]))
 
     # [x*eta11 from (1,0), 0; x*etabar02 from (1,0), x*eta11 from (0,1)]
     zeros = [(0, 0, 0)] * ring.dim(0, 1)
     top = [row + zeros for row in blocks[(1, 0), "11"]]
     bottom = _beside(blocks[(1, 0), "02"], blocks[(0, 1), "11"])
-    h_aggregate, bad = _checked_rank(top + bottom, mode)
-    flags += _flags("degree-1 combined map", h_aggregate, bad)
+    h_aggregate, missed = _checked_rank(top + bottom, mode)
+    flags += _flags("degree-1 combined map", missed)
 
     target = 6 - g - eta.diamond.value(1, 1)
     h_bidegree = next((pq for pq, rank in per_bidegree if rank == target), None)

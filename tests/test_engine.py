@@ -31,7 +31,7 @@ from ellfib.cohomology.fields import GAUSSIAN_MODE, GENERIC_MODE
 from ellfib.cohomology.ring import PRESET_NAMES, BigradedRing, load_preset, ring_from_dict
 from ellfib.errors import InvalidClass, SchemaError
 from ellfib.linalg import FRACTION_DOMAIN, exact_rank
-from gaussian import MODE_ARITHMETIC
+from gaussian import MODE_ARITHMETIC, POLYNOMIALS
 
 FIBER_HODGE = {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
 
@@ -490,17 +490,21 @@ def substitute(entry, t, s):
     return sum((c * t**i * s**j for (i, j), c in entry.coeffs.items()), Fraction(0))
 
 
-def reference_rank(mat, mode):
-    """The mode's rank of a rational matrix, and the sample points (ranked
-    over FRACTION_DOMAIN by substitution) that change it."""
+def reference_rank(mat, generic, mode):
+    """The mode's rank of a rational matrix, and where it misses the generic
+    rank: the rank of generic, the same map over Q[t, s], at tau = i, and
+    sample points (ranked over FRACTION_DOMAIN by substitution) otherwise."""
     if not mat or not mat[0]:
         return 0, ()
     rank = exact_rank(mat, MODE_ARITHMETIC[mode.name][3])
-    bad = tuple(
-        pair for pair in mode.sample_points
+    if mode.at_tau_i:
+        over_q_ts = exact_rank(generic, POLYNOMIALS)
+        return rank, (f"generic rank {over_q_ts} not reproduced at tau = i",) if rank < over_q_ts else ()
+    return rank, tuple(
+        f"generic rank {rank} not reproduced at t,s = {pair}"
+        for pair in mode.sample_points
         if exact_rank([[substitute(e, *pair) for e in row] for row in mat], FRACTION_DOMAIN) != rank
     )
-    return rank, bad
 
 
 def rational_block(ring, source, w_block, w, zero):
@@ -527,12 +531,11 @@ def rational_dr(ring, source_deg, w):
     ]
 
 
-def rational_reference(ring, a, b, mode):
-    """Cell ranks, f, the degree-1 aggregate, d and the total-page ranks of
-    a class, from rational data only, without clearing a denominator."""
-    a, b = [Fraction(x) for x in a], [Fraction(x) for x in b]
+def rational_maps(ring, a, b, arithmetic):
+    """The cell maps, f and the degree-1 aggregate of a class in one mode's
+    arithmetic, by cell (P, Q, t) and by name."""
     n20, n11 = ring.dim(2, 0), ring.dim(1, 1)
-    embed, tau, taubar, _ = MODE_ARITHMETIC[mode.name]
+    embed, tau, taubar, _ = MODE_ARITHMETIC[arithmetic]
     zero = embed(Fraction(0))
     eta11 = [embed(x) + tau * embed(y) for x, y in zip(a[n20:n20 + n11], b[n20:n20 + n11])]
     etabar02 = [(taubar - tau) * embed(y) for y in b[n20 + n11:]]
@@ -545,14 +548,25 @@ def rational_reference(ring, a, b, mode):
     def beside(left, right):
         return [l + r for l, r in zip(left, right)] if left and right else left or right
 
-    cells = {}
+    maps = {}
     for P in range(4):
         for Q in range(4):
             corner = (P - 1, Q - 1)
-            cells[P, Q, 1] = reference_rank(beside(block((P, Q - 1), "02"), block((P - 1, Q), "11")), mode)
-            cells[P, Q, 2] = reference_rank(block(corner, "11") + block(corner, "02"), mode)
+            maps[P, Q, 1] = beside(block((P, Q - 1), "02"), block((P - 1, Q), "11"))
+            maps[P, Q, 2] = block(corner, "11") + block(corner, "02")
     top = [row + [zero] * ring.dim(0, 1) for row in block((1, 0), "11")]
-    aggregate = reference_rank(top + beside(block((1, 0), "02"), block((0, 1), "11")), mode)
+    maps["aggregate"] = top + beside(block((1, 0), "02"), block((0, 1), "11"))
+    maps["f"] = block((1, 0), "02")
+    return maps
+
+
+def rational_reference(ring, a, b, mode):
+    """Cell ranks, f, the degree-1 aggregate, d and the total-page ranks of
+    a class, from rational data only, without clearing a denominator."""
+    a, b = [Fraction(x) for x in a], [Fraction(x) for x in b]
+    maps = rational_maps(ring, a, b, mode.name)
+    generic = rational_maps(ring, a, b, "generic") if mode.at_tau_i else maps
+    checked = {key: reference_rank(mat, generic[key], mode) for key, mat in maps.items()}
     labels = ring.degree_labels(2)
     a_dr, b_dr = (
         [sum((v * ring.ident[x].get(out, 0) for x, v in zip(labels, vec)), Fraction(0))
@@ -565,9 +579,9 @@ def rational_reference(ring, a, b, mode):
         total[deg, 1] = exact_rank([ra + rb for ra, rb in zip(ma, mb)]) if ma else 0
         total[deg, 2] = exact_rank(mb + ma) if ma else 0
     return {
-        "cells": cells,
-        "f": reference_rank(block((1, 0), "02"), mode)[0],
-        "aggregate": aggregate[0],
+        "cells": {key: value for key, value in checked.items() if type(key) is tuple},
+        "f": checked["f"],
+        "aggregate": checked["aggregate"],
         "d": exact_rank([a_dr, b_dr]),
         "total": total,
     }
@@ -612,8 +626,13 @@ def test_integer_ranks_match_a_rational_reference(drawn):
     profile = structure_maps(eta)
     expected = rational_reference(ring, a, b, mode)
     assert eta.cells == expected["cells"]
-    assert profile.f == expected["f"]
-    assert profile.h_aggregate == expected["aggregate"]
+    assert profile.f == expected["f"][0]
+    assert profile.h_aggregate == expected["aggregate"][0]
+    # the flags of f and the aggregate, which are no page cell
+    assert [flag for flag in profile.flags if flag.startswith(("f map", "degree-1"))] == [
+        f"{tag}: {why}" for tag, key in (("f map", "f"), ("degree-1 combined map", "aggregate"))
+        for why in expected[key][1]
+    ]
     assert profile.d == expected["d"]
     assert eta.total.rank == expected["total"]
 
@@ -648,6 +667,54 @@ def test_structure_maps_assembles_the_flags_full_invariants_reports(data):
     result = full_invariants(ring, a, b, mode, synthetic)
     assert structure_maps(eta).flags == result.profile.flags
     assert borel_hodge(eta) == result.diamond
+
+
+TORUS4_AT_I = ([0, Fraction(1, 2), 0, 0, 2, 0], [2, 0, -1, 1, 0, 0])
+
+
+def test_gaussian_mode_flags_the_ranks_tau_i_drops():
+    # both tables are right; the gaussian one now says which maps lose rank at tau = i
+    ring = load_preset("torus4")
+    gaussian = full_invariants(ring, *TORUS4_AT_I, GAUSSIAN_MODE)
+    generic = full_invariants(ring, *TORUS4_AT_I, GENERIC_MODE)
+    assert gaussian.diamond.rows_by_total()[2:5] == [[3, 6, 2], [1, 6, 6, 1], [2, 6, 3]]
+    assert generic.diamond.rows_by_total()[2:5] == [[3, 5, 1], [1, 4, 4, 1], [1, 5, 3]]
+    assert generic.profile.flags == ()
+    lost = [
+        *(f"page cell {cell}: generic rank 2" for cell in ("(1,1,1)", "(1,2,2)", "(2,0,1)", "(2,1,2)")),
+        "combined map at (0,1): generic rank 2",
+        "combined map at (1,0): generic rank 2",
+        "degree-1 combined map: generic rank 4",
+    ]
+    assert gaussian.profile.flags == (
+        *(f"{head} not reproduced at tau = i" for head in lost), "h-selection-unrealized"
+    )
+
+
+def lost_a_rank(result) -> bool:
+    return any("not reproduced" in flag for flag in result.profile.flags)
+
+
+@st.composite
+def preset_classes(draw):
+    ring = load_preset(draw(st.sampled_from(PRESET_NAMES)))
+    synthetic = draw(st.booleans())
+    return (ring, synthetic, *draw(class_vectors(ring, synthetic)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(preset_classes())
+@example((load_preset("torus4"), False, *TORUS4_AT_I))
+def test_modes_agree_unless_one_flags_a_lost_rank(drawn):
+    ring, synthetic, a, b = drawn
+    generic = full_invariants(ring, a, b, GENERIC_MODE, synthetic)
+    gaussian = full_invariants(ring, a, b, GAUSSIAN_MODE, synthetic)
+    if lost_a_rank(generic) or lost_a_rank(gaussian):
+        return
+    assert generic.diamond == gaussian.diamond
+    assert generic.betti == gaussian.betti
+    ranks = [(p.e, p.g, p.d, p.dprime, p.h_rank, p.f) for p in (generic.profile, gaussian.profile)]
+    assert ranks[0] == ranks[1]
 
 
 def scaled_kodaira(products, dr_products, ident) -> dict:
