@@ -12,9 +12,8 @@ the square, the 32 cell maps stacked from them with their ranks, the
 total-degree page (a and b in de Rham coordinates and the ranks of the
 maps they induce) and the Hodge diamond.  borel_hodge and structure_maps
 take the class alone and read that page, so no map is built or ranked
-twice, and structure_maps assembles every flag.  No block is stored
-negated, and no rank, flag or output moves: negating the rows or columns
-of one block keeps the rank over the mode's field and at every sample point.
+twice, and structure_maps assembles every flag.  A block keeps no sign:
+negating it keeps its rank over the mode's field and at each sample point.
 
 The page is the same for both modes.  Every entry is affine in tau and
 its conjugate, c + ct*t + cs*s, and is held as the integer triple
@@ -114,11 +113,14 @@ class EtaClass:
 
     @functools.cached_property
     def diamond(self) -> HodgeDiamond:
-        rank = {cell: checked[0] for cell, checked in self.cells.items()}
+        rank, dim = {cell: checked[0] for cell, checked in self.cells.items()}, self.ring.dim
         h = [[0] * 4 for _ in range(4)]
-        for p, q, t in product(range(4), range(4), range(3)):
-            leaving, entering = rank.get((p, q, t), 0), rank.get((p, q - 1, t + 1), 0)
-            h[p][q] += _cell_dim(self.ring, p, q, t) - leaving - entering
+        for p, q in product(range(4), repeat=2):
+            # cell (p, q, t) is H^{p,q}, H^{p,q-1} + H^{p-1,q} or H^{p-1,q-1} for t = 0, 1, 2
+            cells = (dim(p, q), dim(p, q - 1) + dim(p - 1, q), dim(p - 1, q - 1))
+            for t, cell in enumerate(cells):
+                leaving, entering = rank.get((p, q, t), 0), rank.get((p, q - 1, t + 1), 0)
+                h[p][q] += cell - leaving - entering
         return HodgeDiamond(tuple(map(tuple, h)))
 
 
@@ -140,9 +142,7 @@ def _cleared(values: list[Fraction]) -> list[int]:
     return [x.numerator * (scale // x.denominator) for x in values]
 
 
-def _eta_class(
-    ring: BigradedRing, a, b, mode: CoefficientMode, synthetic: bool
-) -> EtaClass:
+def _eta_class(ring: BigradedRing, a, b, mode: CoefficientMode, synthetic: bool) -> EtaClass:
     """The parts the page reads: (1,1) of eta = a + tau*b, (0,2) of its conjugate."""
     a20, a11, a02 = _split_h2(ring, a)
     b20, b11, b02 = _split_h2(ring, b)
@@ -185,13 +185,6 @@ def synthetic_eta(
 # -- the pages -------------------------------------------------------------
 
 
-def _sampled_rank(mat: list, points: tuple) -> tuple[int, list[int]]:
-    """The generic rank of a nonempty matrix of triples, and its ranks at points."""
-    at = [exact_rank(at_sample(mat, *pair), INTEGER_DOMAIN) for pair in points]
-    full = min(len(mat), len(mat[0]))
-    return (full if full in at else generic_rank(mat)), at
-
-
 def _checked_rank(mat: list, mode: CoefficientMode) -> tuple[int, tuple[str, ...]]:
     """The mode's rank of a matrix of triples, and where it misses the generic rank.
 
@@ -200,13 +193,15 @@ def _checked_rank(mat: list, mode: CoefficientMode) -> tuple[int, tuple[str, ...
     """
     if not mat or not mat[0]:
         return 0, ()
+    full = min(len(mat), len(mat[0]))
     if mode.at_tau_i:
         rank = exact_rank(real_form(mat), GAUSS_DOMAIN) // 2
-        if rank == min(len(mat), len(mat[0])):
-            return rank, ()
-        generic = _sampled_rank(mat, GENERIC_MODE.sample_points)[0]
-        return rank, (f"generic rank {generic} not reproduced at tau = i",) if rank < generic else ()
-    rank, at = _sampled_rank(mat, mode.sample_points)
+        generic = rank if rank == full else _checked_rank(mat, GENERIC_MODE)[0]
+        if rank < generic:
+            return rank, (f"generic rank {generic} not reproduced at tau = i",)
+        return rank, ()
+    at = [exact_rank(at_sample(mat, *pair), INTEGER_DOMAIN) for pair in mode.sample_points]
+    rank = full if full in at else generic_rank(mat)
     return rank, tuple(
         f"generic rank {rank} not reproduced at t,s = {pair}"
         for pair, r in zip(mode.sample_points, at) if r != rank
@@ -236,15 +231,6 @@ class HodgeDiamond:
     def rows_by_total(self) -> list[list[int]]:
         """Row k lists h(p, k-p) left to right by decreasing q."""
         return [[self.h[p][k - p] for p in range(max(0, k - 3), min(3, k) + 1)] for k in range(7)]
-
-
-def _cell_dim(ring: BigradedRing, P: int, Q: int, t: int) -> int:
-    """Cell (P, Q, t) is H^{P,Q}, H^{P,Q-1} + H^{P-1,Q} or H^{P-1,Q-1} for t = 0, 1, 2."""
-    if t == 0:
-        return ring.dim(P, Q)
-    if t == 1:
-        return ring.dim(P, Q - 1) + ring.dim(P - 1, Q)
-    return ring.dim(P - 1, Q - 1)
 
 
 class _TotalPage:
@@ -408,11 +394,7 @@ class InvariantsResult:
 
 
 def full_invariants(
-    ring: BigradedRing,
-    a,
-    b,
-    mode: CoefficientMode = GENERIC_MODE,
-    synthetic: bool = False,
+    ring: BigradedRing, a, b, mode: CoefficientMode = GENERIC_MODE, synthetic: bool = False
 ) -> InvariantsResult:
     """One-call pipeline: class, both towers, ranks, cross-checks."""
     eta = (synthetic_eta if synthetic else char_to_eta)(ring, a, b, mode)
