@@ -43,7 +43,8 @@ def _load(path: str):
             return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    # ValueError covers both decode errors and an integer past Python's 4300-digit limit
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
 
 

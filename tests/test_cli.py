@@ -1012,6 +1012,19 @@ def test_unreadable_json_is_a_schema_error(tmp_path, capsys, content, verb):
     assert_schema_error(code, out, err, "invalid JSON")
 
 
+@pytest.mark.parametrize(
+    "verb",
+    [("fm", "--in", "{}"), ("validate-ring", "--preset", "file:{}")],
+    ids=["in", "file-ring"],
+)
+def test_an_integer_past_the_digit_limit_is_a_schema_error(tmp_path, capsys, verb):
+    # json.load raises a plain ValueError on a bare integer of more than 4300 digits
+    path = tmp_path / "doc.json"
+    path.write_text('{"blocks": [{"x": {"u": "0", "v": "0"}, "n": 1' + "0" * 5000 + "}]}", encoding="utf-8")
+    code, out, err = run(capsys, *(arg.format(path) for arg in verb))
+    assert_schema_error(code, out, err, "invalid JSON")
+
+
 def test_a_key_given_twice_is_a_schema_error(tmp_path, capsys):
     doc = cocycle_doc(pt("1/2"), ORIGIN, ORIGIN)
     text = json.dumps(doc)
