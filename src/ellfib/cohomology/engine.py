@@ -142,7 +142,9 @@ def _cleared(values: list[Fraction]) -> list[int]:
     return [x.numerator * (scale // x.denominator) for x in values]
 
 
-def _eta_class(ring: BigradedRing, a, b, mode: CoefficientMode, synthetic: bool) -> EtaClass:
+def _eta_class(
+    ring: BigradedRing, a, b, mode: CoefficientMode, synthetic: bool
+) -> EtaClass:
     """The parts the page reads: (1,1) of eta = a + tau*b, (0,2) of its conjugate."""
     a20, a11, a02 = _split_h2(ring, a)
     b20, b11, b02 = _split_h2(ring, b)
@@ -188,18 +190,18 @@ def synthetic_eta(
 def _checked_rank(mat: list, mode: CoefficientMode) -> tuple[int, tuple[str, ...]]:
     """The mode's rank of a matrix of triples, and where it misses the generic rank.
 
-    At tau = i the generic rank is taken as generic mode takes it; a
-    rank of min(m, n) needs none, since specialization only lowers rank.
+    At tau = i the generic rank is taken as generic mode takes it, unless
+    the rank is min(m, n) (specialization only lowers rank) or 0 (a page
+    entry, (c, ct, 0) or (0, -z, z), vanishes at tau = i only when zero).
     """
     if not mat or not mat[0]:
         return 0, ()
     full = min(len(mat), len(mat[0]))
     if mode.at_tau_i:
         rank = exact_rank(real_form(mat), GAUSS_DOMAIN) // 2
-        generic = rank if rank == full else _checked_rank(mat, GENERIC_MODE)[0]
-        if rank < generic:
-            return rank, (f"generic rank {generic} not reproduced at tau = i",)
-        return rank, ()
+        generic = rank if rank in (0, full) else _checked_rank(mat, GENERIC_MODE)[0]
+        missed = f"generic rank {generic} not reproduced at tau = i"
+        return rank, (missed,) if rank < generic else ()
     at = [exact_rank(at_sample(mat, *pair), INTEGER_DOMAIN) for pair in mode.sample_points]
     rank = full if full in at else generic_rank(mat)
     return rank, tuple(
@@ -298,11 +300,9 @@ def structure_maps(eta: EtaClass) -> RankProfile:
     flagged h-selection-unrealized.
     """
     mode, ring, blocks, total = eta.mode, eta.ring, eta.blocks, eta.total
-    flags = [
-        flag
-        for (P, Q, t), checked in eta.cells.items()
-        for flag in _flags(f"page cell ({P},{Q},{t})", checked[1])
-    ]
+    flags: list[str] = []
+    for (P, Q, t), (_, missed) in eta.cells.items():
+        flags += _flags(f"page cell ({P},{Q},{t})", missed)
     # tau is not rational, so a part vanishes exactly when its integer vectors do
     e = 1 if any(eta.z02) else 0
     g = 1 if any(eta.x11) or any(eta.y11) else 0
@@ -314,9 +314,9 @@ def structure_maps(eta: EtaClass) -> RankProfile:
     per_bidegree = []
     for p, q in BIDEGREES:
         if ring.dim(p, q):
-            checked = eta.cells[p + 1, q + 1, 2]
-            flags += _flags(f"combined map at ({p},{q})", checked[1])
-            per_bidegree.append(((p, q), checked[0]))
+            rank, missed = eta.cells[p + 1, q + 1, 2]
+            flags += _flags(f"combined map at ({p},{q})", missed)
+            per_bidegree.append(((p, q), rank))
 
     # [x*eta11 from (1,0), 0; x*etabar02 from (1,0), x*eta11 from (0,1)]
     zeros = [(0, 0, 0)] * ring.dim(0, 1)
