@@ -499,7 +499,8 @@ def reference_rank(mat, generic, mode):
     rank = exact_rank(mat, MODE_ARITHMETIC[mode.name][3])
     if mode.at_tau_i:
         over_q_ts = exact_rank(generic, POLYNOMIALS)
-        return rank, (f"generic rank {over_q_ts} not reproduced at tau = i",) if rank < over_q_ts else ()
+        missed = f"generic rank {over_q_ts} not reproduced at tau = i"
+        return rank, (missed,) if rank < over_q_ts else ()
     return rank, tuple(
         f"generic rank {rank} not reproduced at t,s = {pair}"
         for pair in mode.sample_points
