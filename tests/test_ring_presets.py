@@ -394,6 +394,122 @@ def test_ring_from_dict_rejects_a_non_canonical_degree_key(section, key, canonic
         ring_from_dict(payload)
 
 
+DROP = object()
+
+
+def kodaira_doc() -> dict:
+    return json.loads(resources.files("ellfib.cohomology").joinpath("presets/kodaira.json").read_text())
+
+
+def defect(id, path, value, message):
+    return pytest.param(path, value, message, id=id)
+
+
+# one defect each: the value put at path in the kodaira document (DROP deletes
+# the key; the empty path replaces the document), and the reader's whole message
+READER_DEFECTS = [
+    defect("not-an-object", (), [], "ring payload missing section: "
+           "list indices must be integers or slices, not str"),
+    defect("missing-section", ("products",), DROP, "ring payload missing section: 'products'"),
+    defect("missing-derham", ("derham",), DROP, "ring payload missing section: 'derham'"),
+    defect("name-not-a-string", ("name",), 7, "ring name must be a string, got int"),
+    defect("bigraded-not-an-object", ("bigraded",), ["one"],
+           "ring bigraded must be an object, got list"),
+    defect("products-not-an-object", ("products",), 3, "ring products must be an object, got int"),
+    defect("product-row-not-an-object", ("products", "f1"), "F2",
+           "ring products.f1 must be an object, got str"),
+    defect("product-not-an-object", ("products", "f1", "F2"), ["A"],
+           "ring products.f1.F2 must be an object, got list"),
+    defect("conjugation-not-an-object", ("conjugation",), ["f1"],
+           "ring conjugation must be an object, got list"),
+    defect("conjugate-not-an-object", ("conjugation", "f1"), "F1",
+           "ring conjugation.f1 must be an object, got str"),
+    defect("derham-not-an-object", ("derham",), [], "ring derham must be an object, got list"),
+    defect("derham-basis-not-an-object", ("derham", "basis"), [["one"]],
+           "ring derham.basis must be an object, got list"),
+    defect("derham-product-not-an-object", ("derham", "products", "m1", "m3"), None,
+           "ring derham.products.m1.m3 must be an object, got NoneType"),
+    defect("ident-not-an-object", ("ident",), "one", "ring ident must be an object, got str"),
+    defect("ident-vector-not-an-object", ("ident", "one"), 5,
+           "ring ident.one must be an object, got int"),
+    defect("derham-without-basis", ("derham", "basis"), DROP,
+           "ring derham needs both basis and products"),
+    defect("derham-without-products", ("derham", "products"), DROP,
+           "ring derham needs both basis and products"),
+    defect("bigraded-key", ("bigraded", "01,1"), ["x"], "bad ring bigraded key '01,1'"),
+    defect("bigraded-key-of-one-part", ("bigraded", "1"), ["x"], "bad ring bigraded key '1'"),
+    defect("derham-key", ("derham", "basis", "+1"), ["x"], "bad ring derham.basis key '+1'"),
+    defect("labels-not-a-list", ("bigraded", "1,1"), "A", "ring bigraded.1,1 must be a list, got str"),
+    defect("derham-labels-not-a-list", ("derham", "basis", "2"), {"n1": 1},
+           "ring derham.basis.2 must be a list, got dict"),
+    defect("bidegree-out-of-range", ("bigraded", "0,3"), ["x"],
+           "bigraded basis given at out-of-range bidegrees [(0, 3)]"),
+    defect("negative-bidegree", ("bigraded", "-1,0"), ["x"],
+           "bigraded basis given at out-of-range bidegrees [(-1, 0)]"),
+    defect("degree-out-of-range", ("derham", "basis", "5"), ["x"],
+           "de Rham basis given at out-of-range degrees [5]"),
+    defect("bad-label", ("bigraded", "2,2"), ["T", 5], "bad bigraded label 5 at (2, 2)"),
+    defect("empty-label", ("bigraded", "0,0"), ["one", ""], "bad bigraded label '' at (0, 0)"),
+    defect("bad-derham-label", ("derham", "basis", "4"), ["v", ""], "bad de Rham label '' at 4"),
+    defect("duplicate-label", ("bigraded", "2,2"), ["T", "A"], "duplicate bigraded label 'A'"),
+    defect("duplicate-derham-label", ("derham", "basis", "4"), ["v", "m1"],
+           "duplicate de Rham label 'm1'"),
+    defect("unknown-product-label", ("products", "f1", "zz"), {"A": "1"},
+           "bigraded product of ('f1', 'zz') references an unknown label"),
+    defect("unknown-product-row", ("products", "zz"), {"f1": {"A": "1"}},
+           "bigraded product of ('zz', 'f1') references an unknown label"),
+    defect("unknown-derham-product-label", ("derham", "products", "m1", "zz"), {"n1": "1"},
+           "de Rham product of ('m1', 'zz') references an unknown label"),
+    defect("unknown-conjugation-label", ("conjugation", "zz"), {"f1": "1"},
+           "conjugation of 'zz' references an unknown label"),
+    defect("unknown-ident-label", ("ident", "zz"), {"m1": "1"},
+           "identification of 'zz' references an unknown label"),
+    defect("unknown-output-label", ("products", "f1", "F2"), {"zz": "1"},
+           "bigraded product of ('f1', 'F2') must land in degree (1, 1), not at 'zz'"),
+    defect("product-past-the-top", ("products", "T", "T"), {"T": "1"},
+           "bigraded product of ('T', 'T') exceeds the top degree"),
+    defect("product-past-the-square", ("products", "G1", "f1"), {"T": "1"},
+           "bigraded product of ('G1', 'f1') exceeds the top degree"),
+    defect("derham-product-past-the-top", ("derham", "products", "v", "v"), {"v": "1"},
+           "de Rham product of ('v', 'v') exceeds the top degree"),
+    defect("product-in-the-wrong-degree", ("products", "f1", "F2"), {"T": "1"},
+           "bigraded product of ('f1', 'F2') must land in degree (1, 1), not at 'T'"),
+    defect("derham-product-in-the-wrong-degree", ("derham", "products", "m1", "m3"), {"v": "1"},
+           "de Rham product of ('m1', 'm3') must land in degree 2, not at 'v'"),
+    defect("conjugate-in-the-wrong-degree", ("conjugation", "f1"), {"f1": "1"},
+           "conjugation of 'f1' must land in degree (0, 1), not at 'f1'"),
+    defect("ident-in-the-wrong-degree", ("ident", "f1"), {"n1": "1"},
+           "identification of 'f1' must land in degree 1, not at 'n1'"),
+    defect("float-coefficient", ("products", "f1", "F2"), {"A": 0.5},
+           "bigraded product of ('f1', 'F2') coefficient at 'A' must be a string rational, got 0.5"),
+    defect("bool-coefficient", ("ident", "one"), {"one": True},
+           "identification of 'one' coefficient at 'one' must be a string rational, got True"),
+    defect("exponent-coefficient", ("conjugation", "f1"), {"F1": "1e3"},
+           "conjugation of 'f1' coefficient at 'F1': bad rational '1e3'"),
+    defect("float-derham-coefficient", ("derham", "products", "m1", "m3"), {"n1": "1", "n2": 1.0},
+           "de Rham product of ('m1', 'm3') coefficient at 'n2' must be a string rational, got 1.0"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", READER_DEFECTS)
+def test_each_reader_defect_has_its_message(path, value, message):
+    doc = kodaira_doc()
+    if not path:
+        doc = value
+    else:
+        *parents, key = path
+        at = doc
+        for step in parents:
+            at = at.setdefault(step, {})
+        if value is DROP:
+            del at[key]
+        else:
+            at[key] = value
+    with pytest.raises(SchemaError) as info:
+        ring_from_dict(doc)
+    assert str(info.value) == message
+
+
 def test_out_of_range_keys_of_mixed_types_are_a_schema_error():
     # the message lists the keys without comparing a tuple with a string
     with pytest.raises(SchemaError, match=r"out-of-range bidegrees \['k', \(0, 3\)\]"):
