@@ -43,9 +43,11 @@ def _load(path: str):
             return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    # ValueError covers both decode errors and an integer past Python's 4300-digit limit
-    except (ValueError, RecursionError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
+    except ValueError as exc:  # the plain ValueError of an integer past the digit limit
+        limit = sys.get_int_max_str_digits()
+        raise SchemaError(f"{path}: invalid JSON (an integer has over {limit} digits)") from exc
 
 
 def _emit(payload) -> None:
@@ -160,12 +162,12 @@ def cmd_gerbe(args) -> int:
 
 
 def _resolve_ring(selector: str):
-    from .cohomology.ring import PRESET_NAMES, load_preset, ring_from_dict
+    from .cohomology.ring import PRESET_NAMES, BigradedRing, load_preset
 
     if selector in PRESET_NAMES:
         return load_preset(selector)
     if selector.startswith("file:"):
-        return ring_from_dict(_load(selector[len("file:"):]))
+        return BigradedRing(_load(selector[len("file:"):]))
     raise SchemaError(
         f"unknown preset {selector!r}; use one of {', '.join(PRESET_NAMES)} or file:PATH"
     )
@@ -226,7 +228,7 @@ def cmd_invariants(args) -> int:
     from .cohomology.fields import MODES
 
     ring = _resolve_ring(args.preset)
-    length = sum(ring.dim(p, q) for p, q in ((2, 0), (1, 1), (0, 2)))
+    length = len(ring.degree_labels(2))
     a = _parse_vector(args.a, length, "--a")
     b = _parse_vector(args.b, length, "--b")
     mode = MODES[args.mode]

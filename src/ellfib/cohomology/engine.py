@@ -54,7 +54,7 @@ from ..linalg import INTEGER_DOMAIN, exact_rank
 from ..torus import parse_fraction
 from .fields import GAUSS_DOMAIN, GENERIC_MODE, CoefficientMode
 from .fields import at_sample, generic_rank, real_form
-from .ring import BIDEGREES, BigradedRing
+from .ring import BIDEGREES, BigradedRing, degree_blocks
 
 FIBER_BETTI = (1, 2, 1)
 
@@ -125,12 +125,12 @@ class EtaClass:
 
 
 def _split_h2(ring: BigradedRing, vec) -> tuple[list, list, list]:
-    sizes = [ring.dim(2, 0), ring.dim(1, 1), ring.dim(0, 2)]
+    sizes = [ring.dim(*pq) for pq in degree_blocks(2)]
     values = [parse_fraction(x, "H^2 coordinate") for x in vec]
     if len(values) != sum(sizes):
         raise SchemaError(
             f"H^2 vector needs {sum(sizes)} coordinates "
-            f"({sizes[0]}+{sizes[1]}+{sizes[2]} by descending p), got {len(values)}"
+            f"({'+'.join(map(str, sizes))} by descending p), got {len(values)}"
         )
     i, j = sizes[0], sizes[0] + sizes[1]
     return values[:i], values[i:j], values[j:]

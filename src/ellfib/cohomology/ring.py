@@ -4,15 +4,17 @@ A ring value carries: basis labels per bidegree (p,q) with 0 <= p,q <= 2,
 rational structure constants for the cup product, a conjugation map
 sending (p,q) coordinates to (q,p) coordinates, a separate total-degree
 (de Rham) ring, and a degreewise identification matrix from summed
-bigraded coordinates onto the de Rham basis.  Construction validates
-shape only; ring_validate reports the mathematical laws.
+bigraded coordinates onto the de Rham basis.  BigradedRing(payload)
+reads the ring's JSON document, the one input format, in one pass and
+checks its shape only; ring_validate reports the mathematical laws.
 
-Both towers share one core.  One label loader reads the bigraded and
-the de Rham basis; one vector loader reads both product tables, the
-conjugation and the identification, every coefficient through
-parse_fraction.  One sparse contraction builds every matrix
-(mult_matrix, dr_mult_matrix, to_derham and the validation matrices)
-by walking only the nonzero table entries.
+Both towers share one core.  One label loader decodes the "p,q" and "k"
+keys and reads the bigraded and the de Rham basis; one vector loader
+reads both product tables, the conjugation and the identification
+straight from their JSON objects, every coefficient through
+parse_fraction; ring_to_dict writes the document back.  One sparse
+contraction builds every matrix (mult_matrix, dr_mult_matrix, to_derham
+and the validation matrices) by walking only the nonzero table entries.
 
 Each of the four tables (products, de Rham products, conjugation,
 identification) is held once, as ints: the loader multiplies it by the
@@ -48,14 +50,44 @@ def degree_blocks(k: int) -> list[tuple[int, int]]:
     return [(p, k - p) for p in range(min(k, 2), -1, -1) if 0 <= k - p <= 2]
 
 
-def _load_labels(raw: Mapping, degrees, what: str, unit: str) -> tuple[dict, dict]:
-    """Labels per degree (every degree present), and the degree of each label."""
-    extra = set(raw) - set(degrees)
+def _object(raw, where: str) -> Mapping:
+    if not isinstance(raw, Mapping):
+        raise SchemaError(f"ring {where} must be an object, got {type(raw).__name__}")
+    return raw
+
+
+def _bidegree(key: str) -> tuple[int, int] | None:
+    """(p, q) of a key spelled "p,q", or None for another spelling of it."""
+    p, q = map(int, key.split(","))
+    return (p, q) if f"{p},{q}" == key else None
+
+
+def _degree(key: str) -> int | None:
+    """k of a key spelled "k", or None for another spelling of it."""
+    k = int(key)
+    return k if str(k) == key else None
+
+
+def _load_labels(raw, where: str, decode, degrees, what: str, unit: str) -> tuple[dict, dict]:
+    """Labels per degree (every degree present) of the JSON object raw at
+    where, whose keys decode reads, and the degree of each label."""
+    given = {}
+    for key, labels in _object(raw, where).items():
+        try:
+            degree = decode(key)
+        except (ValueError, AttributeError, TypeError):
+            degree = None
+        if degree is None:
+            raise SchemaError(f"bad ring {where} key {key!r}")
+        if not isinstance(labels, list):
+            raise SchemaError(f"ring {where}.{key} must be a list, got {type(labels).__name__}")
+        given[degree] = labels
+    extra = set(given) - set(degrees)
     if extra:
         raise SchemaError(f"{what} basis given at out-of-range {unit} {sorted(extra, key=repr)}")
     by_degree, degree_of = {}, {}
     for deg in degrees:
-        by_degree[deg] = tuple(raw.get(deg, ()))
+        by_degree[deg] = tuple(given.get(deg, ()))
         for label in by_degree[deg]:
             if not isinstance(label, str) or not label:
                 raise SchemaError(f"bad {what} label {label!r} at {deg}")
@@ -65,29 +97,37 @@ def _load_labels(raw: Mapping, degrees, what: str, unit: str) -> tuple[dict, dic
     return by_degree, degree_of
 
 
-def _load_vectors(raw: Mapping, where: str, target_of, out_degree: Mapping) -> tuple[dict, int]:
-    """Each vector of raw, its coefficients read by parse_fraction and zeros
-    dropped, made integral by _integral: the int table and its scale.
+def _load_vectors(
+    raw, where: str, name: str, target_of, out_degree: Mapping, pairs: bool = False
+) -> tuple[dict, int]:
+    """The JSON object raw at where as an int table, and its scale (see _integral).
 
-    target_of(key) is the degree every output label of key's vector must
-    have, or None for a product beyond the top degree, whose vector must
-    vanish; it raises KeyError when key names an unknown label.
+    raw maps a label to its vector, or with pairs x to y to the vector of
+    (x, y); coefficients are read by parse_fraction and zeros dropped.
+    target_of(key) is the degree of every output label of key's vector, or
+    None past the top degree, where the vector must vanish; it raises
+    KeyError when key names an unknown label.
     """
+    rows = [(x, vec, f"{where}.{x}") for x, vec in _object(raw, where).items()]
+    if pairs:
+        rows = [((x, y), vec, f"{at}.{y}") for x, row, at in rows
+                for y, vec in _object(row, at).items()]
     table = {}
-    for key, vec in raw.items():
-        name = f"{where} of {key!r}"
+    for key, vec, at in rows:
+        vec = _object(vec, at)
+        what = f"{name} of {key!r}"
         try:
             target = target_of(key)
         except KeyError:
-            raise SchemaError(f"{name} references an unknown label") from None
+            raise SchemaError(f"{what} references an unknown label") from None
         out = {}
         for z, coeff in vec.items():
-            coeff = parse_fraction(coeff, f"{name} coefficient at {z!r}")
+            coeff = parse_fraction(coeff, f"{what} coefficient at {z!r}")
             if target is None:
                 if coeff:
-                    raise SchemaError(f"{name} exceeds the top degree")
+                    raise SchemaError(f"{what} exceeds the top degree")
             elif out_degree.get(z) != target:
-                raise SchemaError(f"{name} must land in degree {target}, not at {z!r}")
+                raise SchemaError(f"{what} must land in degree {target}, not at {z!r}")
             if coeff:
                 out[z] = coeff
         table[key] = out
@@ -135,19 +175,25 @@ class BigradedRing:
         "_dr_degree_of",
     )
 
-    def __init__(
-        self,
-        name: str,
-        basis: Mapping[tuple[int, int], list[str]],
-        products: Mapping[tuple[str, str], Mapping[str, Fraction]],
-        conj: Mapping[str, Mapping[str, Fraction]],
-        dr_basis: Mapping[int, list[str]],
-        dr_products: Mapping[tuple[str, str], Mapping[str, Fraction]],
-        ident: Mapping[str, Mapping[str, Fraction]],
-    ):
-        self.name = str(name)
-        self.basis, self._degree_of = _load_labels(basis, BIDEGREES, "bigraded", "bidegrees")
-        self.dr_basis, self._dr_degree_of = _load_labels(dr_basis, range(5), "de Rham", "degrees")
+    def __init__(self, payload: Mapping):
+        """Read a ring from its JSON document, checking every section as it goes."""
+        try:
+            name, bigraded = payload["name"], payload["bigraded"]
+            products, derham = payload["products"], payload["derham"]
+            conj, ident = payload.get("conjugation", {}), payload.get("ident", {})
+        except (KeyError, TypeError) as exc:
+            raise SchemaError(f"ring payload missing section: {exc}") from exc
+        if not isinstance(name, str):
+            raise SchemaError(f"ring name must be a string, got {type(name).__name__}")
+        if "basis" not in _object(derham, "derham") or "products" not in derham:
+            raise SchemaError("ring derham needs both basis and products")
+        self.name = name
+        self.basis, self._degree_of = _load_labels(
+            bigraded, "bigraded", _bidegree, BIDEGREES, "bigraded", "bidegrees"
+        )
+        self.dr_basis, self._dr_degree_of = _load_labels(
+            derham["basis"], "derham.basis", _degree, range(5), "de Rham", "degrees"
+        )
         deg, dr_deg = self._degree_of, self._dr_degree_of
 
         def add_pq(key):
@@ -158,13 +204,17 @@ class BigradedRing:
             k = dr_deg[key[0]] + dr_deg[key[1]]
             return k if k <= 4 else None
 
-        self.products, self.product_scale = _load_vectors(products, "bigraded product", add_pq, deg)
-        self.dr_products, self.dr_product_scale = _load_vectors(
-            dr_products, "de Rham product", add_k, dr_deg
+        self.products, self.product_scale = _load_vectors(
+            products, "products", "bigraded product", add_pq, deg, pairs=True
         )
-        self.conj, self.conj_scale = _load_vectors(conj, "conjugation", lambda x: deg[x][::-1], deg)
+        self.dr_products, self.dr_product_scale = _load_vectors(
+            derham["products"], "derham.products", "de Rham product", add_k, dr_deg, pairs=True
+        )
+        self.conj, self.conj_scale = _load_vectors(
+            conj, "conjugation", "conjugation", lambda x: deg[x][::-1], deg
+        )
         self.ident, self.ident_scale = _load_vectors(
-            ident, "identification", lambda x: sum(deg[x]), dr_deg
+            ident, "ident", "identification", lambda x: sum(deg[x]), dr_deg
         )
         for label in deg:
             self.conj.setdefault(label, {})
@@ -321,70 +371,6 @@ def ring_validate(ring: BigradedRing) -> tuple[str, ...]:
     return tuple(report)
 
 
-def ring_from_dict(payload: Mapping) -> BigradedRing:
-    """A ring from its JSON form: keys and shapes are decoded here, and
-    BigradedRing reads every coefficient."""
-    try:
-        name = payload["name"]
-        basis_raw = payload["bigraded"]
-        products_raw = payload["products"]
-        conj_raw = payload.get("conjugation", {})
-        dr = payload["derham"]
-        ident_raw = payload.get("ident", {})
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"ring payload missing section: {exc}") from exc
-    if not isinstance(name, str):
-        raise SchemaError(f"ring name must be a string, got {type(name).__name__}")
-
-    def section(raw, where: str) -> Mapping:
-        if not isinstance(raw, Mapping):
-            raise SchemaError(f"ring {where} must be an object, got {type(raw).__name__}")
-        return raw
-
-    def pq(key: str) -> tuple[int, int]:
-        p, q = key.split(",")
-        return int(p), int(q)
-
-    def basis(raw, where: str, decode, spell) -> dict:
-        out = {}
-        for key, labels in section(raw, where).items():
-            try:
-                degree = decode(key)
-            except (ValueError, AttributeError):
-                degree = None
-            if degree is None or spell(degree) != key:
-                raise SchemaError(f"bad ring {where} key {key!r}")
-            if not isinstance(labels, (list, tuple)):
-                raise SchemaError(
-                    f"ring {where}.{key} must be a list, got {type(labels).__name__}"
-                )
-            out[degree] = list(labels)
-        return out
-
-    def vectors(raw, where: str) -> dict:
-        return {x: section(vec, f"{where}.{x}") for x, vec in section(raw, where).items()}
-
-    def table(raw, where: str) -> dict:
-        return {
-            (x, y): vec
-            for x, per in section(raw, where).items()
-            for y, vec in vectors(per, f"{where}.{x}").items()
-        }
-
-    dr = section(dr, "derham")
-    if "basis" not in dr or "products" not in dr:
-        raise SchemaError("ring derham needs both basis and products")
-    return BigradedRing(
-        name,
-        basis(basis_raw, "bigraded", pq, lambda d: f"{d[0]},{d[1]}"),
-        table(products_raw, "products"),
-        vectors(conj_raw, "conjugation"),
-        basis(dr["basis"], "derham.basis", int, str),
-        table(dr["products"], "derham.products"),
-        vectors(ident_raw, "ident"),
-    )
-
-
 def ring_to_dict(ring: BigradedRing) -> dict:
     """The JSON form of a ring, each table divided by its scale again."""
     def vec_out(vec, scale):
@@ -418,5 +404,4 @@ def load_preset(name: str) -> BigradedRing:
     if name not in PRESET_NAMES:
         raise SchemaError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     path = resources.files("ellfib.cohomology").joinpath(f"presets/{name}.json")
-    payload = json.loads(path.read_text())
-    return ring_from_dict(payload)
+    return BigradedRing(json.loads(path.read_text()))

@@ -9,6 +9,7 @@ exhaustively over torsion points by the round-trip verifier.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, product
 from math import comb
@@ -151,23 +152,31 @@ def beta_map(base: Nerve, section: Mapping[str, SpectralCycle], n: int) -> Bundl
     return BundleFamily(base, _NO_TRANSITIONS, data, n)
 
 
+# each torsion point that is still alive, by its triple (p, q, torsion)
+_LIVE_POINTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def torsion_points(torsion: int) -> list[TorusPoint]:
+    """The torsion**2 points (p/torsion, q/torsion), sorted; a point still
+    alive from an earlier call is returned again, so the two enumerations
+    of one round trip share their points and the negatives those keep."""
     if torsion < 1:
         raise SchemaError("torsion bound must be at least 1")
-    return [
-        TorusPoint.from_triple(p, q, torsion)
-        for p in range(torsion)
-        for q in range(torsion)
-    ]
+    points = []
+    for key in product(range(torsion), range(torsion), (torsion,)):  # p, then q: sorted
+        point = _LIVE_POINTS.get(key)
+        if point is None:
+            point = _LIVE_POINTS[key] = TorusPoint.from_triple(*key)
+        points.append(point)
+    return points
 
 
-def enumerate_cycles(n: int, torsion: int, points=None) -> list[SpectralCycle]:
-    """Every rank-n cycle on torsion points; points, if given, are them sorted."""
+def enumerate_cycles(n: int, torsion: int) -> list[SpectralCycle]:
+    """Every rank-n cycle on torsion points."""
     if n < 1:
         raise SchemaError("cycle rank must be at least 1")
-    points = sorted(torsion_points(torsion)) if points is None else points
     cycles = []
-    for combo in combinations_with_replacement(points, n):
+    for combo in combinations_with_replacement(torsion_points(torsion), n):
         runs = []  # a sorted combination repeats one point object: one pass gives the parts
         for point in combo:
             if runs and runs[-1][0] is point:
@@ -178,12 +187,11 @@ def enumerate_cycles(n: int, torsion: int, points=None) -> list[SpectralCycle]:
     return cycles
 
 
-def enumerate_bundles(n: int, torsion: int, points=None) -> list[AtiyahBundle]:
-    """Every rank-n bundle whose block points are torsion, each class once;
-    points, if given, are the sorted torsion points."""
+def enumerate_bundles(n: int, torsion: int) -> list[AtiyahBundle]:
+    """Every rank-n bundle whose block points are torsion, each class once."""
     if n < 1:
         raise SchemaError("bundle rank must be at least 1")
-    points = sorted(torsion_points(torsion)) if points is None else points
+    points = torsion_points(torsion)
 
     def partitions(total: int, cap: int) -> list[tuple[int, ...]]:
         if total == 0:
@@ -278,14 +286,12 @@ def round_trip_verify(base: Nerve, n: int, torsion: int) -> RoundTripReport:
     s = samples[0]
     failures: list[str] = []
 
-    # one set of torsion points (and their negatives) serves both enumerations
-    points = sorted(torsion_points(torsion))
-    cycles = enumerate_cycles(n, torsion, points)
+    cycles = enumerate_cycles(n, torsion)
     for cycle in cycles:
         if spectral_cover(beta_map(view, {s: cycle}, n).fiber(chart, s)) != cycle:
             failures.append(f"section round trip failed at {cycle!r}")
 
-    bundles = enumerate_bundles(n, torsion, points)
+    bundles = enumerate_bundles(n, torsion)
     classes = set()
     for bundle in bundles:
         rebuilt = beta_map(view, {s: spectral_cover(bundle)}, bundle.rank())

@@ -1025,6 +1025,20 @@ def test_an_integer_past_the_digit_limit_is_a_schema_error(tmp_path, capsys, ver
     assert_schema_error(code, out, err, "invalid JSON")
 
 
+@pytest.mark.parametrize(
+    "verb",
+    [("fm", "--in", "{}"), ("validate-ring", "--preset", "file:{}")],
+    ids=["in", "file-ring"],
+)
+def test_the_digit_limit_error_names_the_file_and_the_limit(tmp_path, capsys, verb):
+    # the interpreter's own text advises a call a command-line user cannot make
+    path = tmp_path / "doc.json"
+    path.write_text('{"n": 1' + "0" * sys.get_int_max_str_digits() + "}", encoding="utf-8")
+    code, out, err = run(capsys, *(arg.format(path) for arg in verb))
+    assert_schema_error(code, out, err, f"error: {path}: ", f" {sys.get_int_max_str_digits()} digits")
+    assert "set_int_max_str_digits" not in err
+
+
 def test_a_key_given_twice_is_a_schema_error(tmp_path, capsys):
     doc = cocycle_doc(pt("1/2"), ORIGIN, ORIGIN)
     text = json.dumps(doc)

@@ -28,7 +28,7 @@ from ellfib.cohomology.engine import (
     synthetic_eta,
 )
 from ellfib.cohomology.fields import GAUSSIAN_MODE, GENERIC_MODE
-from ellfib.cohomology.ring import PRESET_NAMES, BigradedRing, load_preset, ring_from_dict
+from ellfib.cohomology.ring import PRESET_NAMES, BigradedRing, load_preset
 from ellfib.errors import InvalidClass, SchemaError
 from ellfib.linalg import FRACTION_DOMAIN, exact_rank
 from gaussian import MODE_ARITHMETIC, POLYNOMIALS
@@ -741,9 +741,9 @@ def test_fractional_tables_give_the_preset_results(monkeypatch):
     monkeypatch.setattr(ring_module, "lcm", counted)
     for name in PRESET_NAMES:
         text = resources.files("ellfib.cohomology").joinpath(f"presets/{name}.json").read_text()
-        ring_from_dict(json.loads(text))
+        BigradedRing(json.loads(text))
     assert lcms == []  # an integral table is copied as it is
-    scaled = ring_from_dict(scaled_kodaira(Fraction(3, 2), Fraction(1, 6), Fraction(5, 4)))
+    scaled = BigradedRing(scaled_kodaira(Fraction(3, 2), Fraction(1, 6), Fraction(5, 4)))
     assert len(lcms) == 3  # one per scaled table
     preset = load_preset("kodaira")
     classes = [
