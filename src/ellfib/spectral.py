@@ -152,22 +152,26 @@ def beta_map(base: Nerve, section: Mapping[str, SpectralCycle], n: int) -> Bundl
     return BundleFamily(base, _NO_TRANSITIONS, data, n)
 
 
-# each torsion point that is still alive, by its triple (p, q, torsion)
-_LIVE_POINTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# the last torsion asked for, and weak references to its points
+_last_points: tuple[int, list] = (0, [])
 
 
 def torsion_points(torsion: int) -> list[TorusPoint]:
-    """The torsion**2 points (p/torsion, q/torsion), sorted; a point still
-    alive from an earlier call is returned again, so the two enumerations
-    of one round trip share their points and the negatives those keep."""
+    """The torsion**2 points (p/torsion, q/torsion), sorted; while every
+    point of the last call is alive, the same torsion gets them again, so
+    the two enumerations of one round trip share their points and the
+    negatives those keep."""
+    global _last_points
     if torsion < 1:
         raise SchemaError("torsion bound must be at least 1")
-    points = []
-    for key in product(range(torsion), range(torsion), (torsion,)):  # p, then q: sorted
-        point = _LIVE_POINTS.get(key)
-        if point is None:
-            point = _LIVE_POINTS[key] = TorusPoint.from_triple(*key)
-        points.append(point)
+    last, refs = _last_points
+    if last == torsion:
+        points = [ref() for ref in refs]
+        if None not in points:
+            return points
+    # p, then q, ascending: the sorted (u, v) order
+    points = [TorusPoint.from_triple(p, q, torsion) for p in range(torsion) for q in range(torsion)]
+    _last_points = (torsion, [weakref.ref(point) for point in points])
     return points
 
 
