@@ -125,7 +125,7 @@ class EtaClass:
 
 
 def _split_h2(ring: BigradedRing, vec) -> tuple[list, list, list]:
-    sizes = [ring.dim(*pq) for pq in degree_blocks(2)]
+    sizes = [len(ring.basis[pq]) for pq in degree_blocks(2)]
     values = [parse_fraction(x, "H^2 coordinate") for x in vec]
     if len(values) != sum(sizes):
         raise SchemaError(
