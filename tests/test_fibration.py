@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellfib import fibration
+from ellfib.bundles import make_bundle
 from ellfib.errors import (
     IncompatibleFamily,
     InvalidGerbe,
@@ -33,6 +34,7 @@ from ellfib.fibration import (
 )
 from ellfib.linalg import solve_integer
 from ellfib.serialize import nerve_json, parse_nerve
+from ellfib.spectral import BundleFamily
 from ellfib.torus import ORIGIN, TorusPoint
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -457,6 +459,334 @@ def test_classify_refuses_a_local_class_off_the_nerve(key):
     local[key] = ORIGIN
     with pytest.raises(SchemaError, match=re.escape(f"local class at unknown chart/sample {key!r}")):
         classify_line_family(nerve, TranslationCocycle({}), local)
+
+
+# -- one message per defect ------------------------------------------------
+
+ABC = ("a", "b", "c")
+ABC_PAIRS = [("a", "b"), ("a", "c"), ("b", "c")]
+CHART_S = {c: ["s", "t"] for c in ABC}
+OVERLAP_S = {p: ["s", "t"] for p in ABC_PAIRS}
+TRIPLE_S = {ABC: ["s"]}
+
+
+def abc_nerve(**changes) -> Nerve:
+    """Charts a, b, c with samples s and t, their three overlaps with s and
+    t, and their triple with s; each change replaces one whole argument."""
+    args = dict(
+        charts=list(ABC), overlaps=ABC_PAIRS, triples=[ABC],
+        chart_samples=CHART_S, overlap_samples=OVERLAP_S, triple_samples=TRIPLE_S,
+    )
+    return Nerve(**{**args, **changes})
+
+
+def without(mapping: dict, key) -> dict:
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+def no_bc() -> Nerve:
+    """abc_nerve without the overlap b,c and so without the triple."""
+    return abc_nerve(
+        overlaps=ABC_PAIRS[:2], triples=[], overlap_samples=without(OVERLAP_S, ("b", "c")),
+        triple_samples={},
+    )
+
+
+def local_on(nerve: Nerve, extra=None) -> dict:
+    """A zero class on every (chart, sample) of nerve, plus one more key."""
+    local = {(c, s): ORIGIN for c in nerve.charts for s in nerve.chart_samples(c)}
+    if extra:
+        local[extra] = ORIGIN
+    return local
+
+
+def classify_on(nerve: Nerve, extra=None, cocycle=None):
+    return classify_line_family(nerve, cocycle or TranslationCocycle({}), local_on(nerve, extra))
+
+
+def family_on(nerve: Nerve, extra=None, cocycle=None):
+    data = dict.fromkeys(local_on(nerve, extra), make_bundle([(1, ORIGIN)]))
+    return BundleFamily(nerve, cocycle or TranslationCocycle({}), data)
+
+
+def off_cocycle(pair, sample="s") -> TranslationCocycle:
+    return TranslationCocycle({pair: {sample: ORIGIN}})
+
+
+NERVE_DEFECTS = {
+    # charts
+    "no-charts": (lambda: abc_nerve(charts=[]), "a nerve needs at least one chart"),
+    "duplicate-chart": (lambda: abc_nerve(charts=["a", "b", "c", "a"]), "duplicate chart labels"),
+    "empty-chart-label": (
+        lambda: abc_nerve(charts=["a", "b", "c", ""]),
+        "chart label must be a nonempty string: ''",
+    ),
+    "chart-label-not-a-string": (
+        lambda: abc_nerve(charts=["a", "b", "c", 7]),
+        "chart label must be a nonempty string: 7",
+    ),
+    "chart-label-with-a-comma": (
+        lambda: abc_nerve(charts=["a", "b", "c", "d,e"]),
+        "chart label may not contain ',' or '/': 'd,e'",
+    ),
+    "chart-label-with-a-slash": (
+        lambda: abc_nerve(charts=["a", "b", "c", "d/e"]),
+        "chart label may not contain ',' or '/': 'd/e'",
+    ),
+    # overlaps
+    "overlap-of-one-chart": (
+        lambda: abc_nerve(overlaps=ABC_PAIRS + [("a",)]), "overlap must list two charts: ('a',)"
+    ),
+    "overlap-of-three-charts": (
+        lambda: abc_nerve(overlaps=ABC_PAIRS + [ABC]),
+        "overlap must list two charts: ('a', 'b', 'c')",
+    ),
+    "overlap-of-a-chart-with-itself": (
+        lambda: abc_nerve(overlaps=ABC_PAIRS + [("a", "a")]),
+        "overlap needs two distinct charts, got 'a' twice",
+    ),
+    "overlap-of-an-unknown-chart": (
+        lambda: abc_nerve(overlaps=ABC_PAIRS + [("z", "a")]),
+        "overlap ('a', 'z') references unknown charts",
+    ),
+    "duplicate-overlap": (
+        lambda: abc_nerve(overlaps=ABC_PAIRS + [("b", "a")]), "duplicate overlap ('a', 'b')"
+    ),
+    # triples
+    "triple-of-two-charts": (
+        lambda: abc_nerve(triples=[ABC, ("a", "b")]), "triple must list three charts: ('a', 'b')"
+    ),
+    "triple-with-a-repeated-chart": (
+        lambda: abc_nerve(triples=[ABC, ("a", "b", "a")]),
+        "triple needs three distinct charts: ('a', 'b', 'a')",
+    ),
+    "triple-of-an-unknown-chart": (
+        lambda: abc_nerve(triples=[ABC, ("z", "b", "a")]),
+        "triple ('a', 'b', 'z') misses overlap ('a', 'z')",
+    ),
+    "triple-missing-a-face": (
+        lambda: abc_nerve(overlaps=ABC_PAIRS[:2], overlap_samples=without(OVERLAP_S, ("b", "c"))),
+        "triple ('a', 'b', 'c') misses overlap ('b', 'c')",
+    ),
+    "duplicate-triple": (
+        lambda: abc_nerve(triples=[ABC, ("c", "b", "a")]), "duplicate triple ('a', 'b', 'c')"
+    ),
+    # sample sets: given in two orders, missing, empty, duplicate, badly labelled
+    "overlap-samples-in-two-orders": (
+        lambda: abc_nerve(overlap_samples={**OVERLAP_S, ("b", "a"): ["s"]}),
+        "samples for overlap ('a', 'b') given in two orders",
+    ),
+    "triple-samples-in-two-orders": (
+        lambda: abc_nerve(triple_samples={**TRIPLE_S, ("c", "a", "b"): ["s"]}),
+        "samples for triple ('a', 'b', 'c') given in two orders",
+    ),
+    "chart-samples-missing": (
+        lambda: abc_nerve(chart_samples=without(CHART_S, "b")), "missing samples for chart 'b'"
+    ),
+    "overlap-samples-missing": (
+        lambda: abc_nerve(overlap_samples=without(OVERLAP_S, ("a", "c"))),
+        "missing samples for overlap ('a', 'c')",
+    ),
+    "triple-samples-missing": (
+        lambda: abc_nerve(triple_samples={}), "missing samples for triple ('a', 'b', 'c')"
+    ),
+    "no-sample-sections": (
+        lambda: Nerve(list(ABC), ABC_PAIRS, [ABC]), "missing samples for chart 'a'"
+    ),
+    "empty-chart-samples": (
+        lambda: abc_nerve(chart_samples={**CHART_S, "a": []}), "empty sample set for chart 'a'"
+    ),
+    "empty-overlap-samples": (
+        lambda: abc_nerve(overlap_samples={**OVERLAP_S, ("a", "c"): ()}),
+        "empty sample set for overlap ('a', 'c')",
+    ),
+    "empty-triple-samples": (
+        lambda: abc_nerve(triple_samples={ABC: []}), "empty sample set for triple ('a', 'b', 'c')"
+    ),
+    "duplicate-chart-samples": (
+        lambda: abc_nerve(chart_samples={**CHART_S, "c": ["t", "s", "t"]}),
+        "duplicate samples for chart 'c'",
+    ),
+    "duplicate-overlap-samples": (
+        lambda: abc_nerve(overlap_samples={**OVERLAP_S, ("b", "c"): ["s", "s"]}),
+        "duplicate samples for overlap ('b', 'c')",
+    ),
+    "duplicate-triple-samples": (
+        lambda: abc_nerve(triple_samples={ABC: ["s", "s"]}),
+        "duplicate samples for triple ('a', 'b', 'c')",
+    ),
+    "empty-sample-label": (
+        lambda: abc_nerve(chart_samples={**CHART_S, "a": ["s", ""]}),
+        "sample label must be a nonempty string: ''",
+    ),
+    "sample-label-with-a-slash": (
+        lambda: abc_nerve(overlap_samples={**OVERLAP_S, ("a", "b"): ["s", "x/y"]}),
+        "sample label may not contain ',' or '/': 'x/y'",
+    ),
+    "sample-label-with-a-comma": (
+        lambda: abc_nerve(triple_samples={ABC: ["x,y"]}),
+        "sample label may not contain ',' or '/': 'x,y'",
+    ),
+    # samples for what the nerve does not have
+    "samples-for-an-unknown-chart": (
+        lambda: abc_nerve(chart_samples={**CHART_S, "z": ["s"]}),
+        "samples given for unknown charts: ['z']",
+    ),
+    "samples-for-an-unknown-overlap": (
+        lambda: abc_nerve(overlap_samples={**OVERLAP_S, ("z", "a"): ["s"]}),
+        "samples given for unknown overlaps: [('a', 'z')]",
+    ),
+    "samples-for-an-unknown-triple": (
+        lambda: abc_nerve(triple_samples={**TRIPLE_S, ("a", "z", "b"): ["s"]}),
+        "samples given for unknown triples: [('a', 'b', 'z')]",
+    ),
+    "chart-samples-under-an-overlap-key": (
+        lambda: abc_nerve(chart_samples={**CHART_S, ("b", "a"): ["s"]}),
+        "samples given for unknown charts: [('a', 'b')]",
+    ),
+    "overlap-samples-under-a-chart-key": (
+        lambda: abc_nerve(overlap_samples={**OVERLAP_S, "a": ["s"]}),
+        "samples given for unknown overlaps: ['a']",
+    ),
+    "triple-samples-under-an-overlap-key": (
+        lambda: abc_nerve(triple_samples={**TRIPLE_S, ("a", "b"): ["s"]}),
+        "samples given for unknown triples: [('a', 'b')]",
+    ),
+    # a sample missing from a face
+    "overlap-sample-missing-from-a-chart": (
+        lambda: abc_nerve(overlap_samples={**OVERLAP_S, ("a", "c"): ["s", "u"]}),
+        "overlap ('a', 'c') sample 'u' missing from a chart",
+    ),
+    "overlap-sample-missing-from-its-second-chart": (
+        lambda: abc_nerve(chart_samples={**CHART_S, "c": ["s"]}),
+        "overlap ('a', 'c') sample 't' missing from a chart",
+    ),
+    "triple-sample-missing-from-an-overlap": (
+        lambda: abc_nerve(triple_samples={ABC: ["s", "t"]},
+                          overlap_samples={**OVERLAP_S, ("a", "c"): ["s"]}),
+        "triple ('a', 'b', 'c') sample 't' missing from overlap ('a', 'c')",
+    ),
+    "triple-sample-missing-from-two-overlaps": (
+        lambda: abc_nerve(triple_samples={ABC: ["s", "t"]},
+                          overlap_samples={**OVERLAP_S, ("a", "c"): ["s"], ("b", "c"): ["s"]}),
+        "triple ('a', 'b', 'c') sample 't' missing from overlap ('b', 'c')",
+    ),
+    # accessor calls on keys the nerve does not have
+    "unknown-chart": (lambda: abc_nerve().chart_samples("z"), "unknown chart 'z'"),
+    "an-overlap-asked-as-a-chart": (
+        lambda: abc_nerve().chart_samples(("a", "b")), "unknown chart ('a', 'b')"
+    ),
+    "a-triple-asked-as-a-chart": (
+        lambda: abc_nerve().chart_samples(ABC), "unknown chart ('a', 'b', 'c')"
+    ),
+    "unknown-overlap": (
+        lambda: abc_nerve().overlap_samples("z", "c"), "unknown overlap ('c', 'z')"
+    ),
+    "overlap-asked-of-one-chart": (
+        lambda: abc_nerve().overlap_samples("b", "b"),
+        "overlap needs two distinct charts, got 'b' twice",
+    ),
+    "overlap-missing-from-the-nerve": (
+        lambda: no_bc().overlap_samples("c", "b"), "unknown overlap ('b', 'c')"
+    ),
+    "unknown-triple": (
+        lambda: abc_nerve().triple_samples("a", "z", "b"), "unknown triple ('a', 'b', 'z')"
+    ),
+    "triple-asked-with-a-repeated-chart": (
+        lambda: abc_nerve().triple_samples("a", "b", "a"),
+        "triple needs three distinct charts: ('a', 'b', 'a')",
+    ),
+    "triple-of-a-nerve-without-triples": (
+        lambda: abc_nerve(triples=[], triple_samples={}).triple_samples("c", "b", "a"),
+        "unknown triple ('a', 'b', 'c')",
+    ),
+    # cocycle values, local classes and family entries off the nerve
+    "cocycle-check-on-an-unknown-overlap": (
+        lambda: check_cocycle(abc_nerve(), off_cocycle(("a", "z"))),
+        "cocycle value on unknown overlap ('a', 'z')",
+    ),
+    "coboundary-on-a-missing-overlap": (
+        lambda: coboundary_solve(no_bc(), off_cocycle(("c", "b"))),
+        "cocycle value on unknown overlap ('b', 'c')",
+    ),
+    "classify-cocycle-at-an-unknown-sample": (
+        lambda: classify_on(abc_nerve(), cocycle=off_cocycle(("a", "b"), "u")),
+        "cocycle value on overlap ('a', 'b') at unknown samples ['u']",
+    ),
+    "local-class-at-an-unknown-chart": (
+        lambda: classify_on(abc_nerve(), ("z", "s")),
+        "local class at unknown chart/sample ('z', 's')",
+    ),
+    "local-class-at-an-unknown-sample": (
+        lambda: classify_on(abc_nerve(), ("b", "u")),
+        "local class at unknown chart/sample ('b', 'u')",
+    ),
+    "local-class-under-an-overlap-key": (
+        lambda: classify_on(no_bc(), ("a", "b")),
+        "local class at unknown chart/sample ('a', 'b')",
+    ),
+    "family-entry-at-an-unknown-chart": (
+        lambda: family_on(abc_nerve(), ("z", "t")), "family data at unknown chart/sample ('z', 't')"
+    ),
+    "family-entry-at-an-unknown-sample": (
+        lambda: family_on(abc_nerve(), ("c", "u")), "family data at unknown chart/sample ('c', 'u')"
+    ),
+    "family-cocycle-on-an-unknown-overlap": (
+        lambda: family_on(abc_nerve(), cocycle=off_cocycle(("a", "z"))),
+        "cocycle value on unknown overlap ('a', 'z')",
+    ),
+    # gerbe scalars and descriptors off the nerve, or given twice
+    "gerbe-a-on-an-unknown-overlap": (
+        lambda: GerbeData(abc_nerve(), a={("z", "a"): 2}),
+        "gerbe scalar on unknown overlap ('a', 'z')",
+    ),
+    "gerbe-a-on-a-missing-overlap": (
+        lambda: GerbeData(no_bc(), a={("b", "c"): 2}), "gerbe scalar on unknown overlap ('b', 'c')"
+    ),
+    "gerbe-a-on-one-chart": (
+        lambda: GerbeData(abc_nerve(), a={("a", "a"): 2}),
+        "overlap needs two distinct charts, got 'a' twice",
+    ),
+    "gerbe-c-on-an-unknown-triple": (
+        lambda: GerbeData(abc_nerve(), c={("a", "b", "z"): 2}),
+        "gerbe scalar on unknown triple ('a', 'b', 'z')",
+    ),
+    "gerbe-c-on-a-nerve-without-triples": (
+        lambda: GerbeData(abc_nerve(triples=[], triple_samples={}), c={ABC: 2}),
+        "gerbe scalar on unknown triple ('a', 'b', 'c')",
+    ),
+    "gerbe-a-given-twice": (
+        lambda: GerbeData(abc_nerve(), a={("a", "b"): 2, ("b", "a"): Fraction(1, 2)}),
+        "gerbe lists overlap ('a', 'b') twice",
+    ),
+    "gerbe-c-given-twice": (
+        lambda: GerbeData(abc_nerve(), c={ABC: 3, ("b", "c", "a"): 3}),
+        "gerbe lists triple ('a', 'b', 'c') twice",
+    ),
+    "descriptor-on-an-unknown-overlap": (
+        lambda: GerbeData(abc_nerve(), descriptors={("a", "z"): {}}),
+        "descriptor on unknown overlap ('a', 'z')",
+    ),
+    "descriptor-on-a-missing-overlap": (
+        lambda: GerbeData(no_bc(), descriptors={("c", "b"): {("a", "b"): 1}}),
+        "descriptor on unknown overlap ('b', 'c')",
+    ),
+    "descriptor-with-an-unknown-generator": (
+        lambda: GerbeData(abc_nerve(), descriptors={("a", "b"): {("z", "a"): 1}}),
+        "descriptor references unknown overlap ('z', 'a')",
+    ),
+    "descriptor-with-a-missing-generator": (
+        lambda: GerbeData(no_bc(), descriptors={("a", "b"): {("c", "b"): 1}}),
+        "descriptor references unknown overlap ('c', 'b')",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", NERVE_DEFECTS.values(), ids=list(NERVE_DEFECTS))
+def test_each_nerve_defect_has_its_message(call, message):
+    with pytest.raises(SchemaError) as info:
+        call()
+    assert str(info.value) == message
 
 
 # -- gerbe data and obstruction --------------------------------------------
