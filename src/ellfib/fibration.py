@@ -1,13 +1,15 @@
 """Finite chart model of the fibered surface base.
 
 The base is replaced by a nerve: chart labels, unordered overlaps and
-triples, and finite sample-label sets with triple samples contained in
-overlap samples contained in chart samples.  Transition data becomes a
-translation-valued cocycle tabulated at samples.  On top of that sit the
-three classification tools: the cocycle checker, the coboundary solver
-deciding whether the transition class is trivial, and the gluing of
-locally constant classifying maps.  The multiplicative gerbe obstruction
-lives here too, with scalars modeled as nonzero rationals.
+triples, and one table from each of them to its finite sample-label set,
+with triple samples contained in overlap samples contained in chart
+samples.  The nerve answers every membership question from that table.
+Transition data becomes a translation-valued cocycle tabulated at
+samples.  On top of that sit the three classification tools: the cocycle
+checker, the coboundary solver deciding whether the transition class is
+trivial, and the gluing of locally constant classifying maps.  The
+multiplicative gerbe obstruction lives here too, with scalars modeled as
+nonzero rationals.
 """
 
 from __future__ import annotations
@@ -54,10 +56,7 @@ def triple_key(i: str, j: str, k: str) -> tuple[str, str, str]:
 class Nerve:
     """Validated chart/overlap/triple incidence with sample labels."""
 
-    __slots__ = (
-        "charts", "overlaps", "triples", "_chart_s", "_overlap_s", "_triple_s", "_pairs",
-        "_relator",
-    )
+    __slots__ = ("charts", "overlaps", "triples", "_samples", "_pairs", "_relator")
 
     def __init__(
         self,
@@ -71,16 +70,17 @@ class Nerve:
         chart_list = [_check_label(c, "chart") for c in charts]
         if not chart_list:
             raise SchemaError("a nerve needs at least one chart")
-        if len(set(chart_list)) != len(chart_list):
+        chart_set = set(chart_list)
+        if len(chart_set) != len(chart_list):
             raise SchemaError("duplicate chart labels")
-        self.charts = tuple(sorted(chart_list))
+        self.charts = tuple(sorted(chart_set))
 
         seen_pairs = set()
         for pair in overlaps:
             if len(pair) != 2:
                 raise SchemaError(f"overlap must list two charts: {pair!r}")
             key = overlap_key(*pair)
-            if key[0] not in self.charts or key[1] not in self.charts:
+            if key[0] not in chart_set or key[1] not in chart_set:
                 raise SchemaError(f"overlap {key!r} references unknown charts")
             if key in seen_pairs:
                 raise SchemaError(f"duplicate overlap {key!r}")
@@ -101,8 +101,15 @@ class Nerve:
             seen_triples.add(key)
         self.triples = tuple(sorted(seen_triples))
 
-        def clean_samples(raw, keys, kind):
-            given, out = {}, {}
+        # chart label, overlap pair or sorted triple -> sorted samples, filled kind by kind
+        # so that its order is canonical; members holds the same samples as sets
+        self._samples, members = {}, {}
+        for kind, keys, raw in (
+            ("chart", self.charts, chart_samples),
+            ("overlap", self.overlaps, overlap_samples),
+            ("triple", self.triples, triple_samples),
+        ):
+            given = {}
             for key, labels in (raw or {}).items():
                 # an overlap or triple key may list its charts in any order
                 key = tuple(sorted(key)) if isinstance(key, tuple) else key
@@ -115,31 +122,23 @@ class Nerve:
                 labels = [_check_label(s, "sample") for s in given.pop(key)]
                 if not labels:
                     raise SchemaError(f"empty sample set for {kind} {key!r}")
-                if len(set(labels)) != len(labels):
+                members[key] = distinct = set(labels)
+                if len(distinct) != len(labels):
                     raise SchemaError(f"duplicate samples for {kind} {key!r}")
-                out[key] = tuple(sorted(labels))
+                self._samples[key] = tuple(sorted(labels))
             if given:
                 raise SchemaError(f"samples given for unknown {kind}s: {sorted(given)!r}")
-            return out
 
-        self._chart_s = clean_samples(chart_samples, self.charts, "chart")
-        self._overlap_s = clean_samples(overlap_samples, self.overlaps, "overlap")
-        self._triple_s = clean_samples(triple_samples, self.triples, "triple")
-
-        for (i, j), labels in self._overlap_s.items():
-            for s in labels:
-                if s not in self._chart_s[i] or s not in self._chart_s[j]:
-                    raise SchemaError(
-                        f"overlap {(i, j)!r} sample {s!r} missing from a chart"
-                    )
-        for (i, j, k), labels in self._triple_s.items():
-            pairs = [(i, j), (j, k), (i, k)]
-            for s in labels:
-                for pair in pairs:
-                    if s not in self._overlap_s[pair]:
+        for i, j in self.overlaps:
+            for s in self._samples[(i, j)]:
+                if s not in members[i] or s not in members[j]:
+                    raise SchemaError(f"overlap {(i, j)!r} sample {s!r} missing from a chart")
+        for i, j, k in self.triples:
+            for s in self._samples[(i, j, k)]:
+                for pair in ((i, j), (j, k), (i, k)):
+                    if s not in members[pair]:
                         raise SchemaError(
-                            f"triple {(i, j, k)!r} sample {s!r} missing from "
-                            f"overlap {pair!r}"
+                            f"triple {(i, j, k)!r} sample {s!r} missing from overlap {pair!r}"
                         )
 
     @classmethod
@@ -147,31 +146,50 @@ class Nerve:
         return cls([chart], chart_samples={chart: samples})
 
     def chart_samples(self, chart: str) -> tuple[str, ...]:
-        if chart not in self._chart_s:
+        # a tuple would name an overlap or a triple of the table
+        if not isinstance(chart, str) or (samples := self._samples.get(chart)) is None:
             raise SchemaError(f"unknown chart {chart!r}")
-        return self._chart_s[chart]
+        return samples
 
     def overlap_samples(self, i: str, j: str) -> tuple[str, ...]:
         key = overlap_key(i, j)
-        if key not in self._overlap_s:
+        if (samples := self._samples.get(key)) is None:
             raise SchemaError(f"unknown overlap {key!r}")
-        return self._overlap_s[key]
+        return samples
 
     def triple_samples(self, i: str, j: str, k: str) -> tuple[str, ...]:
         key = triple_key(i, j, k)
-        if key not in self._triple_s:
+        if (samples := self._samples.get(key)) is None:
             raise SchemaError(f"unknown triple {key!r}")
-        return self._triple_s[key]
+        return samples
 
-    def _pair_set(self) -> frozenset[tuple[str, str]]:
-        """Every (chart, sample) key, built at the first call and kept."""
-        try:
-            return self._pairs
-        except AttributeError:
-            self._pairs = frozenset(
-                (chart, s) for chart, labels in self._chart_s.items() for s in labels
-            )
-            return self._pairs
+    def __contains__(self, key) -> bool:
+        """Whether key is a chart label, an overlap key or a sorted triple of the nerve."""
+        return key in self._samples
+
+    def check_data(self, cocycle: "TranslationCocycle", local=None, what="local class"):
+        """Refuse a cocycle value, or a key of local, that lies off the nerve.
+
+        Given local, return the (chart, sample) pairs of the nerve it leaves out.
+        """
+        for key, per_sample in cocycle.values.items():
+            # a cocycle key is an overlap key, so the table holds it only as an overlap
+            if (samples := self._samples.get(key)) is None:
+                raise SchemaError(f"cocycle value on unknown overlap {key!r}")
+            if extra := per_sample.keys() - samples:
+                raise SchemaError(
+                    f"cocycle value on overlap {key!r} at unknown samples {sorted(extra)!r}"
+                )
+        if local is not None:
+            try:
+                pairs = self._pairs
+            except AttributeError:  # the (chart, sample) keys, built at the first call and kept
+                pairs = frozenset((c, s) for c in self.charts for s in self._samples[c])
+                self._pairs = pairs
+            for key in local:
+                if key not in pairs:
+                    raise SchemaError(f"{what} at unknown chart/sample {key!r}")
+            return pairs - local.keys()
 
     def _relator_form(self):
         """Diagonal form (d, U, V) of the relator matrix R, built at the first call and kept.
@@ -210,21 +228,11 @@ class Nerve:
             if l > k
         )
 
-    def _key(self):
-        return (
-            self.charts,
-            self.overlaps,
-            self.triples,
-            tuple(sorted(self._chart_s.items())),
-            tuple(sorted(self._overlap_s.items())),
-            tuple(sorted(self._triple_s.items())),
-        )
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, Nerve) and self._key() == other._key()
+        return isinstance(other, Nerve) and self._samples == other._samples
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(tuple(self._samples.items()))
 
     def __repr__(self) -> str:
         return (
@@ -269,25 +277,6 @@ class TranslationCocycle:
         return f"TranslationCocycle(overlaps={len(self.values)})"
 
 
-def _check_on_nerve(nerve: Nerve, cocycle: TranslationCocycle, local=None, what="local class"):
-    """Refuse a cocycle value, or a key of local, that lies off the nerve.
-
-    Given local, return the (chart, sample) pairs of the nerve it leaves out.
-    """
-    for key, per_sample in cocycle.values.items():
-        if key not in nerve._overlap_s:
-            raise SchemaError(f"cocycle value on unknown overlap {key!r}")
-        extra = per_sample.keys() - nerve._overlap_s[key]
-        if extra:
-            raise SchemaError(f"cocycle value on overlap {key!r} at unknown samples {sorted(extra)!r}")
-    if local is not None:
-        pairs = nerve._pair_set()
-        for key in local:
-            if key not in pairs:
-                raise SchemaError(f"{what} at unknown chart/sample {key!r}")
-        return pairs - local.keys()
-
-
 @dataclass(frozen=True)
 class CocycleReport:
     ok: bool
@@ -296,7 +285,7 @@ class CocycleReport:
 
 def check_cocycle(nerve: Nerve, cocycle: TranslationCocycle) -> CocycleReport:
     """List every triple sample where the three-term sum is not zero."""
-    _check_on_nerve(nerve, cocycle)
+    nerve.check_data(cocycle)
     for i, j in nerve.overlaps:
         for s in nerve.overlap_samples(i, j):
             cocycle.value(i, j, s)
@@ -321,7 +310,7 @@ def coboundary_solve(
     Each connected component of the (chart, sample) constraint graph is
     anchored by zeroing its smallest node, so the answer is canonical.
     """
-    _check_on_nerve(nerve, cocycle)
+    nerve.check_data(cocycle)
     nodes = sorted(
         (chart, s) for chart in nerve.charts for s in nerve.chart_samples(chart)
     )
@@ -364,7 +353,7 @@ def classify_line_family(
     The cocycle is accepted for interface symmetry and precondition
     context only; like local, it may hold no value off the nerve.
     """
-    missing = _check_on_nerve(nerve, cocycle, local)
+    missing = nerve.check_data(cocycle, local)
     if missing:
         chart, s = min(missing)
         raise MissingSample(f"no local class for chart {chart!r} sample {s!r}")
@@ -418,7 +407,7 @@ class GerbeData:
         self.a: dict[tuple[str, str], Fraction] = {}
         for (i, j), value in (a or {}).items():
             key = overlap_key(i, j)
-            if key not in nerve.overlaps:
+            if key not in nerve:
                 raise SchemaError(f"gerbe scalar on unknown overlap {key!r}")
             if key in self.a:
                 raise SchemaError(f"gerbe lists overlap {key!r} twice")
@@ -427,7 +416,7 @@ class GerbeData:
         self.c: dict[tuple[str, str, str], Fraction] = {}
         for tri, value in (c or {}).items():
             key = triple_key(*tri)
-            if key not in nerve.triples:
+            if key not in nerve:
                 raise SchemaError(f"gerbe scalar on unknown triple {key!r}")
             if key in self.c:
                 raise SchemaError(f"gerbe lists triple {key!r} twice")
@@ -436,12 +425,12 @@ class GerbeData:
         self.descriptors: dict[tuple[str, str], dict[tuple[str, str], int]] = {}
         for (i, j), exps in (descriptors or {}).items():
             key = overlap_key(i, j)
-            if key not in nerve.overlaps:
+            if key not in nerve:
                 raise SchemaError(f"descriptor on unknown overlap {key!r}")
             vec: dict[tuple[str, str], int] = {}
             for (u, v), e in exps.items():
                 gen = overlap_key(u, v)
-                if gen not in nerve.overlaps:
+                if gen not in nerve:
                     raise SchemaError(f"descriptor references unknown overlap {(u, v)!r}")
                 if isinstance(e, bool) or not isinstance(e, int):
                     raise SchemaError(f"descriptor exponent must be an integer, got {e!r}")

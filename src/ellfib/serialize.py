@@ -175,18 +175,14 @@ def parse_nerve(obj) -> Nerve:
         _labels(tri, "triple") for tri in _require_list(data.get("triples", []), "triples")
     ]
     samples = _require_dict(data["samples"], "samples", {"charts"}, {"overlaps", "triples"})
-    chart_samples = {}
-    for chart, listed in _any_dict(samples["charts"], "chart samples").items():
-        chart_samples[chart] = _labels(listed, f"samples for chart {chart!r}")
-    overlap_samples = {}
-    for key, listed in _any_dict(samples.get("overlaps", {}), "overlap samples").items():
-        pair = _split_key(key, 2, "overlap samples")
-        overlap_samples[pair] = _labels(listed, f"samples for overlap {key!r}")
-    triple_samples = {}
-    for key, listed in _any_dict(samples.get("triples", {}), "triple samples").items():
-        tri = _split_key(key, 3, "triple samples")
-        triple_samples[tri] = _labels(listed, f"samples for triple {key!r}")
-    return Nerve(charts, overlaps, triples, chart_samples, overlap_samples, triple_samples)
+    tables = []
+    for kind, parts in (("chart", 1), ("overlap", 2), ("triple", 3)):
+        table = {}
+        for key, listed in _any_dict(samples.get(f"{kind}s", {}), f"{kind} samples").items():
+            label = key if parts == 1 else _split_key(key, parts, f"{kind} samples")
+            table[label] = _labels(listed, f"samples for {kind} {key!r}")
+        tables.append(table)
+    return Nerve(charts, overlaps, triples, *tables)
 
 
 def nerve_json(n: Nerve) -> dict:

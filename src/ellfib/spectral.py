@@ -25,7 +25,7 @@ from .errors import (
     SchemaError,
     WrongTotal,
 )
-from .fibration import Nerve, TranslationCocycle, _check_on_nerve
+from .fibration import Nerve, TranslationCocycle
 from .torus import PointMultiset, TorusPoint, merge_points
 from .transform import SkyscraperClass, fm_transform, psi_transform
 
@@ -71,7 +71,7 @@ class BundleFamily:
     ):
         if rank is not None and (type(rank) is not int or rank < 1):
             raise NonPositiveRank(f"family rank must be a positive int, got {rank!r}")
-        missing = _check_on_nerve(base, cocycle, data, "family data")
+        missing = base.check_data(cocycle, data, "family data")
         if missing:
             raise MissingSample(f"family data missing at {sorted(missing)!r}")
         self.base = base
