@@ -210,7 +210,10 @@ class Nerve:
                 row[column[(j, k)]] += 1
                 row[column[(i, k)]] -= 1
                 rows.append(row)
-            d, u, v = integer_diagonalize(rows)
+            if rows:
+                d, u, v = integer_diagonalize(rows)
+            else:  # an empty row list cannot carry the column count, so V is written out
+                d, u, v = (), (), [[int(a == b) for b in self.overlaps] for a in self.overlaps]
             self._relator = (tuple(d), tuple(map(tuple, u)), tuple(map(tuple, v)))
             return self._relator
 

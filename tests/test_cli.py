@@ -477,6 +477,16 @@ def test_gerbe_obstructed_fixture(tmp_path, capsys):
     assert payload["witness"] is None
 
 
+def test_gerbe_on_a_nerve_without_triples_prints_a_witness_per_overlap(tmp_path, capsys):
+    doc = tetra_doc(a={"c1,c2": "2", "c3,c4": "-1/3"})
+    doc["nerve"]["triples"], doc["nerve"]["samples"]["triples"] = [], {}
+    code, out, _ = run(capsys, "gerbe", "--in", write(tmp_path, "g.json", doc))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["alpha"] == {} and payload["gluable"]
+    assert payload["witness"] == {",".join(pair): "1" for pair in doc["nerve"]["overlaps"]}
+
+
 SYMPY_PROBE = """
 import contextlib, io, json, sys
 import ellfib.cli

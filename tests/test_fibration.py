@@ -1082,6 +1082,17 @@ def test_single_triple_gerbes_always_glue():
     assert report.gluable
 
 
+def test_a_nerve_without_triples_has_a_witness_on_every_overlap():
+    # no triple constrains an overlap, so beta = 1 on each one is a witness
+    nerve = abc_nerve(triples=[], triple_samples={})
+    report = gerbe_alpha(nerve, GerbeData(nerve, a={("a", "b"): 5, ("c", "b"): Fraction(-1, 3)}))
+    assert report.alpha == () and report.gluable
+    assert report.witness == tuple((key, Fraction(1)) for key in nerve.overlaps)
+    assert gerbe_alpha(nerve, GerbeData(nerve)).witness == report.witness
+    single = Nerve.single_chart()
+    assert gerbe_alpha(single, GerbeData(single)).witness == ()
+
+
 def test_gerbe_alpha_diagonalizes_the_relators_once(monkeypatch):
     # condition 3 and the witness share the nerve's one form, which the
     # benchmark tracer counts through the fibration module name

@@ -408,7 +408,8 @@ def test_report_emitters_shapes():
     assert payload["cocycle_ok"] and payload["gluable"]
     assert payload["alpha"] == {}
     assert payload["tetrahedra"] == {}
-    assert payload["witness"] == {}
+    # no triple constrains the overlap, so the witness is 1 there
+    assert payload["witness"] == {"c1,c2": "1"}
 
     payload = roundtrip_report_json(round_trip_verify(Nerve.single_chart(), 1, 1))
     assert payload["ok"] and payload["bijective"]
