@@ -167,7 +167,7 @@ class Nerve:
         """Whether key is a chart label, an overlap key or a sorted triple of the nerve."""
         return key in self._samples
 
-    def check_data(self, cocycle: "TranslationCocycle", local=None, what="local class"):
+    def check_data(self, cocycle: TranslationCocycle, local=None, what="local class"):
         """Refuse a cocycle value, or a key of local, that lies off the nerve.
 
         Given local, return the (chart, sample) pairs of the nerve it leaves out.
