@@ -22,15 +22,19 @@ then gerbe on the 6-vertex triangulation of the real projective plane,
 whose relator diagonal holds a 2: every sign pattern of c with a = 1,
 then seeded signed prime ratios for a and c, then invariants on six
 torus4 classes whose ranks change at tau = i (both modes, --out json
-and --out table), and last the fixed round trips of the moduli
-benchmark, roundtrip --n 3 --torsion 6 and --n 4 --torsion 4, each in a
-fresh `python -m ellfib.cli` process.
+and --out table), then the fixed round trips of the moduli benchmark,
+roundtrip --n 3 --torsion 6 and --n 4 --torsion 4, each in a fresh
+`python -m ellfib.cli` process, and last cocycle-check, classify and
+gerbe on a three-chart nerve with data on it, as given and with one
+defect each: in the nerve's charts, overlaps, triples or sample sets,
+or in the cocycle, local classes or gerbe data off the nerve.
 Every run's argument list, exit code, stdout and stderr go into the
 digest of its verb; the budget runs go into "psi budget" and "beta
 budget", so the other twelve digests can be compared with a checkout
 that has no such budget, the projective-plane gerbes into "gerbe rp2",
-the torus4 classes into "invariants tau=i", and the two fresh-process
-round trips into "roundtrip cold".  Input
+the torus4 classes into "invariants tau=i", the two fresh-process
+round trips into "roundtrip cold", and the three-chart nerve runs into
+"nerve errors".  Input
 documents are written to one fixed relative path inside a temporary
 working directory, so no temporary path reaches the output.
 
@@ -269,6 +273,129 @@ COLD_ROUNDTRIPS = [
 ]
 
 
+ABC_PAIRS = ["a,b", "a,c", "b,c"]
+ZERO = {"u": "0", "v": "0"}
+DROP = object()  # a change that deletes its key
+
+
+def _abc_parts() -> dict:
+    """A nerve on charts a, b, c (samples s and t, their three overlaps with s
+    and t, their triple with s) and valid cocycle, local and gerbe data on it."""
+    return {
+        "nerve": {
+            "charts": ["a", "b", "c"],
+            "overlaps": [pair.split(",") for pair in ABC_PAIRS],
+            "triples": [["a", "b", "c"]],
+            "samples": {
+                "charts": {c: ["s", "t"] for c in "abc"},
+                "overlaps": {pair: ["s", "t"] for pair in ABC_PAIRS},
+                "triples": {"a,b,c": ["s"]},
+            },
+        },
+        "cocycle": {"lambda": {pair: {"s": ZERO, "t": ZERO} for pair in ABC_PAIRS}},
+        "local": {f"{c}/{s}": ZERO for c in "abc" for s in "st"},
+        "gerbe": {"a": {"a,b": "2"}, "c": {"a,b,c": "3"}},
+    }
+
+
+def _pairs_plus(*extra) -> list:
+    return [pair.split(",") for pair in ABC_PAIRS] + [list(x) for x in extra]
+
+
+# (path, value): one change to the parts of _abc_parts; each run below
+# carries a single defect, from the nerve's charts to the data on it
+NERVE_DEFECTS = [
+    (("nerve", "charts"), []),
+    (("nerve", "charts"), ["a", "b", "c", "a"]),
+    (("nerve", "charts"), ["a", "b", "c", ""]),
+    (("nerve", "charts"), ["a", "b", "c", 7]),
+    (("nerve", "charts"), ["a", "b", "c", "d,e"]),
+    (("nerve", "charts"), ["a", "b", "c", "d/e"]),
+    (("nerve", "charts"), "abc"),
+    (("nerve", "overlaps"), _pairs_plus("a")),
+    (("nerve", "overlaps"), _pairs_plus("abc")),
+    (("nerve", "overlaps"), _pairs_plus("aa")),
+    (("nerve", "overlaps"), _pairs_plus("za")),
+    (("nerve", "overlaps"), _pairs_plus("ba")),
+    (("nerve", "overlaps"), [["a", 7]]),
+    (("nerve", "triples"), [["a", "b", "c"], ["a", "b"]]),
+    (("nerve", "triples"), [["a", "b", "c"], ["a", "b", "a"]]),
+    (("nerve", "triples"), [["a", "b", "c"], ["z", "b", "a"]]),
+    (("nerve", "triples"), [["a", "b", "c"], ["c", "b", "a"]]),
+    (("nerve", "triples"), {"a": "b"}),
+    (("nerve", "overlaps"), _pairs_plus()[:2]),
+    (("nerve", "samples"), DROP),
+    (("nerve", "samples", "charts"), DROP),
+    (("nerve", "samples", "overlaps", "b,a"), ["s"]),
+    (("nerve", "samples", "triples", "c,a,b"), ["s"]),
+    (("nerve", "samples", "charts", "b"), DROP),
+    (("nerve", "samples", "overlaps", "a,c"), DROP),
+    (("nerve", "samples", "triples", "a,b,c"), DROP),
+    (("nerve", "samples", "charts", "a"), []),
+    (("nerve", "samples", "overlaps", "a,c"), []),
+    (("nerve", "samples", "triples", "a,b,c"), []),
+    (("nerve", "samples", "charts", "c"), ["t", "s", "t"]),
+    (("nerve", "samples", "overlaps", "b,c"), ["s", "s"]),
+    (("nerve", "samples", "triples", "a,b,c"), ["s", "s"]),
+    (("nerve", "samples", "charts", "a"), ["s", ""]),
+    (("nerve", "samples", "overlaps", "a,b"), ["s", "x/y"]),
+    (("nerve", "samples", "triples", "a,b,c"), ["x,y"]),
+    (("nerve", "samples", "charts", "z"), ["s"]),
+    (("nerve", "samples", "overlaps", "z,a"), ["s"]),
+    (("nerve", "samples", "triples", "a,z,b"), ["s"]),
+    (("nerve", "samples", "charts", "a,b"), ["s"]),
+    (("nerve", "samples", "overlaps", "a"), ["s"]),
+    (("nerve", "samples", "triples", "a,b"), ["s"]),
+    (("nerve", "samples", "overlaps", "a,c"), ["s", "u"]),
+    (("nerve", "samples", "charts", "c"), ["s"]),
+    (("nerve", "samples", "triples", "a,b,c"), ["s", "t", "u"]),
+    (("nerve", "samples", "unknown"), {}),
+    (("cocycle", "lambda", "a,z"), {"s": ZERO}),
+    (("cocycle", "lambda", "a,b", "u"), ZERO),
+    (("cocycle", "lambda", "b,a"), {"s": ZERO}),
+    (("cocycle", "lambda", "a,b"), DROP),
+    (("local", "z/s"), ZERO),
+    (("local", "a/u"), ZERO),
+    (("local", "a,b/s"), ZERO),
+    (("local", "a/s"), DROP),
+    (("gerbe", "a", "a,z"), "2"),
+    (("gerbe", "a", "b,a"), "1/2"),
+    (("gerbe", "a", "a,a"), "2"),
+    (("gerbe", "c", "a,b,z"), "2"),
+    (("gerbe", "c", "c,b,a"), "3"),
+    (("gerbe", "c", "a,b"), "3"),
+    (("gerbe", "descriptors"), {"a,z": {}}),
+    (("gerbe", "descriptors"), {"a,b": {"z,a": 1}}),
+]
+
+NERVE_VERBS = {
+    "cocycle-check": ("nerve", "cocycle"),
+    "classify": ("nerve", "cocycle", "local"),
+    "gerbe": ("nerve", "gerbe"),
+}
+
+
+def nerve_error_runs():
+    """(argv, document) for cocycle-check, classify and gerbe on the parts of
+    _abc_parts as given, then with each NERVE_DEFECTS change: a verb runs a
+    change whose first step names one of the parts it reads."""
+    changes = [None] + NERVE_DEFECTS
+    for change in changes:
+        parts = _abc_parts()
+        if change is not None:
+            (*steps, key), value = change
+            at = parts
+            for step in steps:
+                at = at[step]
+            if value is DROP:
+                del at[key]
+            else:
+                at[key] = value
+        for verb, names in NERVE_VERBS.items():
+            if change is None or change[0][0] in names:
+                yield [verb, "--in", DOC], {name: parts[name] for name in names}
+
+
 def all_runs(kodaira_text: str):
     """Every run in digest order: the seeds' runs, the roundtrip grid, the
     block-order grid, validate-ring, invariants on fractional tables."""
@@ -309,6 +436,7 @@ def main_digest() -> None:
             runs += [("gerbe rp2", argv, doc) for argv, doc in rp2_gerbe_runs()]
             runs += [("invariants tau=i", argv, None) for argv, _ in tau_i_runs()]
             runs += [("roundtrip cold", argv, None) for argv in COLD_ROUNDTRIPS]
+            runs += [("nerve errors", argv, doc) for argv, doc in nerve_error_runs()]
             for verb, argv, doc in runs:
                 if doc is not None:
                     Path(DOC).write_text(json.dumps(doc, indent=1))
