@@ -299,6 +299,7 @@ def _abc_parts() -> dict:
 
 
 def _pairs_plus(*extra) -> list:
+    """The overlaps of _abc_parts, then each extra one, spelled as its charts' letters."""
     return [pair.split(",") for pair in ABC_PAIRS] + [list(x) for x in extra]
 
 
@@ -379,8 +380,7 @@ def nerve_error_runs():
     """(argv, document) for cocycle-check, classify and gerbe on the parts of
     _abc_parts as given, then with each NERVE_DEFECTS change: a verb runs a
     change whose first step names one of the parts it reads."""
-    changes = [None] + NERVE_DEFECTS
-    for change in changes:
+    for change in [None, *NERVE_DEFECTS]:
         parts = _abc_parts()
         if change is not None:
             (*steps, key), value = change
