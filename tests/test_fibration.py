@@ -789,6 +789,105 @@ def test_each_nerve_defect_has_its_message(call, message):
     assert str(info.value) == message
 
 
+ZERO_AT_S = {"s": ORIGIN}
+
+
+def descriptors_of(exponent):
+    return lambda: GerbeData(abc_nerve(), descriptors={("a", "b"): {("a", "b"): exponent}})
+
+
+# defects of cocycle and gerbe data that NERVE_DEFECTS does not reach: the
+# exception type and the whole message of each
+DATA_DEFECTS = {
+    # cocycles
+    "cocycle-overlap-twice": (
+        lambda: TranslationCocycle({("a", "b"): ZERO_AT_S, ("b", "a"): ZERO_AT_S}),
+        SchemaError, "cocycle lists overlap ('a', 'b') twice",
+    ),
+    "cocycle-overlap-twice-reversed-first": (
+        lambda: TranslationCocycle({("b", "a"): ZERO_AT_S, ("a", "b"): ZERO_AT_S}),
+        SchemaError, "cocycle lists overlap ('a', 'b') twice",
+    ),
+    "cocycle-value-not-a-point": (
+        lambda: TranslationCocycle({("a", "b"): {"s": (0, 0)}}),
+        SchemaError, "cocycle value for ('a', 'b')/'s' not a point",
+    ),
+    "cocycle-value-not-a-point-reversed": (
+        lambda: TranslationCocycle({("b", "a"): {"t": "0"}}),
+        SchemaError, "cocycle value for ('a', 'b')/'t' not a point",
+    ),
+    "cocycle-empty-sample-label": (
+        lambda: TranslationCocycle({("a", "b"): {"": ORIGIN}}),
+        SchemaError, "sample label must be a nonempty string: ''",
+    ),
+    "cocycle-sample-label-with-a-comma": (
+        lambda: TranslationCocycle({("a", "b"): {"s,t": ORIGIN}}),
+        SchemaError, "sample label may not contain ',' or '/': 's,t'",
+    ),
+    "cocycle-sample-label-with-a-slash": (
+        lambda: TranslationCocycle({("a", "b"): {"s/t": ORIGIN}}),
+        SchemaError, "sample label may not contain ',' or '/': 's/t'",
+    ),
+    # gerbe scalars: the message names the key as given
+    "gerbe-a-float": (
+        lambda: GerbeData(abc_nerve(), a={("b", "a"): 0.5}),
+        SchemaError, "gerbe scalar a[b,a] must be a string rational, got 0.5",
+    ),
+    "gerbe-a-bool": (
+        lambda: GerbeData(abc_nerve(), a={("a", "b"): True}),
+        SchemaError, "gerbe scalar a[a,b] must be a string rational, got True",
+    ),
+    "gerbe-a-exponent-string": (
+        lambda: GerbeData(abc_nerve(), a={("a", "c"): "1e3"}),
+        SchemaError, "gerbe scalar a[a,c]: bad rational '1e3'",
+    ),
+    "gerbe-a-zero": (
+        lambda: GerbeData(abc_nerve(), a={("c", "b"): 0}), InvalidGerbe, "zero scalar at a[c,b]"
+    ),
+    "gerbe-c-float": (
+        lambda: GerbeData(abc_nerve(), c={("c", "a", "b"): 2.0}),
+        SchemaError, "gerbe scalar c[c,a,b] must be a string rational, got 2.0",
+    ),
+    "gerbe-c-bool": (
+        lambda: GerbeData(abc_nerve(), c={ABC: False}),
+        SchemaError, "gerbe scalar c[a,b,c] must be a string rational, got False",
+    ),
+    "gerbe-c-exponent-string": (
+        lambda: GerbeData(abc_nerve(), c={ABC: "1e3"}),
+        SchemaError, "gerbe scalar c[a,b,c]: bad rational '1e3'",
+    ),
+    "gerbe-c-zero": (
+        lambda: GerbeData(abc_nerve(), c={("b", "a", "c"): "0/5"}),
+        InvalidGerbe, "zero scalar at c[b,a,c]",
+    ),
+    # descriptors
+    "descriptor-exponent-float": (
+        descriptors_of(1.0), SchemaError, "descriptor exponent must be an integer, got 1.0"
+    ),
+    "descriptor-exponent-bool": (
+        descriptors_of(True), SchemaError, "descriptor exponent must be an integer, got True"
+    ),
+    "descriptor-exponent-string": (
+        descriptors_of("1"), SchemaError, "descriptor exponent must be an integer, got '1'"
+    ),
+    "descriptor-orientations-disagree": (
+        lambda: GerbeData(
+            abc_nerve(), descriptors={("a", "b"): {("a", "b"): 1}, ("b", "a"): {("a", "b"): 1}}
+        ),
+        InvalidGerbe,
+        "condition 2 violated: descriptors for ('a', 'b') and its reverse are not inverse",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", DATA_DEFECTS.values(), ids=list(DATA_DEFECTS))
+def test_each_cocycle_and_gerbe_defect_has_its_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 # -- gerbe data and obstruction --------------------------------------------
 
 
