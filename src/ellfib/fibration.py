@@ -5,11 +5,13 @@ triples, and one table from each of them to its finite sample-label set,
 with triple samples contained in overlap samples contained in chart
 samples.  The nerve answers every membership question from that table.
 Transition data becomes a translation-valued cocycle tabulated at
-samples.  On top of that sit the three classification tools: the cocycle
-checker, the coboundary solver deciding whether the transition class is
-trivial, and the gluing of locally constant classifying maps.  The
-multiplicative gerbe obstruction lives here too, with scalars modeled as
-nonzero rationals.
+samples.  One reader checks every overlap or triple key given as data to
+the nerve, a cocycle or a gerbe, and returns its canonical form and
+whether an overlap key is listed in reverse.  On top of that sit the
+three classification tools: the cocycle checker, the coboundary solver
+deciding whether the transition class is trivial, and the gluing of
+locally constant classifying maps.  The multiplicative gerbe obstruction
+lives here too, with scalars modeled as nonzero rationals.
 """
 
 from __future__ import annotations
@@ -40,17 +42,31 @@ def _check_label(label, kind: str) -> str:
     return label
 
 
-def overlap_key(i: str, j: str) -> tuple[str, str]:
-    """Canonical orientation of an overlap pair."""
+def _oriented(i: str, j: str) -> tuple[tuple[str, str], bool]:
+    """The overlap key of (i, j), and whether (i, j) lists it in reverse."""
     if i == j:
         raise SchemaError(f"overlap needs two distinct charts, got {i!r} twice")
-    return (i, j) if i < j else (j, i)
+    return ((i, j), False) if i < j else ((j, i), True)
+
+
+def overlap_key(i: str, j: str) -> tuple[str, str]:
+    """Canonical orientation of an overlap pair."""
+    return _oriented(i, j)[0]
 
 
 def triple_key(i: str, j: str, k: str) -> tuple[str, str, str]:
     if len({i, j, k}) != 3:
         raise SchemaError(f"triple needs three distinct charts: {(i, j, k)!r}")
     return tuple(sorted((i, j, k)))
+
+
+def _read_key(key, size: int) -> tuple[tuple[str, ...], bool]:
+    """The canonical key of an overlap (size 2) or triple (size 3) given as
+    data, and whether an overlap key lists its charts in reverse."""
+    if not hasattr(key, "__len__") or len(key) != size:
+        shape = "overlap must list two" if size == 2 else "triple must list three"
+        raise SchemaError(f"{shape} charts: {key!r}")
+    return _oriented(*key) if size == 2 else (triple_key(*key), False)
 
 
 class Nerve:
@@ -77,9 +93,7 @@ class Nerve:
 
         seen_pairs = set()
         for pair in overlaps:
-            if len(pair) != 2:
-                raise SchemaError(f"overlap must list two charts: {pair!r}")
-            key = overlap_key(*pair)
+            key = _read_key(pair, 2)[0]
             if key[0] not in chart_set or key[1] not in chart_set:
                 raise SchemaError(f"overlap {key!r} references unknown charts")
             if key in seen_pairs:
@@ -89,9 +103,7 @@ class Nerve:
 
         seen_triples = set()
         for tri in triples:
-            if len(tri) != 3:
-                raise SchemaError(f"triple must list three charts: {tri!r}")
-            i, j, k = key = triple_key(*tri)
+            i, j, k = key = _read_key(tri, 3)[0]
             # the key is sorted, so its three pairs are overlap keys already
             for pair in ((i, j), (i, k), (j, k)):
                 if pair not in seen_pairs:
@@ -251,27 +263,25 @@ class TranslationCocycle:
 
     def __init__(self, values: Mapping[tuple[str, str], Mapping[str, TorusPoint]]):
         table: dict[tuple[str, str], dict[str, TorusPoint]] = {}
-        for (i, j), per_sample in values.items():
-            key = overlap_key(i, j)
-            flip = key != (i, j)
+        for pair, per_sample in values.items():
+            key, flip = _read_key(pair, 2)
             if key in table:
                 raise SchemaError(f"cocycle lists overlap {key!r} twice")
-            entry = {}
+            if not isinstance(per_sample, Mapping):
+                raise SchemaError(f"cocycle values for {key!r} must be a mapping: {per_sample!r}")
+            entry = table[key] = {}
             for sample, point in per_sample.items():
                 _check_label(sample, "sample")
                 if not isinstance(point, TorusPoint):
                     raise SchemaError(f"cocycle value for {key!r}/{sample!r} not a point")
                 entry[sample] = -point if flip else point
-            table[key] = entry
         self.values = table
 
     def value(self, i: str, j: str, sample: str) -> TorusPoint:
-        key = overlap_key(i, j)
-        per_sample = self.values.get(key)
-        if per_sample is None or sample not in per_sample:
+        key, flip = _oriented(i, j)
+        if (point := self.values.get(key, {}).get(sample)) is None:
             raise MissingSample(f"cocycle undefined on overlap {key!r} sample {sample!r}")
-        point = per_sample[sample]
-        return -point if key != (i, j) else point
+        return -point if flip else point
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TranslationCocycle) and self.values == other.values
@@ -380,13 +390,6 @@ def classify_line_family(
     return glued
 
 
-def _nonzero_rational(value, where: str) -> Fraction:
-    q = parse_fraction(value, f"gerbe scalar {where}")
-    if q == 0:
-        raise InvalidGerbe(f"zero scalar at {where}")
-    return q
-
-
 class GerbeData:
     """Scalar twisting data on a nerve: descriptors F, scalars a and c.
 
@@ -408,64 +411,56 @@ class GerbeData:
     ):
         self.nerve = nerve
         self.a: dict[tuple[str, str], Fraction] = {}
-        for (i, j), value in (a or {}).items():
-            key = overlap_key(i, j)
-            if key not in nerve:
-                raise SchemaError(f"gerbe scalar on unknown overlap {key!r}")
-            if key in self.a:
-                raise SchemaError(f"gerbe lists overlap {key!r} twice")
-            q = _nonzero_rational(value, f"a[{i},{j}]")
-            self.a[key] = 1 / q if key != (i, j) else q
         self.c: dict[tuple[str, str, str], Fraction] = {}
-        for tri, value in (c or {}).items():
-            key = triple_key(*tri)
-            if key not in nerve:
-                raise SchemaError(f"gerbe scalar on unknown triple {key!r}")
-            if key in self.c:
-                raise SchemaError(f"gerbe lists triple {key!r} twice")
-            self.c[key] = _nonzero_rational(value, f"c[{','.join(tri)}]")
+        scalars = (("a", 2, "overlap", a, self.a), ("c", 3, "triple", c, self.c))
+        for name, size, kind, given, table in scalars:
+            for raw, value in (given or {}).items():
+                key, flip = _read_key(raw, size)
+                if key not in nerve:
+                    raise SchemaError(f"gerbe scalar on unknown {kind} {key!r}")
+                if key in table:
+                    raise SchemaError(f"gerbe lists {kind} {key!r} twice")
+                where = f"{name}[{','.join(raw)}]"  # the charts of a key on the nerve are strings
+                if (q := parse_fraction(value, f"gerbe scalar {where}")) == 0:
+                    raise InvalidGerbe(f"zero scalar at {where}")
+                table[key] = 1 / q if flip else q
 
         self.descriptors: dict[tuple[str, str], dict[tuple[str, str], int]] = {}
-        for (i, j), exps in (descriptors or {}).items():
-            key = overlap_key(i, j)
+        for pair, exps in (descriptors or {}).items():
+            key, flip = _read_key(pair, 2)
             if key not in nerve:
                 raise SchemaError(f"descriptor on unknown overlap {key!r}")
+            if not isinstance(exps, Mapping):
+                raise SchemaError(f"descriptor for {key!r} must be a mapping: {exps!r}")
             vec: dict[tuple[str, str], int] = {}
-            for (u, v), e in exps.items():
-                gen = overlap_key(u, v)
+            for raw, e in exps.items():
+                gen, reverse = _read_key(raw, 2)
                 if gen not in nerve:
-                    raise SchemaError(f"descriptor references unknown overlap {(u, v)!r}")
+                    raise SchemaError(f"descriptor references unknown overlap {tuple(raw)!r}")
                 if isinstance(e, bool) or not isinstance(e, int):
                     raise SchemaError(f"descriptor exponent must be an integer, got {e!r}")
-                if gen != (u, v):
-                    e = -e
-                vec[gen] = vec.get(gen, 0) + e
-            vec = {g: e for g, e in vec.items() if e}
-            if key != (i, j):
-                vec = {g: -e for g, e in vec.items()}
-            if key in self.descriptors:
-                if self.descriptors[key] != vec:
-                    raise InvalidGerbe(
-                        f"condition 2 violated: descriptors for {key!r} and its "
-                        "reverse are not inverse"
-                    )
-            else:
-                self.descriptors[key] = vec
+                vec[gen] = vec.get(gen, 0) + (-e if reverse else e)
+            vec = {g: -e if flip else e for g, e in vec.items() if e}
+            if self.descriptors.setdefault(key, vec) != vec:
+                raise InvalidGerbe(
+                    f"condition 2 violated: descriptors for {key!r} and its "
+                    "reverse are not inverse"
+                )
         for key in nerve.overlaps:
             self.descriptors.setdefault(key, {key: 1})
 
     def scalar_a(self, i: str, j: str) -> Fraction:
-        key = overlap_key(i, j)
+        key, flip = _oriented(i, j)
         q = self.a.get(key, Fraction(1))
-        return 1 / q if key != (i, j) else q
+        return 1 / q if flip else q
 
     def scalar_c(self, i: str, j: str, k: str) -> Fraction:
         return self.c.get(triple_key(i, j, k), Fraction(1))
 
     def descriptor(self, i: str, j: str) -> dict[tuple[str, str], int]:
-        key = overlap_key(i, j)
+        key, flip = _oriented(i, j)
         vec = self.descriptors[key]
-        return {g: -e for g, e in vec.items()} if key != (i, j) else dict(vec)
+        return {g: -e for g, e in vec.items()} if flip else dict(vec)
 
 
 def validate_gerbe(g: GerbeData) -> None:
@@ -576,9 +571,8 @@ def gerbe_alpha(nerve: Nerve, g: GerbeData) -> GerbeReport:
     witness = _coboundary_witness(nerve, alpha)
     if witness is not None:
         for i, j, k in nerve.triples:
-            left = witness[overlap_key(i, j)]
-            mid = witness[overlap_key(j, k)]
-            right = witness[overlap_key(i, k)]
+            # the faces of a sorted triple are overlap keys already
+            left, mid, right = witness[(i, j)], witness[(j, k)], witness[(i, k)]
             if left * mid / right != alpha[(i, j, k)]:
                 raise WitnessMismatch(
                     f"gluability witness fails on triple {(i, j, k)!r}: "

@@ -888,6 +888,68 @@ def test_each_cocycle_and_gerbe_defect_has_its_message(call, error, message):
     assert str(info.value) == message
 
 
+# every key of the data on a nerve is read by one reader, which checks its length
+SHAPE_DEFECTS = {
+    "nerve-overlap-without-a-length": (
+        lambda: abc_nerve(overlaps=ABC_PAIRS + [7]), "overlap must list two charts: 7"
+    ),
+    "nerve-triple-without-a-length": (
+        lambda: abc_nerve(triples=[ABC, None]), "triple must list three charts: None"
+    ),
+    "cocycle-key-of-three-charts": (
+        lambda: TranslationCocycle({ABC: ZERO_AT_S}),
+        "overlap must list two charts: ('a', 'b', 'c')",
+    ),
+    "cocycle-key-without-a-length": (
+        lambda: TranslationCocycle({7: ZERO_AT_S}), "overlap must list two charts: 7"
+    ),
+    "cocycle-table-not-a-mapping": (
+        lambda: TranslationCocycle({("b", "a"): ["s"]}),
+        "cocycle values for ('a', 'b') must be a mapping: ['s']",
+    ),
+    "gerbe-a-key-of-three-charts": (
+        lambda: GerbeData(abc_nerve(), a={ABC: 2}), "overlap must list two charts: ('a', 'b', 'c')"
+    ),
+    "gerbe-a-key-of-one-chart": (
+        lambda: GerbeData(abc_nerve(), a={("a",): 2}), "overlap must list two charts: ('a',)"
+    ),
+    "gerbe-c-key-of-two-charts": (
+        lambda: GerbeData(abc_nerve(), c={("a", "b"): 2}),
+        "triple must list three charts: ('a', 'b')",
+    ),
+    "gerbe-c-key-of-four-charts": (
+        lambda: GerbeData(abc_nerve(), c={ABC + ("d",): 2}),
+        "triple must list three charts: ('a', 'b', 'c', 'd')",
+    ),
+    "gerbe-c-key-without-a-length": (
+        lambda: GerbeData(abc_nerve(), c={3: 2}), "triple must list three charts: 3"
+    ),
+    "descriptor-key-of-three-charts": (
+        lambda: GerbeData(abc_nerve(), descriptors={ABC: {}}),
+        "overlap must list two charts: ('a', 'b', 'c')",
+    ),
+    "descriptor-generator-of-three-charts": (
+        lambda: GerbeData(abc_nerve(), descriptors={("a", "b"): {ABC: 1}}),
+        "overlap must list two charts: ('a', 'b', 'c')",
+    ),
+    "descriptor-generator-of-one-chart": (
+        lambda: GerbeData(abc_nerve(), descriptors={("a", "b"): {("b",): 1}}),
+        "overlap must list two charts: ('b',)",
+    ),
+    "descriptor-not-a-mapping": (
+        lambda: GerbeData(abc_nerve(), descriptors={("b", "a"): [("a", "b")]}),
+        "descriptor for ('a', 'b') must be a mapping: [('a', 'b')]",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", SHAPE_DEFECTS.values(), ids=list(SHAPE_DEFECTS))
+def test_keys_and_tables_of_the_wrong_shape_are_refused(call, message):
+    with pytest.raises(SchemaError) as info:
+        call()
+    assert str(info.value) == message
+
+
 # -- gerbe data and obstruction --------------------------------------------
 
 
