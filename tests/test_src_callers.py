@@ -98,3 +98,38 @@ def test_the_allowlist_is_exact():
     found = uncalled()
     stale = sorted(set(ALLOWED) - set(found))
     assert not stale, f"gone, or called under src/ now; drop from ALLOWED: {stale}"
+
+
+# Underscore names that one module under src/ imports from another, one
+# reason each.  The list is exact: a new private import fails here, and so
+# does a name that is no longer imported.
+PRIVATE_IMPORTS = {
+    ("cli.py", "_check_budget"): "roundtrip refuses an over-budget request before any work",
+    ("cli.py", "_require_dict"): "each verb checks its document's keys as the schema readers do",
+    ("transform.py", "_block_runs"): "the transform reads a bundle's canonical block runs",
+    ("transform.py", "_point"): "the sort key of the point multisets",
+}
+
+
+def private_imports() -> dict[tuple[str, str], int]:
+    """(file, name) -> line of each underscore name a file under src/ imports
+    from the package (dunder names aside)."""
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("ellfib"):
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.endswith("__"):
+                    found.setdefault((path.relative_to(SRC).as_posix(), alias.name), node.lineno)
+    return found
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = private_imports()
+    new = {key: line for key, line in found.items() if key not in PRIVATE_IMPORTS}
+    assert not new, f"private names imported across modules (file, name): line {new}"
+    stale = sorted(set(PRIVATE_IMPORTS) - set(found))
+    assert not stale, f"no longer imported; drop from PRIVATE_IMPORTS: {stale}"
