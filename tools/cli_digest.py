@@ -24,17 +24,22 @@ then seeded signed prime ratios for a and c, then invariants on six
 torus4 classes whose ranks change at tau = i (both modes, --out json
 and --out table), then the fixed round trips of the moduli benchmark,
 roundtrip --n 3 --torsion 6 and --n 4 --torsion 4, each in a fresh
-`python -m ellfib.cli` process, and last cocycle-check, classify and
+`python -m ellfib.cli` process, then cocycle-check, classify and
 gerbe on a three-chart nerve with data on it, as given and with one
 defect each: in the nerve's charts, overlaps, triples or sample sets,
-or in the cocycle, local classes or gerbe data off the nerve.
+or in the cocycle, local classes or gerbe data off the nerve, and then
+gerbe with descriptors: on that nerve given on a reversed key or
+generator, with cancelling exponents, equal to the default, on both
+orientations (agreeing and in conflict), and on the projective plane
+one descriptor off its default by a vector in the rational span of the
+relator rows but outside their lattice (condition 3 fails).
 Every run's argument list, exit code, stdout and stderr go into the
 digest of its verb; the budget runs go into "psi budget" and "beta
 budget", so the other twelve digests can be compared with a checkout
 that has no such budget, the projective-plane gerbes into "gerbe rp2",
 the torus4 classes into "invariants tau=i", the two fresh-process
-round trips into "roundtrip cold", and the three-chart nerve runs into
-"nerve errors".  Input
+round trips into "roundtrip cold", the three-chart nerve runs into
+"nerve errors", and the descriptor runs into "gerbe descriptors".  Input
 documents are written to one fixed relative path inside a temporary
 working directory, so no temporary path reaches the output.
 
@@ -208,25 +213,32 @@ def _signed_ratio(rng: random.Random) -> Fraction:
     return Fraction(num, rng.choice((1, 2, 3)))
 
 
+RP2_CHARTS = [f"c{v}" for v in range(1, 7)]
+RP2_OVERLAPS = list(combinations(RP2_CHARTS, 2))
+RP2_TRIPLES = [tuple(f"c{v}" for v in face) for face in RP2_FACES]
+
+
+def _rp2_nerve() -> dict:
+    """The nerve document of the projective plane, with the one sample s everywhere."""
+    return {
+        "charts": RP2_CHARTS,
+        "overlaps": [list(pair) for pair in RP2_OVERLAPS],
+        "triples": [list(tri) for tri in RP2_TRIPLES],
+        "samples": {
+            "charts": {c: ["s"] for c in RP2_CHARTS},
+            "overlaps": {",".join(pair): ["s"] for pair in RP2_OVERLAPS},
+            "triples": {",".join(tri): ["s"] for tri in RP2_TRIPLES},
+        },
+    }
+
+
 def rp2_gerbe_runs():
     """(argv, document) for gerbe on the projective plane: each of the 1024
     sign patterns of c with a = 1 (it glues exactly when an even number of
     c are -1), then per seed random signed ratios of 2 and 3 for a, and c
     the coboundary of such ratios with random signs, on every fourth seed
     with one face doubled (its prime part no longer glues)."""
-    charts = [f"c{v}" for v in range(1, 7)]
-    overlaps = list(combinations(charts, 2))
-    triples = [tuple(f"c{v}" for v in face) for face in RP2_FACES]
-    nerve = {
-        "charts": charts,
-        "overlaps": [list(pair) for pair in overlaps],
-        "triples": [list(tri) for tri in triples],
-        "samples": {
-            "charts": {c: ["s"] for c in charts},
-            "overlaps": {",".join(pair): ["s"] for pair in overlaps},
-            "triples": {",".join(tri): ["s"] for tri in triples},
-        },
-    }
+    overlaps, triples, nerve = RP2_OVERLAPS, RP2_TRIPLES, _rp2_nerve()
     argv = ["gerbe", "--in", DOC]
     faces = [",".join(tri) for tri in triples]
     for signs in product(("1", "-1"), repeat=len(faces)):
@@ -369,6 +381,53 @@ NERVE_DEFECTS = [
     (("gerbe", "descriptors"), {"a,b": {"z,a": 1}}),
 ]
 
+# descriptor sets on the nerve of _abc_parts, in the document's "i,j" keys
+ABC_DESCRIPTORS = [
+    {"b,a": {"a,b": 1}},  # on a reversed key
+    {"a,b": {"b,a": -1}},  # a reversed generator: the default of a,b
+    {"a,b": {"a,b": 2, "b,a": 2}},  # exponents that cancel
+    {"a,c": {"a,b": 1, "b,a": 1, "a,c": 1}},  # a cancelling pair beside the default
+    {"b,c": {"b,c": 1}},  # explicitly the default
+    {"a,b": {"a,b": 1}, "b,a": {"b,a": 1}},  # both orientations, agreeing
+    {"a,b": {"a,b": 1}, "b,a": {"a,b": 1}},  # both orientations, in conflict
+    {"a,b": {"a,b": 2, "b,c": 1, "a,c": -1}},  # the default plus the relator row
+]
+
+
+def _rp2_relator_half_sum() -> dict:
+    """Half the sum of the projective plane's relator rows g_ij + g_jk - g_ik.
+
+    Each edge lies on two faces, so the sum is even; its half is in the
+    rational span of the rows but not in their lattice, since the rows are
+    independent over the rationals and no odd combination of them vanishes.
+    """
+    total = dict.fromkeys(RP2_OVERLAPS, 0)
+    for i, j, k in RP2_TRIPLES:
+        total[(i, j)] += 1
+        total[(j, k)] += 1
+        total[(i, k)] -= 1
+    assert all(e % 2 == 0 for e in total.values())
+    return {pair: e // 2 for pair, e in total.items() if e}
+
+
+def descriptor_runs():
+    """(argv, document) for gerbe with descriptors: each ABC_DESCRIPTORS set
+    beside the gerbe scalars of _abc_parts, then on the projective plane the
+    descriptor of c1,c2 moved off its default by the half sum of the
+    relator rows (condition 3 fails) and by the whole sum (it holds)."""
+    argv = ["gerbe", "--in", DOC]
+    for descriptors in ABC_DESCRIPTORS:
+        parts = _abc_parts()
+        gerbe = dict(parts["gerbe"], descriptors=descriptors)
+        yield argv, {"nerve": parts["nerve"], "gerbe": gerbe}
+    half = _rp2_relator_half_sum()
+    for times in (1, 2):
+        vec = {pair: times * e for pair, e in half.items()}
+        vec[("c1", "c2")] = vec.get(("c1", "c2"), 0) + 1
+        descriptor = {",".join(pair): e for pair, e in vec.items() if e}
+        yield argv, {"nerve": _rp2_nerve(), "gerbe": {"descriptors": {"c1,c2": descriptor}}}
+
+
 NERVE_VERBS = {
     "cocycle-check": ("nerve", "cocycle"),
     "classify": ("nerve", "cocycle", "local"),
@@ -437,6 +496,7 @@ def main_digest() -> None:
             runs += [("invariants tau=i", argv, None) for argv, _ in tau_i_runs()]
             runs += [("roundtrip cold", argv, None) for argv in COLD_ROUNDTRIPS]
             runs += [("nerve errors", argv, doc) for argv, doc in nerve_error_runs()]
+            runs += [("gerbe descriptors", argv, doc) for argv, doc in descriptor_runs()]
             for verb, argv, doc in runs:
                 if doc is not None:
                     Path(DOC).write_text(json.dumps(doc, indent=1))
