@@ -61,9 +61,12 @@ def triple_key(i: str, j: str, k: str) -> tuple[str, str, str]:
 
 
 def _read_key(key, size: int) -> tuple[tuple[str, ...], bool]:
-    """The canonical key of an overlap (size 2) or triple (size 3) given as
-    data, and whether an overlap key lists its charts in reverse."""
-    if not hasattr(key, "__len__") or len(key) != size:
+    """Canonical form of an overlap or triple key given as data, and whether it is reversed."""
+    try:
+        fits = len(key) == size
+    except TypeError:  # a key with no length
+        fits = False
+    if not fits:
         shape = "overlap must list two" if size == 2 else "triple must list three"
         raise SchemaError(f"{shape} charts: {key!r}")
     return _oriented(*key) if size == 2 else (triple_key(*key), False)
@@ -262,20 +265,19 @@ class TranslationCocycle:
     __slots__ = ("values",)
 
     def __init__(self, values: Mapping[tuple[str, str], Mapping[str, TorusPoint]]):
-        table: dict[tuple[str, str], dict[str, TorusPoint]] = {}
+        self.values: dict[tuple[str, str], dict[str, TorusPoint]] = {}
         for pair, per_sample in values.items():
             key, flip = _read_key(pair, 2)
-            if key in table:
+            if key in self.values:
                 raise SchemaError(f"cocycle lists overlap {key!r} twice")
             if not isinstance(per_sample, Mapping):
                 raise SchemaError(f"cocycle values for {key!r} must be a mapping: {per_sample!r}")
-            entry = table[key] = {}
+            entry = self.values[key] = {}
             for sample, point in per_sample.items():
                 _check_label(sample, "sample")
                 if not isinstance(point, TorusPoint):
                     raise SchemaError(f"cocycle value for {key!r}/{sample!r} not a point")
                 entry[sample] = -point if flip else point
-        self.values = table
 
     def value(self, i: str, j: str, sample: str) -> TorusPoint:
         key, flip = _oriented(i, j)
@@ -571,7 +573,6 @@ def gerbe_alpha(nerve: Nerve, g: GerbeData) -> GerbeReport:
     witness = _coboundary_witness(nerve, alpha)
     if witness is not None:
         for i, j, k in nerve.triples:
-            # the faces of a sorted triple are overlap keys already
             left, mid, right = witness[(i, j)], witness[(j, k)], witness[(i, k)]
             if left * mid / right != alpha[(i, j, k)]:
                 raise WitnessMismatch(
