@@ -238,18 +238,18 @@ def rp2_gerbe_runs():
     c are -1), then per seed random signed ratios of 2 and 3 for a, and c
     the coboundary of such ratios with random signs, on every fourth seed
     with one face doubled (its prime part no longer glues)."""
-    overlaps, triples, nerve = RP2_OVERLAPS, RP2_TRIPLES, _rp2_nerve()
+    nerve = _rp2_nerve()
     argv = ["gerbe", "--in", DOC]
-    faces = [",".join(tri) for tri in triples]
+    faces = [",".join(tri) for tri in RP2_TRIPLES]
     for signs in product(("1", "-1"), repeat=len(faces)):
         yield argv, {"nerve": nerve, "gerbe": {"c": dict(zip(faces, signs))}}
     for seed in RP2_SEEDS:
         rng = random.Random(seed)
-        a = {",".join(pair): str(_signed_ratio(rng)) for pair in overlaps}
-        b = {pair: _signed_ratio(rng) for pair in overlaps}
+        a = {",".join(pair): str(_signed_ratio(rng)) for pair in RP2_OVERLAPS}
+        b = {pair: _signed_ratio(rng) for pair in RP2_OVERLAPS}
         c = {
             ",".join((i, j, k)): b[(i, j)] * b[(j, k)] / b[(i, k)] * rng.choice((-1, 1))
-            for i, j, k in triples
+            for i, j, k in RP2_TRIPLES
         }
         if seed % 4 == 3:
             c[rng.choice(faces)] *= 2
@@ -397,9 +397,11 @@ ABC_DESCRIPTORS = [
 def _rp2_relator_half_sum() -> dict:
     """Half the sum of the projective plane's relator rows g_ij + g_jk - g_ik.
 
-    Each edge lies on two faces, so the sum is even; its half is in the
-    rational span of the rows but not in their lattice, since the rows are
-    independent over the rationals and no odd combination of them vanishes.
+    Each edge lies on two faces, so the sum is even.  Its half is in the
+    rational span of the rows but not in their lattice: an integer
+    combination equal to it would leave, doubled and less the sum, a
+    vanishing combination with odd coefficients, and the rows are
+    independent over the rationals.
     """
     total = dict.fromkeys(RP2_OVERLAPS, 0)
     for i, j, k in RP2_TRIPLES:
