@@ -5,16 +5,18 @@ import copy
 import io
 import json
 import os
+import random
 import re
 import signal
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ellfib.bundles import make_bundle, tensor_line
@@ -1091,3 +1093,156 @@ def test_repeated_runs_are_byte_identical(tmp_path, capsys):
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 2
+
+
+
+# -- renaming charts -------------------------------------------------------
+
+# (family, size) of the gerbe documents below, nine charts at most
+RENAMED_GERBES = [("planar", 3), ("periodic", 3), ("complete", 4), ("complete", 5), ("complete", 6)]
+
+
+def _odd(charts) -> bool:
+    """Whether charts lists its sorted self in an odd permutation."""
+    return sum(x > y for x, y in combinations(charts, 2)) % 2 == 1
+
+
+def _renamed(doc: dict, name: dict) -> dict:
+    """doc with each chart c called name[c]; every key keeps its charts' order."""
+
+    def key(text: str) -> str:
+        return ",".join(name[c] for c in text.split(","))
+
+    nerve = doc["nerve"]
+    out = {
+        "nerve": {
+            "charts": [name[c] for c in nerve["charts"]],
+            "overlaps": [[name[c] for c in pair] for pair in nerve["overlaps"]],
+            "triples": [[name[c] for c in tri] for tri in nerve["triples"]],
+            "samples": {
+                kind: {key(k): labels for k, labels in table.items()}
+                for kind, table in nerve["samples"].items()
+            },
+        }
+    }
+    for part, tables in (("gerbe", ("a", "c")), ("cocycle", ("lambda",))):
+        if part in doc:
+            out[part] = {t: {key(k): v for k, v in doc[part][t].items()} for t in tables}
+    if "local" in doc:
+        out["local"] = {}
+        for k, point in doc["local"].items():
+            chart, sample = k.split("/")
+            out["local"][f"{name[chart]}/{sample}"] = point
+    return out
+
+
+def _moved(table: dict, name: dict, invert) -> dict:
+    """A table keyed by sorted charts "i,j,..", read on the renamed nerve: each
+    value under its renamed sorted key, through invert where the renaming
+    lists that key's charts in an odd order."""
+    out = {}
+    for text, value in table.items():
+        charts = [name[c] for c in text.split(",")]
+        out[",".join(sorted(charts))] = invert(value) if _odd(charts) else value
+    return out
+
+
+def _inverse(q: str) -> str:
+    return str(1 / Fraction(q))
+
+
+def _negative(p: dict) -> dict:
+    return {x: str(-Fraction(p[x]) % 1) for x in "uv"}
+
+
+def _difference(p: dict, q: dict) -> tuple:
+    return tuple((Fraction(p[x]) - Fraction(q[x])) % 1 for x in "uv")
+
+
+def _is_witness(witness: dict, alpha: dict) -> bool:
+    """Whether beta_ij beta_jk / beta_ik = alpha_ijk on every sorted triple i,j,k."""
+    beta = {key: Fraction(q) for key, q in witness.items()}
+    for key, q in alpha.items():
+        i, j, k = key.split(",")
+        if beta[f"{i},{j}"] * beta[f"{j},{k}"] / beta[f"{i},{k}"] != Fraction(q):
+            return False
+    return True
+
+
+def _violations(report: dict) -> dict:
+    """A cocycle-check report's defects: sample -> "i,j,k" -> defect."""
+    table = {}
+    for v in report["violations"]:
+        table.setdefault(v["sample"], {})[",".join(v["triple"])] = v["defect"]
+    return table
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    gerbe=st.sampled_from(RENAMED_GERBES),
+    seed=st.integers(0, 2**16),
+    broken=st.booleans(),
+    numbers=st.lists(st.integers(1, 120), min_size=9, max_size=9, unique=True),
+)
+# c3 -> c10: the c keys c1,c2,c10 and c1,c3,c10 list their charts in an odd order
+@example(gerbe=("complete", 4), seed=0, broken=False, numbers=[1, 2, 3, 10, 4, 5, 6, 7, 8])
+def test_verdicts_do_not_depend_on_the_names_of_the_charts(
+    tmp_path_factory, gerbe, seed, broken, numbers
+):
+    rng = random.Random(seed)
+    gerbe_doc, _ = gen.gerbe_doc(rng, *gerbe, broken, False)
+    doc, _ = gen.cocycle_doc(rng, 3, rng.random() < 0.5, rng.choice((1, 2)), broken)
+    charts, labels = doc["nerve"]["charts"], doc["nerve"]["samples"]["charts"]
+    value = {s: gen.point_json(*gen.rand_torsion(rng)) for s in labels[charts[0]]}
+    doc["local"] = {f"{c}/{s}": value[s] for c in charts for s in labels[c]}
+    if broken:
+        doc["local"][f"{rng.choice(charts)}/{labels[charts[0]][0]}"] = gen.point_json(0, 0)
+    path = tmp_path_factory.mktemp("renamed") / "doc.json"
+
+    def outputs(doc: dict, verbs) -> tuple[dict, dict, dict]:
+        """The renaming, and verb -> parsed stdout on doc and on doc renamed,
+        each verb given the parts of doc it reads; the exit codes agree."""
+        name = {c: f"c{n}" for c, n in zip(doc["nerve"]["charts"], numbers)}
+        runs = []
+        for given in (doc, _renamed(doc, name)):
+            runs.append({})
+            for verb in verbs:
+                parts = ["nerve", "gerbe"] if verb == "gerbe" else ["nerve", "cocycle"]
+                if verb == "classify":
+                    parts.append("local")
+                path.write_text(json.dumps({p: given[p] for p in parts}), encoding="utf-8")
+                runs[-1][verb] = _run_quietly([verb, "--in", str(path)])
+        for verb in verbs:
+            (code, out, _), (renamed_code, renamed_out, _) = (run[verb] for run in runs)
+            assert renamed_code == code in (0, 1), verb
+        return name, *(
+            {verb: json.loads(out) if out else None for verb, (_, out, _) in run.items()}
+            for run in runs
+        )
+
+    name, before, after = outputs(gerbe_doc, ["gerbe"])
+    report, renamed = before["gerbe"], after["gerbe"]
+    assert renamed["cocycle_ok"] == report["cocycle_ok"]
+    assert renamed["gluable"] == report["gluable"]
+    assert renamed["alpha"] == _moved(report["alpha"], name, _inverse)
+    flip = lambda check: {"value": _inverse(check["value"]), "ok": check["ok"]}
+    assert renamed["tetrahedra"] == _moved(report["tetrahedra"], name, flip)
+    if report["gluable"]:
+        assert _is_witness(_moved(report["witness"], name, _inverse), renamed["alpha"])
+        assert _is_witness(renamed["witness"], renamed["alpha"])
+
+    name, before, after = outputs(doc, ["cocycle-check", "coboundary", "classify"])
+    assert _violations(after["cocycle-check"]) == {
+        s: _moved(table, name, _negative)
+        for s, table in _violations(before["cocycle-check"]).items()
+    }
+    mu, renamed_mu = before["coboundary"]["mu"], after["coboundary"]["mu"]
+    assert (mu is None) == (renamed_mu is None)
+    if mu is not None:
+        # each component is anchored at its smallest node, so compare differences
+        for pair, per_sample in doc["cocycle"]["lambda"].items():
+            i, j = pair.split(",")
+            for s in per_sample:
+                renamed_step = _difference(renamed_mu[f"{name[j]}/{s}"], renamed_mu[f"{name[i]}/{s}"])
+                assert renamed_step == _difference(mu[f"{j}/{s}"], mu[f"{i}/{s}"])
+    assert after["classify"] == before["classify"]
