@@ -7,7 +7,7 @@ samples.  The nerve answers every membership question from that table.
 Transition data becomes a translation-valued cocycle tabulated at
 samples.  One reader checks every overlap or triple key given as data to
 the nerve, a cocycle or a gerbe, and returns its canonical form and
-whether an overlap key is listed in reverse.  On top of that sit the
+whether it lists its charts in an odd order.  On top of that sit the
 three classification tools: the cocycle checker, the coboundary solver
 deciding whether the transition class is trivial, and the gluing of
 locally constant classifying maps.  The multiplicative gerbe obstruction
@@ -61,15 +61,20 @@ def triple_key(i: str, j: str, k: str) -> tuple[str, str, str]:
 
 
 def _read_key(key, size: int) -> tuple[tuple[str, ...], bool]:
-    """Canonical form of an overlap or triple key given as data, and whether it is reversed."""
+    """Canonical form of an overlap or triple key given as data, and whether its order is odd."""
     try:
         fits = len(key) == size
     except TypeError:  # a key with no length
         fits = False
+    kind = "overlap" if size == 2 else "triple"
     if not fits:
-        shape = "overlap must list two" if size == 2 else "triple must list three"
-        raise SchemaError(f"{shape} charts: {key!r}")
-    return _oriented(*key) if size == 2 else (triple_key(*key), False)
+        raise SchemaError(f"{kind} must list {'two' if size == 2 else 'three'} charts: {key!r}")
+    if not all(isinstance(chart, str) for chart in key):
+        raise SchemaError(f"{kind} charts must be strings: {key!r}")
+    if size == 2:
+        return _oriented(*key)
+    i, j, k = key  # odd when an odd number of its pairs are out of order
+    return triple_key(i, j, k), (i > j) ^ (i > k) ^ (j > k)
 
 
 class Nerve:
@@ -399,7 +404,8 @@ class GerbeData:
     generators; the reversed orientation of a generator contributes with
     exponent -1, which builds condition 2 into the encoding and makes
     condition 1 vacuous (a chart never overlaps itself).  Scalars given
-    on a reversed overlap key are stored inverted.
+    on a reversed overlap key or an odd permutation of a triple key are
+    stored inverted, so a and c are both alternating.
     """
 
     __slots__ = ("nerve", "a", "c", "descriptors")
@@ -457,7 +463,9 @@ class GerbeData:
         return 1 / q if flip else q
 
     def scalar_c(self, i: str, j: str, k: str) -> Fraction:
-        return self.c.get(triple_key(i, j, k), Fraction(1))
+        key, odd = _read_key((i, j, k), 3)
+        q = self.c.get(key, Fraction(1))
+        return 1 / q if odd else q
 
     def descriptor(self, i: str, j: str) -> dict[tuple[str, str], int]:
         key, flip = _oriented(i, j)

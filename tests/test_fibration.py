@@ -950,6 +950,40 @@ def test_keys_and_tables_of_the_wrong_shape_are_refused(call, message):
     assert str(info.value) == message
 
 
+# a chart in a key must be a string: the key reader orders charts with <
+NON_STRING_KEYS = {
+    "nerve-overlap-with-an-int": (
+        lambda: Nerve(["a", "b"], [("a", 7)]), "overlap charts must be strings: ('a', 7)"
+    ),
+    "nerve-triple-holding-a-list": (
+        lambda: abc_nerve(triples=[("a", "b", ["c"])]),
+        "triple charts must be strings: ('a', 'b', ['c'])",
+    ),
+    "cocycle-key-with-an-int": (
+        lambda: TranslationCocycle({("a", 7): ZERO_AT_S}),
+        "overlap charts must be strings: ('a', 7)",
+    ),
+    "gerbe-a-key-with-an-int": (
+        lambda: GerbeData(abc_nerve(), a={("a", 7): 2}), "overlap charts must be strings: ('a', 7)"
+    ),
+    "gerbe-c-key-holding-a-tuple": (
+        lambda: GerbeData(abc_nerve(), c={("a", "b", ("c",)): 2}),
+        "triple charts must be strings: ('a', 'b', ('c',))",
+    ),
+    "descriptor-generator-with-an-int": (
+        lambda: GerbeData(abc_nerve(), descriptors={("a", "b"): {(7, "a"): 1}}),
+        "overlap charts must be strings: (7, 'a')",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", NON_STRING_KEYS.values(), ids=list(NON_STRING_KEYS))
+def test_keys_whose_charts_are_not_strings_are_refused(call, message):
+    with pytest.raises(SchemaError) as info:
+        call()
+    assert str(info.value) == message
+
+
 # -- gerbe data and obstruction --------------------------------------------
 
 
@@ -960,6 +994,29 @@ def test_gerbe_scalar_orientation():
     assert g.scalar_a("c1", "c2") == Fraction(2, 3)
     assert g.scalar_a("c1", "c3") == 1
     assert g.scalar_c("c1", "c2", "c3") == 1
+
+
+def test_gerbe_c_scalar_carries_the_orientation_of_its_key():
+    # an odd permutation of the sorted key inverts c, as a reversed key inverts a
+    g = GerbeData(cycle_nerve(), c={("c2", "c1", "c3"): Fraction(3, 2)})
+    assert g.c == {("c1", "c2", "c3"): Fraction(2, 3)}
+    for order in [("c1", "c2", "c3"), ("c2", "c3", "c1"), ("c3", "c1", "c2")]:
+        assert g.scalar_c(*order) == Fraction(2, 3)
+    for order in [("c2", "c1", "c3"), ("c1", "c3", "c2"), ("c3", "c2", "c1")]:
+        assert g.scalar_c(*order) == Fraction(3, 2)
+
+
+@pytest.mark.parametrize("last", ["c4", "c10"])
+def test_a_coboundary_c_glues_however_the_chart_names_sort(last):
+    # c = delta b with every key in numeric order; c1,c2,c10 sorts as c1,c10,c2
+    charts = ["c1", "c2", "c3", last]
+    nerve = complete_nerve(charts)
+    rng = random.Random(43)
+    b = {pair: rand_scalar(rng) for pair in itertools.combinations(charts, 2)}
+    triples = itertools.combinations(charts, 3)
+    c = {(i, j, k): b[(i, j)] * b[(j, k)] / b[(i, k)] for i, j, k in triples}
+    report = gerbe_alpha(nerve, GerbeData(nerve, c=c))
+    assert report.cocycle_ok and report.gluable
 
 
 def test_gerbe_rejects_bad_scalars():
