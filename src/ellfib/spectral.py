@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from math import comb
 from typing import Iterable, Mapping
 
-from .bundles import AtiyahBundle, GradedClass, graded, make_bundle, split_bundle
+from .bundles import AtiyahBundle, GradedClass, graded, split_bundle
 from .errors import (
     BudgetExceeded,
     MissingSample,
@@ -192,31 +192,23 @@ def enumerate_cycles(n: int, torsion: int) -> list[SpectralCycle]:
 
 
 def enumerate_bundles(n: int, torsion: int) -> list[AtiyahBundle]:
-    """Every rank-n bundle whose block points are torsion, each class once."""
+    """Every rank-n bundle whose block points are torsion, each class once:
+    one per non-decreasing run, with ranks summing to n, of the blocks
+    (rank, point) listed in bundle order, so each comes out canonical."""
     if n < 1:
         raise SchemaError("bundle rank must be at least 1")
-    points = torsion_points(torsion)
-
-    def partitions(total: int, cap: int) -> list[tuple[int, ...]]:
-        if total == 0:
-            return [()]
-        out = []
-        for first in range(min(total, cap), 0, -1):
-            for rest in partitions(total - first, first):
-                out.append((first,) + rest)
-        return out
-
+    blocks = [(rank, point) for point in torsion_points(torsion) for rank in range(1, n + 1)]
     bundles = []
-    for shape in partitions(n, n):
-        choices = [
-            [
-                tuple((part, point) for point in combo)
-                for combo in combinations_with_replacement(points, shape.count(part))
-            ]
-            for part in sorted(set(shape))
-        ]
-        for blocks in product(*choices):
-            bundles.append(make_bundle(chain.from_iterable(blocks)))
+
+    def extend(run: tuple, start: int, left: int) -> None:
+        for i in range(start, len(blocks)):
+            rank, _ = block = blocks[i]
+            if rank == left:
+                bundles.append(AtiyahBundle(run + (block,)))
+            elif rank < left:
+                extend(run + (block,), i, left - rank)
+
+    extend((), 0, n)
     return bundles
 
 

@@ -241,6 +241,24 @@ def test_enumerated_bundles_are_distinct():
     assert len(set(bundles)) == len(bundles)
 
 
+@pytest.mark.parametrize(
+    "n, torsion", [(n, t) for n in (1, 2, 3) for t in (1, 2, 3)] + [(4, 2)]
+)
+def test_enumerated_bundles_are_every_canonical_bundle_once(n, torsion):
+    # brute force: every multiset of (rank, point) blocks whose ranks sum to n
+    blocks = [(rank, p) for p in torsion_points(torsion) for rank in range(1, n + 1)]
+    expected = {
+        make_bundle(combo)
+        for size in range(1, n + 1)
+        for combo in combinations_with_replacement(blocks, size)
+        if sum(rank for rank, _ in combo) == n
+    }
+    bundles = enumerate_bundles(n, torsion)
+    assert set(bundles) == expected
+    assert len(bundles) == len(expected)
+    assert all(b == make_bundle(b.blocks) for b in bundles)
+
+
 def test_graded_classes_biject_with_cycles():
     bundles = enumerate_bundles(2, 3)
     classes = {graded(b) for b in bundles}
