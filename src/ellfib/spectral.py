@@ -2,9 +2,9 @@
 
 A spectral cycle is the support-with-multiplicity shadow of the
 transform of a semistable bundle.  Families of bundles over a nerve map
-chartwise to cycle-valued sections; on a single trivializing chart the
-correspondence has an explicit inverse, and both directions are checked
-exhaustively over torsion points by the round-trip verifier.
+chartwise to cycle-valued sections; on one chart the correspondence has
+an explicit inverse, and the round-trip verifier checks both directions
+on every torsion cycle and bundle, each enumerated already canonical.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import comb
 from typing import Iterable, Mapping
 
 from .bundles import AtiyahBundle, GradedClass, graded, split_bundle

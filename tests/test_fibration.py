@@ -889,6 +889,7 @@ def test_each_cocycle_and_gerbe_defect_has_its_message(call, error, message):
 
 
 # every key of the data on a nerve is read by one reader, which checks its length
+# and that its charts are strings
 SHAPE_DEFECTS = {
     "nerve-overlap-without-a-length": (
         lambda: abc_nerve(overlaps=ABC_PAIRS + [7]), "overlap must list two charts: 7"
@@ -940,18 +941,7 @@ SHAPE_DEFECTS = {
         lambda: GerbeData(abc_nerve(), descriptors={("b", "a"): [("a", "b")]}),
         "descriptor for ('a', 'b') must be a mapping: [('a', 'b')]",
     ),
-}
-
-
-@pytest.mark.parametrize("call, message", SHAPE_DEFECTS.values(), ids=list(SHAPE_DEFECTS))
-def test_keys_and_tables_of_the_wrong_shape_are_refused(call, message):
-    with pytest.raises(SchemaError) as info:
-        call()
-    assert str(info.value) == message
-
-
-# a chart in a key must be a string: the key reader orders charts with <
-NON_STRING_KEYS = {
+    # a chart in a key must be a string: the reader orders charts with <
     "nerve-overlap-with-an-int": (
         lambda: Nerve(["a", "b"], [("a", 7)]), "overlap charts must be strings: ('a', 7)"
     ),
@@ -977,8 +967,8 @@ NON_STRING_KEYS = {
 }
 
 
-@pytest.mark.parametrize("call, message", NON_STRING_KEYS.values(), ids=list(NON_STRING_KEYS))
-def test_keys_whose_charts_are_not_strings_are_refused(call, message):
+@pytest.mark.parametrize("call, message", SHAPE_DEFECTS.values(), ids=list(SHAPE_DEFECTS))
+def test_keys_and_tables_of_the_wrong_shape_are_refused(call, message):
     with pytest.raises(SchemaError) as info:
         call()
     assert str(info.value) == message

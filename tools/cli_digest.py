@@ -32,14 +32,20 @@ gerbe with descriptors: on that nerve given on a reversed key or
 generator, with cancelling exponents, equal to the default, on both
 orientations (agreeing and in conflict), and on the projective plane
 one descriptor off its default by a vector in the rational span of the
-relator rows but outside their lattice (condition 3 fails).
+relator rows but outside their lattice (condition 3 fails), and last
+gerbe with c a coboundary on that three-chart nerve and on the complete
+nerve of c1, c2, c3 and c10, its triple keys sorted, cyclically rotated
+and transposed, and on a copy whose chart names sort in reverse.
 Every run's argument list, exit code, stdout and stderr go into the
 digest of its verb; the budget runs go into "psi budget" and "beta
 budget", so the other twelve digests can be compared with a checkout
 that has no such budget, the projective-plane gerbes into "gerbe rp2",
 the torus4 classes into "invariants tau=i", the two fresh-process
 round trips into "roundtrip cold", the three-chart nerve runs into
-"nerve errors", and the descriptor runs into "gerbe descriptors".  Input
+"nerve errors", the descriptor runs into "gerbe descriptors", and the
+coboundary runs into "gerbe parity": they read a c key given in an odd
+order as inverted, which a checkout that reads c without its orientation
+answers otherwise.  Input
 documents are written to one fixed relative path inside a temporary
 working directory, so no temporary path reaches the output.
 
@@ -430,6 +436,64 @@ def descriptor_runs():
         yield argv, {"nerve": _rp2_nerve(), "gerbe": {"descriptors": {"c1,c2": descriptor}}}
 
 
+# the complete nerve on c1, c2, c3 and c10, whose c10 sorts before c2 as a string
+PARITY_CHARTS = ["c1", "c2", "c3", "c10"]
+
+
+def _complete_nerve(charts: list[str]) -> dict:
+    """The nerve document of every overlap and triple of charts, one sample s each."""
+    pairs, triples = ([",".join(key) for key in combinations(charts, r)] for r in (2, 3))
+    return {
+        "charts": charts,
+        "overlaps": [key.split(",") for key in pairs],
+        "triples": [key.split(",") for key in triples],
+        "samples": {
+            "charts": {c: ["s"] for c in charts},
+            "overlaps": {key: ["s"] for key in pairs},
+            "triples": {key: ["s"] for key in triples},
+        },
+    }
+
+
+def _renamed_nerve(nerve: dict, name: dict) -> dict:
+    """The nerve document with each chart c called name[c], every key in its old order."""
+    rename = lambda key: ",".join(name[c] for c in key.split(","))
+    return {
+        "charts": [name[c] for c in nerve["charts"]],
+        "overlaps": [[name[c] for c in pair] for pair in nerve["overlaps"]],
+        "triples": [[name[c] for c in tri] for tri in nerve["triples"]],
+        "samples": {
+            kind: {rename(key): labels for key, labels in table.items()}
+            for kind, table in nerve["samples"].items()
+        },
+    }
+
+
+def parity_runs():
+    """(argv, document) for gerbe with c = delta b, b seeded signed ratios, on
+    the nerve of _abc_parts and on the complete nerve of PARITY_CHARTS: each
+    triple keyed in sorted order, cyclically rotated (an even permutation)
+    and transposed (an odd one), then the sorted document with its charts
+    renamed r9, r8, ... in sorted order, which reverses their string order
+    and so makes every key odd.  Each glues when a c key carries its
+    orientation."""
+    argv = ["gerbe", "--in", DOC]
+    for nerve in (_abc_parts()["nerve"], _complete_nerve(PARITY_CHARTS)):
+        rng = random.Random(len(nerve["charts"]))
+        b = {tuple(pair): _signed_ratio(rng) for pair in nerve["overlaps"]}
+        beta = lambda i, j: b[(i, j)] if (i, j) in b else 1 / b[(j, i)]
+        delta = lambda i, j, k: str(beta(i, j) * beta(j, k) / beta(i, k))
+        for order in ((0, 1, 2), (1, 2, 0), (1, 0, 2)):
+            keys = [[sorted(tri)[n] for n in order] for tri in nerve["triples"]]
+            c = {",".join(key): delta(*key) for key in keys}
+            yield argv, {"nerve": nerve, "gerbe": {"c": c}}
+        name = {chart: f"r{9 - n}" for n, chart in enumerate(sorted(nerve["charts"]))}
+        c = {
+            ",".join(name[x] for x in sorted(tri)): delta(*sorted(tri)) for tri in nerve["triples"]
+        }
+        yield argv, {"nerve": _renamed_nerve(nerve, name), "gerbe": {"c": c}}
+
+
 NERVE_VERBS = {
     "cocycle-check": ("nerve", "cocycle"),
     "classify": ("nerve", "cocycle", "local"),
@@ -499,6 +563,7 @@ def main_digest() -> None:
             runs += [("roundtrip cold", argv, None) for argv in COLD_ROUNDTRIPS]
             runs += [("nerve errors", argv, doc) for argv, doc in nerve_error_runs()]
             runs += [("gerbe descriptors", argv, doc) for argv, doc in descriptor_runs()]
+            runs += [("gerbe parity", argv, doc) for argv, doc in parity_runs()]
             for verb, argv, doc in runs:
                 if doc is not None:
                     Path(DOC).write_text(json.dumps(doc, indent=1))
