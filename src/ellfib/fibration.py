@@ -60,6 +60,11 @@ def triple_key(i: str, j: str, k: str) -> tuple[str, str, str]:
     return tuple(sorted((i, j, k)))
 
 
+def _oriented_triple(i: str, j: str, k: str) -> tuple[tuple[str, str, str], bool]:
+    """The triple key of (i, j, k), and whether (i, j, k) is an odd permutation of it."""
+    return triple_key(i, j, k), (i > j) ^ (i > k) ^ (j > k)
+
+
 def _read_key(key, size: int) -> tuple[tuple[str, ...], bool]:
     """Canonical form of an overlap or triple key given as data, and whether its order is odd."""
     try:
@@ -69,12 +74,10 @@ def _read_key(key, size: int) -> tuple[tuple[str, ...], bool]:
     kind = "overlap" if size == 2 else "triple"
     if not fits:
         raise SchemaError(f"{kind} must list {'two' if size == 2 else 'three'} charts: {key!r}")
-    if not all(isinstance(chart, str) for chart in key):
-        raise SchemaError(f"{kind} charts must be strings: {key!r}")
-    if size == 2:
-        return _oriented(*key)
-    i, j, k = key  # odd when an odd number of its pairs are out of order
-    return triple_key(i, j, k), (i > j) ^ (i > k) ^ (j > k)
+    for chart in key:
+        if not isinstance(chart, str):
+            raise SchemaError(f"{kind} charts must be strings: {key!r}")
+    return (_oriented if size == 2 else _oriented_triple)(*key)
 
 
 class Nerve:
@@ -463,7 +466,7 @@ class GerbeData:
         return 1 / q if flip else q
 
     def scalar_c(self, i: str, j: str, k: str) -> Fraction:
-        key, odd = _read_key((i, j, k), 3)
+        key, odd = _oriented_triple(i, j, k)
         q = self.c.get(key, Fraction(1))
         return 1 / q if odd else q
 

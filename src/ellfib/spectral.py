@@ -197,18 +197,16 @@ def enumerate_bundles(n: int, torsion: int) -> list[AtiyahBundle]:
     if n < 1:
         raise SchemaError("bundle rank must be at least 1")
     blocks = [(rank, point) for point in torsion_points(torsion) for rank in range(1, n + 1)]
-    bundles = []
 
-    def extend(run: tuple, start: int, left: int) -> None:
+    def runs(run: tuple, start: int, left: int):
         for i in range(start, len(blocks)):
             rank, _ = block = blocks[i]
             if rank == left:
-                bundles.append(AtiyahBundle(run + (block,)))
+                yield run + (block,)
             elif rank < left:
-                extend(run + (block,), i, left - rank)
+                yield from runs(run + (block,), i, left - rank)
 
-    extend((), 0, n)
-    return bundles
+    return [AtiyahBundle(run) for run in runs((), 0, n)]
 
 
 # Largest round trip, in enumerated objects times samples, that

@@ -40,6 +40,7 @@ from ellfib.transform import PSI_BLOCK_BUDGET, make_skyscraper
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 import gen  # noqa: E402  (perfbench/gen.py: seeded documents, read only)
+from cli_digest import renamed_nerve  # noqa: E402  (tools/cli_digest.py)
 
 
 def pt(u, v=0):
@@ -1116,25 +1117,11 @@ def _odd(charts) -> bool:
 
 def _renamed(doc: dict, name: dict) -> dict:
     """doc with each chart c called name[c]; every key keeps its charts' order."""
-
-    def key(text: str) -> str:
-        return ",".join(name[c] for c in text.split(","))
-
-    nerve = doc["nerve"]
-    out = {
-        "nerve": {
-            "charts": [name[c] for c in nerve["charts"]],
-            "overlaps": [[name[c] for c in pair] for pair in nerve["overlaps"]],
-            "triples": [[name[c] for c in tri] for tri in nerve["triples"]],
-            "samples": {
-                kind: {key(k): labels for k, labels in table.items()}
-                for kind, table in nerve["samples"].items()
-            },
-        }
-    }
+    rename = lambda key: ",".join(name[c] for c in key.split(","))
+    out = {"nerve": renamed_nerve(doc["nerve"], name)}
     for part, tables in (("gerbe", ("a", "c")), ("cocycle", ("lambda",))):
         if part in doc:
-            out[part] = {t: {key(k): v for k, v in doc[part][t].items()} for t in tables}
+            out[part] = {t: {rename(k): v for k, v in doc[part][t].items()} for t in tables}
     if "local" in doc:
         out["local"] = {}
         for k, point in doc["local"].items():

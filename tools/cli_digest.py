@@ -440,22 +440,7 @@ def descriptor_runs():
 PARITY_CHARTS = ["c1", "c2", "c3", "c10"]
 
 
-def _complete_nerve(charts: list[str]) -> dict:
-    """The nerve document of every overlap and triple of charts, one sample s each."""
-    pairs, triples = ([",".join(key) for key in combinations(charts, r)] for r in (2, 3))
-    return {
-        "charts": charts,
-        "overlaps": [key.split(",") for key in pairs],
-        "triples": [key.split(",") for key in triples],
-        "samples": {
-            "charts": {c: ["s"] for c in charts},
-            "overlaps": {key: ["s"] for key in pairs},
-            "triples": {key: ["s"] for key in triples},
-        },
-    }
-
-
-def _renamed_nerve(nerve: dict, name: dict) -> dict:
+def renamed_nerve(nerve: dict, name: dict) -> dict:
     """The nerve document with each chart c called name[c], every key in its old order."""
     rename = lambda key: ",".join(name[c] for c in key.split(","))
     return {
@@ -478,7 +463,8 @@ def parity_runs():
     and so makes every key odd.  Each glues when a c key carries its
     orientation."""
     argv = ["gerbe", "--in", DOC]
-    for nerve in (_abc_parts()["nerve"], _complete_nerve(PARITY_CHARTS)):
+    pairs, triples = (list(combinations(PARITY_CHARTS, r)) for r in (2, 3))
+    for nerve in (_abc_parts()["nerve"], gen.nerve_json(PARITY_CHARTS, pairs, triples, ["s"])):
         rng = random.Random(len(nerve["charts"]))
         b = {tuple(pair): _signed_ratio(rng) for pair in nerve["overlaps"]}
         beta = lambda i, j: b[(i, j)] if (i, j) in b else 1 / b[(j, i)]
@@ -491,7 +477,7 @@ def parity_runs():
         c = {
             ",".join(name[x] for x in sorted(tri)): delta(*sorted(tri)) for tri in nerve["triples"]
         }
-        yield argv, {"nerve": _renamed_nerve(nerve, name), "gerbe": {"c": c}}
+        yield argv, {"nerve": renamed_nerve(nerve, name), "gerbe": {"c": c}}
 
 
 NERVE_VERBS = {
