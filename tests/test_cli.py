@@ -1096,7 +1096,6 @@ def test_repeated_runs_are_byte_identical(tmp_path, capsys):
     assert len(outputs) == 2
 
 
-
 # -- renaming charts -------------------------------------------------------
 
 # (family, size) of the gerbe documents below, nine charts at most
@@ -1178,7 +1177,7 @@ def _violations(report: dict) -> dict:
     broken=st.booleans(),
     numbers=st.lists(st.integers(1, 120), min_size=9, max_size=9, unique=True),
 )
-# c3 -> c10: the c keys c1,c2,c10 and c1,c3,c10 list their charts in an odd order
+# c0..c3 -> c1, c2, c3, c10: the c keys c1,c2,c10 and c1,c3,c10 list their charts in an odd order
 @example(gerbe=("complete", 4), seed=0, broken=False, numbers=[1, 2, 3, 10, 4, 5, 6, 7, 8])
 def test_verdicts_do_not_depend_on_the_names_of_the_charts(
     tmp_path_factory, gerbe, seed, broken, numbers
