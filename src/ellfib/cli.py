@@ -1,10 +1,11 @@
 """Command line front end: one verb per operation, JSON in and out.
 
-Exit codes: 0 when the computation succeeds and every check passes, 1
-for domain errors or a failing verdict (a cocycle violation, a gerbe
-that does not glue, a failed round trip), 2 for malformed input.  All
-output is canonical JSON, so repeated runs on the same input are
-byte-identical.
+Each verb returns a payload and a verdict; `main` alone reads the --in
+document, writes the payload and maps exit codes: 0 when the computation
+succeeds and every check passes, 1 for domain errors or a failing verdict
+(a cocycle violation, a gerbe that does not glue, a failed round trip), 2
+for malformed input.  Output is canonical JSON (or the invariants table),
+so repeated runs on the same input are byte-identical.
 
 Each verb imports its layer when it runs, not when this module loads, so
 a cold process imports (and compiles) only the modules its verb calls.
@@ -50,56 +51,42 @@ def _load(path: str):
         raise SchemaError(f"{path}: invalid JSON (an integer has over {limit} digits)") from exc
 
 
-def _emit(payload) -> None:
-    sys.stdout.write(canonical_json(payload))
-
-
-def cmd_fm(args) -> int:
+def cmd_fm(doc) -> tuple[dict, bool]:
     from .serialize import parse_bundle, skyscraper_json
     from .transform import fm_transform
 
-    bundle = parse_bundle(_load(args.infile))
-    _emit(skyscraper_json(fm_transform(bundle)))
-    return 0
+    return skyscraper_json(fm_transform(parse_bundle(doc))), True
 
 
-def cmd_psi(args) -> int:
+def cmd_psi(doc) -> tuple[dict, bool]:
     from .serialize import bundle_json, parse_skyscraper
     from .transform import psi_transform
 
-    sky = parse_skyscraper(_load(args.infile))
-    _emit(bundle_json(psi_transform(sky)))
-    return 0
+    return bundle_json(psi_transform(parse_skyscraper(doc))), True
 
 
-def cmd_spectral_cover(args) -> int:
+def cmd_spectral_cover(doc) -> tuple[dict, bool]:
     from .serialize import cycle_json, parse_bundle
     from .spectral import spectral_cover
 
-    bundle = parse_bundle(_load(args.infile))
-    _emit(cycle_json(spectral_cover(bundle)))
-    return 0
+    return cycle_json(spectral_cover(parse_bundle(doc))), True
 
 
-def cmd_gamma(args) -> int:
+def cmd_gamma(doc) -> tuple[dict, bool]:
     from .serialize import gamma_json, parse_family
     from .spectral import gamma_map
 
-    family = parse_family(_load(args.infile))
-    _emit(gamma_json(gamma_map(family)))
-    return 0
+    return gamma_json(gamma_map(parse_family(doc))), True
 
 
-def cmd_beta(args) -> int:
+def cmd_beta(doc) -> tuple[dict, bool]:
     from .serialize import family_json, parse_section_doc
     from .spectral import beta_map
 
-    nerve, section, n = parse_section_doc(_load(args.infile))
-    _emit(family_json(beta_map(nerve, section, n)))
-    return 0
+    return family_json(beta_map(*parse_section_doc(doc))), True
 
 
-def cmd_roundtrip(args) -> int:
+def cmd_roundtrip(args) -> tuple[dict, bool]:
     from .fibration import Nerve
     from .serialize import roundtrip_report_json
     from .spectral import _check_budget, round_trip_verify
@@ -108,57 +95,45 @@ def cmd_roundtrip(args) -> int:
         raise SchemaError("--n, --torsion, and --samples must be positive")
     _check_budget(args.n, args.torsion, args.samples)
     # round_trip_verify reads the first sample only; K counts toward the budget
-    base = Nerve.single_chart()
-    report = round_trip_verify(base, args.n, args.torsion)
-    _emit(roundtrip_report_json(report))
-    return 0 if report.ok else 1
+    report = round_trip_verify(Nerve.single_chart(), args.n, args.torsion)
+    return roundtrip_report_json(report), report.ok
 
 
-def cmd_cocycle_check(args) -> int:
+def cmd_cocycle_check(doc) -> tuple[dict, bool]:
     from .fibration import check_cocycle
-    from .serialize import _require_dict, cocycle_report_json, parse_cocycle, parse_nerve
+    from .serialize import cocycle_report_json, parse_cocycle, parse_nerve
 
-    doc = _require_dict(_load(args.infile), "input", {"nerve", "cocycle"})
-    nerve = parse_nerve(doc["nerve"])
-    report = check_cocycle(nerve, parse_cocycle(doc["cocycle"]))
-    _emit(cocycle_report_json(report))
-    return 0 if report.ok else 1
+    report = check_cocycle(parse_nerve(doc["nerve"]), parse_cocycle(doc["cocycle"]))
+    return cocycle_report_json(report), report.ok
 
 
-def cmd_coboundary(args) -> int:
+def cmd_coboundary(doc) -> tuple[dict, bool]:
     from .fibration import coboundary_solve
-    from .serialize import _require_dict, mu_json, parse_cocycle, parse_nerve
+    from .serialize import mu_json, parse_cocycle, parse_nerve
 
-    doc = _require_dict(_load(args.infile), "input", {"nerve", "cocycle"})
-    nerve = parse_nerve(doc["nerve"])
-    mu = coboundary_solve(nerve, parse_cocycle(doc["cocycle"]))
-    _emit(mu_json(mu))
-    return 0 if mu is not None else 1
+    mu = coboundary_solve(parse_nerve(doc["nerve"]), parse_cocycle(doc["cocycle"]))
+    return mu_json(mu), mu is not None
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(doc) -> tuple[dict, bool]:
     from .fibration import classify_line_family
     from .serialize import (
-        _require_dict, glued_json, parse_chart_sample_map, parse_cocycle, parse_nerve, parse_point,
+        glued_json, parse_chart_sample_map, parse_cocycle, parse_nerve, parse_point,
     )
 
-    doc = _require_dict(_load(args.infile), "input", {"nerve", "cocycle", "local"})
     nerve = parse_nerve(doc["nerve"])
     cocycle = parse_cocycle(doc["cocycle"])
     local = parse_chart_sample_map(doc["local"], "local", parse_point)
-    _emit(glued_json(classify_line_family(nerve, cocycle, local)))
-    return 0
+    return glued_json(classify_line_family(nerve, cocycle, local)), True
 
 
-def cmd_gerbe(args) -> int:
+def cmd_gerbe(doc) -> tuple[dict, bool]:
     from .fibration import gerbe_alpha
-    from .serialize import _require_dict, gerbe_report_json, parse_gerbe, parse_nerve
+    from .serialize import gerbe_report_json, parse_gerbe, parse_nerve
 
-    doc = _require_dict(_load(args.infile), "input", {"nerve", "gerbe"})
     nerve = parse_nerve(doc["nerve"])
     report = gerbe_alpha(nerve, parse_gerbe(doc["gerbe"], nerve))
-    _emit(gerbe_report_json(report))
-    return 0 if report.cocycle_ok and report.gluable else 1
+    return gerbe_report_json(report), report.cocycle_ok and report.gluable
 
 
 def _resolve_ring(selector: str):
@@ -223,7 +198,7 @@ def _invariants_table(result: InvariantsResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_invariants(args) -> int:
+def cmd_invariants(args) -> tuple[dict | str, bool]:
     from .cohomology.engine import full_invariants
     from .cohomology.fields import MODES
 
@@ -231,28 +206,17 @@ def cmd_invariants(args) -> int:
     length = len(ring.degree_labels(2))
     a = _parse_vector(args.a, length, "--a")
     b = _parse_vector(args.b, length, "--b")
-    mode = MODES[args.mode]
-    result = full_invariants(ring, a, b, mode, synthetic=args.synthetic)
-    if args.out == "json":
-        _emit(invariants_json(result))
-    else:
-        sys.stdout.write(_invariants_table(result))
-    return 0 if not result.consistency else 1
+    result = full_invariants(ring, a, b, MODES[args.mode], synthetic=args.synthetic)
+    payload = invariants_json(result) if args.out == "json" else _invariants_table(result)
+    return payload, not result.consistency
 
 
-def cmd_validate_ring(args) -> int:
+def cmd_validate_ring(args) -> tuple[dict, bool]:
     from .cohomology.ring import ring_validate
 
     ring = _resolve_ring(args.preset)
-    violations = ring_validate(ring)
-    _emit(
-        {
-            "name": ring.name,
-            "valid": not violations,
-            "violations": list(violations),
-        }
-    )
-    return 0 if not violations else 1
+    violations = list(ring_validate(ring))
+    return {"name": ring.name, "valid": not violations, "violations": violations}, not violations
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -263,21 +227,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
 
-    def file_verb(name: str, help_text: str, func) -> None:
+    def file_verb(name: str, help_text: str, func, *sections: str) -> None:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--in", dest="infile", required=True, metavar="PATH",
                        help="input JSON file")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, sections=set(sections))
 
     file_verb("fm", "bundle to its supported torsion class", cmd_fm)
     file_verb("psi", "degree-zero torsion class back to a polystable bundle", cmd_psi)
     file_verb("spectral-cover", "bundle to its weighted support cycle", cmd_spectral_cover)
     file_verb("gamma", "family of bundles to a glued cycle section", cmd_gamma)
     file_verb("beta", "cycle section back to a bundle family", cmd_beta)
-    file_verb("cocycle-check", "verify the triple-sum identity on a nerve", cmd_cocycle_check)
-    file_verb("coboundary", "solve for per-chart translations, or report failure", cmd_coboundary)
-    file_verb("classify", "glue per-chart line classes into one sample map", cmd_classify)
-    file_verb("gerbe", "obstruction scalars and gluability of twisting data", cmd_gerbe)
+    file_verb("cocycle-check", "verify the triple-sum identity on a nerve", cmd_cocycle_check,
+              "nerve", "cocycle")
+    file_verb("coboundary", "solve for per-chart translations, or report failure", cmd_coboundary,
+              "nerve", "cocycle")
+    file_verb("classify", "glue per-chart line classes into one sample map", cmd_classify,
+              "nerve", "cocycle", "local")
+    file_verb("gerbe", "obstruction scalars and gluability of twisting data", cmd_gerbe,
+              "nerve", "gerbe")
 
     rt = sub.add_parser("roundtrip", help="exhaustive two-way check over torsion data")
     rt.add_argument("--n", type=int, required=True, help="total length bound")
@@ -307,10 +275,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    """Run the verb of args: read its document, write its payload, map its verdict to 0 or 1."""
+    given = _load(args.infile) if "infile" in args else args
+    if getattr(args, "sections", None):
+        from .serialize import _require_dict
+        given = _require_dict(given, "input", args.sections)
+    payload, ok = args.func(given)
+    sys.stdout.write(payload if isinstance(payload, str) else canonical_json(payload))
+    return 0 if ok else 1
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -46,7 +46,10 @@ def _oriented(i: str, j: str) -> tuple[tuple[str, str], bool]:
     """The overlap key of (i, j), and whether (i, j) lists it in reverse."""
     if i == j:
         raise SchemaError(f"overlap needs two distinct charts, got {i!r} twice")
-    return ((i, j), False) if i < j else ((j, i), True)
+    try:
+        return ((i, j), False) if i < j else ((j, i), True)
+    except TypeError:  # charts that do not compare: one is not a string
+        raise SchemaError(f"overlap charts must be strings: {(i, j)!r}") from None
 
 
 def overlap_key(i: str, j: str) -> tuple[str, str]:
@@ -55,9 +58,12 @@ def overlap_key(i: str, j: str) -> tuple[str, str]:
 
 
 def triple_key(i: str, j: str, k: str) -> tuple[str, str, str]:
-    if len({i, j, k}) != 3:
-        raise SchemaError(f"triple needs three distinct charts: {(i, j, k)!r}")
-    return tuple(sorted((i, j, k)))
+    try:
+        if len({i, j, k}) != 3:
+            raise SchemaError(f"triple needs three distinct charts: {(i, j, k)!r}")
+        return tuple(sorted((i, j, k)))
+    except TypeError:  # charts that do not hash or compare: one is not a string
+        raise SchemaError(f"triple charts must be strings: {(i, j, k)!r}") from None
 
 
 def _oriented_triple(i: str, j: str, k: str) -> tuple[tuple[str, str, str], bool]:

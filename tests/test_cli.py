@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from ellfib.bundles import make_bundle, tensor_line
 from ellfib.cli import main
+from ellfib.cohomology import engine
 from ellfib.cohomology.ring import load_preset, ring_to_dict
 from ellfib.fibration import Nerve, TranslationCocycle
 from ellfib.serialize import (
@@ -490,6 +491,24 @@ def test_gerbe_on_a_nerve_without_triples_prints_a_witness_per_overlap(tmp_path,
     assert payload["witness"] == {",".join(pair): "1" for pair in doc["nerve"]["overlaps"]}
 
 
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        (("gerbe", "a"), "gerbe a must be a JSON object"),
+        (("nerve", "samples", "overlaps"), "overlap samples must be a JSON object"),
+    ],
+)
+def test_a_table_given_as_an_array_is_refused(tmp_path, capsys, path, message):
+    doc = tetra_doc(a={"c1,c2": "2"})
+    *steps, key = path
+    at = doc
+    for step in steps:
+        at = at[step]
+    at[key] = []
+    infile = write(tmp_path, "g.json", doc)
+    assert run(capsys, "gerbe", "--in", infile) == (2, "", f"error: {message}\n")
+
+
 SYMPY_PROBE = """
 import contextlib, io, json, sys
 import ellfib.cli
@@ -616,6 +635,30 @@ def test_invariants_table_output(capsys):
     assert "  1 6 6 1" in lines
     assert "betti: 1 5 11 14 11 5 1" in lines
     assert "consistency: ok" in lines
+
+
+def test_invariants_writes_a_consistency_violation_in_both_outputs(capsys, monkeypatch):
+    violation = "duality fails: b0 = 1 but b6 = 2"
+    monkeypatch.setattr(engine, "consistency_report", lambda diamond, betti: (violation,))
+    argv = ["invariants", "--preset", "kodaira", "--a", "0", "--b", "0", "--out"]
+    assert run(capsys, *argv, "table") == (1, (
+        "ring: kodaira   mode: generic\n"
+        "ranks: e=0 g=0 d=0 dprime=0 h=0 f=0\n"
+        "hodge numbers by total degree (decreasing q):\n"
+        "  1\n  3 2\n  3 6 2\n  1 6 6 1\n  2 6 3\n  2 3\n  1\n"
+        "betti: 1 5 11 14 11 5 1\n"
+        "consistency violations:\n"
+        f"  {violation}\n"
+    ), "")
+    payload = {
+        "ranks": {"e": 0, "g": 0, "d": 0, "dprime": 0, "h": 0, "f": 0},
+        "hodge": [[1, 3, 3, 1], [2, 6, 6, 2], [2, 6, 6, 2], [1, 3, 3, 1]],
+        "betti": [1, 5, 11, 14, 11, 5, 1],
+        "consistency": [violation],
+        "flags": [],
+    }
+    json_out = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert run(capsys, *argv, "json") == (1, json_out, "")
 
 
 def test_invariants_synthetic_twist(capsys):

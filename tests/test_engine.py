@@ -400,6 +400,21 @@ def test_consistency_report_flags_tampering():
     assert any("Betti" in line or "duality" in line for line in report)
 
 
+def test_consistency_report_words_each_of_the_five_checks():
+    # h(0,0) = 1 alone and b0 = 2 alone break the Euler counts, both
+    # dualities and the degeneration bound
+    diamond = engine.HodgeDiamond(((1, 0, 0, 0),) + ((0, 0, 0, 0),) * 3)
+    assert consistency_report(diamond, [2, 0, 0, 0, 0, 0, 0]) == (
+        "alternating Hodge sum is 1, expected 0",
+        "alternating Betti sum is 2, expected 0",
+        "duality fails: b0 = 2 but b6 = 0",
+        "duality fails: b6 = 0 but b0 = 2",
+        "duality fails: h(0,0) = 1 but h(3,3) = 0",
+        "duality fails: h(3,3) = 0 but h(0,0) = 1",
+        "degeneration bound fails: b0 = 2 exceeds Hodge sum 1",
+    )
+
+
 def test_exact_rank_backs_the_pairing_claim():
     # d for a rational pair is literally the rank of the two de Rham rows
     ring = load_preset("kodaira")

@@ -974,6 +974,52 @@ def test_keys_and_tables_of_the_wrong_shape_are_refused(call, message):
     assert str(info.value) == message
 
 
+# a query naming a chart that is not a string: the words of the key reader
+QUERY_DEFECTS = {
+    "overlap-samples": (
+        lambda: Nerve.single_chart().overlap_samples("c", 7),
+        "overlap charts must be strings: ('c', 7)",
+    ),
+    "triple-samples": (
+        lambda: abc_nerve().triple_samples("a", "b", 7),
+        "triple charts must be strings: ('a', 'b', 7)",
+    ),
+    "overlap-key": (lambda: overlap_key("a", 7), "overlap charts must be strings: ('a', 7)"),
+    "overlap-key-with-a-list": (
+        lambda: overlap_key([1], "a"), "overlap charts must be strings: ([1], 'a')"
+    ),
+    "triple-key": (
+        lambda: triple_key("a", "b", 7), "triple charts must be strings: ('a', 'b', 7)"
+    ),
+    "triple-key-with-a-list": (
+        lambda: triple_key("a", "b", ["c"]), "triple charts must be strings: ('a', 'b', ['c'])"
+    ),
+    "cocycle-value": (
+        lambda: TranslationCocycle({}).value("a", 7, "s"),
+        "overlap charts must be strings: ('a', 7)",
+    ),
+    "gerbe-scalar-a": (
+        lambda: GerbeData(abc_nerve()).scalar_a(7, "b"),
+        "overlap charts must be strings: (7, 'b')",
+    ),
+    "gerbe-scalar-c": (
+        lambda: GerbeData(abc_nerve()).scalar_c("a", 7, "c"),
+        "triple charts must be strings: ('a', 7, 'c')",
+    ),
+    "gerbe-descriptor": (
+        lambda: GerbeData(abc_nerve()).descriptor("a", None),
+        "overlap charts must be strings: ('a', None)",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", QUERY_DEFECTS.values(), ids=list(QUERY_DEFECTS))
+def test_a_query_on_a_chart_that_is_not_a_string_is_refused(call, message):
+    with pytest.raises(SchemaError) as info:
+        call()
+    assert str(info.value) == message
+
+
 # -- gerbe data and obstruction --------------------------------------------
 
 

@@ -313,7 +313,7 @@ def test_preset_generator_reproduces_committed_presets():
         assert emitted == presets.joinpath(f"{name}.json").read_text(), name
 
 
-def test_ring_from_dict_rejects_missing_sections():
+def test_bigraded_ring_rejects_missing_sections():
     with pytest.raises(SchemaError):
         BigradedRing({"name": "x"})
 
@@ -348,7 +348,7 @@ def test_ring_from_dict_rejects_malformed_shapes(section, value):
         BigradedRing(payload)
 
 
-def test_ring_from_dict_rejects_out_of_range_bidegrees():
+def test_bigraded_ring_rejects_out_of_range_bidegrees():
     # no basis beyond 0 <= p, q <= 2 is what makes the engine's d*d vanish
     payload = ring_to_dict(load_preset("kodaira"))
     payload["bigraded"]["0,3"] = ["extra"]
@@ -361,7 +361,7 @@ def test_ring_from_dict_rejects_out_of_range_bidegrees():
     [("bigraded", "0, 0", "0,0"), ("basis", "+1", "1")],
     ids=["bigraded", "derham"],
 )
-def test_ring_from_dict_rejects_a_degree_given_twice(section, key, same):
+def test_bigraded_ring_rejects_a_degree_given_twice(section, key, same):
     # int() reads " 0" and "+1" as 0 and 1; only the canonical spelling is a key
     payload = ring_to_dict(load_preset("kodaira"))
     bases = payload["bigraded"] if section == "bigraded" else payload["derham"]["basis"]

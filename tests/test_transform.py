@@ -18,6 +18,7 @@ from ellfib.bundles import (
 from ellfib.errors import EmptyBundle, NonPositiveRank, WrongDegree
 from ellfib.torus import TorusPoint, merge_points
 from ellfib.transform import (
+    SkyscraperClass,
     fm_transform,
     make_skyscraper,
     psi_transform,
@@ -65,6 +66,11 @@ def test_make_skyscraper_validates_degree_and_lengths():
         make_skyscraper([(p, 0)], 0)
     with pytest.raises(EmptyBundle):
         make_skyscraper([], 1)
+
+
+def test_psi_of_the_empty_class_is_refused():
+    with pytest.raises(EmptyBundle, match="^a bundle needs at least one block$"):
+        psi_transform(SkyscraperClass((), 0))
 
 
 def test_with_degree_revalidates():

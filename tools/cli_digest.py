@@ -38,7 +38,7 @@ nerve of c1, c2, c3 and c10, its triple keys sorted, cyclically rotated
 and transposed, and on a copy whose chart names sort in reverse.
 Every run's argument list, exit code, stdout and stderr go into the
 digest of its verb; the budget runs go into "psi budget" and "beta
-budget", so the other twelve digests can be compared with a checkout
+budget", so the other eighteen digests can be compared with a checkout
 that has no such budget, the projective-plane gerbes into "gerbe rp2",
 the torus4 classes into "invariants tau=i", the two fresh-process
 round trips into "roundtrip cold", the three-chart nerve runs into
