@@ -138,10 +138,14 @@ class Nerve:
             ("overlap", self.overlaps, overlap_samples),
             ("triple", self.triples, triple_samples),
         ):
+            if raw is not None and not isinstance(raw, Mapping):
+                raise SchemaError(f"{kind} samples must be a mapping: {raw!r}")
             given = {}
             for key, labels in (raw or {}).items():
-                # an overlap or triple key may list its charts in any order
-                key = tuple(sorted(key)) if isinstance(key, tuple) else key
+                try:  # an overlap or triple key may list its charts in any order
+                    key = tuple(sorted(key)) if isinstance(key, tuple) else key
+                except TypeError:  # charts that do not compare are not all strings: unknown
+                    pass
                 if key in given:
                     raise SchemaError(f"samples for {kind} {key!r} given in two orders")
                 given[key] = labels
@@ -155,8 +159,8 @@ class Nerve:
                 if len(distinct) != len(labels):
                     raise SchemaError(f"duplicate samples for {kind} {key!r}")
                 self._samples[key] = tuple(sorted(labels))
-            if given:
-                raise SchemaError(f"samples given for unknown {kind}s: {sorted(given)!r}")
+            if given:  # by str, which compares keys whose charts are not all strings too
+                raise SchemaError(f"samples given for unknown {kind}s: {sorted(given, key=str)!r}")
 
         for i, j in self.overlaps:
             for s in self._samples[(i, j)]:
@@ -468,17 +472,22 @@ class GerbeData:
 
     def scalar_a(self, i: str, j: str) -> Fraction:
         key, flip = _oriented(i, j)
+        if key not in self.descriptors:  # which hold every overlap of the nerve
+            raise SchemaError(f"unknown overlap {key!r}")
         q = self.a.get(key, Fraction(1))
         return 1 / q if flip else q
 
     def scalar_c(self, i: str, j: str, k: str) -> Fraction:
         key, odd = _oriented_triple(i, j, k)
+        if key not in self.nerve:
+            raise SchemaError(f"unknown triple {key!r}")
         q = self.c.get(key, Fraction(1))
         return 1 / q if odd else q
 
     def descriptor(self, i: str, j: str) -> dict[tuple[str, str], int]:
         key, flip = _oriented(i, j)
-        vec = self.descriptors[key]
+        if (vec := self.descriptors.get(key)) is None:
+            raise SchemaError(f"unknown overlap {key!r}")
         return {g: -e for g, e in vec.items()} if flip else dict(vec)
 
 

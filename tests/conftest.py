@@ -1,8 +1,9 @@
 """Put tools/ on the import path, so tests import its scripts by name.
 
 tools/make_presets.py builds the ring presets with its own rational
-solver: test_ring_presets reruns the generator, and test_linalg checks
-exact_rank against its rref.
+solver: test_ring_presets reruns the generator, test_linalg checks
+exact_rank against its rref, and test_nilmanifold_oracle takes the
+Betti numbers of a total space with its tower routine.
 """
 
 import sys

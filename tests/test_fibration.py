@@ -652,6 +652,35 @@ NERVE_DEFECTS = {
         lambda: abc_nerve(triple_samples={**TRIPLE_S, ("a", "b"): ["s"]}),
         "samples given for unknown triples: [('a', 'b')]",
     ),
+    # a sample key whose charts are not all strings is unknown, and the unknown keys sort by str
+    "overlap-samples-under-a-key-with-an-int-chart": (
+        lambda: abc_nerve(overlap_samples={**OVERLAP_S, ("a", 7): ["s"]}),
+        "samples given for unknown overlaps: [('a', 7)]",
+    ),
+    "triple-samples-under-a-key-with-a-none-chart": (
+        lambda: abc_nerve(triple_samples={**TRIPLE_S, ("c", None, "a"): ["s"]}),
+        "samples given for unknown triples: [('c', None, 'a')]",
+    ),
+    "overlap-samples-under-keys-of-mixed-kinds": (
+        lambda: abc_nerve(overlap_samples={**OVERLAP_S, (7, 8): ["s"], ("z", "a"): ["s"]}),
+        "samples given for unknown overlaps: [('a', 'z'), (7, 8)]",
+    ),
+    "chart-samples-under-keys-of-mixed-kinds": (
+        lambda: abc_nerve(chart_samples={**CHART_S, 7: ["s"], "z": ["s"]}),
+        "samples given for unknown charts: [7, 'z']",
+    ),
+    # sample tables that are not mappings
+    "chart-samples-as-a-list": (
+        lambda: abc_nerve(chart_samples=[("a", ["s"])]),
+        "chart samples must be a mapping: [('a', ['s'])]",
+    ),
+    "overlap-samples-as-a-list": (
+        lambda: abc_nerve(overlap_samples=[(("a", "b"), ["s"])]),
+        "overlap samples must be a mapping: [(('a', 'b'), ['s'])]",
+    ),
+    "triple-samples-as-a-string": (
+        lambda: abc_nerve(triple_samples="a,b,c"), "triple samples must be a mapping: 'a,b,c'"
+    ),
     # a sample missing from a face
     "overlap-sample-missing-from-a-chart": (
         lambda: abc_nerve(overlap_samples={**OVERLAP_S, ("a", "c"): ["s", "u"]}),
@@ -698,6 +727,23 @@ NERVE_DEFECTS = {
     ),
     "triple-of-a-nerve-without-triples": (
         lambda: abc_nerve(triples=[], triple_samples={}).triple_samples("c", "b", "a"),
+        "unknown triple ('a', 'b', 'c')",
+    ),
+    "gerbe-descriptor-off-the-nerve": (
+        lambda: GerbeData(Nerve.single_chart()).descriptor("a", "b"), "unknown overlap ('a', 'b')"
+    ),
+    "gerbe-scalar-a-off-the-nerve": (
+        lambda: GerbeData(Nerve.single_chart()).scalar_a("b", "a"), "unknown overlap ('a', 'b')"
+    ),
+    "gerbe-scalar-c-off-the-nerve": (
+        lambda: GerbeData(Nerve.single_chart()).scalar_c("c", "a", "b"),
+        "unknown triple ('a', 'b', 'c')",
+    ),
+    "gerbe-descriptor-of-an-overlap-missing-from-the-nerve": (
+        lambda: GerbeData(no_bc()).descriptor("c", "b"), "unknown overlap ('b', 'c')"
+    ),
+    "gerbe-scalar-c-of-a-nerve-without-triples": (
+        lambda: GerbeData(abc_nerve(triples=[], triple_samples={})).scalar_c("a", "b", "c"),
         "unknown triple ('a', 'b', 'c')",
     ),
     # cocycle values, local classes and family entries off the nerve

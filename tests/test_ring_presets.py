@@ -384,7 +384,7 @@ def test_bigraded_ring_rejects_a_degree_given_twice(section, key, same):
     ids=["arabic-indic-digit", "leading-zero", "underscore", "underscore-10", "space", "tuple",
          "int"],
 )
-def test_ring_from_dict_rejects_a_non_canonical_degree_key(section, key, canonical):
+def test_bigraded_ring_rejects_a_non_canonical_degree_key(section, key, canonical):
     # int() reads each string as a degree ("1_0" as 10), but none is that degree's spelling
     payload = ring_to_dict(load_preset("kodaira"))
     bases = payload["bigraded"] if section == "bigraded" else payload["derham"]["basis"]

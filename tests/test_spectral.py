@@ -162,6 +162,23 @@ def test_gamma_rejects_incompatible_overlap_data():
         gamma_map(family)
 
 
+def test_gamma_rejects_cycle_totals_that_vary_across_samples(monkeypatch):
+    # equal ranks keep every total equal, so a cover that answers two totals is patched in
+    line, moved = make_bundle([(1, ORIGIN)]), make_bundle([(1, pt("1/2"))])
+    family = BundleFamily(
+        Nerve.single_chart("c", ("s", "t")), TranslationCocycle({}),
+        {("c", "s"): line, ("c", "t"): moved},
+    )
+    original = spectral.spectral_cover
+    doubled = original(make_bundle([(2, ORIGIN)]))
+    monkeypatch.setattr(
+        spectral, "spectral_cover", lambda b: original(b) if b == line else doubled
+    )
+    with pytest.raises(NonConstantLength) as info:
+        gamma_map(family)
+    assert str(info.value) == "cycle totals vary across samples: [1, 2]"
+
+
 def test_beta_restores_polystable_fibers():
     nerve = Nerve.single_chart("c", ("s",))
     cycle = make_cycle([(pt("1/3"), 2), (ORIGIN, 1)])
@@ -374,6 +391,18 @@ def test_round_trip_covers_through_the_module_transform(monkeypatch):
     assert not report.ok
     kinds = Counter(line.split(" round trip")[0] for line in report.failures)
     assert kinds == {"section": report.sections_checked, "family": report.bundles_checked}
+
+
+def test_round_trip_reports_two_classes_with_one_cycle(monkeypatch):
+    first, second, *_ = enumerate_cycles(1, 2)
+    original = spectral.cycle_of_graded
+    monkeypatch.setattr(
+        spectral, "cycle_of_graded", lambda g: first if original(g) == second else original(g)
+    )
+    report = round_trip_verify(Nerve.single_chart(), 1, 2)
+    assert not report.ok
+    assert not report.bijective
+    assert report.failures == ("graded classes and cycles are not in bijection",)
 
 
 def test_round_trip_requires_single_chart():

@@ -4,12 +4,19 @@
 kodaira and torus4 come from invariant-form models: an exterior algebra
 on four 1-form generators with declared structure differentials, from
 which both cohomology towers, all products, the conjugation, and the
-degreewise identification are computed by exact rational linear algebra
-(kernels modulo images, coset representatives, reduction of wedge
-products).  k3 is assembled directly from its classical Hodge numbers
-and hyperbolic intersection pairing.  Every emitted ring must pass
+degreewise identification are computed by exact rational linear algebra.
+One routine, tower, gives the dimensions and exact forms of dbar over
+bidegrees and of d over degrees; per tower, one check validates the
+chosen representatives and one table reduces their wedge products, with
+the one reduction that also serves the conjugation and identification.
+k3 is assembled directly from its classical Hodge numbers and
+hyperbolic intersection pairing.  Every emitted ring must pass
 ring_validate and reproduce the expected dimension tables, or the
 script refuses to write it.
+
+tests/test_nilmanifold_oracle.py imports ExteriorModel, acc, tower,
+derham_complex, kodaira_model and torus4_model to take the Betti numbers
+of a total space; tests/test_linalg.py imports rref and solve_fractions.
 
 Run from the repository root:  python tools/make_presets.py
 """
@@ -206,12 +213,37 @@ def vec_of(form: Form, monos: list[Mono]) -> list[Fraction]:
     return [form.get(m, Fraction(0)) for m in monos]
 
 
+def tower(monos, diff, prev, nxt):
+    """{degree: dim of kernel modulo image} and {degree: nonzero images of the degree below}.
+
+    monos maps each degree of one complex to its monomials, diff is its
+    differential, and prev and nxt step a degree down and up (a degree
+    missing from monos is empty).
+    """
+    dims, exact = {}, {}
+    for deg, here in monos.items():
+        below, above = monos.get(prev(deg), []), monos.get(nxt(deg), [])
+        leaving = rank([vec_of(diff(unit(m)), above) for m in here])
+        entering = rank([vec_of(diff(unit(m)), here) for m in below])
+        dims[deg] = len(here) - leaving - entering
+        exact[deg] = [f for f in (diff(unit(m)) for m in below) if f]
+    return dims, exact
+
+
+def dolbeault_complex(model: ExteriorModel):
+    """dbar over the bidegrees (p, q) of the square, stepping in q."""
+    monos = {(p, q): model.monos_pq(p, q) for p in range(3) for q in range(3)}
+    return monos, model.dbar_form, lambda pq: (pq[0], pq[1] - 1), lambda pq: (pq[0], pq[1] + 1)
+
+
+def derham_complex(model: ExteriorModel):
+    """d over the total degrees 0 to the generator count."""
+    monos = {k: model.monos_k(k) for k in range(model.count + 1)}
+    return monos, model.d_form, lambda k: k - 1, lambda k: k + 1
+
+
 def class_coords(form: Form, reps: list[Form], images: list[Form], monos: list[Mono]):
     """Coordinates of a closed form in the chosen representative basis."""
-    if not monos:
-        if form:
-            raise AssertionError("nonzero form in an empty block")
-        return [Fraction(0)] * len(reps)
     columns = [vec_of(r, monos) for r in reps] + [vec_of(im, monos) for im in images]
     matrix = [[col[i] for col in columns] for i in range(len(monos))]
     b = vec_of(form, monos)
@@ -221,20 +253,50 @@ def class_coords(form: Form, reps: list[Form], images: list[Form], monos: list[M
     return x[: len(reps)]
 
 
-def check_representatives(reps, images, monos, expected_dim, where):
-    closed_rank = len(reps)
-    if closed_rank != expected_dim:
-        raise AssertionError(f"{where}: {closed_rank} representatives, dim {expected_dim}")
-    columns = [vec_of(r, monos) for r in reps] + [vec_of(im, monos) for im in images]
-    matrix = [[col[i] for col in columns] for i in range(len(monos))]
-    image_rank = rank([[vec_of(im, monos)[i] for im in images] for i in range(len(monos))])
-    total = rank(matrix)
-    if total != len(reps) + image_rank:
-        raise AssertionError(f"{where}: representatives are dependent modulo exact forms")
+def check_representatives(where, reps, diff, monos, dims, exact):
+    """Each degree's representatives: closed, as many as its dimension, independent mod exacts."""
+    for deg, block in reps.items():
+        for label, form in block:
+            if diff(form):
+                raise AssertionError(f"{where}: representative {label} is not closed")
+        if len(block) != dims[deg]:
+            raise AssertionError(f"{where} {deg}: {len(block)} representatives, dim {dims[deg]}")
+        images = [vec_of(im, monos[deg]) for im in exact[deg]]
+        forms = [vec_of(form, monos[deg]) for _, form in block]
+        if rank(forms + images) != len(forms) + rank(images):
+            raise AssertionError(f"{where} {deg}: dependent representatives modulo exact forms")
 
 
-def sparse(labels, coords) -> dict[str, str]:
-    return {z: str(c) for z, c in zip(labels, coords) if c}
+def labelled(reps) -> list[tuple[str, Form]]:
+    """(label, form) over every degree of a basis, degrees in order."""
+    return [(label, form) for _, block in sorted(reps.items()) for label, form in block]
+
+
+def reducer(reps, monos, exact):
+    """reduce(form): a closed homogeneous form's class, sparse over its degree's basis."""
+    degree_of = {m: deg for deg, block in monos.items() for m in block}
+
+    def reduce(form: Form) -> dict[str, str]:
+        if not form:
+            return {}
+        deg = degree_of[next(iter(form))]
+        target = reps.get(deg, [])
+        coords = class_coords(form, [f for _, f in target], exact[deg], monos[deg])
+        return {label: str(c) for (label, _), c in zip(target, coords) if c}
+
+    return reduce
+
+
+def product_table(reps, reduce) -> dict[str, dict[str, dict[str, str]]]:
+    """Structure constants by wedge-and-reduce, both argument orders."""
+    table: dict[str, dict[str, dict[str, str]]] = {}
+    flat = labelled(reps)
+    for xl, xf in flat:
+        for yl, yf in flat:
+            entry = reduce(wedge(xf, yf))
+            if entry:
+                table.setdefault(xl, {})[yl] = entry
+    return table
 
 
 def exterior_payload(name, model, dolbeault_reps, derham_reps, ident_patch, expect_h, expect_b):
@@ -244,147 +306,37 @@ def exterior_payload(name, model, dolbeault_reps, derham_reps, ident_patch, expe
     ident_patch: {dolbeault label: {de Rham label: coeff}} for representatives
     that are not d-closed and need a declared degreewise identification.
     """
-    # Dolbeault dimensions from the bicomplex, then validate the chosen bases.
-    dims = {}
-    for p in range(3):
-        for q in range(3):
-            monos = model.monos_pq(p, q)
-            below = model.monos_pq(p, q - 1) if q else []
-            d_here = [
-                [vec_of(model.dbar_form(unit(m)), model.monos_pq(p, q + 1))[i] for m in monos]
-                for i in range(len(model.monos_pq(p, q + 1)))
-            ]
-            rank_here = rank(d_here)
-            d_below = [
-                [vec_of(model.dbar_form(unit(m)), monos)[i] for m in below]
-                for i in range(len(monos))
-            ]
-            rank_below = rank(d_below)
-            dims[(p, q)] = len(monos) - rank_here - rank_below
-    if dims != expect_h:
-        raise AssertionError(f"{name}: Dolbeault dimensions {dims} != {expect_h}")
+    # Each tower the same way: dimensions from the complex, the chosen
+    # bases checked against them, then products reduced into the bases.
+    reduce, products = {}, {}
+    for kind, reps, (monos, diff, prev, nxt), expect in (
+        ("Dolbeault", dolbeault_reps, dolbeault_complex(model), expect_h),
+        ("de Rham", derham_reps, derham_complex(model), dict(enumerate(expect_b))),
+    ):
+        dims, exact = tower(monos, diff, prev, nxt)
+        if dims != expect:
+            raise AssertionError(f"{name}: {kind} dimensions {dims} != {expect}")
+        check_representatives(f"{name} {kind}", reps, diff, monos, dims, exact)
+        reduce[kind] = reducer(reps, monos, exact)
+        products[kind] = product_table(reps, reduce[kind])
 
-    dolbeault_images = {
-        (p, q): [
-            model.dbar_form(unit(m))
-            for m in (model.monos_pq(p, q - 1) if q else [])
-            if model.dbar_form(unit(m))
-        ]
-        for p in range(3)
-        for q in range(3)
-    }
-    for (p, q), reps in dolbeault_reps.items():
-        monos = model.monos_pq(p, q)
-        for label, form in reps:
-            if model.dbar_form(form):
-                raise AssertionError(f"{name}: representative {label} is not closed")
-        check_representatives(
-            [f for _, f in reps], dolbeault_images[(p, q)], monos, dims[(p, q)], f"{name} ({p},{q})"
-        )
-
-    # de Rham dimensions and bases the same way, over total degree.
-    betti = []
-    derham_images = {}
-    for k in range(5):
-        monos = model.monos_k(k)
-        below = model.monos_k(k - 1) if k else []
-        above = model.monos_k(k + 1)
-        d_here = [
-            [vec_of(model.d_form(unit(m)), above)[i] for m in monos]
-            for i in range(len(above))
-        ]
-        rank_here = rank(d_here)
-        d_below = [
-            [vec_of(model.d_form(unit(m)), monos)[i] for m in below]
-            for i in range(len(monos))
-        ]
-        rank_below = rank(d_below)
-        betti.append(len(monos) - rank_here - rank_below)
-        derham_images[k] = [
-            model.d_form(unit(m)) for m in below if model.d_form(unit(m))
-        ]
-    if tuple(betti) != expect_b:
-        raise AssertionError(f"{name}: Betti numbers {tuple(betti)} != {expect_b}")
-    for k, reps in derham_reps.items():
-        for label, form in reps:
-            if model.d_form(form):
-                raise AssertionError(f"{name}: de Rham representative {label} not closed")
-        check_representatives(
-            [f for _, f in reps], derham_images[k], model.monos_k(k), betti[k], f"{name} deg {k}"
-        )
-
-    # Structure constants by wedge-and-reduce, both argument orders.
-    products: dict[str, dict[str, dict[str, str]]] = {}
-    flat = [(label, form, pq) for pq, reps in sorted(dolbeault_reps.items()) for label, form in reps]
-    for xl, xf, (p1, q1) in flat:
-        for yl, yf, (p2, q2) in flat:
-            p, q = p1 + p2, q1 + q2
-            if p > 2 or q > 2:
-                continue
-            prod = wedge(xf, yf)
-            target = dolbeault_reps.get((p, q), [])
-            coords = class_coords(
-                prod,
-                [f for _, f in target],
-                dolbeault_images[(p, q)],
-                model.monos_pq(p, q),
-            )
-            entry = sparse([l for l, _ in target], coords)
-            if entry:
-                products.setdefault(xl, {})[yl] = entry
-
-    dr_products: dict[str, dict[str, dict[str, str]]] = {}
-    dr_flat = [(label, form, k) for k, reps in sorted(derham_reps.items()) for label, form in reps]
-    for xl, xf, k1 in dr_flat:
-        for yl, yf, k2 in dr_flat:
-            k = k1 + k2
-            if k > 4:
-                continue
-            prod = wedge(xf, yf)
-            target = derham_reps.get(k, [])
-            coords = class_coords(
-                prod, [f for _, f in target], derham_images[k], model.monos_k(k)
-            )
-            entry = sparse([l for l, _ in target], coords)
-            if entry:
-                dr_products.setdefault(xl, {})[yl] = entry
-
-    # Conjugation: conjugate the representative; a non-closed conjugate is
-    # the zero class, a closed one reduces in the mirror block.
+    # Conjugation: a conjugate that is not dbar-closed is the zero class, a
+    # closed one reduces in the mirror block.  Identification: a d-closed
+    # representative reduces in de Rham, any other takes the declared patch.
     conjugation: dict[str, dict[str, str]] = {}
-    for (p, q), reps in sorted(dolbeault_reps.items()):
-        target = dolbeault_reps.get((q, p), [])
-        for label, form in reps:
-            image = model.conj_form(form)
-            if model.dbar_form(image):
-                continue
-            coords = class_coords(
-                image, [f for _, f in target], dolbeault_images[(q, p)], model.monos_pq(q, p)
-            )
-            entry = sparse([l for l, _ in target], coords)
-            if entry:
-                conjugation[label] = entry
-
-    # Identification: reduce the representative in de Rham when d-closed,
-    # otherwise fall back to the declared patch.
     ident: dict[str, dict[str, str]] = {}
-    for (p, q), reps in sorted(dolbeault_reps.items()):
-        k = p + q
-        target = derham_reps.get(k, [])
-        for label, form in reps:
-            if model.d_form(form):
-                if label not in ident_patch:
-                    raise AssertionError(f"{name}: {label} needs an identification patch")
-                ident[label] = {z: str(Fraction(c)) for z, c in ident_patch[label].items()}
-                continue
-            if label in ident_patch:
-                raise AssertionError(f"{name}: {label} is d-closed, patch unused")
-            coords = class_coords(
-                form, [f for _, f in target], derham_images[k], model.monos_k(k)
-            )
-            entry = sparse([l for l, _ in target], coords)
-            if entry:
-                ident[label] = entry
+    for label, form in labelled(dolbeault_reps):
+        image = model.conj_form(form)
+        if not model.dbar_form(image) and (entry := reduce["Dolbeault"](image)):
+            conjugation[label] = entry
+        if model.d_form(form):
+            if label not in ident_patch:
+                raise AssertionError(f"{name}: {label} needs an identification patch")
+            ident[label] = {z: str(Fraction(c)) for z, c in ident_patch[label].items()}
+        elif label in ident_patch:
+            raise AssertionError(f"{name}: {label} is d-closed, patch unused")
+        elif entry := reduce["de Rham"](form):
+            ident[label] = entry
 
     return {
         "name": name,
@@ -393,11 +345,11 @@ def exterior_payload(name, model, dolbeault_reps, derham_reps, ident_patch, expe
             for (p, q) in sorted(dolbeault_reps)
             if dolbeault_reps[(p, q)]
         },
-        "products": products,
+        "products": products["Dolbeault"],
         "conjugation": conjugation,
         "derham": {
             "basis": {str(k): [label for label, _ in derham_reps[k]] for k in sorted(derham_reps)},
-            "products": dr_products,
+            "products": products["de Rham"],
         },
         "ident": ident,
     }
@@ -408,7 +360,8 @@ def exterior_payload(name, model, dolbeault_reps, derham_reps, ident_patch, expe
 F1, F2, B1, B2 = 0, 1, 2, 3
 
 
-def kodaira_payload():
+def kodaira_model():
+    """The kodaira model with its Dolbeault and de Rham representatives."""
     model = ExteriorModel(
         gen_types=[(1, 0), (1, 0), (0, 1), (0, 1)],
         dgen={
@@ -448,6 +401,11 @@ def kodaira_payload():
         ],
         4: [("v", unit((F1, F2, B1, B2)))],
     }
+    return model, dolbeault, derham
+
+
+def kodaira_payload():
+    model, dolbeault, derham = kodaira_model()
     expect_h = {
         (0, 0): 1, (1, 0): 1, (0, 1): 2,
         (2, 0): 1, (1, 1): 2, (0, 2): 1,
@@ -468,7 +426,8 @@ def kodaira_payload():
 # -- torus4: four flat generators, zero differential ----------------------
 
 
-def torus4_payload():
+def torus4_model():
+    """The torus4 model with its Dolbeault and de Rham representatives."""
     model = ExteriorModel(
         gen_types=[(1, 0), (1, 0), (0, 1), (0, 1)],
         dgen={},
@@ -485,6 +444,11 @@ def torus4_payload():
         if model.monos_pq(p, q)
     }
     derham = {k: [(label(m), unit(m)) for m in model.monos_k(k)] for k in range(5)}
+    return model, dolbeault, derham
+
+
+def torus4_payload():
+    model, dolbeault, derham = torus4_model()
     expect_h = {
         (p, q): comb(2, p) * comb(2, q) for p in range(3) for q in range(3)
     }
