@@ -3,11 +3,13 @@
 The base is replaced by a nerve: chart labels, unordered overlaps and
 triples, and one table from each of them to its finite sample-label set,
 with triple samples contained in overlap samples contained in chart
-samples.  The nerve answers every membership question from that table.
+samples.  The nerve answers every membership question from that table,
+and one of its methods refuses an overlap or triple key off the nerve.
 Transition data becomes a translation-valued cocycle tabulated at
-samples.  One reader checks every overlap or triple key given as data to
-the nerve, a cocycle or a gerbe, and returns its canonical form and
-whether it lists its charts in an odd order.  On top of that sit the
+samples.  Two orientation routines check the charts of every overlap or
+triple key, given as data or as a query, for distinct strings, and
+return the canonical key and whether it was listed in an odd order; the
+reader of data keys checks only their length.  On top of that sit the
 three classification tools: the cocycle checker, the coboundary solver
 deciding whether the transition class is trivial, and the gluing of
 locally constant classifying maps.  The multiplicative gerbe obstruction
@@ -44,12 +46,20 @@ def _check_label(label, kind: str) -> str:
 
 def _oriented(i: str, j: str) -> tuple[tuple[str, str], bool]:
     """The overlap key of (i, j), and whether (i, j) lists it in reverse."""
+    if not (isinstance(i, str) and isinstance(j, str)):
+        raise SchemaError(f"overlap charts must be strings: {(i, j)!r}")
     if i == j:
         raise SchemaError(f"overlap needs two distinct charts, got {i!r} twice")
-    try:
-        return ((i, j), False) if i < j else ((j, i), True)
-    except TypeError:  # charts that do not compare: one is not a string
-        raise SchemaError(f"overlap charts must be strings: {(i, j)!r}") from None
+    return ((i, j), False) if i < j else ((j, i), True)
+
+
+def _oriented_triple(i: str, j: str, k: str) -> tuple[tuple[str, str, str], bool]:
+    """The triple key of (i, j, k), and whether (i, j, k) is an odd permutation of it."""
+    if not (isinstance(i, str) and isinstance(j, str) and isinstance(k, str)):
+        raise SchemaError(f"triple charts must be strings: {(i, j, k)!r}")
+    if len({i, j, k}) != 3:
+        raise SchemaError(f"triple needs three distinct charts: {(i, j, k)!r}")
+    return tuple(sorted((i, j, k))), (i > j) ^ (i > k) ^ (j > k)
 
 
 def overlap_key(i: str, j: str) -> tuple[str, str]:
@@ -58,17 +68,7 @@ def overlap_key(i: str, j: str) -> tuple[str, str]:
 
 
 def triple_key(i: str, j: str, k: str) -> tuple[str, str, str]:
-    try:
-        if len({i, j, k}) != 3:
-            raise SchemaError(f"triple needs three distinct charts: {(i, j, k)!r}")
-        return tuple(sorted((i, j, k)))
-    except TypeError:  # charts that do not hash or compare: one is not a string
-        raise SchemaError(f"triple charts must be strings: {(i, j, k)!r}") from None
-
-
-def _oriented_triple(i: str, j: str, k: str) -> tuple[tuple[str, str, str], bool]:
-    """The triple key of (i, j, k), and whether (i, j, k) is an odd permutation of it."""
-    return triple_key(i, j, k), (i > j) ^ (i > k) ^ (j > k)
+    return _oriented_triple(i, j, k)[0]
 
 
 def _read_key(key, size: int) -> tuple[tuple[str, ...], bool]:
@@ -77,12 +77,9 @@ def _read_key(key, size: int) -> tuple[tuple[str, ...], bool]:
         fits = len(key) == size
     except TypeError:  # a key with no length
         fits = False
-    kind = "overlap" if size == 2 else "triple"
     if not fits:
-        raise SchemaError(f"{kind} must list {'two' if size == 2 else 'three'} charts: {key!r}")
-    for chart in key:
-        if not isinstance(chart, str):
-            raise SchemaError(f"{kind} charts must be strings: {key!r}")
+        kind, count = ("overlap", "two") if size == 2 else ("triple", "three")
+        raise SchemaError(f"{kind} must list {count} charts: {key!r}")
     return (_oriented if size == 2 else _oriented_triple)(*key)
 
 
@@ -185,16 +182,16 @@ class Nerve:
         return samples
 
     def overlap_samples(self, i: str, j: str) -> tuple[str, ...]:
-        key = overlap_key(i, j)
-        if (samples := self._samples.get(key)) is None:
-            raise SchemaError(f"unknown overlap {key!r}")
-        return samples
+        return self._samples[self._known(overlap_key(i, j))]
 
     def triple_samples(self, i: str, j: str, k: str) -> tuple[str, ...]:
-        key = triple_key(i, j, k)
-        if (samples := self._samples.get(key)) is None:
-            raise SchemaError(f"unknown triple {key!r}")
-        return samples
+        return self._samples[self._known(triple_key(i, j, k))]
+
+    def _known(self, key: tuple[str, ...]) -> tuple[str, ...]:
+        """key, a canonical overlap or triple key of the nerve; a key off the nerve is refused."""
+        if key not in self._samples:
+            raise SchemaError(f"unknown {'overlap' if len(key) == 2 else 'triple'} {key!r}")
+        return key
 
     def __contains__(self, key) -> bool:
         """Whether key is a chart label, an overlap key or a sorted triple of the nerve."""
@@ -472,22 +469,17 @@ class GerbeData:
 
     def scalar_a(self, i: str, j: str) -> Fraction:
         key, flip = _oriented(i, j)
-        if key not in self.descriptors:  # which hold every overlap of the nerve
-            raise SchemaError(f"unknown overlap {key!r}")
-        q = self.a.get(key, Fraction(1))
+        q = self.a.get(self.nerve._known(key), Fraction(1))
         return 1 / q if flip else q
 
     def scalar_c(self, i: str, j: str, k: str) -> Fraction:
         key, odd = _oriented_triple(i, j, k)
-        if key not in self.nerve:
-            raise SchemaError(f"unknown triple {key!r}")
-        q = self.c.get(key, Fraction(1))
+        q = self.c.get(self.nerve._known(key), Fraction(1))
         return 1 / q if odd else q
 
     def descriptor(self, i: str, j: str) -> dict[tuple[str, str], int]:
         key, flip = _oriented(i, j)
-        if (vec := self.descriptors.get(key)) is None:
-            raise SchemaError(f"unknown overlap {key!r}")
+        vec = self.descriptors[self.nerve._known(key)]  # which hold every overlap of the nerve
         return {g: -e for g, e in vec.items()} if flip else dict(vec)
 
 

@@ -1056,6 +1056,20 @@ QUERY_DEFECTS = {
         lambda: GerbeData(abc_nerve()).descriptor("a", None),
         "overlap charts must be strings: ('a', None)",
     ),
+    # charts of one non-string type compare with each other: only a type check refuses them
+    "overlap-key-of-two-ints": (
+        lambda: overlap_key(7, 8), "overlap charts must be strings: (7, 8)"
+    ),
+    "triple-key-of-three-ints": (
+        lambda: triple_key(1, 2, 3), "triple charts must be strings: (1, 2, 3)"
+    ),
+    "cocycle-value-of-two-ints": (
+        lambda: TranslationCocycle({}).value(7, 8, "s"), "overlap charts must be strings: (7, 8)"
+    ),
+    "overlap-samples-of-two-ints": (
+        lambda: Nerve.single_chart().overlap_samples(7, 8),
+        "overlap charts must be strings: (7, 8)",
+    ),
 }
 
 

@@ -341,7 +341,7 @@ def test_bigraded_ring_rejects_missing_sections():
         ("bigraded", {"0,0": ["one"], "0,3": ["extra"]}),
     ],
 )
-def test_ring_from_dict_rejects_malformed_shapes(section, value):
+def test_bigraded_ring_rejects_malformed_shapes(section, value):
     payload = ring_to_dict(load_preset("kodaira"))
     payload[section] = value
     with pytest.raises(SchemaError):

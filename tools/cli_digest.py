@@ -224,27 +224,13 @@ RP2_OVERLAPS = list(combinations(RP2_CHARTS, 2))
 RP2_TRIPLES = [tuple(f"c{v}" for v in face) for face in RP2_FACES]
 
 
-def _rp2_nerve() -> dict:
-    """The nerve document of the projective plane, with the one sample s everywhere."""
-    return {
-        "charts": RP2_CHARTS,
-        "overlaps": [list(pair) for pair in RP2_OVERLAPS],
-        "triples": [list(tri) for tri in RP2_TRIPLES],
-        "samples": {
-            "charts": {c: ["s"] for c in RP2_CHARTS},
-            "overlaps": {",".join(pair): ["s"] for pair in RP2_OVERLAPS},
-            "triples": {",".join(tri): ["s"] for tri in RP2_TRIPLES},
-        },
-    }
-
-
 def rp2_gerbe_runs():
     """(argv, document) for gerbe on the projective plane: each of the 1024
     sign patterns of c with a = 1 (it glues exactly when an even number of
     c are -1), then per seed random signed ratios of 2 and 3 for a, and c
     the coboundary of such ratios with random signs, on every fourth seed
     with one face doubled (its prime part no longer glues)."""
-    nerve = _rp2_nerve()
+    nerve = gen.nerve_json(RP2_CHARTS, RP2_OVERLAPS, RP2_TRIPLES, ["s"])
     argv = ["gerbe", "--in", DOC]
     faces = [",".join(tri) for tri in RP2_TRIPLES]
     for signs in product(("1", "-1"), repeat=len(faces)):
@@ -429,11 +415,12 @@ def descriptor_runs():
         gerbe = dict(parts["gerbe"], descriptors=descriptors)
         yield argv, {"nerve": parts["nerve"], "gerbe": gerbe}
     half = _rp2_relator_half_sum()
+    nerve = gen.nerve_json(RP2_CHARTS, RP2_OVERLAPS, RP2_TRIPLES, ["s"])
     for times in (1, 2):
         vec = {pair: times * e for pair, e in half.items()}
         vec[("c1", "c2")] = vec.get(("c1", "c2"), 0) + 1
         descriptor = {",".join(pair): e for pair, e in vec.items() if e}
-        yield argv, {"nerve": _rp2_nerve(), "gerbe": {"descriptors": {"c1,c2": descriptor}}}
+        yield argv, {"nerve": nerve, "gerbe": {"descriptors": {"c1,c2": descriptor}}}
 
 
 # the complete nerve on c1, c2, c3 and c10, whose c10 sorts before c2 as a string
