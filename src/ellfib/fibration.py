@@ -9,11 +9,14 @@ Transition data becomes a translation-valued cocycle tabulated at
 samples.  Two orientation routines check the charts of every overlap or
 triple key, given as data or as a query, for distinct strings, and
 return the canonical key and whether it was listed in an odd order; the
-reader of data keys checks only their length.  On top of that sit the
-three classification tools: the cocycle checker, the coboundary solver
-deciding whether the transition class is trivial, and the gluing of
-locally constant classifying maps.  The multiplicative gerbe obstruction
-lives here too, with scalars modeled as nonzero rationals.
+reader of data keys checks their length and refuses a string.  Data is
+stored on canonical keys, so every loop over the sorted triples reads
+the faces (i, j), (j, k), (i, k), with one minus sign on (i, k).  On
+top of that sit the three classification tools: the cocycle checker,
+the coboundary solver deciding whether the transition class is trivial,
+and the gluing of locally constant classifying maps.  The
+multiplicative gerbe obstruction lives here too, with scalars modeled
+as nonzero rationals.
 """
 
 from __future__ import annotations
@@ -73,8 +76,8 @@ def triple_key(i: str, j: str, k: str) -> tuple[str, str, str]:
 
 def _read_key(key, size: int) -> tuple[tuple[str, ...], bool]:
     """Canonical form of an overlap or triple key given as data, and whether its order is odd."""
-    try:
-        fits = len(key) == size
+    try:  # a string would be spread into its letters
+        fits = not isinstance(key, str) and len(key) == size
     except TypeError:  # a key with no length
         fits = False
     if not fits:
@@ -314,19 +317,17 @@ class CocycleReport:
 
 
 def check_cocycle(nerve: Nerve, cocycle: TranslationCocycle) -> CocycleReport:
-    """List every triple sample where the three-term sum is not zero."""
+    """List every triple sample where lambda_ij + lambda_jk - lambda_ik is not zero."""
     nerve.check_data(cocycle)
     for i, j in nerve.overlaps:
         for s in nerve.overlap_samples(i, j):
             cocycle.value(i, j, s)
     violations = []
     for i, j, k in nerve.triples:
+        # the pass above found every overlap sample, and a triple's samples lie in its overlaps
+        ij, jk, ik = (cocycle.values[pair] for pair in ((i, j), (j, k), (i, k)))
         for s in nerve.triple_samples(i, j, k):
-            total = (
-                cocycle.value(i, j, s)
-                + cocycle.value(j, k, s)
-                + cocycle.value(k, i, s)
-            )
+            total = ij[s] + jk[s] - ik[s]
             if not total.is_zero():
                 violations.append(((i, j, k), s, total))
     return CocycleReport(ok=not violations, violations=tuple(violations))
@@ -410,12 +411,12 @@ def classify_line_family(
 class GerbeData:
     """Scalar twisting data on a nerve: descriptors F, scalars a and c.
 
-    Descriptors are integer exponent vectors over the canonical overlap
-    generators; the reversed orientation of a generator contributes with
+    A validated record on the sorted keys of the nerve, each oriented once
+    as the data enters.  Descriptors are integer exponent vectors over the
+    overlap generators, one per overlap; a reversed generator counts with
     exponent -1, which builds condition 2 into the encoding and makes
-    condition 1 vacuous (a chart never overlaps itself).  Scalars given
-    on a reversed overlap key or an odd permutation of a triple key are
-    stored inverted, so a and c are both alternating.
+    condition 1 vacuous (a chart never overlaps itself).  Scalars given on
+    a reversed or odd key are stored inverted; a key left out stands for 1.
     """
 
     __slots__ = ("nerve", "a", "c", "descriptors")
@@ -467,26 +468,11 @@ class GerbeData:
         for key in nerve.overlaps:
             self.descriptors.setdefault(key, {key: 1})
 
-    def scalar_a(self, i: str, j: str) -> Fraction:
-        key, flip = _oriented(i, j)
-        q = self.a.get(self.nerve._known(key), Fraction(1))
-        return 1 / q if flip else q
-
-    def scalar_c(self, i: str, j: str, k: str) -> Fraction:
-        key, odd = _oriented_triple(i, j, k)
-        q = self.c.get(self.nerve._known(key), Fraction(1))
-        return 1 / q if odd else q
-
-    def descriptor(self, i: str, j: str) -> dict[tuple[str, str], int]:
-        key, flip = _oriented(i, j)
-        vec = self.descriptors[self.nerve._known(key)]  # which hold every overlap of the nerve
-        return {g: -e for g, e in vec.items()} if flip else dict(vec)
-
 
 def validate_gerbe(g: GerbeData) -> None:
     """Check descriptor condition 3; 1, 2 and 4 hold by encoding.
 
-    Condition 3 (triviality of F_ij + F_jk + F_ki) means membership in
+    Condition 3 (triviality of t = F_ij + F_jk - F_ik) means membership in
     the row lattice of the relator matrix R, whose rows are exactly the
     identifications the conditions impose on the free group of overlap
     generators.  With U R V = diag(d), t is in it exactly when t V is in
@@ -501,11 +487,11 @@ def validate_gerbe(g: GerbeData) -> None:
     gen_index = {key: pos for pos, key in enumerate(nerve.overlaps)}
     diagonal = d + (0,) * (len(v) - len(d))
     for i, j, k in nerve.triples:
-        # t V: the rows of V named by the few nonzero entries of t = F_ij + F_jk + F_ki
+        # t V: the rows of V named by the few nonzero entries of t = F_ij + F_jk - F_ik
         tv = [0] * len(v)
-        for vec in (g.descriptor(i, j), g.descriptor(j, k), g.descriptor(k, i)):
-            for gen, e in vec.items():
-                tv = [x + e * y for x, y in zip(tv, v[gen_index[gen]])]
+        for sign, pair in ((1, (i, j)), (1, (j, k)), (-1, (i, k))):
+            for gen, e in g.descriptors[pair].items():
+                tv = [x + sign * e * y for x, y in zip(tv, v[gen_index[gen]])]
         if any(x % dc if dc else x for x, dc in zip(tv, diagonal)):
             raise InvalidGerbe(
                 f"condition 3 violated on triple {(i, j, k)!r}: descriptor "
@@ -574,15 +560,16 @@ def _coboundary_witness(
 
 
 def gerbe_alpha(nerve: Nerve, g: GerbeData) -> GerbeReport:
-    """Per-triple obstruction scalars, their cocycle identity, gluability."""
+    """Per-triple obstruction a_ij a_jk / (a_ik c_ijk), its cocycle identity, gluability."""
     if g.nerve is not nerve and g.nerve != nerve:
         raise SchemaError("gerbe data was built over a different nerve")
     validate_gerbe(g)
+    a, c, one = g.a, g.c, Fraction(1)
     alpha: dict[tuple[str, str, str], Fraction] = {}
     for i, j, k in nerve.triples:
         alpha[(i, j, k)] = (
-            g.scalar_a(i, j) * g.scalar_a(j, k) * g.scalar_a(k, i)
-        ) / g.scalar_c(i, j, k)
+            a.get((i, j), one) * a.get((j, k), one) / (a.get((i, k), one) * c.get((i, j, k), one))
+        )
     checks = []
     for i, j, k, l in nerve.tetrahedra():
         value = (alpha[(j, k, l)] * alpha[(i, j, l)]) / (alpha[(i, k, l)] * alpha[(i, j, k)])

@@ -252,12 +252,11 @@ def parse_gerbe(obj, nerve: Nerve) -> GerbeData:
     from .fibration import GerbeData
 
     data = _require_dict(obj, "gerbe", set(), {"a", "c", "descriptors"})
-    a = {}
-    for key, value in _any_dict(data.get("a", {}), "gerbe a").items():
-        a[_split_key(key, 2, "gerbe a")] = parse_fraction(value, f"a[{key}]")
-    c = {}
-    for key, value in _any_dict(data.get("c", {}), "gerbe c").items():
-        c[_split_key(key, 3, "gerbe c")] = parse_fraction(value, f"c[{key}]")
+    a, c = {}, {}
+    for name, size, table in (("a", 2, a), ("c", 3, c)):
+        where = f"gerbe {name}"
+        for key, value in _any_dict(data.get(name, {}), where).items():
+            table[_split_key(key, size, where)] = parse_fraction(value, f"{name}[{key}]")
     descriptors = {}
     for key, value in _any_dict(data.get("descriptors", {}), "gerbe descriptors").items():
         pair = _split_key(key, 2, "gerbe descriptors")

@@ -1,10 +1,12 @@
 """tools/bench_pairs.py records a bad run as failed and keeps the pairs it has.
 
 Each test runs a stub perfbench/run.py in a checkout under tmp_path; the
-workload name picks what the stub does.
+workload name picks what the stub does.  The last test extracts both sides'
+checkouts from a git repository under tmp_path.
 """
 
 import json
+import subprocess
 import time
 from pathlib import Path
 
@@ -108,3 +110,36 @@ def test_summary_skips_failed_runs_and_gives_each_side_its_failed_share(checkout
     no_runs = bench_pairs.summarize(SPEC, {"parent": [None], "change": [None]})
     assert no_runs["operations"]["parent"]["failed_share"] is None
     assert no_runs["metrics"]["p50_ms"] == {"unit": "ms", "pairs": 0}
+
+
+def test_the_change_side_runs_an_extracted_checkout_of_the_working_tree(tmp_path, monkeypatch):
+    for var in ("AUTHOR", "COMMITTER"):
+        monkeypatch.setenv(f"GIT_{var}_NAME", "bench")
+        monkeypatch.setenv(f"GIT_{var}_EMAIL", "bench@example.org")
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "perfbench" / "run.py").write_text(STUB)
+
+    def git(*args):
+        return subprocess.run(
+            ["git", *args], cwd=repo, capture_output=True, text=True, check=True
+        ).stdout.strip()
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "stub")
+    head = git("rev-parse", "HEAD")
+    (repo / "perfbench" / "run.py").write_text(STUB + "# edited\n")
+    (repo / "untracked.py").write_text("")
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    sha, change = bench_pairs.change_checkout()
+    # the uncommitted edit is in the checkout; an untracked file is not
+    assert sha != head and change == repo / ".bench_build" / f"change-{sha[:12]}"
+    assert (change / "perfbench" / "run.py").read_text().endswith("# edited\n")
+    assert not (change / "untracked.py").exists()
+    _, parent = bench_pairs.parent_checkout("HEAD")
+    assert len(str(parent)) == len(str(change))
+    assert (parent / "perfbench" / "run.py").read_text() == STUB
+    # a clean tree runs its HEAD
+    git("commit", "-q", "-am", "edit")
+    assert bench_pairs.change_checkout()[0] == git("rev-parse", "HEAD")

@@ -729,23 +729,6 @@ NERVE_DEFECTS = {
         lambda: abc_nerve(triples=[], triple_samples={}).triple_samples("c", "b", "a"),
         "unknown triple ('a', 'b', 'c')",
     ),
-    "gerbe-descriptor-off-the-nerve": (
-        lambda: GerbeData(Nerve.single_chart()).descriptor("a", "b"), "unknown overlap ('a', 'b')"
-    ),
-    "gerbe-scalar-a-off-the-nerve": (
-        lambda: GerbeData(Nerve.single_chart()).scalar_a("b", "a"), "unknown overlap ('a', 'b')"
-    ),
-    "gerbe-scalar-c-off-the-nerve": (
-        lambda: GerbeData(Nerve.single_chart()).scalar_c("c", "a", "b"),
-        "unknown triple ('a', 'b', 'c')",
-    ),
-    "gerbe-descriptor-of-an-overlap-missing-from-the-nerve": (
-        lambda: GerbeData(no_bc()).descriptor("c", "b"), "unknown overlap ('b', 'c')"
-    ),
-    "gerbe-scalar-c-of-a-nerve-without-triples": (
-        lambda: GerbeData(abc_nerve(triples=[], triple_samples={})).scalar_c("a", "b", "c"),
-        "unknown triple ('a', 'b', 'c')",
-    ),
     # cocycle values, local classes and family entries off the nerve
     "cocycle-check-on-an-unknown-overlap": (
         lambda: check_cocycle(abc_nerve(), off_cocycle(("a", "z"))),
@@ -1010,6 +993,17 @@ SHAPE_DEFECTS = {
         lambda: GerbeData(abc_nerve(), descriptors={("a", "b"): {(7, "a"): 1}}),
         "overlap charts must be strings: (7, 'a')",
     ),
+    # a string is one label, not the list of its letters
+    "nerve-overlap-given-as-one-string": (
+        lambda: Nerve(
+            ["a", "b"], ["ab"], chart_samples={"a": ["s"], "b": ["s"]},
+            overlap_samples={("a", "b"): ["s"]},
+        ),
+        "overlap must list two charts: 'ab'",
+    ),
+    "cocycle-key-given-as-one-string": (
+        lambda: TranslationCocycle({"ba": ZERO_AT_S}), "overlap must list two charts: 'ba'"
+    ),
 }
 
 
@@ -1044,18 +1038,6 @@ QUERY_DEFECTS = {
         lambda: TranslationCocycle({}).value("a", 7, "s"),
         "overlap charts must be strings: ('a', 7)",
     ),
-    "gerbe-scalar-a": (
-        lambda: GerbeData(abc_nerve()).scalar_a(7, "b"),
-        "overlap charts must be strings: (7, 'b')",
-    ),
-    "gerbe-scalar-c": (
-        lambda: GerbeData(abc_nerve()).scalar_c("a", 7, "c"),
-        "triple charts must be strings: ('a', 7, 'c')",
-    ),
-    "gerbe-descriptor": (
-        lambda: GerbeData(abc_nerve()).descriptor("a", None),
-        "overlap charts must be strings: ('a', None)",
-    ),
     # charts of one non-string type compare with each other: only a type check refuses them
     "overlap-key-of-two-ints": (
         lambda: overlap_key(7, 8), "overlap charts must be strings: (7, 8)"
@@ -1083,23 +1065,32 @@ def test_a_query_on_a_chart_that_is_not_a_string_is_refused(call, message):
 # -- gerbe data and obstruction --------------------------------------------
 
 
+def face_descriptor(g: GerbeData, i: str, j: str) -> dict[tuple[str, str], int]:
+    """F_ij from the stored table, which holds F on the sorted key: F_ji = -F_ij."""
+    if i < j:
+        return dict(g.descriptors[(i, j)])
+    return {gen: -e for gen, e in g.descriptors[(j, i)].items()}
+
+
 def test_gerbe_scalar_orientation():
     nerve = cycle_nerve()
     g = GerbeData(nerve, a={("c2", "c1"): Fraction(3, 2)})
-    assert g.scalar_a("c2", "c1") == Fraction(3, 2)
-    assert g.scalar_a("c1", "c2") == Fraction(2, 3)
-    assert g.scalar_a("c1", "c3") == 1
-    assert g.scalar_c("c1", "c2", "c3") == 1
+    assert g.a == {("c1", "c2"): Fraction(2, 3)}
+    assert g.c == {}
+    # a_13 and c_123 are left out, so they read 1: alpha = a_12 a_23 / a_13 c_123
+    assert gerbe_alpha(nerve, g).alpha == ((("c1", "c2", "c3"), Fraction(2, 3)),)
 
 
 def test_gerbe_c_scalar_carries_the_orientation_of_its_key():
     # an odd permutation of the sorted key inverts c, as a reversed key inverts a
-    g = GerbeData(cycle_nerve(), c={("c2", "c1", "c3"): Fraction(3, 2)})
+    nerve = cycle_nerve()
+    g = GerbeData(nerve, c={("c2", "c1", "c3"): Fraction(3, 2)})
     assert g.c == {("c1", "c2", "c3"): Fraction(2, 3)}
+    assert gerbe_alpha(nerve, g).alpha == ((("c1", "c2", "c3"), Fraction(3, 2)),)
     for order in [("c1", "c2", "c3"), ("c2", "c3", "c1"), ("c3", "c1", "c2")]:
-        assert g.scalar_c(*order) == Fraction(2, 3)
+        assert GerbeData(nerve, c={order: Fraction(2, 3)}).c == g.c
     for order in [("c2", "c1", "c3"), ("c1", "c3", "c2"), ("c3", "c2", "c1")]:
-        assert g.scalar_c(*order) == Fraction(3, 2)
+        assert GerbeData(nerve, c={order: Fraction(3, 2)}).c == g.c
 
 
 @pytest.mark.parametrize("last", ["c4", "c10"])
@@ -1153,8 +1144,11 @@ def test_gerbe_refuses_float_and_bool_values(kwargs):
 def test_gerbe_descriptor_defaults_and_orientation():
     nerve = cycle_nerve()
     g = GerbeData(nerve)
-    assert g.descriptor("c1", "c2") == {("c1", "c2"): 1}
-    assert g.descriptor("c2", "c1") == {("c1", "c2"): -1}
+    assert g.descriptors == {key: {key: 1} for key in nerve.overlaps}
+    assert face_descriptor(g, "c2", "c1") == {("c1", "c2"): -1}
+    # a descriptor given on the reversed key is stored negated on the sorted one
+    reverse = GerbeData(nerve, descriptors={("c2", "c1"): {("c1", "c2"): -1}})
+    assert reverse.descriptors == g.descriptors
 
 
 def test_gerbe_descriptor_reverse_consistency():
@@ -1167,7 +1161,7 @@ def test_gerbe_descriptor_reverse_consistency():
             ("c2", "c1"): {("c2", "c1"): 1},
         },
     )
-    assert g.descriptor("c1", "c2") == {("c1", "c2"): 1}
+    assert g.descriptors[("c1", "c2")] == {("c1", "c2"): 1}
     with pytest.raises(InvalidGerbe):
         GerbeData(
             nerve,
@@ -1248,7 +1242,7 @@ def first_condition_three_failure(g: GerbeData):
     transpose = [list(col) for col in zip(*relators)]
     for i, j, k in g.nerve.triples:
         target = [0] * len(gens)
-        for vec in (g.descriptor(i, j), g.descriptor(j, k), g.descriptor(k, i)):
+        for vec in (face_descriptor(g, i, j), face_descriptor(g, j, k), face_descriptor(g, k, i)):
             for gen, e in vec.items():
                 target[gens.index(gen)] += e
         if solve_integer(transpose, target) is None:
@@ -1290,7 +1284,7 @@ def test_condition_three_matches_a_transposed_integer_solve_on_long_rows(g):
 def test_condition_four_face_sum_vanishes_by_encoding(g):
     # the identity that lets validate_gerbe skip condition 4
     def face(x, y, z):
-        return [g.descriptor(x, y), g.descriptor(y, z), g.descriptor(z, x)]
+        return [face_descriptor(g, x, y), face_descriptor(g, y, z), face_descriptor(g, z, x)]
 
     for i, j, k, l in g.nerve.tetrahedra():
         total = {}
@@ -1352,7 +1346,7 @@ def test_gauge_rescaling_leaves_the_obstruction_fixed():
     mu = {c: rand_scalar(rng) for c in nerve.charts}
     rescaled = GerbeData(
         nerve,
-        {(i, j): base.scalar_a(i, j) * mu[j] / mu[i] for i, j in nerve.overlaps},
+        {(i, j): base.a[(i, j)] * mu[j] / mu[i] for i, j in nerve.overlaps},
         dict(base.c),
     )
     left = gerbe_alpha(nerve, base)
@@ -1369,7 +1363,7 @@ def test_simultaneous_twist_of_a_and_c_is_invisible():
     twisted_a = {key: base.a[key] * beta[key] for key in nerve.overlaps}
     twisted_c = {}
     for i, j, k in nerve.triples:
-        twisted_c[(i, j, k)] = base.scalar_c(i, j, k) * (
+        twisted_c[(i, j, k)] = base.c[(i, j, k)] * (
             beta[overlap_key(i, j)]
             * beta[overlap_key(j, k)]
             / beta[overlap_key(i, k)]
@@ -1405,6 +1399,23 @@ def test_a_nerve_without_triples_has_a_witness_on_every_overlap():
     assert gerbe_alpha(nerve, GerbeData(nerve)).witness == report.witness
     single = Nerve.single_chart()
     assert gerbe_alpha(single, GerbeData(single)).witness == ()
+
+
+def test_gerbe_alpha_reads_the_stored_tables_without_orienting_a_key(monkeypatch):
+    # every key was oriented as the data entered; the loops read the sorted faces
+    rng = random.Random(59)
+    cases = []
+    for nerve in (grid_nerve(3, periodic=False), complete_nerve(["c1", "c2", "c3", "c4", "c5"])):
+        g = coherent_gerbe(nerve, rng)
+        cases.append((nerve, g, gerbe_alpha(nerve, g)))
+
+    def refuse(*charts):
+        raise AssertionError(f"oriented {charts!r}")
+
+    monkeypatch.setattr(fibration, "_oriented", refuse)
+    monkeypatch.setattr(fibration, "_oriented_triple", refuse)
+    for nerve, g, report in cases:
+        assert gerbe_alpha(nerve, g) == report
 
 
 def test_gerbe_alpha_diagonalizes_the_relators_once(monkeypatch):

@@ -3,14 +3,18 @@
     python3 tools/bench_pairs.py WORKLOAD PARENT_REV PR
 
 Extracts PARENT_REV (any git revision of this repository) with
-`git archive` into .bench_build/parent-<sha>/, then runs
+`git archive` into .bench_build/parent-<sha>/, and the working tree's
+tracked files, as `git stash create` records them (HEAD when the tree is
+clean), into .bench_build/change-<sha>/; untracked files are left out,
+so a new file must be `git add`ed first.  Both sides thus run from paths
+of the same length.  It then runs
 
     perfbench/run.py --workload WORKLOAD --seed N --seconds 20
 
-ten times in the parent checkout and ten times in this working tree, in
-pairs: pair i uses seed i on both sides, and the side that runs first
-alternates (the parent in even pairs, the change in odd ones), so drift
-in the host's speed does not favour one side.
+ten times in each checkout, in pairs: pair i uses seed i on both sides,
+and the side that runs first alternates (the parent in even pairs, the
+change in odd ones), so drift in the host's speed does not favour one
+side.
 
 The summary is written to BENCH_<PR>.json at the repository root, under
 the workload's name; workloads already in the file are kept, so one file
@@ -45,13 +49,27 @@ SECONDS = 20
 RUN_TIMEOUT_S = 600
 
 
+def _git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
 def parent_checkout(rev: str) -> tuple[str, Path]:
     """The full sha of rev and a checkout of its committed files."""
-    sha = subprocess.run(
-        ["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
-        cwd=ROOT, capture_output=True, text=True, check=True,
-    ).stdout.strip()
-    dest = ROOT / ".bench_build" / f"parent-{sha[:12]}"
+    sha = _git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    return sha, _extract(sha, "parent")
+
+
+def change_checkout() -> tuple[str, Path]:
+    """The sha of the working tree's tracked files as a commit, and a checkout of them."""
+    sha = _git("stash", "create") or _git("rev-parse", "--verify", "HEAD^{commit}")
+    return sha, _extract(sha, "change")
+
+
+def _extract(sha: str, side: str) -> Path:
+    """The committed files of sha under .bench_build/<side>-<sha12>/, extracted once."""
+    dest = ROOT / ".bench_build" / f"{side}-{sha[:12]}"
     if not (dest / "perfbench" / "run.py").is_file():
         archive = subprocess.run(
             ["git", "archive", "--format=tar", sha], cwd=ROOT, capture_output=True, check=True
@@ -59,7 +77,7 @@ def parent_checkout(rev: str) -> tuple[str, Path]:
         dest.mkdir(parents=True, exist_ok=True)
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(dest, filter="data")
-    return sha, dest
+    return dest
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict | None:
@@ -158,7 +176,8 @@ def main(argv: list[str]) -> int:
         print(f"error: unknown workload {workload!r}", file=sys.stderr)
         return 2
     sha, parent_root = parent_checkout(rev)
-    sides = {"parent": parent_root, "change": ROOT}
+    change_sha, change_root = change_checkout()
+    sides = {"parent": parent_root, "change": change_root}
     runs: dict[str, list[dict | None]] = {"parent": [], "change": []}
     order = []
     for seed in range(1, PAIRS + 1):
@@ -174,6 +193,7 @@ def main(argv: list[str]) -> int:
     record = json.loads(out.read_text()) if out.is_file() else {"workloads": {}}
     record["workloads"][workload] = {
         "parent": sha,
+        "change": change_sha,
         "seconds": SECONDS,
         "seeds": list(range(1, PAIRS + 1)),
         "first": order,
