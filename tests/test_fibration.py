@@ -729,6 +729,27 @@ NERVE_DEFECTS = {
         lambda: abc_nerve(triples=[], triple_samples={}).triple_samples("c", "b", "a"),
         "unknown triple ('a', 'b', 'c')",
     ),
+    # gerbe tables given on a nerve without the key, refused as the data enter
+    "gerbe-descriptor-off-the-nerve": (
+        lambda: GerbeData(Nerve.single_chart(), descriptors={("a", "b"): {}}),
+        "descriptor on unknown overlap ('a', 'b')",
+    ),
+    "gerbe-scalar-a-off-the-nerve": (
+        lambda: GerbeData(Nerve.single_chart(), a={("b", "a"): 2}),
+        "gerbe scalar on unknown overlap ('a', 'b')",
+    ),
+    "gerbe-scalar-c-off-the-nerve": (
+        lambda: GerbeData(Nerve.single_chart(), c={("c", "a", "b"): 2}),
+        "gerbe scalar on unknown triple ('a', 'b', 'c')",
+    ),
+    "gerbe-descriptor-of-an-overlap-missing-from-the-nerve": (
+        lambda: GerbeData(no_bc(), descriptors={("b", "c"): {}}),
+        "descriptor on unknown overlap ('b', 'c')",
+    ),
+    "gerbe-scalar-c-of-a-nerve-without-triples": (
+        lambda: GerbeData(abc_nerve(triples=[], triple_samples={}), c={("c", "b", "a"): 2}),
+        "gerbe scalar on unknown triple ('a', 'b', 'c')",
+    ),
     # cocycle values, local classes and family entries off the nerve
     "cocycle-check-on-an-unknown-overlap": (
         lambda: check_cocycle(abc_nerve(), off_cocycle(("a", "z"))),
@@ -1037,6 +1058,19 @@ QUERY_DEFECTS = {
     "cocycle-value": (
         lambda: TranslationCocycle({}).value("a", 7, "s"),
         "overlap charts must be strings: ('a', 7)",
+    ),
+    # the gerbe's tables take their keys through the same reader
+    "gerbe-scalar-a": (
+        lambda: GerbeData(abc_nerve(), a={(7, "b"): 2}),
+        "overlap charts must be strings: (7, 'b')",
+    ),
+    "gerbe-scalar-c": (
+        lambda: GerbeData(abc_nerve(), c={("a", 7, "c"): 2}),
+        "triple charts must be strings: ('a', 7, 'c')",
+    ),
+    "gerbe-descriptor": (
+        lambda: GerbeData(abc_nerve(), descriptors={("a", None): {}}),
+        "overlap charts must be strings: ('a', None)",
     ),
     # charts of one non-string type compare with each other: only a type check refuses them
     "overlap-key-of-two-ints": (
