@@ -9,6 +9,8 @@ so x stands for the class of [x] - [origin].
 
 Divisors, graded classes, skyscrapers and spectral cycles all store points
 with int multiplicities in one canonical form, built by merge_points.
+multiset_ranker numbers the canonical forms of a fixed total on the
+torsion points of one order, from their integers alone.
 
 Negation is cached: a point builds its negative once and links the two,
 so the transforms, which negate every support point, reuse the same
@@ -25,7 +27,7 @@ import re
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable
+from typing import Callable, Iterable
 from weakref import ref as _weak
 
 from .errors import EmptyBundle, NonPositiveRank, SchemaError
@@ -231,6 +233,43 @@ def merge_points(pairs: Iterable[tuple[TorusPoint, int]], signed: bool = False) 
     if not acc:
         raise EmptyBundle("a point multiset needs at least one point")
     return tuple(sorted(acc.items(), key=_point))
+
+
+def multiset_ranker(n: int, torsion: int) -> tuple[int, Callable[[Parts], int]]:
+    """The number of rank-n multisets of torsion points, and their ranker.
+
+    With T = torsion, the point (a/d, b/d) has index (a*T/d)*T + b*T/d
+    when d divides T: its place among the T**2 torsion points in sorted
+    (u, v) order.  Parts with sorted indices i_1 <= ... <= i_n, repeated
+    by multiplicity, have rank sum_k C(i_k + k - 1, k), the colex rank of
+    the combination i_k + k - 1 in the combinatorial number system
+    (Knuth, TAOCP 4A, 7.2.1.3), so the C(T**2 + n - 1, n) multisets take
+    the ranks 0, 1, ... once each.  Parts that are no such multiset rank
+    -1: a point whose order does not divide T, points out of order, or a
+    total other than n.
+    """
+    count = torsion * torsion
+    # ends[k][i] = C(i + k, k), the sum of C(i + j - 1, j) over 0 <= j <= k
+    ends = [None, range(1, count + 1)]
+    ends += [[math.comb(i + k, k) for i in range(count)] for k in range(2, n + 1)]
+
+    def rank(parts: Parts) -> int:
+        # m copies of index i at places t + 1 .. t + m add ends[t + m][i] - ends[t][i];
+        # the first part's ends[0][i] = 1 is the starting -1
+        r, total, last = -1, 0, -1
+        for point, m in parts:
+            d = point._d
+            i = (point._a * torsion + point._b) * (torsion // d)
+            if torsion % d or i <= last or m < 1 or total + m > n:
+                return -1
+            if total:
+                r -= ends[total][i]
+            total += m
+            r += ends[total][i]
+            last = i
+        return r if total == n else -1
+
+    return math.comb(count + n - 1, n), rank
 
 
 @dataclass(frozen=True)

@@ -143,3 +143,40 @@ def test_the_change_side_runs_an_extracted_checkout_of_the_working_tree(tmp_path
     # a clean tree runs its HEAD
     git("commit", "-q", "-am", "edit")
     assert bench_pairs.change_checkout()[0] == git("rev-parse", "HEAD")
+
+
+def test_an_unchanged_dirty_tree_keeps_one_change_checkout(tmp_path, monkeypatch):
+    for var in ("AUTHOR", "COMMITTER"):
+        monkeypatch.setenv(f"GIT_{var}_NAME", "bench")
+        monkeypatch.setenv(f"GIT_{var}_EMAIL", "bench@example.org")
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "perfbench" / "run.py").write_text(STUB)
+
+    def git(*args):
+        return subprocess.run(
+            ["git", *args], cwd=repo, capture_output=True, text=True, check=True
+        ).stdout.strip()
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "stub")
+    (repo / "perfbench" / "run.py").write_text(STUB + "# edited\n")
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    archives = []
+    run = subprocess.run
+
+    def counted(cmd, *args, **kwargs):
+        if cmd[:2] == ["git", "archive"]:
+            archives.append(cmd)
+        return run(cmd, *args, **kwargs)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", counted)
+    first = bench_pairs.change_checkout()
+    # a stash commit made a second later would carry another date
+    time.sleep(1.1)
+    assert bench_pairs.change_checkout() == first
+    assert len(archives) == 1
+    # an edit gives another sha
+    (repo / "perfbench" / "run.py").write_text(STUB + "# edited twice\n")
+    assert bench_pairs.change_checkout()[0] != first[0]

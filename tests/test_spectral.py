@@ -1,6 +1,7 @@
 """Spectral cycles, bundle families, and the two-way correspondence."""
 
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -216,9 +217,9 @@ def test_torsion_points_enumeration():
 
 def test_enumerate_cycles_counts_multisets():
     # multisets of size n from torsion^2 points
-    assert len(enumerate_cycles(1, 2)) == 4
-    assert len(enumerate_cycles(2, 2)) == 10
-    assert len(enumerate_cycles(2, 3)) == 45
+    assert len(list(enumerate_cycles(1, 2))) == 4
+    assert len(list(enumerate_cycles(2, 2))) == 10
+    assert len(list(enumerate_cycles(2, 3))) == 45
     assert all(c.total() == 2 for c in enumerate_cycles(2, 2))
 
 
@@ -246,15 +247,15 @@ def test_enumerators_refuse_a_rank_below_one(enumerate_, n):
 
 def test_enumerate_bundles_counts_block_shapes():
     # rank 2 over 4 points: 4 single towers + 10 unordered pairs
-    assert len(enumerate_bundles(2, 2)) == 14
+    assert len(list(enumerate_bundles(2, 2))) == 14
     # rank 3 over 4 points: 4 + 4*4 + C(6,3)
-    assert len(enumerate_bundles(3, 2)) == 40
+    assert len(list(enumerate_bundles(3, 2))) == 40
     ranks = {b.rank() for b in enumerate_bundles(3, 2)}
     assert ranks == {3}
 
 
 def test_enumerated_bundles_are_distinct():
-    bundles = enumerate_bundles(2, 2)
+    bundles = list(enumerate_bundles(2, 2))
     assert len(set(bundles)) == len(bundles)
 
 
@@ -270,7 +271,7 @@ def test_enumerated_bundles_are_every_canonical_bundle_once(n, torsion):
         for combo in combinations_with_replacement(blocks, size)
         if sum(rank for rank, _ in combo) == n
     }
-    bundles = enumerate_bundles(n, torsion)
+    bundles = list(enumerate_bundles(n, torsion))
     assert set(bundles) == expected
     assert len(bundles) == len(expected)
     assert all(b == make_bundle(b.blocks) for b in bundles)
@@ -405,6 +406,107 @@ def test_round_trip_reports_two_classes_with_one_cycle(monkeypatch):
     assert report.failures == ("graded classes and cycles are not in bijection",)
 
 
+BIJECTION_ONLY = ("graded classes and cycles are not in bijection",)
+
+
+def test_round_trip_missing_a_bundle_alone_in_its_class_is_not_bijective(monkeypatch):
+    # ((1, p), (1, q)) with p != q is the only bundle of the class p + q
+    p, q = torsion_points(2)[:2]
+    lone = make_bundle([(1, p), (1, q)])
+    assert [b for b in enumerate_bundles(2, 2) if graded(b) == graded(lone)] == [lone]
+    original = spectral.enumerate_bundles
+    monkeypatch.setattr(
+        spectral, "enumerate_bundles", lambda n, t: (b for b in original(n, t) if b != lone)
+    )
+    report = round_trip_verify(Nerve.single_chart(), 2, 2)
+    assert (report.sections_checked, report.bundles_checked) == (10, 13)
+    assert not report.bijective
+    assert report.failures == BIJECTION_ONLY
+
+
+def test_round_trip_missing_a_cycle_is_not_bijective(monkeypatch):
+    original = spectral.enumerate_cycles
+    dropped = list(original(2, 2))[4]
+    monkeypatch.setattr(
+        spectral, "enumerate_cycles", lambda n, t: (c for c in original(n, t) if c != dropped)
+    )
+    report = round_trip_verify(Nerve.single_chart(), 2, 2)
+    assert (report.sections_checked, report.bundles_checked) == (9, 14)
+    assert not report.bijective
+    assert report.failures == BIJECTION_ONLY
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_round_trip_with_a_ranker_off_by_one_is_not_bijective(monkeypatch, shift):
+    original = spectral.multiset_ranker
+
+    def shifted(n, torsion):
+        size, rank = original(n, torsion)
+        return size, lambda parts: rank(parts) + shift
+
+    monkeypatch.setattr(spectral, "multiset_ranker", shifted)
+    report = round_trip_verify(Nerve.single_chart(), 2, 3)
+    assert (report.sections_checked, report.bundles_checked) == (45, 54)
+    assert not report.bijective
+    assert report.failures == BIJECTION_ONLY
+
+
+def test_round_trip_counts_the_classes_when_the_merged_cycle_is_not_listed(monkeypatch):
+    # two classes share `first` and `second` is left out: the image equals the
+    # listed cycles, and only the class count tells them apart
+    first, second, *_ = enumerate_cycles(1, 2)
+    cycles, cover = spectral.enumerate_cycles, spectral.cycle_of_graded
+    monkeypatch.setattr(
+        spectral, "enumerate_cycles", lambda n, t: [c for c in cycles(n, t) if c != second]
+    )
+    monkeypatch.setattr(
+        spectral, "cycle_of_graded", lambda g: first if cover(g) == second else cover(g)
+    )
+    report = round_trip_verify(Nerve.single_chart(), 1, 2)
+    assert (report.sections_checked, report.bundles_checked) == (3, 4)
+    assert not report.bijective
+    assert report.failures == BIJECTION_ONLY
+
+
+def test_round_trip_keeps_no_object():
+    # (3, 6) enumerates 18 204 objects; the three rank bitmaps take 8436 bytes each
+    tracemalloc.start()
+    try:
+        report = round_trip_verify(Nerve.single_chart(), 3, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 1_000_000
+
+
+def test_enumerators_build_one_object_at_a_time():
+    # C(58, 50) cycles, and more bundles: only the first is built
+    start = time.monotonic()
+    assert next(enumerate_cycles(50, 3)).parts == ((ORIGIN, 50),)
+    assert next(enumerate_bundles(50, 3)).rank() == 50
+    assert time.monotonic() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (torsion_points, (True,)),
+        (torsion_points, (2.0,)),
+        (enumerate_cycles, (True, 2)),
+        (enumerate_cycles, (2, True)),
+        (enumerate_cycles, ("2", 2)),
+        (enumerate_bundles, (2, True)),
+        (enumerate_bundles, (True, 2)),
+        (enumerate_bundles, (2, 2.0)),
+    ],
+    ids=lambda x: getattr(x, "__name__", repr(x)),
+)
+def test_counts_must_be_ints_and_not_bools(call, args):
+    with pytest.raises(TypeError, match="must be an int, got"):
+        call(*args)
+
+
 def test_round_trip_requires_single_chart():
     with pytest.raises(SchemaError):
         round_trip_verify(two_chart_nerve(), 1, 1)
@@ -413,7 +515,9 @@ def test_round_trip_requires_single_chart():
 def test_round_trip_count_matches_enumeration_on_the_criterion_5_grid():
     for n in (1, 2, 3):
         for torsion in (1, 2, 3, 4, 5, 6):
-            expected = (len(enumerate_cycles(n, torsion)), len(enumerate_bundles(n, torsion)))
+            expected = (
+                len(list(enumerate_cycles(n, torsion))), len(list(enumerate_bundles(n, torsion)))
+            )
             assert round_trip_count(n, torsion) == expected, (n, torsion)
 
 

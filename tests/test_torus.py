@@ -17,8 +17,14 @@ from hypothesis import strategies as st
 from ellfib.bundles import GradedClass, make_bundle, make_graded
 from ellfib.errors import EmptyBundle, NonPositiveRank, SchemaError
 from ellfib.fibration import Nerve
-from ellfib.spectral import SpectralCycle, make_cycle, round_trip_verify
-from ellfib.torus import ORIGIN, PointMultiset, TorusPoint, make_divisor
+from ellfib.spectral import (
+    SpectralCycle,
+    enumerate_cycles,
+    make_cycle,
+    round_trip_verify,
+    torsion_points,
+)
+from ellfib.torus import ORIGIN, PointMultiset, TorusPoint, make_divisor, multiset_ranker
 from ellfib.transform import SkyscraperClass, make_skyscraper
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
@@ -293,3 +299,31 @@ def test_multiset_types_stay_distinct_on_equal_parts():
         assert a != b
     assert GradedClass(parts) == make_graded([(ORIGIN, 1), (ORIGIN, 1)])
     assert len(set(values)) == len(values)
+
+
+@pytest.mark.parametrize("n, torsion", [(1, 1), (1, 4), (2, 3), (3, 2), (3, 4), (5, 2), (4, 1)])
+def test_the_ranker_numbers_every_multiset_once(n, torsion):
+    size, rank = multiset_ranker(n, torsion)
+    assert size == math.comb(torsion * torsion + n - 1, n)
+    ranks = [rank(cycle.parts) for cycle in enumerate_cycles(n, torsion)]
+    assert sorted(ranks) == list(range(size))
+
+
+def test_the_ranker_reads_the_sorted_point_order():
+    # the index of (p/T, q/T) is p*T + q, so single points rank in sorted order
+    size, rank = multiset_ranker(1, 6)
+    points = sorted(torsion_points(6))
+    assert [rank(((point, 1),)) for point in points] == list(range(size))
+    # a point of order 2 or 3 has the index of its torsion-6 name
+    assert rank(((TorusPoint(Fraction(1, 2), Fraction(2, 3)), 1),)) == 3 * 6 + 4
+
+
+def test_the_ranker_refuses_what_is_no_rank_n_torsion_multiset():
+    half, third = TorusPoint(Fraction(1, 2), 0), TorusPoint(Fraction(1, 3), 0)
+    _, rank = multiset_ranker(2, 2)
+    assert rank(((ORIGIN, 1), (half, 1))) >= 0
+    assert rank(((third, 2),)) == -1  # order 3 does not divide 2
+    assert rank(((half, 1), (ORIGIN, 1))) == -1  # out of order
+    assert rank(((half, 1), (half, 1))) == -1  # one point twice
+    assert rank(((half, 1),)) == rank(((half, 3),)) == -1  # totals 1 and 3
+    assert rank(((ORIGIN, 0), (half, 2))) == -1  # a multiplicity below 1

@@ -4,9 +4,11 @@
 
 Extracts PARENT_REV (any git revision of this repository) with
 `git archive` into .bench_build/parent-<sha>/, and the working tree's
-tracked files, as `git stash create` records them (HEAD when the tree is
-clean), into .bench_build/change-<sha>/; untracked files are left out,
-so a new file must be `git add`ed first.  Both sides thus run from paths
+tracked files, as `git stash create` records them with HEAD's dates
+(HEAD itself when the tree is clean), into .bench_build/change-<sha>/;
+an unchanged tree keeps its sha, so every workload reuses one change
+checkout, as it does the parent's.  Untracked files are left out, so a
+new file must be `git add`ed first.  Both sides thus run from paths
 of the same length.  It then runs
 
     perfbench/run.py --workload WORKLOAD --seed N --seconds 20
@@ -49,9 +51,9 @@ SECONDS = 20
 RUN_TIMEOUT_S = 600
 
 
-def _git(*args: str) -> str:
+def _git(*args: str, env: dict | None = None) -> str:
     return subprocess.run(
-        ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
+        ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True, env=env
     ).stdout.strip()
 
 
@@ -62,8 +64,14 @@ def parent_checkout(rev: str) -> tuple[str, Path]:
 
 
 def change_checkout() -> tuple[str, Path]:
-    """The sha of the working tree's tracked files as a commit, and a checkout of them."""
-    sha = _git("stash", "create") or _git("rev-parse", "--verify", "HEAD^{commit}")
+    """The sha of the working tree's tracked files as a commit, and a checkout of them.
+
+    The stash commit takes HEAD's dates, so an unchanged tree gives the
+    same sha on every call and its checkout is extracted once.
+    """
+    date = _git("log", "-1", "--format=%cd", "--date=raw")
+    pinned = {**os.environ, "GIT_AUTHOR_DATE": date, "GIT_COMMITTER_DATE": date}
+    sha = _git("stash", "create", env=pinned) or _git("rev-parse", "--verify", "HEAD^{commit}")
     return sha, _extract(sha, "change")
 
 
