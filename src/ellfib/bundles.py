@@ -4,8 +4,8 @@ Every such bundle is a direct sum of blocks: the unique indecomposable
 self-extension tower of a given rank, twisted by a degree-zero line bundle.
 A block is stored as (rank, twist point).  The associated graded object
 forgets the tower structure and keeps each twist point with its total
-multiplicity; two bundles are S-equivalent exactly when their graded
-objects agree.
+multiplicity, a PointMultiset; two bundles are S-equivalent exactly when
+their graded objects agree.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .errors import EmptyBundle, NonPositiveRank
-from .torus import Parts, PointMultiset, TorusPoint, merge_points
+from .torus import Parts, PointMultiset, TorusPoint
 
 
 _rank = itemgetter(0)
@@ -32,11 +32,6 @@ class AtiyahBundle:
         return sum(map(_rank, self.blocks))
 
 
-@dataclass(frozen=True)
-class GradedClass(PointMultiset):
-    """Associated graded of a bundle: twist points with multiplicities."""
-
-
 def make_bundle(blocks: Iterable[tuple[int, TorusPoint]]) -> AtiyahBundle:
     blocks = list(blocks)
     if not blocks:
@@ -50,10 +45,6 @@ def make_bundle(blocks: Iterable[tuple[int, TorusPoint]]) -> AtiyahBundle:
     return AtiyahBundle(tuple(blocks))
 
 
-def make_graded(parts: Iterable[tuple[TorusPoint, int]]) -> GradedClass:
-    return GradedClass(merge_points(parts))
-
-
 def _block_runs(bundle: AtiyahBundle) -> Parts:
     """(x, summed rank) per run of blocks at x: canonical blocks need no check or sort."""
     runs: list[tuple[TorusPoint, int]] = []
@@ -65,9 +56,9 @@ def _block_runs(bundle: AtiyahBundle) -> Parts:
     return tuple(runs)
 
 
-def graded(bundle: AtiyahBundle) -> GradedClass:
+def graded(bundle: AtiyahBundle) -> PointMultiset:
     """Collapse each block of rank n at x to n copies of the twist line at x."""
-    return GradedClass(_block_runs(bundle))
+    return PointMultiset(_block_runs(bundle))
 
 
 def tensor_line(bundle: AtiyahBundle, t: TorusPoint) -> AtiyahBundle:
@@ -84,7 +75,7 @@ def direct_sum(a: AtiyahBundle, b: AtiyahBundle) -> AtiyahBundle:
     return make_bundle(a.blocks + b.blocks)
 
 
-def split_bundle(g: GradedClass) -> AtiyahBundle:
+def split_bundle(g: PointMultiset) -> AtiyahBundle:
     """Polystable representative: every part becomes rank-one blocks."""
     # parts are sorted by point, so these blocks are already in bundle order
     return AtiyahBundle(tuple([(1, p) for p, m in g.parts for _ in range(m)]))

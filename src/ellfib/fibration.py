@@ -9,7 +9,8 @@ Transition data becomes a translation-valued cocycle tabulated at
 samples.  Two orientation routines check the charts of every overlap or
 triple key, given as data or as a query, for distinct strings, and
 return the canonical key and whether it was listed in an odd order; the
-reader of data keys checks their length and refuses a string.  Data is
+reader of data keys checks their length and refuses a string, as the
+nerve does where it reads its charts or a sample set.  Data is
 stored on canonical keys, so every loop over the sorted triples reads
 the faces (i, j), (j, k), (i, k), with one minus sign on (i, k).  On
 top of that sit the three classification tools: the cocycle checker,
@@ -100,6 +101,8 @@ class Nerve:
         overlap_samples: Mapping[tuple[str, str], Iterable[str]] | None = None,
         triple_samples: Mapping[tuple[str, str, str], Iterable[str]] | None = None,
     ):
+        if isinstance(charts, str):  # a string would be spread into its letters
+            raise SchemaError(f"charts must be a collection of labels, not a string: {charts!r}")
         chart_list = [_check_label(c, "chart") for c in charts]
         if not chart_list:
             raise SchemaError("a nerve needs at least one chart")
@@ -152,7 +155,13 @@ class Nerve:
             for key in keys:
                 if key not in given:
                     raise SchemaError(f"missing samples for {kind} {key!r}")
-                labels = [_check_label(s, "sample") for s in given.pop(key)]
+                labels = given.pop(key)
+                if isinstance(labels, str):
+                    raise SchemaError(
+                        f"samples for {kind} {key!r} must be a collection of labels, "
+                        f"not a string: {labels!r}"
+                    )
+                labels = [_check_label(s, "sample") for s in labels]
                 if not labels:
                     raise SchemaError(f"empty sample set for {kind} {key!r}")
                 members[key] = distinct = set(labels)

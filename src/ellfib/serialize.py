@@ -6,9 +6,9 @@ non-integer counts raise SchemaError, which the command line maps to
 exit code 2.  Emission is canonical (sorted keys, two-space indent,
 trailing newline) so identical values always serialize byte-identically.
 
-The parsers of cycles, nerves, cocycles, gerbes and families import the
-fibration and spectral layers when they run, so reading a bundle or a
-skyscraper loads neither.
+The parsers of nerves, cocycles, gerbes and families import the
+fibration and spectral layers when they run, so reading a bundle, a
+skyscraper or a cycle (a torus PointMultiset) loads neither.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ from typing import TYPE_CHECKING
 
 from .bundles import AtiyahBundle, make_bundle
 from .errors import BudgetExceeded, SchemaError
-from .torus import Divisor, TorusPoint, make_divisor, parse_fraction
+from .torus import Divisor, PointMultiset, TorusPoint, make_divisor, make_multiset, parse_fraction
 from .transform import PSI_BLOCK_BUDGET, SkyscraperClass, make_skyscraper
 
 if TYPE_CHECKING:
     from .fibration import CocycleReport, GerbeData, GerbeReport, Nerve, TranslationCocycle
-    from .spectral import BundleFamily, RoundTripReport, SpectralCycle
+    from .spectral import BundleFamily, RoundTripReport
 
 
 def canonical_json(payload) -> str:
@@ -131,14 +131,12 @@ def skyscraper_json(s: SkyscraperClass) -> dict:
     return {"parts": _counted_json(s.parts, "p", "len"), "degree": s.degree}
 
 
-def parse_cycle(obj) -> SpectralCycle:
-    from .spectral import make_cycle
-
+def parse_cycle(obj) -> PointMultiset:
     data = _require_dict(obj, "cycle", {"parts"})
-    return make_cycle(_parse_counted(data["parts"], "parts", "part", "p", "m"))
+    return make_multiset(_parse_counted(data["parts"], "parts", "part", "p", "m"))
 
 
-def cycle_json(c: SpectralCycle) -> dict:
+def cycle_json(c: PointMultiset) -> dict:
     return {"parts": _counted_json(c.parts, "p", "m")}
 
 
@@ -313,7 +311,7 @@ def family_json(f: BundleFamily) -> dict:
     }
 
 
-def parse_section_doc(obj) -> tuple[Nerve, dict[str, SpectralCycle], int]:
+def parse_section_doc(obj) -> tuple[Nerve, dict[str, PointMultiset], int]:
     data = _require_dict(obj, "section document", {"nerve", "section", "n"})
     nerve = parse_nerve(data["nerve"])
     if not isinstance(data["section"], dict):
@@ -325,7 +323,7 @@ def parse_section_doc(obj) -> tuple[Nerve, dict[str, SpectralCycle], int]:
     return nerve, section, n
 
 
-def section_doc_json(nerve: Nerve, section: dict[str, SpectralCycle], n: int) -> dict:
+def section_doc_json(nerve: Nerve, section: dict[str, PointMultiset], n: int) -> dict:
     return {
         "nerve": nerve_json(nerve),
         "section": {s: cycle_json(c) for s, c in sorted(section.items())},
@@ -374,7 +372,7 @@ def gerbe_report_json(report: GerbeReport) -> dict:
     }
 
 
-def gamma_json(cycles: dict[tuple[str, str], SpectralCycle]) -> dict:
+def gamma_json(cycles: dict[tuple[str, str], PointMultiset]) -> dict:
     totals = {cycle.total() for cycle in cycles.values()}
     return {
         "n": min(totals) if totals else 0,

@@ -1,10 +1,11 @@
 """Spectral cycles and the correspondence between bundle families and sections.
 
-A spectral cycle is the support-with-multiplicity shadow of the
-transform of a semistable bundle.  Families of bundles over a nerve map
-chartwise to cycle-valued sections; on one chart the correspondence has
-an explicit inverse, and the round-trip verifier checks both directions
-on every torsion cycle and bundle, each enumerated already canonical.
+A spectral cycle is the support of the transform of a semistable
+bundle with multiplicities: its graded class, a PointMultiset, with
+every point negated.  Families of bundles over a nerve map chartwise to
+cycle-valued sections; on one chart the correspondence has an explicit
+inverse, and the round-trip verifier checks both directions on every
+torsion cycle and bundle, each enumerated already canonical.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
-from .bundles import AtiyahBundle, GradedClass, graded, split_bundle
+from .bundles import AtiyahBundle, graded, split_bundle
 from .errors import (
     BudgetExceeded,
     MissingSample,
@@ -25,29 +26,20 @@ from .errors import (
     WrongTotal,
 )
 from .fibration import Nerve, TranslationCocycle
-from .torus import PointMultiset, TorusPoint, merge_points, multiset_ranker
+from .torus import PointMultiset, TorusPoint, make_multiset, multiset_ranker
 from .transform import SkyscraperClass, fm_transform, psi_transform
 
 
-@dataclass(frozen=True)
-class SpectralCycle(PointMultiset):
-    """Multiset of torus points with positive multiplicities, sorted."""
+def translate_cycle(cycle: PointMultiset, z: TorusPoint) -> PointMultiset:
+    return make_multiset((point + z, m) for point, m in cycle.parts)
 
 
-def make_cycle(pairs: Iterable[tuple[TorusPoint, int]]) -> SpectralCycle:
-    return SpectralCycle(merge_points(pairs))
-
-
-def translate_cycle(cycle: SpectralCycle, z: TorusPoint) -> SpectralCycle:
-    return make_cycle((point + z, m) for point, m in cycle.parts)
-
-
-def spectral_cover(bundle: AtiyahBundle) -> SpectralCycle:
+def spectral_cover(bundle: AtiyahBundle) -> PointMultiset:
     """Support cycle of the transform; total equals the rank."""
-    return SpectralCycle(fm_transform(bundle).parts)
+    return PointMultiset(fm_transform(bundle).parts)
 
 
-def cycle_of_graded(g: GradedClass) -> SpectralCycle:
+def cycle_of_graded(g: PointMultiset) -> PointMultiset:
     return spectral_cover(split_bundle(g))
 
 
@@ -101,7 +93,7 @@ def constant_family(base: Nerve, bundle: AtiyahBundle) -> BundleFamily:
     return BundleFamily(base, _NO_TRANSITIONS, data, bundle.rank())
 
 
-def gamma_map(family: BundleFamily) -> dict[tuple[str, str], SpectralCycle]:
+def gamma_map(family: BundleFamily) -> dict[tuple[str, str], PointMultiset]:
     """Per-sample spectral cycles, checked for flatness and overlap gluing.
 
     Chart-i cycles are written in chart-i coordinates; on an overlap the
@@ -131,7 +123,7 @@ def _require_single_chart(base: Nerve) -> str:
     return base.charts[0]
 
 
-def beta_map(base: Nerve, section: Mapping[str, SpectralCycle], n: int) -> BundleFamily:
+def beta_map(base: Nerve, section: Mapping[str, PointMultiset], n: int) -> BundleFamily:
     """Inverse direction on one chart: cycles back to polystable bundles."""
     chart = _require_single_chart(base)
     samples = base.chart_samples(chart)
@@ -181,7 +173,7 @@ def torsion_points(torsion: int) -> list[TorusPoint]:
     return points
 
 
-def enumerate_cycles(n: int, torsion: int) -> Iterator[SpectralCycle]:
+def enumerate_cycles(n: int, torsion: int) -> Iterator[PointMultiset]:
     """Every rank-n cycle on torsion points, built one at a time; the
     arguments are checked at the call."""
     _require_count(n, "cycle rank")
@@ -195,7 +187,7 @@ def enumerate_cycles(n: int, torsion: int) -> Iterator[SpectralCycle]:
                     runs[-1] = (point, runs[-1][1] + 1)
                 else:
                     runs.append((point, 1))
-            yield SpectralCycle(tuple(runs))
+            yield PointMultiset(tuple(runs))
 
     return cycles()
 

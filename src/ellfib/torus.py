@@ -7,8 +7,9 @@ integer multiplicities.  A degree-zero line bundle is given by its point:
 Pic^0 of the curve is the curve itself, with the origin as base point,
 so x stands for the class of [x] - [origin].
 
-Divisors, graded classes, skyscrapers and spectral cycles all store points
-with int multiplicities in one canonical form, built by merge_points.
+A bundle's graded class and its spectral cycle are one type, the
+effective divisor PointMultiset; it, skyscrapers and signed divisors
+store points with int multiplicities in one form, built by merge_points.
 multiset_ranker numbers the canonical forms of a fixed total on the
 torsion points of one order, from their integers alone.
 
@@ -276,14 +277,20 @@ def multiset_ranker(n: int, torsion: int) -> tuple[int, Callable[[Parts], int]]:
 class PointMultiset:
     """Points with positive multiplicities, in merge_points order.
 
-    Subclasses are distinct types: equal parts under two subclasses
-    compare unequal.
+    A bundle's graded class and a spectral cycle are both this type, so
+    equal parts compare equal; a skyscraper, its one subclass, adds its
+    degree and compares unequal to any plain multiset.
     """
 
     parts: Parts
 
     def total(self) -> int:
         return sum(map(_multiplicity, self.parts))
+
+
+def make_multiset(pairs: Iterable[tuple[TorusPoint, int]]) -> PointMultiset:
+    """Merge duplicate points and sort; multiplicities must be positive ints."""
+    return PointMultiset(merge_points(pairs))
 
 
 @dataclass(frozen=True)

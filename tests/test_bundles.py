@@ -11,12 +11,11 @@ from ellfib.bundles import (
     dual_bundle,
     graded,
     make_bundle,
-    make_graded,
     split_bundle,
     tensor_line,
 )
 from ellfib.errors import EmptyBundle, NonPositiveRank
-from ellfib.torus import ORIGIN, TorusPoint
+from ellfib.torus import ORIGIN, TorusPoint, make_multiset
 from ellfib.transform import make_skyscraper, psi_transform
 
 rationals = st.fractions(min_value=0, max_value=1, max_denominator=8)
@@ -85,21 +84,12 @@ def test_graded_collapses_towers():
     assert g.total() == b.rank()
 
 
-def test_make_graded_merges_and_validates():
-    g = make_graded([(ORIGIN, 1), (ORIGIN, 2)])
-    assert g.parts == ((ORIGIN, 3),)
-    with pytest.raises(EmptyBundle):
-        make_graded([])
-    with pytest.raises(NonPositiveRank):
-        make_graded([(ORIGIN, 0)])
-
-
 @given(blocks, points)
 def test_tensor_line_shifts_every_block(raw, t):
     b = make_bundle(raw)
     shifted = tensor_line(b, t)
     assert shifted.rank() == b.rank()
-    assert graded(shifted) == make_graded((p + t, m) for p, m in graded(b).parts)
+    assert graded(shifted) == make_multiset((p + t, m) for p, m in graded(b).parts)
     assert tensor_line(shifted, -t) == b
 
 
@@ -107,7 +97,7 @@ def test_tensor_line_shifts_every_block(raw, t):
 def test_dual_is_an_involution(raw):
     b = make_bundle(raw)
     assert dual_bundle(dual_bundle(b)) == b
-    assert graded(dual_bundle(b)) == make_graded((-p, m) for p, m in graded(b).parts)
+    assert graded(dual_bundle(b)) == make_multiset((-p, m) for p, m in graded(b).parts)
 
 
 @given(blocks, blocks)
@@ -119,7 +109,7 @@ def test_direct_sum_adds_ranks_and_commutes(x, y):
 
 
 def test_split_bundle_is_polystable_representative():
-    g = make_graded([(ORIGIN, 2), (half(), 1)])
+    g = make_multiset([(ORIGIN, 2), (half(), 1)])
     s = split_bundle(g)
     assert s.blocks == ((1, ORIGIN), (1, ORIGIN), (1, half()))
     assert graded(s) == g

@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -34,14 +35,14 @@ from ellfib.serialize import (
     section_doc_json,
     skyscraper_json,
 )
-from ellfib.spectral import BundleFamily, make_cycle
-from ellfib.torus import ORIGIN, TorusPoint
+from ellfib.spectral import BundleFamily
+from ellfib.torus import ORIGIN, TorusPoint, make_multiset
 from ellfib.transform import PSI_BLOCK_BUDGET, make_skyscraper
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 import gen  # noqa: E402  (perfbench/gen.py: seeded documents, read only)
-from cli_digest import renamed_nerve  # noqa: E402  (tools/cli_digest.py)
+import cli_digest  # noqa: E402  (tools/cli_digest.py)
 
 
 def pt(u, v=0):
@@ -184,7 +185,7 @@ def test_gamma_reports_overlap_mismatch(tmp_path, capsys):
 
 def test_beta_round_trips_section(tmp_path, capsys):
     nerve = Nerve.single_chart("c", ("s",))
-    section = {"s": make_cycle([(ORIGIN, 1), (pt("2/3"), 2)])}
+    section = {"s": make_multiset([(ORIGIN, 1), (pt("2/3"), 2)])}
     infile = write(tmp_path, "section.json", section_doc_json(nerve, section, 3))
     code, out, _ = run(capsys, "beta", "--in", infile)
     assert code == 0
@@ -1160,7 +1161,7 @@ def _odd(charts) -> bool:
 def _renamed(doc: dict, name: dict) -> dict:
     """doc with each chart c called name[c]; every key keeps its charts' order."""
     rename = lambda key: ",".join(name[c] for c in key.split(","))
-    out = {"nerve": renamed_nerve(doc["nerve"], name)}
+    out = {"nerve": cli_digest.renamed_nerve(doc["nerve"], name)}
     for part, tables in (("gerbe", ("a", "c")), ("cocycle", ("lambda",))):
         if part in doc:
             out[part] = {t: {rename(k): v for k, v in doc[part][t].items()} for t in tables}
@@ -1279,3 +1280,10 @@ def test_verdicts_do_not_depend_on_the_names_of_the_charts(
                 step = _difference(renamed_mu[f"{name[j]}/{s}"], renamed_mu[f"{name[i]}/{s}"])
                 assert step == _difference(mu[f"{j}/{s}"], mu[f"{i}/{s}"])
     assert after["classify"] == before["classify"]
+
+
+def test_the_answer_ledger_has_one_row_per_digest():
+    # the run list is built without running the command line
+    runs = cli_digest.named_runs(cli_digest.KODAIRA.read_text())
+    ledger = json.loads(cli_digest.ANSWERS.read_text())
+    assert {name: row["runs"] for name, row in ledger.items()} == Counter(name for name, _, _ in runs)

@@ -272,6 +272,10 @@ def test_cocycle_rejects_duplicates_and_bad_values():
         TranslationCocycle({("c1", "c2"): {"s": "not a point"}})
 
 
+def test_cocycle_repr_counts_its_overlaps():
+    assert repr(TranslationCocycle({})) == "TranslationCocycle(overlaps=0)"
+
+
 def test_cocycle_missing_sample():
     c = TranslationCocycle({("c1", "c2"): {"s": ORIGIN}})
     with pytest.raises(MissingSample):
@@ -1024,6 +1028,26 @@ SHAPE_DEFECTS = {
     ),
     "cocycle-key-given-as-one-string": (
         lambda: TranslationCocycle({"ba": ZERO_AT_S}), "overlap must list two charts: 'ba'"
+    ),
+    # nor is a string a collection of chart or sample labels
+    "nerve-charts-given-as-one-string": (
+        lambda: Nerve("ab", chart_samples={"a": ["s"], "b": ["s"]}),
+        "charts must be a collection of labels, not a string: 'ab'",
+    ),
+    "single-chart-samples-given-as-one-string": (
+        lambda: Nerve.single_chart("c", "s1"),
+        "samples for chart 'c' must be a collection of labels, not a string: 's1'",
+    ),
+    "chart-samples-given-as-one-string": (
+        lambda: Nerve(["a"], chart_samples={"a": "xy"}),
+        "samples for chart 'a' must be a collection of labels, not a string: 'xy'",
+    ),
+    "overlap-samples-given-as-one-string": (
+        lambda: Nerve(
+            ["a", "b"], [("a", "b")], chart_samples={"a": ["s"], "b": ["s"]},
+            overlap_samples={("a", "b"): "s"},
+        ),
+        "samples for overlap ('a', 'b') must be a collection of labels, not a string: 's'",
     ),
 }
 

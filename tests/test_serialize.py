@@ -43,9 +43,9 @@ from ellfib.serialize import (
     section_doc_json,
     skyscraper_json,
 )
-from ellfib.spectral import BundleFamily, make_cycle, round_trip_verify
+from ellfib.spectral import BundleFamily, round_trip_verify
 from ellfib.fibration import check_cocycle, gerbe_alpha
-from ellfib.torus import ORIGIN, TorusPoint, make_divisor
+from ellfib.torus import ORIGIN, TorusPoint, make_divisor, make_multiset
 from ellfib.transform import PSI_BLOCK_BUDGET, make_skyscraper
 
 
@@ -84,7 +84,7 @@ def rand_skyscraper(rng):
 
 
 def rand_cycle(rng):
-    return make_cycle(
+    return make_multiset(
         [(rand_point(rng), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
     )
 
@@ -222,7 +222,7 @@ def test_handcrafted_round_trips():
     assert parse_bundle(bundle_json(b)) == b
     s = make_skyscraper([(p, 2)], 1)
     assert parse_skyscraper(skyscraper_json(s)) == s
-    c = make_cycle([(p, 1), (ORIGIN, 3)])
+    c = make_multiset([(p, 1), (ORIGIN, 3)])
     assert parse_cycle(cycle_json(c)) == c
 
 
@@ -320,6 +320,12 @@ def _bad_cases():
     yield parse_family, {"nerve": nerve_payload}
     yield parse_section_doc, {"nerve": nerve_payload, "section": [], "n": 1}
     yield parse_section_doc, {"nerve": nerve_payload, "section": {}, "n": "1"}
+    # JSON keys are strings; a Python caller may pass any other key
+    yield parse_nerve, {
+        "charts": ["a", "b"],
+        "overlaps": [["a", "b"]],
+        "samples": {"charts": {"a": ["s"], "b": ["s"]}, "overlaps": {7: ["s"]}},
+    }
 
 
 @pytest.mark.parametrize("parser,payload", list(_bad_cases()))
@@ -362,7 +368,7 @@ def test_chart_sample_map_key_shapes():
         {"c1/s": {"u": "0", "v": "0"}}, "data", parse_point
     )
     assert parsed == {("c1", "s"): ORIGIN}
-    for bad_key in ("c1", "c1/s/x", "/s", "c1/"):
+    for bad_key in ("c1", "c1/s/x", "/s", "c1/", 7):
         with pytest.raises(SchemaError):
             parse_chart_sample_map({bad_key: {"u": "0", "v": "0"}}, "data", parse_point)
     with pytest.raises(SchemaError):
@@ -386,7 +392,7 @@ def test_mu_and_glued_shapes():
 
 def test_gamma_json_shape():
     assert gamma_json({}) == {"n": 0, "section": {}}
-    cycles = {("c1", "s"): make_cycle([(ORIGIN, 2)])}
+    cycles = {("c1", "s"): make_multiset([(ORIGIN, 2)])}
     payload = gamma_json(cycles)
     assert payload["n"] == 2
     assert list(payload["section"]) == ["c1/s"]

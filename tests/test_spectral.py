@@ -10,10 +10,9 @@ from math import comb
 import pytest
 
 from ellfib import spectral
-from ellfib.bundles import graded, make_bundle, make_graded, split_bundle, tensor_line
+from ellfib.bundles import graded, make_bundle, split_bundle, tensor_line
 from ellfib.errors import (
     BudgetExceeded,
-    EmptyBundle,
     MissingSample,
     NonConstantLength,
     NonPositiveRank,
@@ -31,14 +30,13 @@ from ellfib.spectral import (
     enumerate_bundles,
     enumerate_cycles,
     gamma_map,
-    make_cycle,
     round_trip_count,
     round_trip_verify,
     spectral_cover,
     torsion_points,
     translate_cycle,
 )
-from ellfib.torus import ORIGIN, TorusPoint
+from ellfib.torus import ORIGIN, TorusPoint, make_multiset
 from ellfib.transform import make_skyscraper
 
 
@@ -55,20 +53,8 @@ def two_chart_nerve() -> Nerve:
     )
 
 
-def test_make_cycle_merges_and_validates():
-    c = make_cycle([(pt("1/2"), 1), (pt("1/2"), 2), (ORIGIN, 1)])
-    assert c.parts == ((ORIGIN, 1), (pt("1/2"), 3))
-    assert c.total() == 4
-    with pytest.raises(EmptyBundle):
-        make_cycle([])
-    with pytest.raises(NonPositiveRank):
-        make_cycle([(ORIGIN, 0)])
-    with pytest.raises(TypeError):
-        make_cycle([(ORIGIN, True)])
-
-
 def test_translate_cycle_round_trip():
-    c = make_cycle([(pt("1/3"), 2), (ORIGIN, 1)])
+    c = make_multiset([(pt("1/3"), 2), (ORIGIN, 1)])
     z = pt("1/7", "2/7")
     assert translate_cycle(translate_cycle(c, z), -z) == c
 
@@ -81,7 +67,7 @@ def test_spectral_cover_negates_points_and_counts_rank():
 
 
 def test_cycle_of_graded_matches_polystable_cover():
-    g = make_graded([(pt("1/4"), 2), (ORIGIN, 1)])
+    g = make_multiset([(pt("1/4"), 2), (ORIGIN, 1)])
     assert cycle_of_graded(g) == spectral_cover(split_bundle(g))
 
 
@@ -182,7 +168,7 @@ def test_gamma_rejects_cycle_totals_that_vary_across_samples(monkeypatch):
 
 def test_beta_restores_polystable_fibers():
     nerve = Nerve.single_chart("c", ("s",))
-    cycle = make_cycle([(pt("1/3"), 2), (ORIGIN, 1)])
+    cycle = make_multiset([(pt("1/3"), 2), (ORIGIN, 1)])
     fam = beta_map(nerve, {"s": cycle}, 3)
     bundle = fam.fiber("c", "s")
     assert bundle.blocks == ((1, ORIGIN), (1, pt("2/3")), (1, pt("2/3")))
@@ -191,7 +177,7 @@ def test_beta_restores_polystable_fibers():
 
 def test_beta_validates_section_shape():
     nerve = Nerve.single_chart("c", ("s", "t"))
-    cycle = make_cycle([(ORIGIN, 2)])
+    cycle = make_multiset([(ORIGIN, 2)])
     with pytest.raises(MissingSample):
         beta_map(nerve, {"s": cycle}, 2)
     with pytest.raises(SchemaError):
@@ -203,7 +189,7 @@ def test_beta_validates_section_shape():
 def test_beta_requires_a_single_chart():
     nerve = two_chart_nerve()
     with pytest.raises(SchemaError):
-        beta_map(nerve, {"s": make_cycle([(ORIGIN, 1)])}, 1)
+        beta_map(nerve, {"s": make_multiset([(ORIGIN, 1)])}, 1)
 
 
 def test_torsion_points_enumeration():
@@ -224,12 +210,12 @@ def test_enumerate_cycles_counts_multisets():
 
 
 def test_enumerated_cycles_are_canonical():
-    # the run-length parts equal make_cycle's merged parts, type and order included
+    # the run-length parts equal make_multiset's merged parts, type and order included
     for n in (1, 2, 3):
         for torsion in range(1, 7):
             points = sorted(torsion_points(torsion))
             expected = [
-                make_cycle((p, 1) for p in combo)
+                make_multiset((p, 1) for p in combo)
                 for combo in combinations_with_replacement(points, n)
             ]
             cycles = enumerate_cycles(n, torsion)

@@ -36,7 +36,6 @@ ALLOWED = {
     "solve_integer": "perfbench/tracing.py wraps it",
     "constant_family": "the paper's constant family, checked against gamma_map",
     "ring_to_dict": "tools/make_presets.py writes the presets with it",
-    "make_graded": "the checked GradedClass constructor the multiset tests pin",
 }
 
 

@@ -2,7 +2,6 @@
 
 import copy
 import gc
-import itertools
 import math
 import pickle
 import weakref
@@ -14,17 +13,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ellfib.bundles import GradedClass, make_bundle, make_graded
+from ellfib.bundles import graded, make_bundle
 from ellfib.errors import EmptyBundle, NonPositiveRank, SchemaError
 from ellfib.fibration import Nerve
-from ellfib.spectral import (
-    SpectralCycle,
-    enumerate_cycles,
-    make_cycle,
-    round_trip_verify,
-    torsion_points,
+from ellfib.spectral import enumerate_cycles, round_trip_verify, spectral_cover, torsion_points
+from ellfib.torus import (
+    ORIGIN,
+    PointMultiset,
+    TorusPoint,
+    make_divisor,
+    make_multiset,
+    multiset_ranker,
 )
-from ellfib.torus import ORIGIN, PointMultiset, TorusPoint, make_divisor, multiset_ranker
 from ellfib.transform import SkyscraperClass, make_skyscraper
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
@@ -113,6 +113,14 @@ def test_points_copy_pickle_and_repr_round_trip(x, y):
         assert coords(clone) == coords(p)
     assert eval(repr(p), {"TorusPoint": TorusPoint, "Fraction": Fraction}) == p
     assert repr(p) == f"TorusPoint(u={p.u!r}, v={p.v!r})"
+
+
+def test_points_do_not_order_against_other_types():
+    # each comparison returns NotImplemented, so Python raises TypeError
+    with pytest.raises(TypeError):
+        ORIGIN <= 1
+    with pytest.raises(TypeError):
+        ORIGIN < 1
 
 
 def test_points_are_immutable():
@@ -223,11 +231,23 @@ def test_divisor_terms_sorted_canonically():
     assert d.terms == ((q, 1), (p, 1))
 
 
+def test_make_multiset_merges_and_validates():
+    half = TorusPoint(Fraction(1, 2), 0)
+    c = make_multiset([(half, 1), (half, 2), (ORIGIN, 1)])
+    assert c.parts == ((ORIGIN, 1), (half, 3))
+    assert c.total() == 4
+    with pytest.raises(EmptyBundle):
+        make_multiset([])
+    with pytest.raises(NonPositiveRank):
+        make_multiset([(ORIGIN, 0)])
+    with pytest.raises(TypeError):
+        make_multiset([(ORIGIN, True)])
+
+
 # name -> (constructor, attribute holding its parts, signed multiplicities)
 MULTISETS = {
-    "graded": (make_graded, "parts", False),
+    "multiset": (make_multiset, "parts", False),
     "skyscraper": (lambda pairs: make_skyscraper(pairs, 1), "parts", False),
-    "cycle": (make_cycle, "parts", False),
     "divisor": (make_divisor, "terms", True),
 }
 
@@ -275,12 +295,11 @@ def test_multiset_constructors_match_a_counter(name, pairs):
     "build, error",
     [
         (lambda pairs: make_bundle([(m, p) for p, m in pairs]), NonPositiveRank),
-        (make_graded, TypeError),
+        (make_multiset, TypeError),
         (lambda pairs: make_skyscraper(pairs, 0), TypeError),
-        (make_cycle, TypeError),
         (make_divisor, TypeError),
     ],
-    ids=["bundle", "graded", "skyscraper", "cycle", "divisor"],
+    ids=["bundle", "multiset", "skyscraper", "divisor"],
 )
 def test_constructors_reject_bool_multiplicities(build, error):
     with pytest.raises(error):
@@ -289,16 +308,17 @@ def test_constructors_reject_bool_multiplicities(build, error):
 
 def test_multiset_types_stay_distinct_on_equal_parts():
     parts = ((ORIGIN, 2),)
-    values = [
-        PointMultiset(parts),
-        GradedClass(parts),
-        SkyscraperClass(parts, 0),
-        SpectralCycle(parts),
-    ]
-    for a, b in itertools.combinations(values, 2):
-        assert a != b
-    assert GradedClass(parts) == make_graded([(ORIGIN, 1), (ORIGIN, 1)])
+    values = [PointMultiset(parts), SkyscraperClass(parts, 0)]
+    assert values[0] != values[1]
     assert len(set(values)) == len(values)
+    assert values[0] == make_multiset([(ORIGIN, 1), (ORIGIN, 1)])
+
+
+def test_a_graded_class_and_a_cycle_on_equal_parts_are_equal():
+    # the origin is its own negative, so the cover's parts are the graded parts
+    bundle = make_bundle([(2, ORIGIN)])
+    assert graded(bundle) == spectral_cover(bundle) == make_multiset([(ORIGIN, 2)])
+    assert len({graded(bundle), spectral_cover(bundle)}) == 1
 
 
 @pytest.mark.parametrize("n, torsion", [(1, 1), (1, 4), (2, 3), (3, 2), (3, 4), (5, 2), (4, 1)])

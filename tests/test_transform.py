@@ -11,12 +11,11 @@ from ellfib.bundles import (
     dual_bundle,
     graded,
     make_bundle,
-    make_graded,
     split_bundle,
     tensor_line,
 )
 from ellfib.errors import EmptyBundle, NonPositiveRank, WrongDegree
-from ellfib.torus import TorusPoint, merge_points
+from ellfib.torus import TorusPoint, make_multiset, merge_points
 from ellfib.transform import (
     SkyscraperClass,
     fm_transform,
@@ -40,7 +39,7 @@ few_parts = st.lists(st.tuples(few_points, st.integers(1, 3)), min_size=1, max_s
 canonical_bundles = st.one_of(
     st.lists(st.tuples(st.integers(1, 3), few_points), min_size=1, max_size=7).map(make_bundle),
     few_parts.map(lambda parts: psi_transform(make_skyscraper(parts, 0))),
-    few_parts.map(lambda parts: split_bundle(make_graded(parts))),
+    few_parts.map(lambda parts: split_bundle(make_multiset(parts))),
 )
 
 

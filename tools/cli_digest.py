@@ -54,6 +54,11 @@ one of these runs.  Run it from any directory, on each checkout:
 
     python3 tools/cli_digest.py
 
+After printing, it compares its rows (name, run count, sha256) with the
+answer ledger tools/answers.json, names on stderr each row that differs
+from it, and then exits 1; it exits 0 when every row matches.  A change
+that moves an answer edits the ledger in the same commit.
+
 Standard library only; perfbench/ is read, never written.
 """
 
@@ -73,6 +78,8 @@ from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+ANSWERS = ROOT / "tools" / "answers.json"
+KODAIRA = ROOT / "src" / "ellfib" / "cohomology" / "presets" / "kodaira.json"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import gen  # noqa: E402  (perfbench/gen.py)
@@ -521,22 +528,28 @@ def run_cold(argv: list[str]) -> tuple[int, str, str]:
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def main_digest() -> None:
-    kodaira_text = (ROOT / "src/ellfib/cohomology/presets/kodaira.json").read_text()
+def named_runs(kodaira_text: str) -> list[tuple[str, list[str], dict | None]]:
+    """(digest name, argv, document) for every run, in digest order; nothing is run."""
+    runs = [(argv[0], argv, doc) for argv, doc in all_runs(kodaira_text)]
+    runs += [(f"{argv[0]} budget", argv, doc) for argv, doc in budget_runs()]
+    runs += [("gerbe rp2", argv, doc) for argv, doc in rp2_gerbe_runs()]
+    runs += [("invariants tau=i", argv, None) for argv, _ in tau_i_runs()]
+    runs += [("roundtrip cold", argv, None) for argv in COLD_ROUNDTRIPS]
+    runs += [("nerve errors", argv, doc) for argv, doc in nerve_error_runs()]
+    runs += [("gerbe descriptors", argv, doc) for argv, doc in descriptor_runs()]
+    runs += [("gerbe parity", argv, doc) for argv, doc in parity_runs()]
+    return runs
+
+
+def main_digest() -> int:
+    """Print one row per digest; 1 when a row differs from the ledger, else 0."""
+    runs = named_runs(KODAIRA.read_text())
     digests = {}
     counts: dict[str, int] = {}
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            runs = [(argv[0], argv, doc) for argv, doc in all_runs(kodaira_text)]
-            runs += [(f"{argv[0]} budget", argv, doc) for argv, doc in budget_runs()]
-            runs += [("gerbe rp2", argv, doc) for argv, doc in rp2_gerbe_runs()]
-            runs += [("invariants tau=i", argv, None) for argv, _ in tau_i_runs()]
-            runs += [("roundtrip cold", argv, None) for argv in COLD_ROUNDTRIPS]
-            runs += [("nerve errors", argv, doc) for argv, doc in nerve_error_runs()]
-            runs += [("gerbe descriptors", argv, doc) for argv, doc in descriptor_runs()]
-            runs += [("gerbe parity", argv, doc) for argv, doc in parity_runs()]
             for verb, argv, doc in runs:
                 if doc is not None:
                     Path(DOC).write_text(json.dumps(doc, indent=1))
@@ -546,9 +559,15 @@ def main_digest() -> None:
                 counts[verb] = counts.get(verb, 0) + 1
         finally:
             os.chdir(home)
-    for verb in sorted(digests):
-        print(f"{verb:16} {counts[verb]:6} {digests[verb].hexdigest()}")
+    rows = {verb: {"runs": counts[verb], "sha256": digests[verb].hexdigest()} for verb in digests}
+    for verb in sorted(rows):
+        print(f"{verb:16} {rows[verb]['runs']:6} {rows[verb]['sha256']}")
+    ledger = json.loads(ANSWERS.read_text())
+    differ = sorted(name for name in rows.keys() | ledger.keys() if rows.get(name) != ledger.get(name))
+    for name in differ:
+        print(f"differs from {ANSWERS.name}: {name}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main_digest()
+    sys.exit(main_digest())
