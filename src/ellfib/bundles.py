@@ -36,9 +36,11 @@ def make_bundle(blocks: Iterable[tuple[int, TorusPoint]]) -> AtiyahBundle:
     blocks = list(blocks)
     if not blocks:
         raise EmptyBundle("a bundle needs at least one block")
-    for n, _ in blocks:
+    for n, x in blocks:
         if type(n) is not int or n < 1:
             raise NonPositiveRank(f"block rank must be a positive int, got {n!r}")
+        if x.__class__ is not TorusPoint:
+            raise TypeError(f"block point must be a TorusPoint, got {x!r}")
     # two stable sorts give (point, rank) order with one point call per comparison
     blocks.sort(key=_rank)
     blocks.sort(key=_twist)

@@ -82,15 +82,8 @@ class BundleFamily:
         return self.data[(chart, sample)]
 
 
-# the empty cocycle of every family built below, shared because nothing writes to it
+# the empty cocycle of beta_map's families, shared because nothing writes to it
 _NO_TRANSITIONS = TranslationCocycle({})
-
-
-def constant_family(base: Nerve, bundle: AtiyahBundle) -> BundleFamily:
-    data = {
-        (chart, s): bundle for chart in base.charts for s in base.chart_samples(chart)
-    }
-    return BundleFamily(base, _NO_TRANSITIONS, data, bundle.rank())
 
 
 def gamma_map(family: BundleFamily) -> dict[tuple[str, str], PointMultiset]:
@@ -158,8 +151,9 @@ _last_points: tuple[int, list] = (0, [])
 def torsion_points(torsion: int) -> list[TorusPoint]:
     """The torsion**2 points (p/torsion, q/torsion), sorted; while every
     point of the last call is alive, the same torsion gets them again, so
-    the two enumerations of one round trip share their points and the
-    negatives those keep."""
+    the two enumerations of one round trip, made before either runs, share
+    their points and the negatives those keep.  The cache holds the points
+    weakly: reference counting frees them when the round trip returns."""
     global _last_points
     _require_count(torsion, "torsion bound")
     last, refs = _last_points
@@ -173,23 +167,32 @@ def torsion_points(torsion: int) -> list[TorusPoint]:
     return points
 
 
+def _cycles(points: list[TorusPoint], n: int) -> Iterator[PointMultiset]:
+    for combo in combinations_with_replacement(points, n):
+        runs = []  # a sorted combination repeats one point object: one pass gives the parts
+        for point in combo:
+            if runs and runs[-1][0] is point:
+                runs[-1] = (point, runs[-1][1] + 1)
+            else:
+                runs.append((point, 1))
+        yield PointMultiset(tuple(runs))
+
+
 def enumerate_cycles(n: int, torsion: int) -> Iterator[PointMultiset]:
     """Every rank-n cycle on torsion points, built one at a time; the
     arguments are checked at the call."""
     _require_count(n, "cycle rank")
-    points = torsion_points(torsion)
+    return _cycles(torsion_points(torsion), n)
 
-    def cycles():
-        for combo in combinations_with_replacement(points, n):
-            runs = []  # a sorted combination repeats one point object: one pass gives the parts
-            for point in combo:
-                if runs and runs[-1][0] is point:
-                    runs[-1] = (point, runs[-1][1] + 1)
-                else:
-                    runs.append((point, 1))
-            yield PointMultiset(tuple(runs))
 
-    return cycles()
+def _runs(blocks: list, run: tuple, start: int, left: int) -> Iterator[tuple]:
+    """Each non-decreasing run of blocks[start:] with ranks summing to left, after run."""
+    for i in range(start, len(blocks)):
+        rank, _ = block = blocks[i]
+        if rank == left:
+            yield run + (block,)
+        elif rank < left:
+            yield from _runs(blocks, run + (block,), i, left - rank)
 
 
 def enumerate_bundles(n: int, torsion: int) -> Iterator[AtiyahBundle]:
@@ -199,16 +202,7 @@ def enumerate_bundles(n: int, torsion: int) -> Iterator[AtiyahBundle]:
     out canonical.  The arguments are checked at the call."""
     _require_count(n, "bundle rank")
     blocks = [(rank, point) for point in torsion_points(torsion) for rank in range(1, n + 1)]
-
-    def runs(run: tuple, start: int, left: int):
-        for i in range(start, len(blocks)):
-            rank, _ = block = blocks[i]
-            if rank == left:
-                yield run + (block,)
-            elif rank < left:
-                yield from runs(run + (block,), i, left - rank)
-
-    return (AtiyahBundle(run) for run in runs((), 0, n))
+    return (AtiyahBundle(run) for run in _runs(blocks, (), 0, n))
 
 
 # Largest round trip, in enumerated objects times samples, that
@@ -262,6 +256,16 @@ class RoundTripReport:
     failures: tuple[str, ...]
 
 
+def _mark(bitmap: bytearray, r: int) -> bool:
+    """Set byte r of bitmap, or its last byte when r is no rank below that
+    byte; True when it was clear."""
+    if not 0 <= r < len(bitmap) - 1:
+        r = -1
+    new = not bitmap[r]
+    bitmap[r] = 1
+    return new
+
+
 def round_trip_verify(base: Nerve, n: int, torsion: int) -> RoundTripReport:
     """Exhaustive two-way check over torsion data on a single chart.
 
@@ -273,18 +277,19 @@ def round_trip_verify(base: Nerve, n: int, torsion: int) -> RoundTripReport:
     samples would repeat each check on equal values.  Each object calls
     beta_map once, which checks total and rank, and spectral_cover
     directly: with one sample and no overlap, gamma_map's equal-totals and
-    overlap checks compare nothing, and constant_family's keys and rank
-    hold by construction, so no check is dropped.
+    overlap checks compare nothing, and a family of one bundle has its
+    keys and rank by construction, so no check is dropped.
 
-    Both enumerations are streamed and no object is kept.  The bijection
-    is read from three bytes per rank-n multiset of torsion points,
-    indexed by multiset_ranker: `listed` marks each enumerated cycle,
-    `classes` each bundle's graded class and `image` the cycle of each
-    class, computed when its class is first marked.  The classes and the
-    cycles are in bijection when the class count equals the image count
-    and `listed` equals `image`: the set test len(image) == len(classes)
-    and image == set(cycles).  Anything the ranker cannot rank counts
-    against the bijection.
+    Both enumerations are streamed and no object is kept; their points
+    are freed on return.  The bijection is read from three bitmaps of one
+    byte per rank-n multiset of torsion points, indexed by
+    multiset_ranker: `listed` marks each enumerated cycle, `classes` each
+    bundle's graded class and `image` the cycle of each class, computed
+    when its class is first marked.  The classes and the cycles are in
+    bijection when the class count equals the image count and `listed`
+    equals `image`: the set test len(image) == len(classes) and
+    image == set(cycles).  Anything the ranker cannot rank sets its
+    bitmap's one extra last byte, which counts against the bijection.
     """
     chart = _require_single_chart(base)
     samples = base.chart_samples(chart)
@@ -292,43 +297,30 @@ def round_trip_verify(base: Nerve, n: int, torsion: int) -> RoundTripReport:
     view = Nerve.single_chart(chart, samples[:1])
     s = samples[0]
     failures: list[str] = []
-    # held until both passes end, so both enumerations share the points and their negatives
-    points = torsion_points(torsion)
-    cycles = enumerate_cycles(n, torsion)
+    # both made before either runs, so the second finds the first's points
+    cycles, bundles = enumerate_cycles(n, torsion), enumerate_bundles(n, torsion)
     size, rank = multiset_ranker(n, torsion)
-    listed, classes, image = bytearray(size), bytearray(size), bytearray(size)
-    unranked = 0
-
-    def mark(bitmap: bytearray, parts) -> bool:
-        """Set the byte of parts in bitmap; True when it was clear."""
-        nonlocal unranked
-        r = rank(parts)
-        if not 0 <= r < size:
-            unranked += 1
-            return False
-        new = not bitmap[r]
-        bitmap[r] = 1
-        return new
+    listed, classes, image = bytearray(size + 1), bytearray(size + 1), bytearray(size + 1)
 
     sections = 0
     for cycle in cycles:
         sections += 1
         if spectral_cover(beta_map(view, {s: cycle}, n).fiber(chart, s)) != cycle:
             failures.append(f"section round trip failed at {cycle!r}")
-        mark(listed, cycle.parts)
+        _mark(listed, rank(cycle.parts))
 
-    bundles = class_count = image_count = 0
-    for bundle in enumerate_bundles(n, torsion):
-        bundles += 1
+    bundle_count = class_count = image_count = 0
+    for bundle in bundles:
+        bundle_count += 1
         rebuilt = beta_map(view, {s: spectral_cover(bundle)}, bundle.rank())
         graded_class = graded(bundle)
         if rebuilt.fiber(chart, s) != split_bundle(graded_class):
             failures.append(f"family round trip failed at {bundle!r}")
-        if mark(classes, graded_class.parts):
+        if _mark(classes, rank(graded_class.parts)):
             class_count += 1
-            image_count += mark(image, cycle_of_graded(graded_class).parts)
-    del points
+            image_count += _mark(image, rank(cycle_of_graded(graded_class).parts))
 
+    unranked = listed[size] or classes[size] or image[size]
     bijective = not unranked and class_count == image_count and listed == image
     if not bijective:
         failures.append("graded classes and cycles are not in bijection")
@@ -336,7 +328,7 @@ def round_trip_verify(base: Nerve, n: int, torsion: int) -> RoundTripReport:
     return RoundTripReport(
         ok=not failures,
         sections_checked=sections,
-        bundles_checked=bundles,
+        bundles_checked=bundle_count,
         bijective=bijective,
         failures=tuple(failures),
     )

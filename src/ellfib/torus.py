@@ -84,19 +84,16 @@ class TorusPoint:
 
     __slots__ = ("_a", "_b", "_d", "_hash", "_neg", "__weakref__")
 
-    def __init__(self, u, v):
+    def __new__(cls, u, v):
         u, v = _frac(u), _frac(v)
         du, dv = u.denominator, v.denominator
         d = du * dv // math.gcd(du, dv)
         # u and v are in lowest terms, so gcd(a, b, d) = 1 already
-        _setattr(self, "_a", u.numerator * (d // du) % d)
-        _setattr(self, "_b", v.numerator * (d // dv) % d)
-        _setattr(self, "_d", d)
-        self.__post_init__()
+        return _build(u.numerator * (d // du) % d, v.numerator * (d // dv) % d, d)
 
     def __post_init__(self):
-        # every construction, from __init__ or from a triple, ends here,
-        # so wrapping this one method sees every point built
+        # every point, from rationals, a triple, + or -, comes from _build,
+        # which calls this once, so wrapping this one method sees every point built
         _setattr(self, "_hash", hash((self._a, self._b, self._d)))
 
     @classmethod
@@ -216,11 +213,11 @@ _multiplicity = itemgetter(1)
 def merge_points(pairs: Iterable[tuple[TorusPoint, int]], signed: bool = False) -> Parts:
     """The canonical parts of (point, multiplicity) pairs.
 
-    Equal points are merged and the result is sorted by point.
-    Multiplicities must be exactly int (bool is refused).  Signed parts,
-    for divisors, may be negative; zero sums are dropped and the result
-    may be empty.  Otherwise every multiplicity must be positive and at
-    least one pair given.
+    Equal points are merged and the result is sorted by point.  Points
+    must be TorusPoints and multiplicities exactly int (bool is refused).
+    Signed parts, for divisors, may be negative; zero sums are dropped and
+    the result may be empty.  Otherwise every multiplicity must be
+    positive and at least one pair given.
     """
     acc: dict[TorusPoint, int] = {}
     for p, m in pairs:
@@ -228,6 +225,8 @@ def merge_points(pairs: Iterable[tuple[TorusPoint, int]], signed: bool = False) 
             raise TypeError(f"multiplicity must be an int, got {m!r}")
         if m < 1 and not signed:
             raise NonPositiveRank(f"multiplicity must be a positive int, got {m!r}")
+        if p.__class__ is not TorusPoint:
+            raise TypeError(f"point must be a TorusPoint, got {p!r}")
         acc[p] = acc.get(p, 0) + m
     if signed:
         return tuple(sorted(((p, m) for p, m in acc.items() if m), key=_point))

@@ -1,7 +1,9 @@
 """Spectral cycles, bundle families, and the two-way correspondence."""
 
+import gc
 import time
 import tracemalloc
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -25,7 +27,6 @@ from ellfib.spectral import (
     ROUND_TRIP_BUDGET,
     BundleFamily,
     beta_map,
-    constant_family,
     cycle_of_graded,
     enumerate_bundles,
     enumerate_cycles,
@@ -108,6 +109,12 @@ def test_family_refuses_a_cocycle_value_off_the_nerve(pair, sample):
     b = make_bundle([(1, ORIGIN)])
     with pytest.raises(SchemaError, match="cocycle value"):
         BundleFamily(nerve, TranslationCocycle(values), {("a", "s"): b, ("b", "s"): b})
+
+
+def constant_family(base: Nerve, bundle) -> BundleFamily:
+    """The paper's constant family: bundle at every (chart, sample) of base."""
+    data = {(chart, s): bundle for chart in base.charts for s in base.chart_samples(chart)}
+    return BundleFamily(base, TranslationCocycle({}), data, bundle.rank())
 
 
 def test_constant_family_covers_every_sample():
@@ -464,6 +471,33 @@ def test_round_trip_keeps_no_object():
         tracemalloc.stop()
     assert report.ok
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("n, torsion", [(1, 2), (2, 3), (3, 4), (2, 6)])
+def test_round_trip_frees_its_points_on_return(monkeypatch, n, torsion):
+    # with the cyclic collector off, a reference cycle would keep every point
+    # the enumerations shared alive after the call
+    refs = []
+    original = spectral.torsion_points
+
+    def recorded(bound):
+        points = original(bound)
+        refs.extend(map(weakref.ref, points))
+        return points
+
+    monkeypatch.setattr(spectral, "torsion_points", recorded)
+    monkeypatch.setattr(spectral, "_last_points", (0, []))
+    gc.collect()
+    gc.disable()
+    try:
+        assert round_trip_verify(Nerve.single_chart(), n, torsion).ok
+        alive = sum(ref() is not None for ref in refs)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert refs
+    assert alive == 0
+    assert garbage == 0
 
 
 def test_enumerators_build_one_object_at_a_time():

@@ -34,7 +34,6 @@ ALLOWED = {
     "section_doc_json": CRITERIA,
     "leray_betti": "perfbench/tracing.py wraps it",
     "solve_integer": "perfbench/tracing.py wraps it",
-    "constant_family": "the paper's constant family, checked against gamma_map",
     "ring_to_dict": "tools/make_presets.py writes the presets with it",
 }
 
@@ -97,6 +96,29 @@ def test_the_allowlist_is_exact():
     found = uncalled()
     stale = sorted(set(ALLOWED) - set(found))
     assert not stale, f"gone, or called under src/ now; drop from ALLOWED: {stale}"
+
+
+def self_referring_inner_functions() -> dict[str, str]:
+    """name -> "file:line" of each function under src/ that is defined inside
+    another function and names itself: its closure cell holds the function, a
+    reference cycle that keeps whatever the closure sees alive after the call,
+    until the cyclic collector runs."""
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for outer in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            for inner in ast.walk(outer):
+                if inner is outer or not isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if _names(inner)[0][inner.name]:
+                    found[inner.name] = f"{path.relative_to(SRC.parent)}:{inner.lineno}"
+    return found
+
+
+def test_no_inner_function_refers_to_itself():
+    found = self_referring_inner_functions()
+    assert not found, f"inner functions that name themselves (a reference cycle): {found}"
 
 
 # Underscore names that one module under src/ imports from another, one

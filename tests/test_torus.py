@@ -4,6 +4,7 @@ import copy
 import gc
 import math
 import pickle
+import re
 import weakref
 from collections import Counter
 from dataclasses import FrozenInstanceError
@@ -304,6 +305,24 @@ def test_multiset_constructors_match_a_counter(name, pairs):
 def test_constructors_reject_bool_multiplicities(build, error):
     with pytest.raises(error):
         build([(ORIGIN, True)])
+
+
+@pytest.mark.parametrize("point", ["a", 3, None, Fraction(1, 2), (0, 0)], ids=repr)
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda pairs: make_bundle([(m, p) for p, m in pairs]), "block point must be a TorusPoint"),
+        (make_multiset, "point must be a TorusPoint"),
+        (lambda pairs: make_skyscraper(pairs, 0), "point must be a TorusPoint"),
+        (make_divisor, "point must be a TorusPoint"),
+    ],
+    ids=["bundle", "multiset", "skyscraper", "divisor"],
+)
+def test_constructors_refuse_a_non_point(build, message, point):
+    # a non-point next to a real one, or alone, never makes an object
+    for pairs in ([(point, 1)], [(ORIGIN, 1), (point, 2)]):
+        with pytest.raises(TypeError, match=f"^{message}, got {re.escape(repr(point))}$"):
+            build(pairs)
 
 
 def test_multiset_types_stay_distinct_on_equal_parts():
